@@ -1,10 +1,9 @@
-"""Hot per-node kernels: embedding, fundamental forms, principal curvatures.
+"""Per-node kernels: embedding, fundamental forms, principal curvatures.
 
-Two interchangeable backends compute the principal-curvature batch used in
-the solver's inner loop: a numba-compiled node loop and a vectorized numpy
-fallback.  Selection happens at import time: numba is used when it imports
-cleanly and the environment variable ``CURVEDUAL_NO_NUMBA`` is unset.  Both
-paths implement the same arithmetic and agree to roundoff.
+Everything is vectorized numpy over arbitrary leading axes.  The solver
+evaluates curvatures through :func:`kappa_batch`, which takes a batch of
+radial fields and returns their principal curvatures; the full geometric
+record of a surface comes from :func:`fundamental_forms`.
 
 All angles are chart coordinates (theta, phi) on the parameter sphere; the
 radial inputs are the chart partial derivatives of the radial function.
@@ -12,133 +11,25 @@ radial inputs are the chart partial derivatives of the radial function.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly by backend selection
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrapper(func):
-            return func
-        return wrapper
-
-
-USE_NUMBA = _HAVE_NUMBA and not os.environ.get("CURVEDUAL_NO_NUMBA")
 
 
 def backend_name() -> str:
-    """Active principal-curvature backend: 'numba' or 'numpy'."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the principal-curvature implementation (always 'numpy')."""
+    return "numpy"
 
 
-@njit(cache=True, fastmath=False)
-def _kappa_batch_jit(theta, phi, R, RT, RP, RTT, RTP, RPP, K1, K2):
-    npts, nb = R.shape
-    for i in range(npts):
-        st = np.sin(theta[i])
-        ct = np.cos(theta[i])
-        sp = np.sin(phi[i])
-        cp = np.cos(phi[i])
-        # unit direction and its chart derivatives (3-vector parts)
-        w0 = st * cp
-        w1 = st * sp
-        w2 = ct
-        wt0 = ct * cp
-        wt1 = ct * sp
-        wt2 = -st
-        wp0 = -st * sp
-        wp1 = st * cp
-        wtp0 = -ct * sp
-        wtp1 = ct * cp
-        for j in range(nb):
-            r = R[i, j]
-            rt = RT[i, j]
-            rp = RP[i, j]
-            rtt = RTT[i, j]
-            rtp = RTP[i, j]
-            rpp = RPP[i, j]
-            sr = np.sin(r)
-            cr = np.cos(r)
-            # embedding x = (sin r * w, cos r) and its chart derivatives
-            x0 = sr * w0
-            x1 = sr * w1
-            x2 = sr * w2
-            x3 = cr
-            a = cr * rt
-            xt0 = a * w0 + sr * wt0
-            xt1 = a * w1 + sr * wt1
-            xt2 = a * w2 + sr * wt2
-            xt3 = -sr * rt
-            b = cr * rp
-            xp0 = b * w0 + sr * wp0
-            xp1 = b * w1 + sr * wp1
-            xp2 = b * w2
-            xp3 = -sr * rp
-            c1 = cr * rtt - sr * rt * rt
-            xtt0 = c1 * w0 + 2.0 * a * wt0 - sr * w0
-            xtt1 = c1 * w1 + 2.0 * a * wt1 - sr * w1
-            xtt2 = c1 * w2 + 2.0 * a * wt2 - sr * w2
-            xtt3 = -(sr * rtt + cr * rt * rt)
-            c2 = cr * rtp - sr * rt * rp
-            xtp0 = c2 * w0 + a * wp0 + b * wt0 + sr * wtp0
-            xtp1 = c2 * w1 + a * wp1 + b * wt1 + sr * wtp1
-            xtp2 = c2 * w2 + b * wt2
-            xtp3 = -(sr * rtp + cr * rt * rp)
-            c3 = cr * rpp - sr * rp * rp
-            xpp0 = c3 * w0 + 2.0 * b * wp0 - sr * w0
-            xpp1 = c3 * w1 + 2.0 * b * wp1 - sr * w1
-            xpp2 = c3 * w2
-            xpp3 = -(sr * rpp + cr * rp * rp)
-            # metric
-            g11 = xt0 * xt0 + xt1 * xt1 + xt2 * xt2 + xt3 * xt3
-            g12 = xt0 * xp0 + xt1 * xp1 + xt2 * xp2 + xt3 * xp3
-            g22 = xp0 * xp0 + xp1 * xp1 + xp2 * xp2 + xp3 * xp3
-            # normal within the 3-sphere: 4d cross of (x, x_t, x_p)
-            n0 = (x1 * (xt2 * xp3 - xt3 * xp2)
-                  - x2 * (xt1 * xp3 - xt3 * xp1)
-                  + x3 * (xt1 * xp2 - xt2 * xp1))
-            n1 = -(x0 * (xt2 * xp3 - xt3 * xp2)
-                   - x2 * (xt0 * xp3 - xt3 * xp0)
-                   + x3 * (xt0 * xp2 - xt2 * xp0))
-            n2 = (x0 * (xt1 * xp3 - xt3 * xp1)
-                  - x1 * (xt0 * xp3 - xt3 * xp0)
-                  + x3 * (xt0 * xp1 - xt1 * xp0))
-            n3 = -(x0 * (xt1 * xp2 - xt2 * xp1)
-                   - x1 * (xt0 * xp2 - xt2 * xp0)
-                   + x2 * (xt0 * xp1 - xt1 * xp0))
-            nn = np.sqrt(n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3)
-            n0 /= nn
-            n1 /= nn
-            n2 /= nn
-            n3 /= nn
-            # orient outward: positive component along the radial direction
-            rad = (n0 * w0 + n1 * w1 + n2 * w2) * cr - n3 * sr
-            if rad < 0.0:
-                n0 = -n0
-                n1 = -n1
-                n2 = -n2
-                n3 = -n3
-            h11 = -(xtt0 * n0 + xtt1 * n1 + xtt2 * n2 + xtt3 * n3)
-            h12 = -(xtp0 * n0 + xtp1 * n1 + xtp2 * n2 + xtp3 * n3)
-            h22 = -(xpp0 * n0 + xpp1 * n1 + xpp2 * n2 + xpp3 * n3)
-            detg = g11 * g22 - g12 * g12
-            s11 = (g22 * h11 - g12 * h12) / detg
-            s12 = (g22 * h12 - g12 * h22) / detg
-            s21 = (g11 * h12 - g12 * h11) / detg
-            s22 = (g11 * h22 - g12 * h12) / detg
-            tr = s11 + s22
-            disc = (s11 - s22) * (s11 - s22) + 4.0 * s12 * s21
-            if disc < 0.0:
-                disc = 0.0
-            sq = np.sqrt(disc)
-            K1[i, j] = 0.5 * (tr - sq)
-            K2[i, j] = 0.5 * (tr + sq)
+def eig2_ascending(s11, s12, s21, s22):
+    """Real eigenvalues of batched 2 x 2 operators, ascending, on axis -1.
+
+    The operators are metric-symmetrizable so the discriminant is
+    nonnegative up to rounding; it is written in the cancellation-safe
+    form (s11 - s22)^2 + 4 s12 s21.
+    """
+    tr = s11 + s22
+    disc = np.maximum((s11 - s22) ** 2 + 4 * s12 * s21, 0.0)
+    sq = np.sqrt(disc)
+    return np.stack([0.5 * (tr - sq), 0.5 * (tr + sq)], axis=-1)
 
 
 def _frame_fields(theta, phi):
@@ -199,7 +90,7 @@ def cross4(u, v, w):
 
 
 def fundamental_forms(theta, phi, r, rt, rp, rtt, rtp, rpp):
-    """Full geometric data at each node (vectorized numpy path).
+    """Full geometric data at each node.
 
     Returns a dict with the embedding, tangents, outward unit normal,
     metric, second fundamental form, shape operator, and principal
@@ -225,10 +116,7 @@ def fundamental_forms(theta, phi, r, rt, rp, rtt, rtp, rpp):
     s12 = (g22 * h12 - g12 * h22) / detg
     s21 = (g11 * h12 - g12 * h11) / detg
     s22 = (g11 * h22 - g12 * h12) / detg
-    tr = s11 + s22
-    disc = np.maximum((s11 - s22) ** 2 + 4 * s12 * s21, 0.0)
-    sq = np.sqrt(disc)
-    kappa = np.stack([0.5 * (tr - sq), 0.5 * (tr + sq)], axis=-1)
+    kappa = eig2_ascending(s11, s12, s21, s22)
     g = np.stack([np.stack([g11, g12], -1), np.stack([g12, g22], -1)], -2)
     hh = np.stack([np.stack([h11, h12], -1), np.stack([h12, h22], -1)], -2)
     shape_op = np.stack([np.stack([s11, s12], -1), np.stack([s21, s22], -1)], -2)
@@ -239,31 +127,13 @@ def fundamental_forms(theta, phi, r, rt, rp, rtt, rtp, rpp):
     }
 
 
-def _kappa_batch_numpy(theta, phi, R, RT, RP, RTT, RTP, RPP):
-    out = fundamental_forms(theta[:, None], phi[:, None], R, RT, RP, RTT, RTP, RPP)
-    kap = out["kappa"]
-    return kap[..., 0], kap[..., 1]
-
-
 def kappa_batch(theta, phi, R, RT, RP, RTT, RTP, RPP):
     """Principal curvatures for a batch of radial fields.
 
     ``theta``/``phi`` have shape (N,); the six field arrays (N, nb).
-    Returns (kappa_min, kappa_max) arrays of shape (N, nb), using the
-    selected backend.
+    Returns (kappa_min, kappa_max) arrays of shape (N, nb).
     """
-    R = np.ascontiguousarray(R, dtype=float)
-    shape = R.shape
-    if USE_NUMBA:
-        K1 = np.empty(shape)
-        K2 = np.empty(shape)
-        _kappa_batch_jit(theta, phi,
-                         R,
-                         np.ascontiguousarray(RT, dtype=float),
-                         np.ascontiguousarray(RP, dtype=float),
-                         np.ascontiguousarray(RTT, dtype=float),
-                         np.ascontiguousarray(RTP, dtype=float),
-                         np.ascontiguousarray(RPP, dtype=float),
-                         K1, K2)
-        return K1, K2
-    return _kappa_batch_numpy(theta, phi, R, RT, RP, RTT, RTP, RPP)
+    out = fundamental_forms(theta[:, None], phi[:, None],
+                            R, RT, RP, RTT, RTP, RPP)
+    kap = out["kappa"]
+    return kap[..., 0], kap[..., 1]

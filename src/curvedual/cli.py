@@ -88,7 +88,10 @@ def parse_config(doc: dict):
         raise ConfigError("config requires the keys \"F\" and \"f\"")
 
     n = int(doc.get("n", 2))
-    F = make_curvature_function(str(doc["F"]), n)
+    try:
+        F = make_curvature_function(str(doc["F"]), n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     fspec = doc["f"]
     if not isinstance(fspec, dict):
@@ -109,6 +112,8 @@ def parse_config(doc: dict):
     data = PrescribedData(a_poly=a_poly, b=b, c=c)
 
     opts = SolverOptions(L_max=int(doc.get("L_max", 24)))
+    if opts.L_max < 4:
+        raise ConfigError(f"L_max must be at least 4, got {opts.L_max}")
     for key in ("tol", "kappa_floor", "kappa_ceil", "dt0", "dt_min",
                 "dt_max"):
         if key in doc:
@@ -132,12 +137,13 @@ def cmd_solve(args) -> int:
     fld = curvature_field(report.final_surface, build_grid(opts.L_max))
     formats.write_nodes_csv(os.path.join(args.out, "solution_nodes.csv"), fld)
 
-    last = report.steps[-1]
     print(f"status: {report.status}")
-    print(f"t reached: {formats.format_float(last.t)}")
-    print(f"residual: {formats.format_float(last.residual)}")
-    print(f"kappa range: [{formats.format_float(last.kappa_min)}, "
-          f"{formats.format_float(last.kappa_max)}]")
+    if report.steps:  # empty when the t = 0 solve failed
+        last = report.steps[-1]
+        print(f"t reached: {formats.format_float(last.t)}")
+        print(f"residual: {formats.format_float(last.residual)}")
+        print(f"kappa range: [{formats.format_float(last.kappa_min)}, "
+              f"{formats.format_float(last.kappa_max)}]")
     if not report.converged:
         print(f"failure: {report.message}", file=sys.stderr)
         return 2

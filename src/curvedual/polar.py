@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
+from . import _kernels, spectral
 from .curvature import CurvatureFunction
 from .errors import ConvexityError, DataError, ResolutionError
 from .geometry import (CurvatureField, GraphSurface, curvature_field,
@@ -71,20 +71,6 @@ def _inv2(a: np.ndarray) -> np.ndarray:
     return out / det[..., None, None]
 
 
-def _eig2_ascending(S: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of batched 2 x 2 operators, ascending.
-
-    The operators are metric-symmetrizable so the discriminant is
-    nonnegative up to rounding; it is written in the cancellation-safe
-    form (S00 - S11)^2 + 4 S01 S10.
-    """
-    tr = S[..., 0, 0] + S[..., 1, 1]
-    diff = S[..., 0, 0] - S[..., 1, 1]
-    disc = diff * diff + 4.0 * S[..., 0, 1] * S[..., 1, 0]
-    root = np.sqrt(np.maximum(disc, 0.0))
-    return np.stack([0.5 * (tr - root), 0.5 * (tr + root)], axis=-1)
-
-
 def gauss_map(field: CurvatureField) -> DualSamples:
     """Map a strictly convex surface to its polar dual, node by node.
 
@@ -126,7 +112,9 @@ def gauss_map(field: CurvatureField) -> DualSamples:
 
     g_dual = field.h @ _inv2(field.g) @ field.h
     shape_dual = _inv2(g_dual) @ field.h
-    kappa_dual = _eig2_ascending(shape_dual)
+    kappa_dual = _kernels.eig2_ascending(
+        shape_dual[..., 0, 0], shape_dual[..., 0, 1],
+        shape_dual[..., 1, 0], shape_dual[..., 1, 1])
 
     return DualSamples(theta=field.grid.theta, phi=field.grid.phi,
                        x_dual=x_dual, eta_theta=eta_theta, eta_phi=eta_phi,

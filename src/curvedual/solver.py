@@ -12,9 +12,11 @@ symmetry group.  Restricting removes the three-dimensional kernel of the
 linearization spanned by the degree-1 harmonics, which otherwise makes
 the Newton system singular at every solution.
 
-Jacobians are assembled column by column with central finite differences
-of the spectrally accurate residual; all perturbed evaluations are
-batched through the curvature kernels.
+The residual at a node depends only on the radial jet (r, r_t, r_p,
+r_tt, r_tp, r_pp) at that node, so the Newton matrix factors through six
+per-node partial derivatives.  These are central finite differences on
+the jets, evaluated in one batch through the curvature kernel, and the
+matrix follows from them by products with the synthesis matrices.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .spectral import (HarmonicCoeffs, QuadratureGrid, build_grid,
 
 _MATCH_TOL = 1e-12
 _SOLVE_RCOND = 1e-12
+_JET_STEP = 1e-6  # central-difference step on each radial jet component
 _KERNEL_RCOND = 1e-8
 
 
@@ -301,7 +304,6 @@ class SolverOptions:
     dt_max: float = 0.25
     max_newton: int = 25
     max_halvings: int = 20
-    jacobian_step: float = 1e-6
 
 
 def initial_sphere(F: CurvatureFunction, c: float, L_max: int = 24,
@@ -366,7 +368,11 @@ class _Workspace:
         Also returns the per-column curvature extremes.  Raises
         DomainError if any column leaves the hemisphere annulus.
         """
-        R, RT, RP, RTT, RTP, RPP = (S @ Z for S in self.synth)
+        return self._lambda_of_jets([S @ Z for S in self.synth], t)
+
+    def _lambda_of_jets(self, jets, t: float):
+        """``lambda_batch`` on the six radial jet fields, each (N, nb)."""
+        R, RT, RP, RTT, RTP, RPP = jets
         if R.min() <= self.lo or R.max() >= self.hi:
             raise DomainError(
                 f"iterate radial range [{R.min():.6g}, {R.max():.6g}] "
@@ -389,15 +395,23 @@ class _Workspace:
     def residual_vector(self, state: _State) -> np.ndarray:
         return self.project @ state.lam
 
-    def jacobian(self, z: np.ndarray, t: float, step: float) -> np.ndarray:
-        M = len(z)
-        Z = np.repeat(z[:, None], 2 * M, axis=1)
-        idx = np.arange(M)
-        Z[idx, idx] += step
-        Z[idx, M + idx] -= step
-        lam, _, _ = self.lambda_batch(Z, t)
-        res = self.project @ lam
-        return (res[:, :M] - res[:, M:]) / (2.0 * step)
+    def jacobian(self, z: np.ndarray, t: float) -> np.ndarray:
+        """Newton matrix of the projected residual with respect to z.
+
+        The residual at node q depends only on the jet at q, so
+        J = project @ sum_k diag(d lambda / d jet_k) @ synth_k.  Each
+        partial is a central difference on one jet component; the twelve
+        perturbed copies of the jets share one kernel call.
+        """
+        base = np.stack([S @ z for S in self.synth])         # (6, N)
+        jets = np.repeat(base[:, :, None], 12, axis=2)        # (6, N, 12)
+        for k in range(6):
+            jets[k, :, 2 * k] += _JET_STEP
+            jets[k, :, 2 * k + 1] -= _JET_STEP
+        lam, _, _ = self._lambda_of_jets(jets, t)
+        d = (lam[:, 0::2] - lam[:, 1::2]) / (2.0 * _JET_STEP)  # (N, 6)
+        dlam = sum(d[:, k, None] * S for k, S in enumerate(self.synth))
+        return self.project @ dlam
 
 
 def _solve_newton_system(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -440,8 +454,8 @@ def residual_field(F: CurvatureFunction, data: PrescribedData, t: float,
 
 
 def linear_system(F: CurvatureFunction, data: PrescribedData, t: float,
-                  surface: GraphSurface, projector: InvariantProjector |
-                  None = None, step: float = 1e-6):
+                  surface: GraphSurface,
+                  projector: InvariantProjector | None = None):
     """Assembled Newton matrix and residual at a surface, for diagnostics.
 
     Returns (J, residual_vector, degrees) in the invariant basis, or in
@@ -453,7 +467,7 @@ def linear_system(F: CurvatureFunction, data: PrescribedData, t: float,
     ws = _Workspace(grid, basis, data, F)
     z = basis.matrix.T @ surface.radial.values
     state = ws.state(z, t)
-    J = ws.jacobian(z, t, step)
+    J = ws.jacobian(z, t)
     return J, ws.residual_vector(state), basis.degrees
 
 
@@ -507,7 +521,7 @@ def newton_solve(F: CurvatureFunction, data: PrescribedData, t: float,
             raise NewtonError(
                 f"no convergence within {opts.max_newton} Newton steps; "
                 f"residual {state.norm:.3e} at t = {t:g}")
-        J = ws.jacobian(z, t, opts.jacobian_step)
+        J = ws.jacobian(z, t)
         delta = _solve_newton_system(J, -ws.residual_vector(state))
 
         scale = 1.0

@@ -106,6 +106,33 @@ class TestSolveCommand:
         assert rc == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"F": "nope"}, "unknown curvature function"),
+        ({"L_max": 3}, "L_max must be at least 4"),
+    ])
+    def test_bad_config_value_fails_cleanly(self, tmp_path, capsys,
+                                            overrides, message):
+        cfg = write_config(tmp_path / "config.json", **overrides)
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_failure_at_t0_reports_and_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", L_max=8, tol=0,
+                           max_newton=0)
+        out = tmp_path / "r"
+        rc = main(["solve", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "status: failed" in captured.out
+        assert "t = 0 solve failed" in captured.err
+        report = json.loads((out / "continuation_report.json").read_text())
+        assert report["status"] == "failed" and report["steps"] == []
+        for name in ("solution_surface.json", "solution_nodes.csv"):
+            assert (out / name).exists()
+
     def test_broken_json_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("{not json")

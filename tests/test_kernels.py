@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from curvedual import _kernels
 from curvedual.spectral import HarmonicCoeffs, build_grid, chart_second_partials, \
@@ -30,26 +29,15 @@ def _fields(L_max=12, nb=3, seed=2):
 
 
 def test_backend_name_reported():
-    assert _kernels.backend_name() in ("numba", "numpy")
+    assert _kernels.backend_name() == "numpy"
 
 
 def test_numpy_path_matches_full_pipeline():
     grid, fields = _fields()
-    k1, k2 = _kernels._kappa_batch_numpy(grid.theta, grid.phi, *fields)
+    k1, k2 = _kernels.kappa_batch(grid.theta, grid.phi, *fields)
     out = _kernels.fundamental_forms(grid.theta[:, None], grid.phi[:, None], *fields)
     assert np.max(np.abs(k1 - out["kappa"][..., 0])) == 0.0
     assert np.max(np.abs(k2 - out["kappa"][..., 1])) == 0.0
-
-
-@pytest.mark.skipif(not _kernels._HAVE_NUMBA, reason="numba unavailable")
-def test_numba_and_numpy_paths_agree():
-    grid, fields = _fields()
-    k1_jit = np.empty_like(fields[0])
-    k2_jit = np.empty_like(fields[0])
-    _kernels._kappa_batch_jit(grid.theta, grid.phi, *fields, k1_jit, k2_jit)
-    k1_np, k2_np = _kernels._kappa_batch_numpy(grid.theta, grid.phi, *fields)
-    assert np.max(np.abs(k1_jit - k1_np)) <= 1e-12
-    assert np.max(np.abs(k2_jit - k2_np)) <= 1e-12
 
 
 def test_selected_backend_sphere_curvature():
@@ -70,3 +58,28 @@ def test_cross4_orthogonality():
     c = _kernels.cross4(u, v, w)
     for other in (u, v, w):
         assert np.max(np.abs(np.einsum("ni,ni->n", c, other))) <= 1e-12
+
+
+def test_newton_iteration_makes_one_kernel_call_of_width_12(monkeypatch):
+    from curvedual.curvature import make_curvature_function
+    from curvedual.solver import (PrescribedData, SymmetryGroup,
+                                  initial_sphere, invariant_projector,
+                                  newton_solve)
+
+    widths = []
+    kappa_batch = _kernels.kappa_batch
+
+    def recording(theta, phi, R, *rest):
+        widths.append(R.shape[1])
+        return kappa_batch(theta, phi, R, *rest)
+
+    monkeypatch.setattr(_kernels, "kappa_batch", recording)
+    F = make_curvature_function("gauss_power", 2)
+    data = PrescribedData(a_poly=[np.log(2.0)], b=HarmonicCoeffs.zeros(2),
+                          c=2.0)
+    start = initial_sphere(F, 2.0, L_max=8)
+    start.radial[2, 0] += 0.02
+    _, iters, _ = newton_solve(F, data, 0.0, start,
+                               invariant_projector(SymmetryGroup.antipodal(), 8))
+    assert iters >= 2
+    assert [w for w in widths if w > 1] == [12] * iters
