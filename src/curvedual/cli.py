@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io as formats
 from .curvature import make_curvature_function
-from .errors import ConfigError, ConvexityError, CurveDualError
+from .errors import ConfigError, CurveDualError
 from .geometry import curvature_field
 from .polar import dual_surface, fit_residual, gauss_map, transfer_problem
 from .solver import (PrescribedData, SolverOptions, SymmetryGroup,
@@ -45,7 +45,15 @@ def _load_json(path):
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def _harmonics_from_entries(entries) -> HarmonicCoeffs:
+def _numeric(kind, value, name: str):
+    """``kind(value)``, or a ConfigError naming ``name``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be numeric, got {value!r}") from exc
+
+
+def _harmonics_from_entries(entries, L_max: int) -> HarmonicCoeffs:
     if not isinstance(entries, list):
         raise ConfigError("f.b must be a list of {l, m, value} entries")
     pairs = {}
@@ -58,6 +66,9 @@ def _harmonics_from_entries(entries) -> HarmonicCoeffs:
             raise ConfigError(f"malformed harmonic entry {entry!r}") from exc
         if not -l <= m <= l:
             raise ConfigError(f"harmonic entry has order {m} outside degree {l}")
+        if l > L_max:
+            raise ConfigError(
+                f"harmonic entry has degree {l} above L_max = {L_max}")
         pairs[(l, m)] = value
         L = max(L, l)
     return HarmonicCoeffs.from_dict(L, pairs)
@@ -67,8 +78,9 @@ def _group_from_config(entry) -> SymmetryGroup:
     if entry == "antipodal" or entry is None:
         return SymmetryGroup.antipodal()
     if isinstance(entry, dict) and set(entry) == {"matrices"}:
-        return SymmetryGroup("custom", [np.asarray(M, dtype=float)
-                                        for M in entry["matrices"]])
+        return SymmetryGroup("custom", _numeric(
+            lambda ms: [np.asarray(M, dtype=float) for M in ms],
+            entry["matrices"], "group matrices"))
     raise ConfigError(
         f"group must be \"antipodal\" or {{\"matrices\": [...]}}, got {entry!r}")
 
@@ -87,11 +99,25 @@ def parse_config(doc: dict):
     if "F" not in doc or "f" not in doc:
         raise ConfigError("config requires the keys \"F\" and \"f\"")
 
-    n = int(doc.get("n", 2))
+    # the grid and the surfaces are 2-dimensional
+    n = _numeric(int, doc.get("n", 2), '"n"')
+    if n != 2:
+        raise ConfigError(f"only n = 2 is supported, got n = {n}")
     try:
         F = make_curvature_function(str(doc["F"]), n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+    opts = SolverOptions(
+        L_max=_numeric(int, doc.get("L_max", 24), '"L_max"'))
+    if opts.L_max < 4:
+        raise ConfigError(f"L_max must be at least 4, got {opts.L_max}")
+    for key in ("tol", "kappa_floor", "kappa_ceil", "dt0", "dt_min",
+                "dt_max"):
+        if key in doc:
+            setattr(opts, key, _numeric(float, doc[key], f'"{key}"'))
+    if "max_newton" in doc:
+        opts.max_newton = _numeric(int, doc["max_newton"], '"max_newton"')
 
     fspec = doc["f"]
     if not isinstance(fspec, dict):
@@ -99,27 +125,18 @@ def parse_config(doc: dict):
     unknown = set(fspec) - _F_KEYS
     if unknown:
         raise ConfigError(f"unknown keys under \"f\": {sorted(unknown)}")
-    a_poly = np.asarray(fspec.get("a_poly", [0.0]), dtype=float)
-    b = _harmonics_from_entries(fspec.get("b", []))
+    a_poly = _numeric(lambda v: np.asarray(v, dtype=float),
+                      fspec.get("a_poly", [0.0]), "f.a_poly")
+    b = _harmonics_from_entries(fspec.get("b", []), opts.L_max)
 
     group = _group_from_config(doc.get("group"))
 
     if "c" in doc:
-        c = float(doc["c"])
+        c = _numeric(float, doc["c"], '"c"')
     else:
         c = default_base_constant(
             PrescribedData(a_poly=a_poly, b=b, c=1.0).min_f())
     data = PrescribedData(a_poly=a_poly, b=b, c=c)
-
-    opts = SolverOptions(L_max=int(doc.get("L_max", 24)))
-    if opts.L_max < 4:
-        raise ConfigError(f"L_max must be at least 4, got {opts.L_max}")
-    for key in ("tol", "kappa_floor", "kappa_ceil", "dt0", "dt_min",
-                "dt_max"):
-        if key in doc:
-            setattr(opts, key, float(doc[key]))
-    if "max_newton" in doc:
-        opts.max_newton = int(doc["max_newton"])
     return F, data, opts, group
 
 
@@ -287,13 +304,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConvexityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CurveDualError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CurveDualError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,8 +3,12 @@
 Real, fully normalized spherical harmonics on a Gauss-Legendre (colatitude)
 x uniform (longitude) product grid.  The basis is orthonormal with respect
 to the round metric, so analysis is plain weighted inner products and
-synthesis is dense matrix evaluation.  Derivative operators are built from
-the associated Legendre recurrences once per grid and reused.
+synthesis is dense matrix evaluation.  Each basis function separates into
+a colatitude factor (an associated Legendre function) times a longitude
+factor (cos or sin of m phi), as in Driscoll & Healy, "Computing Fourier
+transforms and convolutions on the 2-sphere" (1994).  The evaluation
+matrices and their chart derivatives are therefore built from factors
+tabulated once per distinct colatitude and longitude, once per grid.
 
 Conventions
 -----------
@@ -62,33 +66,81 @@ def index_lm(idx: int) -> tuple[int, int]:
     return l, idx - l * l - l
 
 
-def _legendre_tables(L_max: int, theta: np.ndarray, derivatives: bool = True):
-    """P_l^m(cos theta) and d/dtheta P_l^m(cos theta) for all l, m <= L_max.
-
-    Returns arrays of shape (L_max+1, L_max+1, len(theta)) indexed [m, l, i].
-    With ``derivatives=False`` the second table is None; this path is safe
-    at the exact poles, where dP/dx diverges for some orders.
-    """
-    x = np.cos(theta)
-    tables = assoc_legendre_p_all(L_max, L_max, x,
-                                  diff_n=1 if derivatives else 0)
-    # returned layout is [diff, l, m, point] with the Condon-Shortley phase;
-    # keep m >= 0 and reorder to [m, l, point]
-    P = np.ascontiguousarray(np.transpose(tables[0][:, :L_max + 1, :], (1, 0, 2)))
-    if not derivatives:
-        return P, None
-    dPdx = np.transpose(tables[1][:, :L_max + 1, :], (1, 0, 2))
-    # d/dtheta = -sin(theta) d/dx
-    dPdt = -np.sin(theta)[None, None, :] * dPdx
-    return P, dPdt
-
-
 def _norm_constant(l: int, m: int) -> float:
     from math import lgamma, pi, sqrt, exp
 
     # sqrt((2l+1)/(4 pi) * (l-m)!/(l+m)!) via log-gamma for stability
     logfact = lgamma(l - m + 1) - lgamma(l + m + 1)
     return sqrt((2 * l + 1) / (4 * pi)) * exp(0.5 * logfact)
+
+
+def _basis_tables(L_max: int, theta: np.ndarray, phi: np.ndarray,
+                  derivatives: bool) -> list[np.ndarray]:
+    """Basis matrices at the points (theta[q], phi[q]), each (len(theta), K).
+
+    Returns [Y], or with ``derivatives`` [Y, Yt, Yp, Ytt, Ytp, Ypp].  Each
+    column is a colatitude factor c_lm P_l^|m|(cos theta) times a
+    longitude factor cos(m phi) or sin(|m| phi), so the factors are
+    tabulated once per distinct angle and every matrix is one
+    gather-multiply.  Without derivatives the path is safe at the exact
+    poles, where dP/dx diverges for some orders.
+    """
+    K = num_coeffs(L_max)
+    l = np.repeat(np.arange(L_max + 1), 2 * np.arange(L_max + 1) + 1)
+    m = np.arange(K) - l * l - l
+    am = np.abs(m)
+    # scalar math-module constants: numpy's vector exp may differ in the
+    # last bit
+    c = np.vectorize(_norm_constant, otypes=[float])(l, am)
+    c = np.where(m != 0, c * np.sqrt(2.0), c)
+
+    th, it = np.unique(theta, return_inverse=True)
+    ph, ip = np.unique(phi, return_inverse=True)
+    # layout [diff, l, m, point] with the Condon-Shortley phase; orders
+    # m >= 0 sit at index m.  Reorder to C-contiguous [diff, point, column]
+    # so the row gathers below read whole rows.
+    tables = assoc_legendre_p_all(L_max, L_max, np.cos(th),
+                                  diff_n=int(derivatives))
+    P = tables.reshape(len(tables), -1, len(th)).take(
+        l * (2 * L_max + 1) + am, axis=1)
+    del tables  # before the copy, so the peak stays at table + gather
+    P = P.transpose(0, 2, 1).copy()
+    pl = P[0]
+    pl *= c
+    j = np.arange(L_max + 1)
+    angle = np.outer(ph, j)
+    cos, sin = np.cos(angle), np.sin(angle)
+
+    def by_order(neg, pos):
+        # columns of negative order take neg[:, |m|], the others pos[:, m]
+        signed = np.concatenate([neg[:, :0:-1], pos], axis=1)
+        return signed.take(ip, axis=0).take(L_max + m, axis=1)
+
+    def times(a, b):
+        # a[it] * b, multiplied in place in the gathered copy
+        out = a.take(it, axis=0)
+        out *= b
+        return out
+
+    tp = by_order(sin, cos)
+    Y = times(pl, tp)
+    if not derivatives:
+        return [Y]
+
+    st = np.sin(th)[:, None]
+    cot = np.cos(th)[:, None] / st
+    inv_s2 = 1.0 / st**2
+    # d/dtheta = -sin(theta) d/dx
+    dpl = P[1]
+    dpl *= -st
+    dpl *= c
+    # associated Legendre ODE gives the second theta derivative from
+    # (P, P') without further recurrences
+    d2pl = -cot * dpl - (l * (l + 1) - am * am * inv_s2) * pl
+    Yt, Ytt, Ypp = [times(a, tp) for a in (dpl, d2pl, -(m * m) * pl)]
+    del tp  # one gathered N x K longitude factor alive at a time
+    dtp = by_order(j * cos, -j * sin)
+    return [Y, Yt, times(pl, dtp), Ytt, times(dpl, dtp), Ypp]
 
 
 class _BasisOps:
@@ -99,57 +151,9 @@ class _BasisOps:
     theta/phi, ``Ytt``/``Ytp``/``Ypp`` raw chart second partials.
     """
 
-    def __init__(self, L_max: int, theta: np.ndarray, phi: np.ndarray,
-                 second_order: bool = True):
-        K = num_coeffs(L_max)
-        npts = len(theta)
-        P, dPdt = _legendre_tables(L_max, theta)
-        st = np.sin(theta)
-        ct = np.cos(theta)
-        cot = ct / st
-        inv_s2 = 1.0 / st**2
-
-        Y = np.empty((npts, K))
-        Yt = np.empty((npts, K))
-        Yp = np.empty((npts, K))
-        if second_order:
-            Ytt = np.empty((npts, K))
-            Ytp = np.empty((npts, K))
-            Ypp = np.empty((npts, K))
-
-        for l in range(L_max + 1):
-            for m in range(-l, l + 1):
-                am = abs(m)
-                col = lm_index(l, m)
-                c = _norm_constant(l, am)
-                if m != 0:
-                    c *= np.sqrt(2.0)
-                pl = c * P[am, l]
-                dpl = c * dPdt[am, l]
-                if m >= 0:
-                    tp = np.cos(m * phi)
-                    dtp = -m * np.sin(m * phi)
-                else:
-                    tp = np.sin(am * phi)
-                    dtp = am * np.cos(am * phi)
-                Y[:, col] = pl * tp
-                Yt[:, col] = dpl * tp
-                Yp[:, col] = pl * dtp
-                if second_order:
-                    # associated Legendre ODE gives the second theta
-                    # derivative from (P, P') without further recurrences
-                    d2pl = -cot * dpl - (l * (l + 1) - am * am * inv_s2) * pl
-                    Ytt[:, col] = d2pl * tp
-                    Ytp[:, col] = dpl * dtp
-                    Ypp[:, col] = -(m * m) * pl * tp
-
-        self.Y = Y
-        self.Yt = Yt
-        self.Yp = Yp
-        if second_order:
-            self.Ytt = Ytt
-            self.Ytp = Ytp
-            self.Ypp = Ypp
+    def __init__(self, L_max: int, theta: np.ndarray, phi: np.ndarray):
+        (self.Y, self.Yt, self.Yp, self.Ytt, self.Ytp,
+         self.Ypp) = _basis_tables(L_max, theta, phi, derivatives=True)
 
 
 @dataclass
@@ -180,19 +184,14 @@ class QuadratureGrid:
         return self._ops
 
 
-def build_grid(L_max: int, n: int = 2) -> QuadratureGrid:
+def build_grid(L_max: int) -> QuadratureGrid:
     """Build the quadrature grid for transforms through degree ``L_max``.
 
     Parameters
     ----------
     L_max : int
         Truncation degree, at least 4.
-    n : int
-        Dimension of the underlying sphere.  Only n = 2 is implemented;
-        the parameter exists so call sites stay dimension-generic.
     """
-    if n != 2:
-        raise NotImplementedError("transforms are implemented for n = 2 only")
     if L_max < 4:
         raise ValueError(f"L_max must be at least 4, got {L_max}")
     n_theta = L_max + 1
@@ -265,20 +264,7 @@ def basis_matrix(L_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    K = num_coeffs(L_max)
-    npts = len(theta)
-    P, _ = _legendre_tables(L_max, theta, derivatives=False)
-    Y = np.empty((npts, K))
-    for l in range(L_max + 1):
-        for m in range(-l, l + 1):
-            am = abs(m)
-            col = lm_index(l, m)
-            c = _norm_constant(l, am)
-            if m != 0:
-                c *= np.sqrt(2.0)
-            tp = np.cos(m * phi) if m >= 0 else np.sin(am * phi)
-            Y[:, col] = c * P[am, l] * tp
-    return Y
+    return _basis_tables(L_max, theta, phi, derivatives=False)[0]
 
 
 def analyze(grid: QuadratureGrid, values: np.ndarray) -> HarmonicCoeffs:

@@ -109,6 +109,17 @@ class TestSolveCommand:
     @pytest.mark.parametrize("overrides, message", [
         ({"F": "nope"}, "unknown curvature function"),
         ({"L_max": 3}, "L_max must be at least 4"),
+        ({"tol": "x"}, '"tol" must be numeric'),
+        ({"tol": None}, '"tol" must be numeric'),
+        ({"L_max": "a"}, '"L_max" must be numeric'),
+        ({"c": "z"}, '"c" must be numeric'),
+        ({"n": "x"}, '"n" must be numeric'),
+        ({"f": {"a_poly": "q"}}, "f.a_poly must be numeric"),
+        # L_max is 12; one even degree above the truncation
+        ({"f": {"a_poly": [LOG2], "b": [{"l": 14, "m": 0, "value": 0.1}]}},
+         "degree 14 above L_max = 12"),
+        ({"F": "sigma_2", "n": 3}, "only n = 2 is supported"),
+        ({"group": {"matrices": "x"}}, "group matrices must be numeric"),
     ])
     def test_bad_config_value_fails_cleanly(self, tmp_path, capsys,
                                             overrides, message):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import assoc_legendre_p_all, eval_legendre
 
 from curvedual.spectral import (
     HarmonicCoeffs,
+    _BasisOps,
+    _norm_constant,
     analyze,
     basis_matrix,
     build_grid,
@@ -48,11 +51,6 @@ def test_grid_shapes_and_weights(grid24):
 def test_build_grid_rejects_small_truncation():
     with pytest.raises(ValueError):
         build_grid(3)
-
-
-def test_build_grid_rejects_other_dimensions():
-    with pytest.raises(NotImplementedError):
-        build_grid(8, n=3)
 
 
 def test_constant_integrates_to_sphere_area(grid8):
@@ -202,7 +200,6 @@ def test_gradient_against_finite_difference_oracle(grid8):
     fd_p = (u(t0, p0 + h) - u(t0, p0 - h)) / (2 * h)
     # evaluate the gradient spectrally at a node-free point using a direct
     # basis derivative: reuse grid ops by synthesizing on a tiny custom grid
-    from curvedual.spectral import _BasisOps
     ops = _BasisOps(8, np.array([t0]), np.array([p0]))
     gt = ops.Yt @ a.values
     gp = ops.Yp @ a.values
@@ -240,7 +237,6 @@ def test_hessian_against_finite_difference_oracle(grid8):
         [utt, utp - cot * up],
         [utp - cot * up, upp + np.sin(t0) * np.cos(t0) * ut],
     ])
-    from curvedual.spectral import _BasisOps
     ops = _BasisOps(8, np.array([t0]), np.array([p0]))
     grad = np.array([ops.Yt @ a.values, ops.Yp @ a.values])[:, 0]
     raw = np.array([ops.Ytt @ a.values, ops.Ytp @ a.values, ops.Ypp @ a.values])[:, 0]
@@ -275,3 +271,71 @@ def test_coeff_container_validation():
         HarmonicCoeffs(4, np.zeros(10))
     with pytest.raises(ValueError):
         lm_index(2, 3)
+
+
+def test_grid_ops_rows_match_single_point_ops():
+    # the grid shares each colatitude over a row of longitudes; a single
+    # node has no repeated angle, so both paths of the tabulation meet
+    grid = build_grid(12)
+    names = ("Y", "Yt", "Yp", "Ytt", "Ytp", "Ypp")
+    for q in (0, 7, grid.n_phi + 3, grid.n_nodes // 2, grid.n_nodes - 1):
+        single = _BasisOps(12, grid.theta[q:q + 1], grid.phi[q:q + 1])
+        for name in names:
+            assert np.array_equal(getattr(grid.ops, name)[q:q + 1],
+                                  getattr(single, name)), (q, name)
+
+
+def test_basis_matrix_at_poles_is_zonal_closed_form():
+    L = 10
+    theta = np.array([0.0, np.pi, 0.0])
+    phi = np.array([0.4, 2.5, 5.0])
+    B = basis_matrix(L, theta, phi)
+    assert np.all(np.isfinite(B))
+    for idx in range(num_coeffs(L)):
+        l, m = index_lm(idx)
+        if m != 0:
+            assert np.all(B[:, idx] == 0.0), (l, m)
+        else:
+            # Y_l0 = sqrt((2l+1)/(4 pi)) P_l(cos theta), P_l(+-1) = (+-1)^l
+            expect = np.sqrt((2 * l + 1) / (4 * np.pi)) * eval_legendre(
+                l, np.cos(theta))
+            assert np.max(np.abs(B[:, idx] - expect)) <= 1e-13, l
+
+
+def _reference_ops(L_max, theta, phi):
+    """The six matrices column by column, in the builder's operation order."""
+    tables = assoc_legendre_p_all(L_max, L_max, np.cos(theta), diff_n=1)
+    st = np.sin(theta)
+    cot = np.cos(theta) / st
+    inv_s2 = 1.0 / st**2
+    out = np.empty((6, len(theta), num_coeffs(L_max)))
+    for l in range(L_max + 1):
+        for m in range(-l, l + 1):
+            am = abs(m)
+            c = _norm_constant(l, am)
+            if m != 0:
+                c *= np.sqrt(2.0)
+            pl = c * tables[0, l, am]
+            dpl = c * (-st * tables[1, l, am])
+            if m >= 0:
+                tp, dtp = np.cos(m * phi), -m * np.sin(m * phi)
+            else:
+                tp, dtp = np.sin(am * phi), am * np.cos(am * phi)
+            d2pl = -cot * dpl - (l * (l + 1) - am * am * inv_s2) * pl
+            out[:, :, lm_index(l, m)] = [pl * tp, dpl * tp, pl * dtp,
+                                         d2pl * tp, dpl * dtp,
+                                         -(m * m) * pl * tp]
+    return out
+
+
+@pytest.mark.parametrize("L_max", [4, 9])
+def test_tabulated_ops_equal_column_loop(L_max):
+    rng = np.random.default_rng(L_max)
+    grid = build_grid(L_max)
+    scattered = (rng.uniform(0.05, 3.1, 40), rng.uniform(-1.0, 7.0, 40))
+    for theta, phi in ((grid.theta, grid.phi), scattered):
+        ref = _reference_ops(L_max, theta, phi)
+        ops = _BasisOps(L_max, theta, phi)
+        for k, name in enumerate(("Y", "Yt", "Yp", "Ytt", "Ytp", "Ypp")):
+            assert np.array_equal(getattr(ops, name), ref[k]), name
+        assert np.array_equal(basis_matrix(L_max, theta, phi), ref[0])
