@@ -50,6 +50,7 @@ from .polar import (
 from .solver import (
     BarrierReport,
     ContinuationReport,
+    NewtonWorkspace,
     PrescribedData,
     SolverOptions,
     SymmetryGroup,
@@ -78,9 +79,9 @@ __all__ = [
     "CurvatureFunction", "class_K_check", "make_curvature_function",
     "DualSamples", "dual_surface", "gauss_map", "support_test",
     "transfer_problem",
-    "BarrierReport", "ContinuationReport", "PrescribedData",
-    "SolverOptions", "SymmetryGroup", "check_barriers", "continuation",
-    "initial_sphere", "invariant_projector", "newton_solve",
+    "BarrierReport", "ContinuationReport", "NewtonWorkspace",
+    "PrescribedData", "SolverOptions", "SymmetryGroup", "check_barriers",
+    "continuation", "initial_sphere", "invariant_projector", "newton_solve",
     "DiagnosticsReport", "enclosing_balls", "full_report", "steiner_point",
     "stereographic_residual",
 ]

@@ -32,6 +32,17 @@ def eig2_ascending(s11, s12, s21, s22):
     return np.stack([0.5 * (tr - sq), 0.5 * (tr + sq)], axis=-1)
 
 
+def inv2(a: np.ndarray) -> np.ndarray:
+    """Batched inverse of 2 x 2 matrices, shape (..., 2, 2)."""
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    out = np.empty_like(a)
+    out[..., 0, 0] = a[..., 1, 1]
+    out[..., 0, 1] = -a[..., 0, 1]
+    out[..., 1, 0] = -a[..., 1, 0]
+    out[..., 1, 1] = a[..., 0, 0]
+    return out / det[..., None, None]
+
+
 def _frame_fields(theta, phi):
     """Direction field and chart derivatives, each shaped (..., 3)."""
     st, ct = np.sin(theta), np.cos(theta)

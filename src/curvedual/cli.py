@@ -8,6 +8,7 @@ diagnostics out of tolerance) whose reports are still written.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import io as formats
 from .curvature import make_curvature_function
-from .errors import ConfigError, CurveDualError
+from .errors import ConfigError, CurveDualError, GroupError
 from .geometry import curvature_field
 from .polar import dual_surface, fit_residual, gauss_map, transfer_problem
 from .solver import (PrescribedData, SolverOptions, SymmetryGroup,
@@ -46,11 +47,19 @@ def _load_json(path):
 
 
 def _numeric(kind, value, name: str):
-    """``kind(value)``, or a ConfigError naming ``name``."""
+    """``kind(value)`` of JSON numbers only, or a ConfigError naming ``name``.
+
+    ``int`` takes only integral floats, so nothing is truncated.
+    """
     try:
-        return kind(value)
+        if np.asarray(value).dtype.kind not in "iuf":
+            raise TypeError(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be numeric, got {value!r}") from exc
+    if kind is int and out != value:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return out
 
 
 def _harmonics_from_entries(entries, L_max: int) -> HarmonicCoeffs:
@@ -60,10 +69,11 @@ def _harmonics_from_entries(entries, L_max: int) -> HarmonicCoeffs:
     L = 0
     for entry in entries:
         try:
-            l, m = int(entry["l"]), int(entry["m"])
-            value = float(entry["value"])
-        except (KeyError, TypeError, ValueError) as exc:
+            l, m, value = entry["l"], entry["m"], entry["value"]
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed harmonic entry {entry!r}") from exc
+        l, m = _numeric(int, l, "f.b l"), _numeric(int, m, "f.b m")
+        value = _numeric(float, value, "f.b value")
         if not -l <= m <= l:
             raise ConfigError(f"harmonic entry has order {m} outside degree {l}")
         if l > L_max:
@@ -78,9 +88,11 @@ def _group_from_config(entry) -> SymmetryGroup:
     if entry == "antipodal" or entry is None:
         return SymmetryGroup.antipodal()
     if isinstance(entry, dict) and set(entry) == {"matrices"}:
-        return SymmetryGroup("custom", _numeric(
-            lambda ms: [np.asarray(M, dtype=float) for M in ms],
-            entry["matrices"], "group matrices"))
+        matrices = _numeric(list, entry["matrices"], "group matrices")
+        try:
+            return SymmetryGroup("custom", matrices)
+        except GroupError as exc:
+            raise ConfigError(str(exc)) from exc
     raise ConfigError(
         f"group must be \"antipodal\" or {{\"matrices\": [...]}}, got {entry!r}")
 
@@ -116,8 +128,15 @@ def parse_config(doc: dict):
                 "dt_max"):
         if key in doc:
             setattr(opts, key, _numeric(float, doc[key], f'"{key}"'))
-    if "max_newton" in doc:
-        opts.max_newton = _numeric(int, doc["max_newton"], '"max_newton"')
+        # zero, negative or NaN steps can stall t; infinite ones mean nothing
+        if key.startswith("dt") and not 0.0 < getattr(opts, key) < math.inf:
+            raise ConfigError(f'"{key}" must be finite and positive, got '
+                              f"{getattr(opts, key)!r}")
+    opts.max_newton = _numeric(int, doc.get("max_newton", opts.max_newton),
+                               '"max_newton"')
+    if opts.max_newton < 0:
+        raise ConfigError(
+            f'"max_newton" must be nonnegative, got {opts.max_newton}')
 
     fspec = doc["f"]
     if not isinstance(fspec, dict):

@@ -220,22 +220,6 @@ def _radial_fields(surface: GraphSurface, grid: QuadratureGrid):
     return r, grad[:, 0], grad[:, 1], raw[:, 0], raw[:, 1], raw[:, 2]
 
 
-def embed(surface: GraphSurface, grid: QuadratureGrid) -> np.ndarray:
-    """Embedding points of the surface at the grid nodes, shape (N, 4)."""
-    r = spectral.synthesize(grid, surface.radial)
-    lo, hi = r.min(), r.max()
-    if lo <= HEMISPHERE_MARGIN or hi >= np.pi / 2 - HEMISPHERE_MARGIN:
-        raise DomainError(
-            f"radial range [{lo:.6g}, {hi:.6g}] leaves the open hemisphere "
-            f"annulus ({HEMISPHERE_MARGIN:g}, pi/2 - {HEMISPHERE_MARGIN:g})")
-    st = np.sin(grid.theta)
-    w = np.stack([st * np.cos(grid.phi), st * np.sin(grid.phi),
-                  np.cos(grid.theta)], axis=-1)
-    x = np.concatenate([np.sin(r)[:, None] * w, np.cos(r)[:, None]], axis=1)
-    Q = frame_for_pole(surface.pole)
-    return x @ Q.T
-
-
 @dataclass
 class CurvatureField:
     """Pointwise geometric data of a surface sampled at grid nodes.
@@ -292,6 +276,11 @@ def curvature_field(surface: GraphSurface, grid: QuadratureGrid,
             f"surface is not strictly convex: min principal curvature "
             f"{field.kappa_min:.6g}")
     return field
+
+
+def embed(surface: GraphSurface, grid: QuadratureGrid) -> np.ndarray:
+    """Embedding points of the surface at the grid nodes, shape (N, 4)."""
+    return curvature_field(surface, grid).x
 
 
 def second_fundamental_form_conformal(surface: GraphSurface,

@@ -60,17 +60,6 @@ class DualSamples:
         return len(self.theta)
 
 
-def _inv2(a: np.ndarray) -> np.ndarray:
-    """Batched inverse of 2 x 2 matrices, shape (..., 2, 2)."""
-    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    out = np.empty_like(a)
-    out[..., 0, 0] = a[..., 1, 1]
-    out[..., 0, 1] = -a[..., 0, 1]
-    out[..., 1, 0] = -a[..., 1, 0]
-    out[..., 1, 1] = a[..., 0, 0]
-    return out / det[..., None, None]
-
-
 def gauss_map(field: CurvatureField) -> DualSamples:
     """Map a strictly convex surface to its polar dual, node by node.
 
@@ -110,8 +99,8 @@ def gauss_map(field: CurvatureField) -> DualSamples:
     eta_theta = np.arctan2(planar, std[:, 2])
     eta_phi = np.mod(np.arctan2(std[:, 1], std[:, 0]), 2.0 * np.pi)
 
-    g_dual = field.h @ _inv2(field.g) @ field.h
-    shape_dual = _inv2(g_dual) @ field.h
+    g_dual = field.h @ _kernels.inv2(field.g) @ field.h
+    shape_dual = _kernels.inv2(g_dual) @ field.h
     kappa_dual = _kernels.eig2_ascending(
         shape_dual[..., 0, 0], shape_dual[..., 0, 1],
         shape_dual[..., 1, 0], shape_dual[..., 1, 1])
@@ -245,25 +234,23 @@ class SupportReport:
                 "passed": self.passed}
 
 
-def support_test(surface: GraphSurface, sample_count: int,
+def support_test(field: CurvatureField, sample_count: int,
                  seed: int = 0) -> SupportReport:
     """Check the sign of <x(xi), x_dual(xi')> over random node pairs.
 
     Parameters
     ----------
-    surface : GraphSurface
-        Strictly convex surface to test.
+    field : CurvatureField
+        Sampled surface to test; ConvexityError unless strictly convex.
     sample_count : int
         Number of random off-diagonal node pairs.
     seed : int
         Seed for the pair sampler; fixed default for reproducible runs.
     """
-    grid = build_grid(surface.L_max)
-    field = curvature_field(surface, grid, require_convex=True)
     samples = gauss_map(field)
 
     rng = np.random.default_rng(seed)
-    N = grid.n_nodes
+    N = field.grid.n_nodes
     i = rng.integers(0, N, size=sample_count)
     j = rng.integers(0, N - 1, size=sample_count)
     j[j >= i] += 1  # distinct partner for every pair

@@ -331,18 +331,21 @@ class _State:
     kappa_max: float
 
 
-class _Workspace:
+class NewtonWorkspace:
     """Precomputed matrices for residual and Jacobian evaluation.
 
     Radial synthesis restricted to the invariant basis is six dense
     matrices, one per chart derivative; residual projection is one more.
-    All Newton work is matrix products against these.
+    All Newton work is matrix products against these, and one workspace
+    serves every Newton solve of a continuation run.
     """
 
     def __init__(self, grid: QuadratureGrid, basis: InvariantBasis,
                  data: PrescribedData, F: CurvatureFunction):
         if basis.L_max != grid.L_max:
             raise ValueError("basis truncation does not match grid")
+        self.grid = grid
+        self.basis = basis
         ops = grid.ops
         B = basis.matrix
         K = B.shape[0]
@@ -353,8 +356,6 @@ class _Workspace:
             self.synth = [ops.Y @ B, ops.Yt @ B, ops.Yp @ B,
                           ops.Ytt @ B, ops.Ytp @ B, ops.Ypp @ B]
             self.project = (B.T @ ops.Y.T) * grid.weights
-        self.theta = grid.theta
-        self.phi = grid.phi
         self.exp_b = np.exp(spectral.synthesize_at(
             data.b, grid.theta, grid.phi))
         self.data = data
@@ -377,7 +378,7 @@ class _Workspace:
             raise DomainError(
                 f"iterate radial range [{R.min():.6g}, {R.max():.6g}] "
                 "leaves the open hemisphere annulus")
-        K1, K2 = _kernels.kappa_batch(self.theta, self.phi,
+        K1, K2 = _kernels.kappa_batch(self.grid.theta, self.grid.phi,
                                       R, RT, RP, RTT, RTP, RPP)
         kappa = np.stack([K1, K2], axis=-1)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -447,8 +448,8 @@ def _surface_like(start: GraphSurface, coeffs: np.ndarray) -> GraphSurface:
 def residual_field(F: CurvatureFunction, data: PrescribedData, t: float,
                    surface: GraphSurface) -> np.ndarray:
     """Pointwise residual F(kappa) - (t f + (1 - t) c) at the grid nodes."""
-    grid = build_grid(surface.L_max)
-    ws = _Workspace(grid, full_basis(surface.L_max), data, F)
+    ws = NewtonWorkspace(build_grid(surface.L_max),
+                         full_basis(surface.L_max), data, F)
     lam, _, _ = ws.lambda_batch(surface.radial.values[:, None], t)
     return lam[:, 0]
 
@@ -463,24 +464,22 @@ def linear_system(F: CurvatureFunction, data: PrescribedData, t: float,
     """
     basis = projector.basis if projector is not None else \
         full_basis(surface.L_max)
-    grid = build_grid(surface.L_max)
-    ws = _Workspace(grid, basis, data, F)
+    ws = NewtonWorkspace(build_grid(surface.L_max), basis, data, F)
     z = basis.matrix.T @ surface.radial.values
     state = ws.state(z, t)
     J = ws.jacobian(z, t)
     return J, ws.residual_vector(state), basis.degrees
 
 
-def newton_solve(F: CurvatureFunction, data: PrescribedData, t: float,
-                 start: GraphSurface,
-                 projector: InvariantProjector | None = None,
+def newton_solve(ws: NewtonWorkspace, t: float, start: GraphSurface,
                  opts: SolverOptions | None = None):
     """Damped Newton iteration at fixed homotopy parameter t.
 
     The unknown is the radial coefficient vector restricted to the
-    invariant basis; the residual is collocated at the quadrature nodes
-    and projected back onto that basis.  Convergence is measured by the
-    infinity norm of the residual over the grid nodes.  A step is
+    invariant basis of ``ws``; the residual is collocated at its
+    quadrature nodes and projected back onto that basis.  ``ws`` holds
+    every operator, so nothing is built here.  Convergence is measured by
+    the infinity norm of the residual over the grid nodes.  A step is
     accepted only if the residual decreases and the iterate stays
     strictly convex, with halving up to ``opts.max_halvings``.
 
@@ -492,21 +491,17 @@ def newton_solve(F: CurvatureFunction, data: PrescribedData, t: float,
 
     Raises
     ------
-    SingularJacobianError, NewtonError, DataError
+    ValueError, SingularJacobianError, NewtonError, DataError
     """
     opts = opts or SolverOptions()
-    basis = projector.basis if projector is not None else \
-        full_basis(start.L_max)
-    if basis.L_max != start.L_max:
+    if ws.basis.L_max != start.L_max:
         raise ValueError(
-            f"projector truncation L_max={basis.L_max} does not match the "
+            f"workspace truncation L_max={ws.basis.L_max} does not match the "
             f"start surface L_max={start.L_max}")
-    grid = build_grid(start.L_max)
-    ws = _Workspace(grid, basis, data, F)
 
     a_full = start.radial.values
-    z = basis.matrix.T @ a_full
-    stray = float(np.max(np.abs(a_full - basis.matrix @ z)))
+    z = ws.basis.matrix.T @ a_full
+    stray = float(np.max(np.abs(a_full - ws.basis.matrix @ z)))
     if stray > 1e-8:
         raise DataError(
             f"start surface has coefficient content {stray:.3g} outside "
@@ -515,7 +510,7 @@ def newton_solve(F: CurvatureFunction, data: PrescribedData, t: float,
     state = ws.state(z, t)
     for iteration in range(opts.max_newton + 1):
         if state.norm <= opts.tol:
-            return _surface_like(start, basis.matrix @ z), iteration, \
+            return _surface_like(start, ws.basis.matrix @ z), iteration, \
                 state.norm
         if iteration == opts.max_newton:
             raise NewtonError(
@@ -617,31 +612,29 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
     projector = invariant_projector(group, opts.L_max)
     data.validate(group)
 
-    grid = build_grid(opts.L_max)
     surface = start if start is not None else \
         initial_sphere(F, data.c, L_max=opts.L_max)
     if surface.L_max != opts.L_max:
         raise ValueError(
             f"start surface L_max={surface.L_max} does not match "
             f"options L_max={opts.L_max}")
+    ws = NewtonWorkspace(build_grid(opts.L_max), projector.basis, data, F)
 
     steps: list[ContinuationStep] = []
     try:
-        surface, iters, resid = newton_solve(F, data, 0.0, surface,
-                                             projector, opts)
+        surface, iters, resid = newton_solve(ws, 0.0, surface, opts)
     except (NewtonError, SingularJacobianError, DomainError) as exc:
         return ContinuationReport(steps=steps, final_surface=surface,
                                   status="failed",
                                   message=f"t = 0 solve failed: {exc}")
-    steps.append(_step_record(0.0, iters, resid, surface, grid))
+    steps.append(_step_record(0.0, iters, resid, surface, ws.grid))
 
     t = 0.0
     dt = opts.dt0
     while t < 1.0:
         t_try = min(1.0, t + dt)
         try:
-            trial, iters, resid = newton_solve(F, data, t_try, surface,
-                                               projector, opts)
+            trial, iters, resid = newton_solve(ws, t_try, surface, opts)
         except (NewtonError, SingularJacobianError, DomainError) as exc:
             dt *= 0.5
             if dt < opts.dt_min:
@@ -651,7 +644,7 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
             continue
         surface = trial
         t = t_try
-        steps.append(_step_record(t, iters, resid, surface, grid))
+        steps.append(_step_record(t, iters, resid, surface, ws.grid))
         if iters <= 3:
             dt = min(dt * 1.5, opts.dt_max)
     return ContinuationReport(steps=steps, final_surface=surface,

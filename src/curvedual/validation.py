@@ -156,9 +156,8 @@ def full_report(surface: GraphSurface, F=None, f=None,
 
     if convex:
         stereo = stereographic_residual(surface, grid)
-        support = support_test(surface, sample_count=support_samples,
-                               seed=seed)
-        support_margin = support.max_off_diagonal
+        support_margin = support_test(
+            fld, sample_count=support_samples, seed=seed).max_off_diagonal
     else:
         stereo = float("nan")
         support_margin = float("nan")

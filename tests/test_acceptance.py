@@ -247,8 +247,8 @@ def test_11_center_diagnostic(uniqueness_run, existence_run):
            f"solutions {worst:.3g}, off-center control {control:.3g}")
 
 
-def test_12_support_inequality(bumpy):
-    rep = support_test(bumpy, 10_000, seed=0)
+def test_12_support_inequality(bumpy_field):
+    rep = support_test(bumpy_field, 10_000, seed=0)
     report(12, "support pairing strictly negative off the diagonal",
            rep.max_off_diagonal < 0.0 and rep.max_diagonal_abs <= 1e-10,
            f"off-diagonal max {rep.max_off_diagonal:.3g}, "

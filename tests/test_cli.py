@@ -1,10 +1,12 @@
 """End-to-end command line tests driven through ``main(argv)``."""
 
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvedual import HarmonicCoeffs, build_grid, sphere_surface, synthesize
 from curvedual.cli import main, parse_config
@@ -13,6 +15,24 @@ from curvedual.geometry import GraphSurface
 from curvedual.io import read_surface, write_surface
 
 LOG2 = math.log(2.0)
+
+
+# every key set, and "c" given so that parsing never samples min f
+FUZZ_BASE = {"F": "gauss_power", "n": 2, "L_max": 12, "group": "antipodal",
+             "f": {"a_poly": [LOG2], "b": [{"l": 2, "m": 0, "value": 0.1}]},
+             "c": 1.0, "tol": 1e-10, "kappa_floor": 1e-4, "kappa_ceil": 1e4,
+             "dt0": 0.1, "dt_min": 1e-4, "dt_max": 0.25, "max_newton": 25}
+FUZZ_PATHS = ([(key,) for key in sorted(FUZZ_BASE)]
+              + [("f", "a_poly"), ("f", "b"), ("f", "b", 0),
+                 ("f", "b", 0, "l"), ("f", "b", 0, "m"),
+                 ("f", "b", 0, "value")])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=4)),
+    max_leaves=12)
 
 
 def write_config(path, **overrides):
@@ -64,6 +84,37 @@ class TestParseConfig:
             {"F": "gauss_power", "f": {"a_poly": [LOG2]}, "c": 1.0,
              "group": {"matrices": [eye, neg]}})
         assert group.order == 2
+
+    def test_integral_floats_accepted(self):
+        F, data, opts, group = parse_config(
+            {"F": "gauss_power", "n": 2.0, "L_max": 8.0, "max_newton": 3.0,
+             "f": {"a_poly": [LOG2], "b": [{"l": 2.0, "m": 0, "value": 1}]},
+             "c": 1.0})
+        assert F.n == 2 and type(F.n) is int
+        assert (opts.L_max, opts.max_newton) == (8, 3)
+        assert type(opts.L_max) is int and type(opts.max_newton) is int
+        assert data.b[2, 0] == 1.0
+
+    @settings(max_examples=400, deadline=None)
+    @given(path=st.sampled_from(FUZZ_PATHS), value=JSON_VALUES)
+    def test_fuzzed_value_returns_or_raises_config_error(self, path, value):
+        doc = copy.deepcopy(FUZZ_BASE)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        try:
+            F, data, opts, group = parse_config(doc)
+        except ConfigError:
+            return
+        assert F.n == 2 and type(F.n) is int
+        assert type(opts.L_max) is int and opts.L_max >= 4
+        assert type(opts.max_newton) is int and opts.max_newton >= 0
+        for key in ("dt0", "dt_min", "dt_max"):
+            assert 0.0 < getattr(opts, key) < math.inf
+        for key in ("tol", "kappa_floor", "kappa_ceil"):
+            assert type(getattr(opts, key)) is float
+        assert type(data.c) is float
 
 
 class TestSolveCommand:
@@ -120,6 +171,21 @@ class TestSolveCommand:
          "degree 14 above L_max = 12"),
         ({"F": "sigma_2", "n": 3}, "only n = 2 is supported"),
         ({"group": {"matrices": "x"}}, "group matrices must be numeric"),
+        # step sizes that are not finite and positive, a negative budget
+        ({"dt0": 0}, '"dt0" must be finite and positive'),
+        ({"dt_min": -1e-3}, '"dt_min" must be finite and positive'),
+        ({"dt_max": 0.0}, '"dt_max" must be finite and positive'),
+        ({"dt0": math.inf}, '"dt0" must be finite and positive'),
+        ({"max_newton": -1}, '"max_newton" must be nonnegative'),
+        # nothing is truncated or parsed from a string
+        ({"L_max": 12.7}, '"L_max" must be an integer'),
+        ({"n": 2.9}, '"n" must be an integer'),
+        ({"max_newton": True}, '"max_newton" must be numeric'),
+        ({"tol": "1e-3"}, '"tol" must be numeric'),
+        ({"f": {"a_poly": [LOG2], "b": [{"l": 2.5, "m": 0, "value": 0.1}]}},
+         "f.b l must be an integer"),
+        ({"f": {"a_poly": [True]}}, "f.a_poly must be numeric"),
+        ({"group": {"matrices": [1.0]}}, "group element has shape"),
     ])
     def test_bad_config_value_fails_cleanly(self, tmp_path, capsys,
                                             overrides, message):

@@ -62,9 +62,9 @@ def test_cross4_orthogonality():
 
 def test_newton_iteration_makes_one_kernel_call_of_width_12(monkeypatch):
     from curvedual.curvature import make_curvature_function
-    from curvedual.solver import (PrescribedData, SymmetryGroup,
-                                  initial_sphere, invariant_projector,
-                                  newton_solve)
+    from curvedual.solver import (NewtonWorkspace, PrescribedData,
+                                  SymmetryGroup, initial_sphere,
+                                  invariant_projector, newton_solve)
 
     widths = []
     kappa_batch = _kernels.kappa_batch
@@ -79,7 +79,8 @@ def test_newton_iteration_makes_one_kernel_call_of_width_12(monkeypatch):
                           c=2.0)
     start = initial_sphere(F, 2.0, L_max=8)
     start.radial[2, 0] += 0.02
-    _, iters, _ = newton_solve(F, data, 0.0, start,
-                               invariant_projector(SymmetryGroup.antipodal(), 8))
+    basis = invariant_projector(SymmetryGroup.antipodal(), 8).basis
+    _, iters, _ = newton_solve(NewtonWorkspace(build_grid(8), basis, data, F),
+                               0.0, start)
     assert iters >= 2
     assert [w for w in widths if w > 1] == [12] * iters

@@ -221,7 +221,8 @@ def test_support_sphere_closed_form():
 
 
 def test_support_report_perturbed():
-    rep = support_test(perturbed_surface(), sample_count=10_000)
+    rep = support_test(curvature_field(perturbed_surface(), build_grid(24)),
+                       sample_count=10_000)
     assert rep.passed
     assert rep.max_off_diagonal < -1e-8
     assert rep.max_diagonal_abs <= 1e-12
@@ -229,10 +230,21 @@ def test_support_report_perturbed():
 
 
 def test_support_report_deterministic():
-    a = support_test(sphere_surface(np.pi / 5, L_max=8), 500, seed=3)
-    b = support_test(sphere_surface(np.pi / 5, L_max=8), 500, seed=3)
+    field = curvature_field(sphere_surface(np.pi / 5, L_max=8), build_grid(8))
+    a = support_test(field, 500, seed=3)
+    b = support_test(field, 500, seed=3)
     assert a.max_off_diagonal == b.max_off_diagonal
     assert a.as_dict() == b.as_dict()
+
+
+def test_support_report_rejects_nonconvex_field():
+    c = HarmonicCoeffs.zeros(16)
+    c[0, 0] = (np.pi / 4) * np.sqrt(4 * np.pi)
+    c[4, 0] = 0.22
+    surf = geometry.GraphSurface(n=2, pole=E4.copy(), radial=c,
+                                 gauge_tau0=geometry.default_gauge_tau0())
+    with pytest.raises(ConvexityError):
+        support_test(curvature_field(surf, build_grid(16)), 100)
 
 
 def test_transfer_problem_mean():

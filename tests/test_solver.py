@@ -6,10 +6,10 @@ import pytest
 from curvedual.curvature import make_curvature_function
 from curvedual.errors import DataError, GroupError, NewtonError
 from curvedual.geometry import GraphSurface, sphere_surface
-from curvedual.solver import (BarrierReport, PrescribedData, SolverOptions,
-                              SymmetryGroup, check_barriers, continuation,
-                              default_base_constant, full_basis,
-                              initial_sphere, invariant_projector,
+from curvedual.solver import (BarrierReport, NewtonWorkspace, PrescribedData,
+                              SolverOptions, SymmetryGroup, check_barriers,
+                              continuation, default_base_constant,
+                              full_basis, initial_sphere, invariant_projector,
                               linear_system, near_kernel, newton_solve,
                               residual_field, rotate_angles)
 from curvedual.spectral import (HarmonicCoeffs, analyze, build_grid, index_lm,
@@ -27,6 +27,11 @@ def constant_data(f_value, c):
 @pytest.fixture(scope="module")
 def antipodal_projector():
     return invariant_projector(SymmetryGroup.antipodal(), 24)
+
+
+def workspace(data, projector):
+    return NewtonWorkspace(build_grid(projector.L_max), projector.basis,
+                           data, GAUSS)
 
 
 # ------------------------------------------------------------- symmetry
@@ -189,8 +194,8 @@ def test_data_accepts_even_angular_factor():
 def test_newton_exact_start(antipodal_projector):
     data = constant_data(2.0, 2.0)
     start = initial_sphere(GAUSS, 2.0)
-    surf, iters, resid = newton_solve(GAUSS, data, 0.0, start,
-                                      antipodal_projector)
+    surf, iters, resid = newton_solve(workspace(data, antipodal_projector),
+                                      0.0, start)
     assert iters <= 1
     assert resid <= 1e-12
 
@@ -203,8 +208,8 @@ def test_newton_perturbed_start_returns_to_sphere(antipodal_projector):
     pert = GraphSurface(n=2, pole=start.pole.copy(),
                         radial=HarmonicCoeffs(24, a),
                         gauge_tau0=start.gauge_tau0)
-    surf, iters, resid = newton_solve(GAUSS, data, 0.0, pert,
-                                      antipodal_projector)
+    surf, iters, resid = newton_solve(workspace(data, antipodal_projector),
+                                      0.0, pert)
     assert resid <= 1e-10
     grid = build_grid(24)
     u = synthesize(grid, surf.radial)
@@ -220,7 +225,7 @@ def test_newton_rejects_start_outside_subspace(antipodal_projector):
                        radial=HarmonicCoeffs(24, a),
                        gauge_tau0=start.gauge_tau0)
     with pytest.raises(DataError, match="outside"):
-        newton_solve(GAUSS, data, 0.0, bad, antipodal_projector)
+        newton_solve(workspace(data, antipodal_projector), 0.0, bad)
 
 
 def test_newton_iteration_budget_enforced(antipodal_projector):
@@ -232,7 +237,7 @@ def test_newton_iteration_budget_enforced(antipodal_projector):
                         radial=HarmonicCoeffs(24, a),
                         gauge_tau0=start.gauge_tau0)
     with pytest.raises(NewtonError, match="no convergence"):
-        newton_solve(GAUSS, data, 0.0, pert, antipodal_projector,
+        newton_solve(workspace(data, antipodal_projector), 0.0, pert,
                      SolverOptions(max_newton=1))
 
 
@@ -246,15 +251,27 @@ def test_newton_curvature_floor_blocks_steps(antipodal_projector):
                         radial=HarmonicCoeffs(24, a),
                         gauge_tau0=start.gauge_tau0)
     with pytest.raises(NewtonError, match="line search"):
-        newton_solve(GAUSS, data, 0.0, pert, antipodal_projector,
+        newton_solve(workspace(data, antipodal_projector), 0.0, pert,
                      SolverOptions(kappa_floor=2.0))
+
+
+def test_newton_solve_builds_no_operators(antipodal_projector,
+                                          basis_ops_builds):
+    data = constant_data(2.0, 2.0)
+    ws = workspace(data, antipodal_projector)
+    basis_ops_builds.clear()
+    start = initial_sphere(GAUSS, 2.0)
+    start.radial[2, 0] += 0.02
+    _, iters, _ = newton_solve(ws, 0.0, start)
+    assert iters >= 1
+    assert basis_ops_builds == []
 
 
 def test_newton_truncation_mismatch_rejected(antipodal_projector):
     data = constant_data(2.0, 2.0)
     start = sphere_surface(np.pi / 4, L_max=16)
     with pytest.raises(ValueError, match="does not match"):
-        newton_solve(GAUSS, data, 0.0, start, antipodal_projector)
+        newton_solve(workspace(data, antipodal_projector), 0.0, start)
 
 
 # ------------------------------------------------- linearization checks
@@ -288,12 +305,11 @@ def test_sphere_spectrum_ratios(antipodal_projector):
 
 
 def test_jacobian_matches_directional_differences(antipodal_projector):
-    from curvedual.solver import _Workspace
     data = PrescribedData(a_poly=[np.log(2.0), 0.3],
                           b=HarmonicCoeffs(2, np.zeros(num_coeffs(2))),
                           c=2.0)
     grid = build_grid(24)
-    ws = _Workspace(grid, antipodal_projector.basis, data, GAUSS)
+    ws = NewtonWorkspace(grid, antipodal_projector.basis, data, GAUSS)
     start = initial_sphere(GAUSS, 2.0)
     a = start.radial.values.copy()
     a[lm_index(2, 0)] += 0.03
@@ -372,6 +388,15 @@ def test_continuation_modulated_data(antipodal_projector):
     # invariance of the full coefficient vector
     P = antipodal_projector.matrix
     assert np.max(np.abs(P @ a - a)) <= 1e-10
+
+
+def test_continuation_builds_operators_twice(basis_ops_builds):
+    # the projector's grid, then one run grid shared by every Newton
+    # solve and every step record
+    report = continuation(GAUSS, constant_data(2.0, 1.0),
+                          opts=SolverOptions(L_max=8))
+    assert report.converged and len(report.steps) == 7
+    assert basis_ops_builds == [8, 8]
 
 
 def test_continuation_rejects_bad_base_constant():

@@ -152,6 +152,12 @@ def test_full_report_flags_nonconvex_input():
     assert np.isnan(rep.support_margin)
 
 
+def test_full_report_builds_operators_once(basis_ops_builds):
+    rep = full_report(perturbed_surface(L_max=8), F=GAUSS, f=2.0)
+    assert rep.convex and rep.support_margin < 0.0
+    assert basis_ops_builds == [8]
+
+
 def test_full_report_dict_keys():
     rep = full_report(sphere_surface(np.pi / 4), F=GAUSS, f=2.0)
     d = rep.as_dict()
