@@ -8,7 +8,6 @@ diagnostics out of tolerance) whose reports are still written.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -16,12 +15,12 @@ import numpy as np
 
 from . import io as formats
 from .curvature import make_curvature_function
-from .errors import ConfigError, CurveDualError, GroupError
+from .errors import ConfigError, CurveDualError, DataError, GroupError
 from .geometry import curvature_field
 from .polar import dual_surface, fit_residual, gauss_map, transfer_problem
 from .solver import (PrescribedData, SolverOptions, SymmetryGroup,
-                     continuation, default_base_constant)
-from .spectral import HarmonicCoeffs, build_grid, synthesize_at
+                     continuation, data_on_field, default_base_constant)
+from .spectral import HarmonicCoeffs, build_grid
 from .validation import full_report
 
 _CONFIG_KEYS = {"F", "n", "L_max", "group", "f", "c", "tol", "kappa_floor",
@@ -47,19 +46,11 @@ def _load_json(path):
 
 
 def _numeric(kind, value, name: str):
-    """``kind(value)`` of JSON numbers only, or a ConfigError naming ``name``.
-
-    ``int`` takes only integral floats, so nothing is truncated.
-    """
+    """:func:`io.json_number` with its DataError raised as a ConfigError."""
     try:
-        if np.asarray(value).dtype.kind not in "iuf":
-            raise TypeError(value)
-        out = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be numeric, got {value!r}") from exc
-    if kind is int and out != value:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return out
+        return formats.json_number(kind, value, name)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _harmonics_from_entries(entries, L_max: int) -> HarmonicCoeffs:
@@ -128,15 +119,9 @@ def parse_config(doc: dict):
                 "dt_max"):
         if key in doc:
             setattr(opts, key, _numeric(float, doc[key], f'"{key}"'))
-        # zero, negative or NaN steps can stall t; infinite ones mean nothing
-        if key.startswith("dt") and not 0.0 < getattr(opts, key) < math.inf:
-            raise ConfigError(f'"{key}" must be finite and positive, got '
-                              f"{getattr(opts, key)!r}")
     opts.max_newton = _numeric(int, doc.get("max_newton", opts.max_newton),
                                '"max_newton"')
-    if opts.max_newton < 0:
-        raise ConfigError(
-            f'"max_newton" must be nonnegative, got {opts.max_newton}')
+    opts.validate()
 
     fspec = doc["f"]
     if not isinstance(fspec, dict):
@@ -170,7 +155,7 @@ def cmd_solve(args) -> int:
                           report.final_surface)
     formats.write_json(os.path.join(args.out, "continuation_report.json"),
                        report.as_dict())
-    fld = curvature_field(report.final_surface, build_grid(opts.L_max))
+    fld = curvature_field(report.final_surface, report.grid)
     formats.write_nodes_csv(os.path.join(args.out, "solution_nodes.csv"), fld)
 
     print(f"status: {report.status}")
@@ -202,9 +187,8 @@ def cmd_dual(args) -> int:
     recip = np.stack([samples.kappa_dual[:, 0] * field.kappa[:, 1],
                       samples.kappa_dual[:, 1] * field.kappa[:, 0]], axis=-1)
     reciprocity_err = float(np.max(np.abs(recip - 1.0)))
-    x = field.x
     x_back = curvature_field(back, grid).x
-    double_dual_dist = float(np.max(np.linalg.norm(x_back - x, axis=1)))
+    double_dual_dist = float(np.max(np.linalg.norm(x_back - field.x, axis=1)))
 
     report = {
         "reciprocity_max_error": reciprocity_err,
@@ -214,7 +198,7 @@ def cmd_dual(args) -> int:
     }
     if args.config is not None:
         F, data, opts, group = parse_config(_load_json(args.config))
-        f_src = data.values(field.r, grid.theta, grid.phi)
+        f_src = data_on_field(data, field)
         F_dual, f_dual = transfer_problem(F, f_src)
         resid = F_dual(samples.kappa_dual) - f_dual
         report["transfer_residual_max"] = float(np.max(np.abs(resid)))
@@ -253,9 +237,9 @@ def cmd_check(args) -> int:
     surface = formats.read_surface(args.surface)
     F = f = None
     if args.config is not None:
-        F, data, opts, group = parse_config(_load_json(args.config))
-        f = data
-    report = full_report(surface, F=F, f=f, seed=args.seed)
+        F, f, opts, group = parse_config(_load_json(args.config))
+    fld = curvature_field(surface, build_grid(surface.L_max))
+    report = full_report(fld, F=F, f=f, seed=args.seed)
     doc = report.as_dict()
     passed = _check_passes(doc)
     doc["passed"] = passed
@@ -264,12 +248,10 @@ def cmd_check(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         formats.write_json(os.path.join(args.out, "check_report.json"), doc)
         if F is not None:
-            grid = build_grid(surface.L_max)
-            fld = curvature_field(surface, grid)
-            resid = F(fld.kappa) - f.values(fld.r, grid.theta, grid.phi)
+            resid = F(fld.kappa) - data_on_field(f, fld)
             formats.write_field_csv(
                 os.path.join(args.out, "residuals.csv"),
-                grid.theta, grid.phi, resid)
+                fld.grid.theta, fld.grid.phi, resid)
     return 0 if passed else 2
 
 

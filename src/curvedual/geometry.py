@@ -29,7 +29,6 @@ __all__ = [
     "default_gauge_tau0",
     "frame_for_pole",
     "sphere_surface",
-    "embed",
     "curvature_field",
     "rho_from_r",
     "r_from_rho",
@@ -207,19 +206,6 @@ def offset_sphere_surface(radius: float, tilt: float,
                         gauge_tau0=default_gauge_tau0())
 
 
-def _radial_fields(surface: GraphSurface, grid: QuadratureGrid):
-    """Radius and chart derivatives on the grid, hemisphere-checked."""
-    r = spectral.synthesize(grid, surface.radial)
-    lo, hi = r.min(), r.max()
-    if lo <= HEMISPHERE_MARGIN or hi >= np.pi / 2 - HEMISPHERE_MARGIN:
-        raise DomainError(
-            f"radial range [{lo:.6g}, {hi:.6g}] leaves the open hemisphere "
-            f"annulus ({HEMISPHERE_MARGIN:g}, pi/2 - {HEMISPHERE_MARGIN:g})")
-    grad = spectral.surface_gradient(grid, surface.radial)
-    raw = spectral.chart_second_partials(grid, surface.radial)
-    return r, grad[:, 0], grad[:, 1], raw[:, 0], raw[:, 1], raw[:, 2]
-
-
 @dataclass
 class CurvatureField:
     """Pointwise geometric data of a surface sampled at grid nodes.
@@ -232,6 +218,11 @@ class CurvatureField:
     surface: GraphSurface
     grid: QuadratureGrid
     r: np.ndarray               # (N,)
+    r_theta: np.ndarray         # (N,) chart derivatives of r
+    r_phi: np.ndarray           # (N,)
+    r_theta_theta: np.ndarray   # (N,)
+    r_theta_phi: np.ndarray     # (N,)
+    r_phi_phi: np.ndarray       # (N,)
     x: np.ndarray               # (N, 4)
     x_theta: np.ndarray         # (N, 4)
     x_phi: np.ndarray           # (N, 4)
@@ -252,17 +243,28 @@ class CurvatureField:
 
 def curvature_field(surface: GraphSurface, grid: QuadratureGrid,
                     require_convex: bool = False) -> CurvatureField:
-    """Assemble the full curvature data of a surface on a grid.
+    """Sample a surface on a grid: radial jets and full curvature data.
 
-    With ``require_convex`` the field must be strictly convex (all
-    principal curvatures positive) or a :class:`ConvexityError` is raised.
+    The one place where radial jets are synthesised and the hemisphere
+    annulus is checked.  With ``require_convex`` the field must be
+    strictly convex or a :class:`ConvexityError` is raised.
     """
-    r, rt, rp, rtt, rtp, rpp = _radial_fields(surface, grid)
+    r = spectral.synthesize(grid, surface.radial)
+    lo, hi = r.min(), r.max()
+    if lo <= HEMISPHERE_MARGIN or hi >= np.pi / 2 - HEMISPHERE_MARGIN:
+        raise DomainError(
+            f"radial range [{lo:.6g}, {hi:.6g}] leaves the open hemisphere "
+            f"annulus ({HEMISPHERE_MARGIN:g}, pi/2 - {HEMISPHERE_MARGIN:g})")
+    grad = spectral.surface_gradient(grid, surface.radial)
+    raw = spectral.chart_second_partials(grid, surface.radial)
+    rt, rp = grad.T
+    rtt, rtp, rpp = raw.T
     out = _kernels.fundamental_forms(grid.theta, grid.phi, r, rt, rp,
                                      rtt, rtp, rpp)
     Q = frame_for_pole(surface.pole)
     field = CurvatureField(
-        surface=surface, grid=grid, r=r,
+        surface=surface, grid=grid, r=r, r_theta=rt, r_phi=rp,
+        r_theta_theta=rtt, r_theta_phi=rtp, r_phi_phi=rpp,
         x=out["x"] @ Q.T,
         x_theta=out["x_theta"] @ Q.T,
         x_phi=out["x_phi"] @ Q.T,
@@ -278,13 +280,7 @@ def curvature_field(surface: GraphSurface, grid: QuadratureGrid,
     return field
 
 
-def embed(surface: GraphSurface, grid: QuadratureGrid) -> np.ndarray:
-    """Embedding points of the surface at the grid nodes, shape (N, 4)."""
-    return curvature_field(surface, grid).x
-
-
-def second_fundamental_form_conformal(surface: GraphSurface,
-                                      grid: QuadratureGrid) -> np.ndarray:
+def second_fundamental_form_conformal(field: CurvatureField) -> np.ndarray:
     """Second fundamental form via the cylindrical conformal chart.
 
     Independent of the embedding path: writes the surface as a graph of
@@ -295,12 +291,13 @@ def second_fundamental_form_conformal(surface: GraphSurface,
         h_ij = e^psi ( -u_;ij / v + psi' (u_i u_j + sigma_ij) / v ),
 
     with v^2 = 1 + sigma^{ij} u_i u_j and psi evaluated on the surface.
-    Returns chart components (N, 2, 2).
+    r and its gradient come from ``field``, the covariant Hessian is
+    differentiated afresh.  Returns chart components (N, 2, 2).
     """
-    r, rt, rp, _, _, _ = _radial_fields(surface, grid)
-    grad_r = spectral.surface_gradient(grid, surface.radial)
-    hess_r = spectral.surface_hessian(grid, surface.radial)
-    sr, cr = np.sin(r), np.cos(r)
+    grid = field.grid
+    grad_r = np.stack([field.r_theta, field.r_phi], axis=-1)
+    hess_r = spectral.surface_hessian(grid, field.surface.radial)
+    sr, cr = np.sin(field.r), np.cos(field.r)
     # u = tau(r): du/dr = 1/sin r, d2u/dr2 = -cos r / sin^2 r
     u_i = grad_r / sr[:, None]
     u_hess = (hess_r / sr[:, None, None]
@@ -338,17 +335,18 @@ class StereographicField:
                                 # with the Euclidean normal
 
 
-def stereographic_project(surface: GraphSurface,
-                          grid: QuadratureGrid) -> StereographicField:
-    """Project the surface stereographically and differentiate the image.
+def stereographic_project(field: CurvatureField) -> StereographicField:
+    """Project a sampled surface stereographically and differentiate the image.
 
-    All curvature data of the image surface is computed directly from the
-    Euclidean embedding y = rho(xi) omega(xi), independent of the spherical
-    pipeline, which makes this the far side of the conformal-relation
-    cross-check.
+    Only the radial jets are read from ``field``.  All curvature data of
+    the image surface is computed directly from the Euclidean embedding
+    y = rho(xi) omega(xi), independent of the spherical pipeline, which
+    makes this the far side of the conformal-relation cross-check.
     """
-    r, rt, rp, rtt, rtp, rpp = _radial_fields(surface, grid)
-    rho = rho_from_r(r)
+    grid = field.grid
+    rt, rp = field.r_theta, field.r_phi
+    rtt, rtp, rpp = field.r_theta_theta, field.r_theta_phi, field.r_phi_phi
+    rho = rho_from_r(field.r)
     drho = 1.0 + rho**2 / 4.0          # d rho / d r
     rho_t = drho * rt
     rho_p = drho * rp

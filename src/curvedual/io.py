@@ -13,9 +13,10 @@ import csv
 import numpy as np
 
 from .errors import DataError
-from .geometry import (CurvatureField, GraphSurface, stereographic_project)
+from .geometry import (CurvatureField, GraphSurface, curvature_field,
+                       rho_from_r, stereographic_project)
 from .polar import DualSamples
-from .spectral import HarmonicCoeffs, build_grid, num_coeffs, synthesize_at
+from .spectral import HarmonicCoeffs, build_grid, synthesize_at
 
 
 def format_float(x: float) -> str:
@@ -70,6 +71,24 @@ def _scalar(v) -> str:
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
+def json_number(kind, value, name: str):
+    """``kind(value)`` of JSON numbers only, or a DataError naming ``name``.
+
+    ``int`` takes only integral floats, so nothing is truncated.
+    """
+    try:
+        # every Python float is numeric; skipping asarray keeps reads fast
+        if type(value) is not float and \
+                np.asarray(value).dtype.kind not in "iuf":
+            raise TypeError(value)
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{name} must be numeric, got {value!r}") from exc
+    if kind is int and out != value:
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    return out
+
+
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_canonical(obj) + "\n")
@@ -93,24 +112,28 @@ def surface_to_dict(surface: GraphSurface) -> dict:
 
 def surface_from_dict(doc: dict) -> GraphSurface:
     try:
-        n = int(doc["n"])
-        pole = np.asarray(doc["pole"], dtype=float)
-        L_max = int(doc["L_max"])
-        gauge_tau0 = float(doc["gauge_tau0"])
-        entries = doc["radial"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, pole, L_max, gauge_tau0, entries = (
+            doc[key] for key in ("n", "pole", "L_max", "gauge_tau0", "radial"))
+    except (KeyError, TypeError) as exc:
         raise DataError(f"malformed surface document: {exc}") from exc
     unknown = set(doc) - {"n", "pole", "L_max", "gauge_tau0", "radial"}
     if unknown:
         raise DataError(f"unknown surface keys: {sorted(unknown)}")
-    if L_max < 0 or pole.shape != (4,):
-        raise DataError("surface document has invalid L_max or pole")
+    n = json_number(int, n, "surface n")
+    pole = json_number(lambda v: np.asarray(v, dtype=float), pole,
+                       "surface pole")
+    L_max = json_number(int, L_max, "surface L_max")
+    gauge_tau0 = json_number(float, gauge_tau0, "surface gauge_tau0")
+    if L_max < 0 or pole.shape != (4,) or not isinstance(entries, list):
+        raise DataError("surface document has invalid L_max, pole or radial")
     coeffs = HarmonicCoeffs.zeros(L_max)
     for entry in entries:
         try:
-            l, m, value = int(entry["l"]), int(entry["m"]), float(entry["value"])
-        except (KeyError, TypeError, ValueError) as exc:
+            l, m, value = entry["l"], entry["m"], entry["value"]
+        except (KeyError, TypeError) as exc:
             raise DataError(f"malformed radial entry {entry!r}") from exc
+        l, m = json_number(int, l, "radial l"), json_number(int, m, "radial m")
+        value = json_number(float, value, "radial value")
         if not (0 <= l <= L_max and -l <= m <= l):
             raise DataError(f"radial entry (l={l}, m={m}) outside truncation "
                             f"L_max={L_max}")
@@ -179,11 +202,10 @@ def write_obj(path, surface: GraphSurface) -> None:
     gaps are closed with fans around explicit pole vertices.
     """
     grid = build_grid(surface.L_max)
-    st = stereographic_project(surface, grid)
+    st = stereographic_project(curvature_field(surface, grid))
     nt, nphi = grid.n_theta, grid.n_phi
     y = st.y.reshape(nt, nphi, 3)
 
-    from .geometry import rho_from_r
     pole_dirs = np.array([0.0, np.pi])
     r_poles = synthesize_at(surface.radial, pole_dirs, np.zeros(2))
     north = np.array([0.0, 0.0, rho_from_r(r_poles[0])])

@@ -22,20 +22,18 @@ matrix follows from them by products with the synthesis matrices.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import _kernels, spectral
 from .curvature import CurvatureFunction, class_K_check
-from .errors import (DataError, GroupError, NewtonError,
-                     SingularJacobianError)
-from .errors import DomainError
-from .geometry import (HEMISPHERE_MARGIN, GraphSurface, curvature_field,
-                       sphere_surface)
-from .spectral import (HarmonicCoeffs, QuadratureGrid, build_grid,
-                       lm_index, num_coeffs)
+from .errors import (ConfigError, DataError, DomainError, GroupError,
+                     NewtonError, SingularJacobianError)
+from .geometry import (HEMISPHERE_MARGIN, CurvatureField, GraphSurface,
+                       curvature_field, sphere_surface)
+from .spectral import HarmonicCoeffs, QuadratureGrid, build_grid, num_coeffs
 
 _MATCH_TOL = 1e-12
 _SOLVE_RCOND = 1e-12
@@ -163,20 +161,21 @@ class InvariantProjector:
     basis: InvariantBasis
 
 
-def invariant_projector(group: SymmetryGroup, L_max: int
+def invariant_projector(group: SymmetryGroup, grid: QuadratureGrid
                         ) -> InvariantProjector:
     """Build the orbit-average projector and its degree-labeled basis.
 
-    The average of the coefficient-space actions of the group elements.
+    The average of the coefficient-space actions of the group elements,
+    by quadrature on ``grid``, whose truncation is the projector's.
     Rotations preserve harmonic degree, so the projector is block
     diagonal per degree and the basis is extracted degree by degree from
     a symmetric eigendecomposition of each block.  For a free group the
     degree-1 block vanishes entirely.
     """
     group.validate()
-    grid = build_grid(max(L_max, 4))
+    L_max = grid.L_max
     K = num_coeffs(L_max)
-    Yw = grid.ops.Y[:, :K].T * grid.weights
+    Yw = grid.ops.Y.T * grid.weights
     P = np.zeros((K, K))
     for A in group.elements:
         th2, ph2 = rotate_angles(A, grid.theta, grid.phi)
@@ -263,9 +262,11 @@ class PrescribedData:
         """
         if not np.all(np.isfinite(self.a_poly)):
             raise DataError("radial polynomial has non-finite coefficients")
-        if self.c <= 0.0:
-            raise DataError(
-                f"homotopy base constant must be positive, got {self.c!r}")
+        if not np.all(np.isfinite(self.b.values)):
+            raise DataError("angular field has non-finite coefficients")
+        if not 0.0 < self.c < np.inf:
+            raise DataError("homotopy base constant must be positive and "
+                            f"finite, got {self.c!r}")
         fmin = self.min_f()
         if self.c >= fmin:
             raise DataError(
@@ -304,6 +305,21 @@ class SolverOptions:
     dt_max: float = 0.25
     max_newton: int = 25
     max_halvings: int = 20
+
+    def validate(self) -> None:
+        """Raise ConfigError for step controls that stall or fake a run."""
+        # zero, negative or NaN steps never advance t; an infinite or NaN
+        # tolerance accepts every iterate
+        for key in ("dt0", "dt_min", "dt_max"):
+            if not 0.0 < getattr(self, key) < np.inf:
+                raise ConfigError(f'"{key}" must be finite and positive, got '
+                                  f"{getattr(self, key)!r}")
+        if not 0.0 <= self.tol < np.inf:
+            raise ConfigError(
+                f'"tol" must be finite and nonnegative, got {self.tol!r}')
+        if self.max_newton < 0:
+            raise ConfigError(
+                f'"max_newton" must be nonnegative, got {self.max_newton}')
 
 
 def initial_sphere(F: CurvatureFunction, c: float, L_max: int = 24,
@@ -567,6 +583,7 @@ class ContinuationReport:
 
     steps: list
     final_surface: GraphSurface
+    grid: QuadratureGrid  # the run grid every step was solved on
     status: str
     message: str = ""
 
@@ -602,6 +619,7 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
     the last good surface.
     """
     opts = opts or SolverOptions()
+    opts.validate()
     group = group or SymmetryGroup.antipodal()
     rep = class_K_check(F, n_samples=2000, seed=0)
     if not (rep.monotone and rep.weight_ordering):
@@ -609,7 +627,8 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
             f"curvature function {F.name!r} fails the admissibility "
             "checks (monotonicity or weight ordering); continuation may "
             "lose convexity", stacklevel=2)
-    projector = invariant_projector(group, opts.L_max)
+    grid = build_grid(opts.L_max)
+    projector = invariant_projector(group, grid)
     data.validate(group)
 
     surface = start if start is not None else \
@@ -618,16 +637,16 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
         raise ValueError(
             f"start surface L_max={surface.L_max} does not match "
             f"options L_max={opts.L_max}")
-    ws = NewtonWorkspace(build_grid(opts.L_max), projector.basis, data, F)
+    ws = NewtonWorkspace(grid, projector.basis, data, F)
 
     steps: list[ContinuationStep] = []
     try:
         surface, iters, resid = newton_solve(ws, 0.0, surface, opts)
     except (NewtonError, SingularJacobianError, DomainError) as exc:
         return ContinuationReport(steps=steps, final_surface=surface,
-                                  status="failed",
+                                  grid=grid, status="failed",
                                   message=f"t = 0 solve failed: {exc}")
-    steps.append(_step_record(0.0, iters, resid, surface, ws.grid))
+    steps.append(_step_record(0.0, iters, resid, surface, grid))
 
     t = 0.0
     dt = opts.dt0
@@ -639,15 +658,16 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
             dt *= 0.5
             if dt < opts.dt_min:
                 return ContinuationReport(
-                    steps=steps, final_surface=surface, status="failed",
+                    steps=steps, final_surface=surface, grid=grid,
+                    status="failed",
                     message=f"step size underflow at t = {t_try:g}: {exc}")
             continue
         surface = trial
         t = t_try
-        steps.append(_step_record(t, iters, resid, surface, ws.grid))
+        steps.append(_step_record(t, iters, resid, surface, grid))
         if iters <= 3:
             dt = min(dt * 1.5, opts.dt_max)
-    return ContinuationReport(steps=steps, final_surface=surface,
+    return ContinuationReport(steps=steps, final_surface=surface, grid=grid,
                               status="converged")
 
 
@@ -679,16 +699,17 @@ class BarrierReport:
                 "passed": self.passed}
 
 
-def _data_on_surface(f_values, r, theta, phi) -> np.ndarray:
+def data_on_field(f_values, field: CurvatureField) -> np.ndarray:
+    """``f_values`` (PrescribedData, scalar or per-node array) at the nodes."""
     if isinstance(f_values, PrescribedData):
-        return f_values.values(r, theta, phi)
+        return f_values.values(field.r, field.grid.theta, field.grid.phi)
     arr = np.asarray(f_values, dtype=float)
     if arr.ndim == 0:
-        return np.full_like(r, float(arr))
-    if arr.shape != r.shape:
+        return np.full_like(field.r, float(arr))
+    if arr.shape != field.r.shape:
         raise DataError(
             f"prescribed values shape {arr.shape} does not match the "
-            f"{r.shape} grid")
+            f"{field.r.shape} grid")
     return arr
 
 
@@ -723,8 +744,8 @@ def check_barriers(F: CurvatureFunction, f_values, lower: GraphSurface,
             f"{-gap.min():.3g} at node {q} "
             f"(theta = {grid.theta[q]:.4f}, phi = {grid.phi[q]:.4f})")
 
-    f_low = _data_on_surface(f_values, low.r, grid.theta, grid.phi)
-    f_up = _data_on_surface(f_values, up.r, grid.theta, grid.phi)
+    f_low = data_on_field(f_values, low)
+    f_up = data_on_field(f_values, up)
     lower_gap = f_low - F(low.kappa)
     upper_gap = F(up.kappa) - f_up
     return BarrierReport(

@@ -14,15 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (GraphSurface, curvature_field, rho_from_r,
-                       stereographic_project)
+from .geometry import CurvatureField, rho_from_r, stereographic_project
 from .polar import support_test
-from .solver import PrescribedData
-from .spectral import QuadratureGrid, build_grid
+from .solver import data_on_field
 
 
-def steiner_point(surface: GraphSurface,
-                  grid: QuadratureGrid | None = None) -> np.ndarray:
+def steiner_point(field: CurvatureField) -> np.ndarray:
     """Curvature-weighted centroid of the stereographic image.
 
     The image of the surface under stereographic projection is weighted
@@ -37,29 +34,22 @@ def steiner_point(surface: GraphSurface,
     it the standard symmetry diagnostic.  Components are in the frame of
     the surface's pole.
     """
-    if grid is None:
-        grid = build_grid(surface.L_max)
-    st = stereographic_project(surface, grid)
-    density = grid.weights * st.gauss_curvature * st.area_jacobian
+    st = stereographic_project(field)
+    density = field.grid.weights * st.gauss_curvature * st.area_jacobian
     return (st.y * density[:, None]).sum(axis=0) / (4.0 * np.pi)
 
 
-def enclosing_balls(surface: GraphSurface,
-                    grid: QuadratureGrid | None = None) -> tuple[float, float]:
+def enclosing_balls(field: CurvatureField) -> tuple[float, float]:
     """Radii (r_in, r_out) of centered balls sandwiching the surface.
 
     Computed as the extreme radial node values of the graph, so the
     inner ball is inscribed and the outer ball circumscribed about the
     enclosed body.
     """
-    if grid is None:
-        grid = build_grid(surface.L_max)
-    fld = curvature_field(surface, grid)
-    return float(fld.r.min()), float(fld.r.max())
+    return float(field.r.min()), float(field.r.max())
 
 
-def stereographic_residual(surface: GraphSurface,
-                           grid: QuadratureGrid | None = None) -> float:
+def stereographic_residual(field: CurvatureField) -> float:
     """Max node error of the conformal relation between curvature paths.
 
     The spherical shape operator scaled by the conformal factor must
@@ -68,12 +58,9 @@ def stereographic_residual(surface: GraphSurface,
     The two sides come from fully independent differentiations, so this
     is a strong end-to-end consistency measure.
     """
-    if grid is None:
-        grid = build_grid(surface.L_max)
-    fld = curvature_field(surface, grid)
-    st = stereographic_project(surface, grid)
-    e_psi = 1.0 / (1.0 + rho_from_r(fld.r) ** 2 / 4.0)
-    lhs = e_psi[:, None, None] * fld.shape_operator
+    st = stereographic_project(field)
+    e_psi = 1.0 / (1.0 + rho_from_r(field.r) ** 2 / 4.0)
+    lhs = e_psi[:, None, None] * field.shape_operator
     eye = np.broadcast_to(np.eye(2), lhs.shape)
     rhs = st.shape_operator + st.conformal_term[:, None, None] * eye
     return float(np.max(np.abs(lhs - rhs)))
@@ -120,26 +107,15 @@ class DiagnosticsReport:
         return out
 
 
-def _residual_statistics(F, f, fld, grid) -> dict:
-    values = F(fld.kappa)
-    if isinstance(f, PrescribedData):
-        target = f.values(fld.r, grid.theta, grid.phi)
-    else:
-        target = np.broadcast_to(np.asarray(f, dtype=float), values.shape)
-    resid = values - target
-    return {"max_abs": float(np.max(np.abs(resid))),
-            "rms": float(np.sqrt(np.mean(resid**2)))}
-
-
-def full_report(surface: GraphSurface, F=None, f=None,
+def full_report(field: CurvatureField, F=None, f=None,
                 support_samples: int = 2000,
                 seed: int = 0) -> DiagnosticsReport:
-    """Run every diagnostic on one surface.
+    """Run every diagnostic on one sampled surface.
 
     Parameters
     ----------
-    surface : GraphSurface
-        Surface to examine; need not be convex.
+    field : CurvatureField
+        Sampled surface to examine; need not be convex.
     F, f : optional
         Curvature function and prescribed data (PrescribedData, scalar,
         or per-node array).  When both are given the report includes the
@@ -149,28 +125,28 @@ def full_report(surface: GraphSurface, F=None, f=None,
     seed : int
         Seed for the support pair sampling.
     """
-    grid = build_grid(surface.L_max)
-    fld = curvature_field(surface, grid)
-    convex = bool(fld.kappa_min > 0.0)
-    p = steiner_point(surface, grid)
+    convex = bool(field.kappa_min > 0.0)
+    p = steiner_point(field)
 
     if convex:
-        stereo = stereographic_residual(surface, grid)
+        stereo = stereographic_residual(field)
         support_margin = support_test(
-            fld, sample_count=support_samples, seed=seed).max_off_diagonal
+            field, sample_count=support_samples, seed=seed).max_off_diagonal
     else:
         stereo = float("nan")
         support_margin = float("nan")
 
     stats = None
     if F is not None and f is not None:
-        stats = _residual_statistics(F, f, fld, grid)
+        resid = F(field.kappa) - data_on_field(f, field)
+        stats = {"max_abs": float(np.max(np.abs(resid))),
+                 "rms": float(np.sqrt(np.mean(resid**2)))}
 
     return DiagnosticsReport(
         steiner_point=p,
         steiner_magnitude=float(np.linalg.norm(p)),
-        ball_radii=(float(fld.r.min()), float(fld.r.max())),
-        bound_check=(fld.kappa_min, fld.kappa_max),
+        ball_radii=enclosing_balls(field),
+        bound_check=(field.kappa_min, field.kappa_max),
         convex=convex,
         stereographic_residual=stereo,
         support_margin=support_margin,

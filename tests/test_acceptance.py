@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from curvedual.curvature import class_K_check, make_curvature_function
-from curvedual.geometry import (GraphSurface, curvature_field, embed,
+from curvedual.geometry import (GraphSurface, curvature_field,
                                 offset_sphere_surface, sphere_surface)
 from curvedual.polar import (dual_surface, gauss_map, support_test,
                              transfer_problem)
@@ -29,6 +29,10 @@ from curvedual import geometry
 GAUSS = make_curvature_function("gauss_power", 2)
 SQRT_4PI = math.sqrt(4.0 * math.pi)
 RADII = (np.pi / 6, np.pi / 4, np.pi / 3)
+
+
+def sampled(surface):
+    return curvature_field(surface, build_grid(surface.L_max))
 
 
 def report(num, label, ok, detail=""):
@@ -134,7 +138,8 @@ def test_03_double_dual_returns_surface(bumpy):
     dual = dual_surface(bumpy, L_max=32, sample_L=36)
     back = dual_surface(dual, L_max=24, sample_L=40)
     grid = build_grid(bumpy.L_max)
-    dist = np.linalg.norm(embed(back, grid) - embed(bumpy, grid), axis=1)
+    dist = np.linalg.norm(curvature_field(back, grid).x
+                          - curvature_field(bumpy, grid).x, axis=1)
     worst = float(np.max(dist))
     report(3, "double dual reproduces the surface", worst <= 1e-6,
            f"max distance {worst:.3g}")
@@ -190,7 +195,7 @@ def test_08_linearization_spectrum():
                           b=HarmonicCoeffs(2, np.zeros(num_coeffs(2))),
                           c=2.0)
     sphere = initial_sphere(GAUSS, 2.0)
-    projector = invariant_projector(SymmetryGroup.antipodal(), 24)
+    projector = invariant_projector(SymmetryGroup.antipodal(), build_grid(24))
     J, _, degrees = linear_system(GAUSS, data, 0.0, sphere, projector)
     lam = {}
     for l in (0, 2, 4):
@@ -230,18 +235,18 @@ def test_09_admissibility_checker():
            f"ordering excess at (1, 2): {excess}")
 
 
-def test_10_stereographic_consistency(bumpy):
-    resid = stereographic_residual(bumpy)
+def test_10_stereographic_consistency(bumpy_field):
+    resid = stereographic_residual(bumpy_field)
     report(10, "projected curvature forms agree", resid <= 1e-6,
            f"residual {resid:.3g}")
 
 
 def test_11_center_diagnostic(uniqueness_run, existence_run):
     worst = max(
-        float(np.linalg.norm(steiner_point(uniqueness_run.final_surface))),
-        float(np.linalg.norm(steiner_point(existence_run.final_surface))))
+        float(np.linalg.norm(steiner_point(sampled(run.final_surface))))
+        for run in (uniqueness_run, existence_run))
     control = float(np.linalg.norm(
-        steiner_point(offset_sphere_surface(np.pi / 4, 0.15))))
+        steiner_point(sampled(offset_sphere_surface(np.pi / 4, 0.15)))))
     report(11, "curvature centroid vanishes for symmetric solutions",
            worst <= 1e-8 and control > 0.1,
            f"solutions {worst:.3g}, off-center control {control:.3g}")

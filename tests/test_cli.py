@@ -186,6 +186,14 @@ class TestSolveCommand:
          "f.b l must be an integer"),
         ({"f": {"a_poly": [True]}}, "f.a_poly must be numeric"),
         ({"group": {"matrices": [1.0]}}, "group element has shape"),
+        # non-finite data and tolerances
+        ({"L_max": 8, "f": {"a_poly": [LOG2],
+                            "b": [{"l": 2, "m": 0, "value": math.nan}]}},
+         "angular field has non-finite coefficients"),
+        ({"c": math.nan}, "constant must be positive and finite"),
+        ({"tol": math.inf}, '"tol" must be finite and nonnegative'),
+        ({"tol": math.nan}, '"tol" must be finite and nonnegative'),
+        ({"tol": -1}, '"tol" must be finite and nonnegative'),
     ])
     def test_bad_config_value_fails_cleanly(self, tmp_path, capsys,
                                             overrides, message):
@@ -216,6 +224,14 @@ class TestSolveCommand:
         rc = main(["solve", "--config", str(path), "--out",
                    str(tmp_path / "r")])
         assert rc == 1
+
+    def test_solve_builds_operators_once(self, tmp_path, basis_ops_builds):
+        # the projector, the Newton solves, the step records and
+        # solution_nodes.csv all use the run grid
+        cfg = write_config(tmp_path / "config.json", L_max=8)
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "r")])
+        assert rc == 0
+        assert basis_ops_builds == [8]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path / "config.json")
@@ -284,6 +300,19 @@ class TestCheckCommand:
         assert doc["convex"] is True
         assert (out / "check_report.json").exists()
         assert (out / "residuals.csv").exists()
+
+    def test_check_builds_operators_once(self, tmp_path, capsys,
+                                         basis_ops_builds):
+        # one field feeds every diagnostic and residuals.csv
+        src = tmp_path / "surface.json"
+        write_surface(src, sphere_surface(np.pi / 4, L_max=8))
+        cfg = write_config(tmp_path / "config.json")
+        out = tmp_path / "check"
+        rc = main(["check", "--surface", str(src), "--config", cfg,
+                   "--out", str(out)])
+        assert rc == 0
+        assert (out / "residuals.csv").exists()
+        assert basis_ops_builds == [8]
 
     def test_off_center_surface_fails(self, tmp_path, capsys):
         # an odd-degree term moves the enclosed center off the origin,

@@ -9,7 +9,6 @@ from curvedual.geometry import (
     conformal_psi,
     curvature_field,
     default_gauge_tau0,
-    embed,
     frame_for_pole,
     r_from_tau,
     rho_from_r,
@@ -43,14 +42,14 @@ def perturbed(grid):
 
 def test_embed_sphere_constant_pole_angle(grid):
     s = sphere_surface(np.pi / 4)
-    x = embed(s, grid)
+    x = curvature_field(s, grid).x
     pole = np.array([0.0, 0.0, 0.0, 1.0])
     assert np.max(np.abs(x @ pole - np.cos(np.pi / 4))) <= 1e-12
     assert np.max(np.abs(np.einsum("ni,ni->n", x, x) - 1.0)) <= 1e-12
 
 
 def test_embed_unit_norm_perturbed(grid, perturbed):
-    x = embed(perturbed, grid)
+    x = curvature_field(perturbed, grid).x
     assert np.max(np.abs(np.einsum("ni,ni->n", x, x) - 1.0)) <= 1e-12
 
 
@@ -58,7 +57,7 @@ def test_embed_tilted_pole(grid):
     pole = np.array([0.3, -0.1, 0.2, 0.9])
     pole /= np.linalg.norm(pole)
     s = sphere_surface(np.pi / 6, pole=pole)
-    x = embed(s, grid)
+    x = curvature_field(s, grid).x
     assert np.max(np.abs(x @ pole - np.cos(np.pi / 6))) <= 1e-12
 
 
@@ -68,7 +67,7 @@ def test_embed_rejects_hemisphere_boundary(grid):
     s = GraphSurface(n=2, pole=np.array([0.0, 0.0, 0.0, 1.0]), radial=c,
                      gauge_tau0=default_gauge_tau0())
     with pytest.raises(DomainError):
-        embed(s, grid)
+        curvature_field(s, grid)
 
 
 def test_embed_rejects_nonpositive_radius(grid):
@@ -77,7 +76,7 @@ def test_embed_rejects_nonpositive_radius(grid):
     s = GraphSurface(n=2, pole=np.array([0.0, 0.0, 0.0, 1.0]), radial=c,
                      gauge_tau0=default_gauge_tau0())
     with pytest.raises(DomainError):
-        embed(s, grid)
+        curvature_field(s, grid)
 
 
 def test_frame_for_pole_orthogonal():
@@ -200,13 +199,14 @@ def test_gauss_formula_tangential_part(grid, perturbed):
 
 def test_conformal_chart_second_fundamental_form_agrees(grid, perturbed):
     f = curvature_field(perturbed, grid)
-    h_alt = second_fundamental_form_conformal(perturbed, grid)
+    h_alt = second_fundamental_form_conformal(f)
     assert np.max(np.abs(h_alt - f.h)) <= 1e-8
 
 
 def test_conformal_chart_on_sphere_closed_form(grid):
     r0 = np.pi / 3
-    h_alt = second_fundamental_form_conformal(sphere_surface(r0), grid)
+    h_alt = second_fundamental_form_conformal(
+        curvature_field(sphere_surface(r0), grid))
     st = np.sin(grid.theta)
     expect = np.zeros_like(h_alt)
     expect[:, 0, 0] = np.sin(r0) * np.cos(r0)
@@ -265,7 +265,7 @@ def test_tau_gauge_roundtrip():
 
 def test_stereographic_sphere_radius(grid):
     s = sphere_surface(np.pi / 4)
-    st = stereographic_project(s, grid)
+    st = stereographic_project(curvature_field(s, grid))
     rho_expect = 2 * np.tan(np.pi / 8)
     assert np.max(np.abs(np.linalg.norm(st.y, axis=1) - rho_expect)) <= 1e-12
 
@@ -274,7 +274,7 @@ def test_stereographic_sphere_euclidean_curvature(grid):
     # image of a centered geodesic sphere is a Euclidean sphere: its
     # Gauss curvature is 1/rho^2 and shape operator (1/rho) I
     s = sphere_surface(np.pi / 3)
-    st = stereographic_project(s, grid)
+    st = stereographic_project(curvature_field(s, grid))
     rho = 2 * np.tan(np.pi / 6)
     assert np.max(np.abs(st.gauss_curvature - 1 / rho**2)) <= 1e-10
     eye = np.broadcast_to(np.eye(2), st.shape_operator.shape)
@@ -284,7 +284,7 @@ def test_stereographic_sphere_euclidean_curvature(grid):
 def test_conformal_relation_between_charts(grid, perturbed):
     # e^psi h^j_i = euclidean h^j_i + (grad psi . normal) delta^j_i
     f = curvature_field(perturbed, grid)
-    st = stereographic_project(perturbed, grid)
+    st = stereographic_project(f)
     e_psi = 1.0 / (1.0 + rho_from_r(f.r) ** 2 / 4.0)
     lhs = e_psi[:, None, None] * f.shape_operator
     eye = np.broadcast_to(np.eye(2), lhs.shape)
@@ -295,7 +295,7 @@ def test_conformal_relation_between_charts(grid, perturbed):
 def test_conformal_relation_sphere_exact(grid):
     s = sphere_surface(0.7)
     f = curvature_field(s, grid)
-    st = stereographic_project(s, grid)
+    st = stereographic_project(f)
     e_psi = 1.0 / (1.0 + rho_from_r(f.r) ** 2 / 4.0)
     lhs = e_psi[:, None, None] * f.shape_operator
     eye = np.broadcast_to(np.eye(2), lhs.shape)

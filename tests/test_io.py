@@ -128,6 +128,41 @@ class TestSurfaceFiles:
         with pytest.raises(DataError):
             surface_from_dict(doc)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("L_max", 8.7, "surface L_max must be an integer"),
+        ("L_max", "8", "surface L_max must be numeric"),
+        ("n", True, "surface n must be numeric"),
+        ("gauge_tau0", "0.5", "surface gauge_tau0 must be numeric"),
+        ("pole", [0, 0, 0, "1"], "surface pole must be numeric"),
+        ("radial", {"l": 0}, "invalid L_max, pole or radial"),
+    ])
+    def test_rejects_non_numeric_field(self, key, value, message):
+        doc = surface_to_dict(sphere_surface(np.pi / 4, L_max=8))
+        doc[key] = value
+        with pytest.raises(DataError, match=message):
+            surface_from_dict(doc)
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"l": 0.9, "m": 0, "value": 2.7}, "radial l must be an integer"),
+        ({"l": 2, "m": 0.5, "value": 0.1}, "radial m must be an integer"),
+        ({"l": 2, "m": 0, "value": "2.7"}, "radial value must be numeric"),
+        ({"l": 2, "m": 0, "value": True}, "radial value must be numeric"),
+        ({"l": None, "m": 0, "value": 0.1}, "radial l must be numeric"),
+    ])
+    def test_rejects_non_numeric_entry(self, entry, message):
+        doc = surface_to_dict(sphere_surface(np.pi / 4, L_max=8))
+        doc["radial"].append(entry)
+        with pytest.raises(DataError, match=message):
+            surface_from_dict(doc)
+
+    def test_integral_floats_accepted(self):
+        doc = surface_to_dict(sphere_surface(np.pi / 4, L_max=8))
+        doc.update(n=2.0, L_max=8.0)
+        doc["radial"].append({"l": 2.0, "m": 0.0, "value": 1})
+        back = surface_from_dict(doc)
+        assert back.L_max == 8 and type(back.L_max) is int
+        assert back.radial[2, 0] == 1.0
+
     def test_rejects_short_pole(self):
         doc = surface_to_dict(sphere_surface(np.pi / 4, L_max=4))
         doc["pole"] = [0.0, 0.0, 1.0]

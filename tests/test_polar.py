@@ -3,7 +3,7 @@ import pytest
 
 from curvedual.curvature import make_curvature_function
 from curvedual.errors import ConvexityError, DataError, ResolutionError
-from curvedual.geometry import curvature_field, embed, sphere_surface
+from curvedual.geometry import curvature_field, sphere_surface
 from curvedual.polar import (DualSamples, antipodal_samples, concat_samples,
                              dual_as_graph, dual_surface, fit_residual,
                              gauss_map, support_test, transfer_problem)
@@ -119,8 +119,8 @@ def test_double_dual_returns_source():
 
     assert np.allclose(back.pole, surf.pole)
     grid = build_grid(surf.L_max)
-    x_src = embed(surf, grid)
-    x_back = embed(back, grid)
+    x_src = curvature_field(surf, grid).x
+    x_back = curvature_field(back, grid).x
     dist = np.linalg.norm(x_back - x_src, axis=1)
     assert np.max(dist) <= 1e-6
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvedual.curvature import make_curvature_function
-from curvedual.errors import DataError, GroupError, NewtonError
+from curvedual.errors import ConfigError, DataError, GroupError, NewtonError
 from curvedual.geometry import GraphSurface, sphere_surface
 from curvedual.solver import (BarrierReport, NewtonWorkspace, PrescribedData,
                               SolverOptions, SymmetryGroup, check_barriers,
@@ -26,7 +26,7 @@ def constant_data(f_value, c):
 
 @pytest.fixture(scope="module")
 def antipodal_projector():
-    return invariant_projector(SymmetryGroup.antipodal(), 24)
+    return invariant_projector(SymmetryGroup.antipodal(), build_grid(24))
 
 
 def workspace(data, projector):
@@ -171,6 +171,20 @@ def test_data_rejects_base_above_minimum():
 def test_data_rejects_nonpositive_base():
     data = constant_data(2.0, -1.0)
     with pytest.raises(DataError, match="positive"):
+        data.validate(SymmetryGroup.antipodal())
+
+
+@pytest.mark.parametrize("c, b_value, message", [
+    (1.0, np.nan, "angular field has non-finite"),
+    (1.0, np.inf, "angular field has non-finite"),
+    (np.nan, 0.0, "positive and finite"),
+    (np.inf, 0.0, "positive and finite"),
+])
+def test_data_rejects_nonfinite_values(c, b_value, message):
+    b = HarmonicCoeffs.zeros(2)
+    b[2, 0] = b_value
+    data = PrescribedData(a_poly=[np.log(2.0)], b=b, c=c)
+    with pytest.raises(DataError, match=message):
         data.validate(SymmetryGroup.antipodal())
 
 
@@ -390,19 +404,36 @@ def test_continuation_modulated_data(antipodal_projector):
     assert np.max(np.abs(P @ a - a)) <= 1e-10
 
 
-def test_continuation_builds_operators_twice(basis_ops_builds):
-    # the projector's grid, then one run grid shared by every Newton
-    # solve and every step record
+def test_continuation_builds_operators_once(basis_ops_builds):
+    # one run grid shared by the projector, every Newton solve and every
+    # step record, and handed out with the report
     report = continuation(GAUSS, constant_data(2.0, 1.0),
                           opts=SolverOptions(L_max=8))
     assert report.converged and len(report.steps) == 7
-    assert basis_ops_builds == [8, 8]
+    assert basis_ops_builds == [8]
+    assert report.grid.L_max == 8
 
 
 def test_continuation_rejects_bad_base_constant():
     data = constant_data(2.0, 2.5)
     with pytest.raises(DataError, match="strictly below"):
         continuation(GAUSS, data)
+
+
+@pytest.mark.parametrize("options, message", [
+    # a zero first step never advances t, so the run would not return
+    ({"dt0": 0.0}, '"dt0" must be finite and positive'),
+    ({"dt_min": np.nan}, '"dt_min" must be finite and positive'),
+    # an infinite tolerance would accept every iterate unsolved
+    ({"tol": np.inf}, '"tol" must be finite and nonnegative'),
+    ({"tol": np.nan}, '"tol" must be finite and nonnegative'),
+    ({"tol": -1.0}, '"tol" must be finite and nonnegative'),
+    ({"max_newton": -1}, '"max_newton" must be nonnegative'),
+])
+def test_continuation_rejects_bad_step_options(options, message):
+    with pytest.raises(ConfigError, match=message):
+        continuation(GAUSS, constant_data(2.0, 1.0),
+                     SolverOptions(L_max=8, **options))
 
 
 def test_continuation_warns_for_inadmissible_function():

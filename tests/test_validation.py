@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from curvedual.curvature import make_curvature_function
-from curvedual.errors import DomainError
-from curvedual.geometry import (GraphSurface, offset_sphere_surface,
-                                sphere_surface)
+from curvedual.errors import DataError, DomainError
+from curvedual.geometry import (GraphSurface, curvature_field,
+                                offset_sphere_surface, sphere_surface)
 from curvedual.polar import dual_surface
 from curvedual.spectral import HarmonicCoeffs, build_grid, synthesize
 from curvedual.validation import (DiagnosticsReport, enclosing_balls,
@@ -14,6 +14,10 @@ from curvedual.validation import (DiagnosticsReport, enclosing_balls,
                                   stereographic_residual)
 
 GAUSS = make_curvature_function("gauss_power", 2)
+
+
+def sampled(surface):
+    return curvature_field(surface, build_grid(surface.L_max))
 
 
 def perturbed_surface(L_max=24):
@@ -30,12 +34,12 @@ def perturbed_surface(L_max=24):
 # --------------------------------------------------------- steiner point
 
 def test_steiner_point_centered_sphere_vanishes():
-    p = steiner_point(sphere_surface(np.pi / 4))
+    p = steiner_point(sampled(sphere_surface(np.pi / 4)))
     assert np.linalg.norm(p) <= 1e-10
 
 
 def test_steiner_point_invariant_surface_vanishes():
-    p = steiner_point(perturbed_surface())
+    p = steiner_point(sampled(perturbed_surface()))
     assert np.linalg.norm(p) <= 1e-8
 
 
@@ -44,7 +48,7 @@ def test_steiner_point_offset_sphere_closed_form():
     # Euclidean sphere; the Steiner point is its center, on the tilt
     # axis at tan((tilt + radius)/2) + tan((tilt - radius)/2)
     tilted = offset_sphere_surface(np.pi / 4, 0.15)
-    p = steiner_point(tilted)
+    p = steiner_point(sampled(tilted))
     expected = np.array([0.17623690488053817, 0.0, 0.0])
     assert np.max(np.abs(p - expected)) <= 1e-6
     assert np.linalg.norm(p) > 0.1
@@ -52,7 +56,7 @@ def test_steiner_point_offset_sphere_closed_form():
 
 def test_steiner_point_follows_tilt_direction():
     tilted = offset_sphere_surface(np.pi / 4, 0.15, direction=(0.0, 0.0, 1.0))
-    p = steiner_point(tilted)
+    p = steiner_point(sampled(tilted))
     assert abs(p[2] - 0.17623690488053817) <= 1e-6
     assert np.max(np.abs(p[:2])) <= 1e-8
 
@@ -74,14 +78,14 @@ def test_offset_sphere_radial_range():
 # ------------------------------------------------------- enclosing balls
 
 def test_enclosing_balls_sphere():
-    rin, rout = enclosing_balls(sphere_surface(np.pi / 3))
+    rin, rout = enclosing_balls(sampled(sphere_surface(np.pi / 3)))
     assert rin == pytest.approx(np.pi / 3, abs=1e-12)
     assert rout == pytest.approx(np.pi / 3, abs=1e-12)
 
 
 def test_enclosing_balls_bracket_radial_values():
     surf = perturbed_surface()
-    rin, rout = enclosing_balls(surf)
+    rin, rout = enclosing_balls(sampled(surf))
     r = synthesize(build_grid(24), surf.radial)
     assert rin == pytest.approx(r.min(), abs=1e-14)
     assert rout == pytest.approx(r.max(), abs=1e-14)
@@ -93,8 +97,8 @@ def test_enclosing_balls_reverse_under_duality():
     # exact for the continuum extremes, so node extremes match up to the
     # sampling gap of each grid
     surf = perturbed_surface()
-    rin, rout = enclosing_balls(surf)
-    din, dout = enclosing_balls(dual_surface(surf))
+    rin, rout = enclosing_balls(sampled(surf))
+    din, dout = enclosing_balls(sampled(dual_surface(surf)))
     slack = 3e-4
     assert din >= np.pi / 2 - rout - slack
     assert dout <= np.pi / 2 - rin + slack
@@ -105,22 +109,22 @@ def test_enclosing_balls_reverse_under_duality():
 # --------------------------------------------------------- stereographic
 
 def test_stereographic_residual_sphere_exact():
-    assert stereographic_residual(sphere_surface(0.7)) <= 1e-10
+    assert stereographic_residual(sampled(sphere_surface(0.7))) <= 1e-10
 
 
 def test_stereographic_residual_smooth_surface():
-    assert stereographic_residual(perturbed_surface()) <= 1e-6
+    assert stereographic_residual(sampled(perturbed_surface())) <= 1e-6
 
 
 def test_stereographic_residual_offset_sphere():
-    assert stereographic_residual(offset_sphere_surface(np.pi / 4, 0.15)) \
-        <= 1e-6
+    field = sampled(offset_sphere_surface(np.pi / 4, 0.15))
+    assert stereographic_residual(field) <= 1e-6
 
 
 # ----------------------------------------------------------- full report
 
 def test_full_report_solved_sphere():
-    rep = full_report(sphere_surface(np.pi / 4), F=GAUSS, f=2.0)
+    rep = full_report(sampled(sphere_surface(np.pi / 4)), F=GAUSS, f=2.0)
     assert rep.convex
     assert rep.steiner_magnitude <= 1e-10
     assert rep.ball_radii[0] == pytest.approx(np.pi / 4, abs=1e-12)
@@ -132,7 +136,7 @@ def test_full_report_solved_sphere():
 
 
 def test_full_report_without_equation_data():
-    rep = full_report(perturbed_surface())
+    rep = full_report(sampled(perturbed_surface()))
     assert rep.residual_stats is None
     assert rep.convex
     assert rep.support_margin < 0.0
@@ -144,7 +148,7 @@ def test_full_report_flags_nonconvex_input():
     c[4, 0] = 0.22
     surf = GraphSurface(n=2, pole=np.array([0.0, 0.0, 0.0, 1.0]), radial=c,
                         gauge_tau0=0.0)
-    rep = full_report(surf)
+    rep = full_report(sampled(surf))
     assert not rep.convex
     assert rep.bound_check[0] <= 0.0
     assert not rep.curvature_within_brackets
@@ -152,14 +156,27 @@ def test_full_report_flags_nonconvex_input():
     assert np.isnan(rep.support_margin)
 
 
-def test_full_report_builds_operators_once(basis_ops_builds):
-    rep = full_report(perturbed_surface(L_max=8), F=GAUSS, f=2.0)
+def test_full_report_builds_no_operators(basis_ops_builds):
+    # every diagnostic reads the field it is given
+    field = sampled(perturbed_surface(L_max=8))
+    basis_ops_builds.clear()
+    rep = full_report(field, F=GAUSS, f=2.0)
     assert rep.convex and rep.support_margin < 0.0
-    assert basis_ops_builds == [8]
+    assert basis_ops_builds == []
+
+
+def test_full_report_residual_data_shapes():
+    field = sampled(sphere_surface(np.pi / 4, L_max=8))
+    per_node = np.full(field.grid.n_nodes, 2.0)
+    rep = full_report(field, F=GAUSS, f=per_node)
+    assert rep.residual_stats == full_report(field, F=GAUSS,
+                                             f=2.0).residual_stats
+    with pytest.raises(DataError, match="does not match"):
+        full_report(field, F=GAUSS, f=per_node[:-1])
 
 
 def test_full_report_dict_keys():
-    rep = full_report(sphere_surface(np.pi / 4), F=GAUSS, f=2.0)
+    rep = full_report(sampled(sphere_surface(np.pi / 4)), F=GAUSS, f=2.0)
     d = rep.as_dict()
     expected = {"steiner_point", "steiner_magnitude", "ball_radii",
                 "bound_check", "convex", "curvature_within_brackets",
