@@ -193,10 +193,7 @@ def offset_sphere_surface(radius: float, tilt: float,
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
     grid = spectral.build_grid(L_max)
-    st = np.sin(grid.theta)
-    xi = np.stack([st * np.cos(grid.phi), st * np.sin(grid.phi),
-                   np.cos(grid.theta)], axis=-1)
-    s = xi @ d
+    s = _kernels._frame_fields(grid.theta, grid.phi)[0] @ d
     amp = np.sqrt(1.0 - np.sin(tilt) ** 2 * (1.0 - s**2))
     delta = np.arctan2(np.sin(tilt) * s, np.cos(tilt))
     r = delta + np.arccos(np.cos(radius) / amp)
@@ -249,16 +246,12 @@ def curvature_field(surface: GraphSurface, grid: QuadratureGrid,
     annulus is checked.  With ``require_convex`` the field must be
     strictly convex or a :class:`ConvexityError` is raised.
     """
-    r = spectral.synthesize(grid, surface.radial)
+    r, rt, rp, rtt, rtp, rpp = spectral.chart_jets(grid, surface.radial)
     lo, hi = r.min(), r.max()
     if lo <= HEMISPHERE_MARGIN or hi >= np.pi / 2 - HEMISPHERE_MARGIN:
         raise DomainError(
             f"radial range [{lo:.6g}, {hi:.6g}] leaves the open hemisphere "
             f"annulus ({HEMISPHERE_MARGIN:g}, pi/2 - {HEMISPHERE_MARGIN:g})")
-    grad = spectral.surface_gradient(grid, surface.radial)
-    raw = spectral.chart_second_partials(grid, surface.radial)
-    rt, rp = grad.T
-    rtt, rtp, rpp = raw.T
     out = _kernels.fundamental_forms(grid.theta, grid.phi, r, rt, rp,
                                      rtt, rtp, rpp)
     Q = frame_for_pole(surface.pole)

@@ -124,8 +124,13 @@ def surface_from_dict(doc: dict) -> GraphSurface:
                        "surface pole")
     L_max = json_number(int, L_max, "surface L_max")
     gauge_tau0 = json_number(float, gauge_tau0, "surface gauge_tau0")
-    if L_max < 0 or pole.shape != (4,) or not isinstance(entries, list):
+    if pole.shape != (4,) or not isinstance(entries, list):
         raise DataError("surface document has invalid L_max, pole or radial")
+    # what GraphSurface and build_grid accept; NaN fails the pole test too
+    if n != 2 or L_max < 4 or not abs(np.linalg.norm(pole) - 1.0) <= 1e-12:
+        raise DataError(
+            "surface needs n = 2, L_max >= 4 and a unit pole, got "
+            f"n = {n}, L_max = {L_max}, pole = {pole.tolist()}")
     coeffs = HarmonicCoeffs.zeros(L_max)
     for entry in entries:
         try:

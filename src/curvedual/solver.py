@@ -45,9 +45,7 @@ _KERNEL_RCOND = 1e-8
 
 def rotate_angles(A: np.ndarray, theta: np.ndarray, phi: np.ndarray):
     """Chart angles of A xi for unit directions xi given by (theta, phi)."""
-    st = np.sin(theta)
-    xi = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)],
-                  axis=-1)
+    xi = _kernels._frame_fields(theta, phi)[0]
     img = xi @ np.asarray(A, dtype=float).T
     theta2 = np.arctan2(np.hypot(img[..., 0], img[..., 1]), img[..., 2])
     phi2 = np.mod(np.arctan2(img[..., 1], img[..., 0]), 2.0 * np.pi)
@@ -175,11 +173,11 @@ def invariant_projector(group: SymmetryGroup, grid: QuadratureGrid
     group.validate()
     L_max = grid.L_max
     K = num_coeffs(L_max)
-    Yw = grid.ops.Y.T * grid.weights
     P = np.zeros((K, K))
     for A in group.elements:
         th2, ph2 = rotate_angles(A, grid.theta, grid.phi)
-        P += Yw @ spectral.basis_matrix(L_max, th2, ph2)
+        P += spectral._analysis(grid.ops, grid.weights[:, None]
+                                * spectral.basis_matrix(L_max, th2, ph2))
     P /= group.order
 
     cols = []
@@ -207,10 +205,8 @@ def invariant_projector(group: SymmetryGroup, grid: QuadratureGrid
 # ------------------------------------------------------------ input data
 
 def _dense_angles(n_theta: int = 181, n_phi: int = 360):
-    theta = np.linspace(0.0, np.pi, n_theta)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    T, Ph = np.meshgrid(theta, phi, indexing="ij")
-    return T.ravel(), Ph.ravel()
+    return (np.linspace(0.0, np.pi, n_theta),
+            np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False))
 
 
 @dataclass
@@ -246,9 +242,8 @@ class PrescribedData:
         """Minimum of f over the open hemisphere annulus, by dense sampling."""
         r = np.linspace(HEMISPHERE_MARGIN, np.pi / 2 - HEMISPHERE_MARGIN,
                         4097)
-        th, ph = _dense_angles()
-        return float(self.radial_factor(r).min()
-                     * self.angular_factor(th, ph).min())
+        b = spectral.synthesize_product(self.b, *_dense_angles())
+        return float(self.radial_factor(r).min() * np.exp(b.min()))
 
     def validate(self, group: SymmetryGroup) -> None:
         """Check positivity of the margin to c and group invariance.
@@ -274,7 +269,8 @@ class PrescribedData:
                 f"below the minimum of the prescribed data, min f = "
                 f"{fmin:.6g}")
         th, ph = _dense_angles(61, 120)
-        base = spectral.synthesize_at(self.b, th, ph)
+        base = spectral.synthesize_product(self.b, th, ph)
+        th, ph = (a.ravel() for a in np.meshgrid(th, ph, indexing="ij"))
         for k, A in enumerate(group.elements):
             th2, ph2 = rotate_angles(A, th, ph)
             rotated = spectral.synthesize_at(self.b, th2, ph2)
@@ -362,18 +358,9 @@ class NewtonWorkspace:
             raise ValueError("basis truncation does not match grid")
         self.grid = grid
         self.basis = basis
-        ops = grid.ops
-        B = basis.matrix
-        K = B.shape[0]
-        if B.shape == (K, K) and np.array_equal(B, np.eye(K)):
-            self.synth = [ops.Y, ops.Yt, ops.Yp, ops.Ytt, ops.Ytp, ops.Ypp]
-            self.project = ops.Y.T * grid.weights
-        else:
-            self.synth = [ops.Y @ B, ops.Yt @ B, ops.Yp @ B,
-                          ops.Ytt @ B, ops.Ytp @ B, ops.Ypp @ B]
-            self.project = (B.T @ ops.Y.T) * grid.weights
-        self.exp_b = np.exp(spectral.synthesize_at(
-            data.b, grid.theta, grid.phi))
+        self.synth = spectral._synthesis(grid.ops, basis.matrix)
+        self.project = self.synth[0].T * grid.weights
+        self.exp_b = np.exp(spectral.synthesize_product(data.b, *grid.axes))
         self.data = data
         self.F = F
         self.lo = HEMISPHERE_MARGIN
@@ -464,10 +451,9 @@ def _surface_like(start: GraphSurface, coeffs: np.ndarray) -> GraphSurface:
 def residual_field(F: CurvatureFunction, data: PrescribedData, t: float,
                    surface: GraphSurface) -> np.ndarray:
     """Pointwise residual F(kappa) - (t f + (1 - t) c) at the grid nodes."""
-    ws = NewtonWorkspace(build_grid(surface.L_max),
-                         full_basis(surface.L_max), data, F)
-    lam, _, _ = ws.lambda_batch(surface.radial.values[:, None], t)
-    return lam[:, 0]
+    field = curvature_field(surface, build_grid(surface.L_max))
+    return F(field.kappa) - (t * data_on_field(data, field)
+                             + (1.0 - t) * data.c)
 
 
 def linear_system(F: CurvatureFunction, data: PrescribedData, t: float,
@@ -702,7 +688,8 @@ class BarrierReport:
 def data_on_field(f_values, field: CurvatureField) -> np.ndarray:
     """``f_values`` (PrescribedData, scalar or per-node array) at the nodes."""
     if isinstance(f_values, PrescribedData):
-        return f_values.values(field.r, field.grid.theta, field.grid.phi)
+        return f_values.radial_factor(field.r) * np.exp(
+            spectral.synthesize_product(f_values.b, *field.grid.axes))
     arr = np.asarray(f_values, dtype=float)
     if arr.ndim == 0:
         return np.full_like(field.r, float(arr))

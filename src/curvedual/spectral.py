@@ -2,13 +2,14 @@
 
 Real, fully normalized spherical harmonics on a Gauss-Legendre (colatitude)
 x uniform (longitude) product grid.  The basis is orthonormal with respect
-to the round metric, so analysis is plain weighted inner products and
-synthesis is dense matrix evaluation.  Each basis function separates into
-a colatitude factor (an associated Legendre function) times a longitude
-factor (cos or sin of m phi), as in Driscoll & Healy, "Computing Fourier
-transforms and convolutions on the 2-sphere" (1994).  The evaluation
-matrices and their chart derivatives are therefore built from factors
-tabulated once per distinct colatitude and longitude, once per grid.
+to the round metric, so analysis is plain weighted inner products.  Each
+basis function separates into a colatitude factor (an associated Legendre
+function) times a longitude factor (cos or sin of m phi), as in Driscoll &
+Healy, "Computing Fourier transforms and convolutions on the 2-sphere"
+(1994).  A grid is represented only by these 1-D factor tables: synthesis
+of values and chart derivatives is a Legendre sum per order and one product
+in longitude, analysis its transpose (Schaeffer, 2013).  Only
+``basis_matrix``, at scattered points, forms a points x coefficients matrix.
 
 Conventions
 -----------
@@ -41,6 +42,8 @@ __all__ = [
     "analyze",
     "synthesize",
     "synthesize_at",
+    "synthesize_product",
+    "chart_jets",
     "surface_gradient",
     "surface_hessian",
     "chart_second_partials",
@@ -74,86 +77,81 @@ def _norm_constant(l: int, m: int) -> float:
     return sqrt((2 * l + 1) / (4 * pi)) * exp(0.5 * logfact)
 
 
-def _basis_tables(L_max: int, theta: np.ndarray, phi: np.ndarray,
-                  derivatives: bool) -> list[np.ndarray]:
-    """Basis matrices at the points (theta[q], phi[q]), each (len(theta), K).
+class _ProductTables:
+    """Basis factor tables on the product of colatitudes x longitudes.
 
-    Returns [Y], or with ``derivatives`` [Y, Yt, Yp, Ytt, Ytp, Ypp].  Each
-    column is a colatitude factor c_lm P_l^|m|(cos theta) times a
-    longitude factor cos(m phi) or sin(|m| phi), so the factors are
-    tabulated once per distinct angle and every matrix is one
-    gather-multiply.  Without derivatives the path is safe at the exact
-    poles, where dP/dx diverges for some orders.
-    """
-    K = num_coeffs(L_max)
-    l = np.repeat(np.arange(L_max + 1), 2 * np.arange(L_max + 1) + 1)
-    m = np.arange(K) - l * l - l
-    am = np.abs(m)
-    # scalar math-module constants: numpy's vector exp may differ in the
-    # last bit
-    c = np.vectorize(_norm_constant, otypes=[float])(l, am)
-    c = np.where(m != 0, c * np.sqrt(2.0), c)
-
-    th, it = np.unique(theta, return_inverse=True)
-    ph, ip = np.unique(phi, return_inverse=True)
-    # layout [diff, l, m, point] with the Condon-Shortley phase; orders
-    # m >= 0 sit at index m.  Reorder to C-contiguous [diff, point, column]
-    # so the row gathers below read whole rows.
-    tables = assoc_legendre_p_all(L_max, L_max, np.cos(th),
-                                  diff_n=int(derivatives))
-    P = tables.reshape(len(tables), -1, len(th)).take(
-        l * (2 * L_max + 1) + am, axis=1)
-    del tables  # before the copy, so the peak stays at table + gather
-    P = P.transpose(0, 2, 1).copy()
-    pl = P[0]
-    pl *= c
-    j = np.arange(L_max + 1)
-    angle = np.outer(ph, j)
-    cos, sin = np.cos(angle), np.sin(angle)
-
-    def by_order(neg, pos):
-        # columns of negative order take neg[:, |m|], the others pos[:, m]
-        signed = np.concatenate([neg[:, :0:-1], pos], axis=1)
-        return signed.take(ip, axis=0).take(L_max + m, axis=1)
-
-    def times(a, b):
-        # a[it] * b, multiplied in place in the gathered copy
-        out = a.take(it, axis=0)
-        out *= b
-        return out
-
-    tp = by_order(sin, cos)
-    Y = times(pl, tp)
-    if not derivatives:
-        return [Y]
-
-    st = np.sin(th)[:, None]
-    cot = np.cos(th)[:, None] / st
-    inv_s2 = 1.0 / st**2
-    # d/dtheta = -sin(theta) d/dx
-    dpl = P[1]
-    dpl *= -st
-    dpl *= c
-    # associated Legendre ODE gives the second theta derivative from
-    # (P, P') without further recurrences
-    d2pl = -cot * dpl - (l * (l + 1) - am * am * inv_s2) * pl
-    Yt, Ytt, Ypp = [times(a, tp) for a in (dpl, d2pl, -(m * m) * pl)]
-    del tp  # one gathered N x K longitude factor alive at a time
-    dtp = by_order(j * cos, -j * sin)
-    return [Y, Yt, times(pl, dtp), Ytt, times(dpl, dtp), Ypp]
-
-
-class _BasisOps:
-    """Dense evaluation matrices for the basis and its chart derivatives.
-
-    Each matrix has shape (n_nodes, num_coeffs).  Columns follow the
-    lexicographic (l, m) ordering.  ``Yt``/``Yp`` are partial derivatives in
-    theta/phi, ``Ytt``/``Ytp``/``Ypp`` raw chart second partials.
+    ``colat``: c_lm P_l^|m|(cos theta_i) per column, (n_theta, K), and with
+    ``derivatives`` its theta-derivatives (unsafe at the exact poles).
+    ``lon``: sin(|m| phi) for m < 0, else cos(m phi), per signed order
+    -L..L, and two phi-derivatives, (n_phi, 2L+1).  ``groups[o]``: the
+    columns of order o - L.
     """
 
-    def __init__(self, L_max: int, theta: np.ndarray, phi: np.ndarray):
-        (self.Y, self.Yt, self.Yp, self.Ytt, self.Ytp,
-         self.Ypp) = _basis_tables(L_max, theta, phi, derivatives=True)
+    def __init__(self, L_max: int, theta: np.ndarray, phi: np.ndarray,
+                 derivatives: bool = True):
+        l = np.repeat(np.arange(L_max + 1), 2 * np.arange(L_max + 1) + 1)
+        self.orders = m = np.arange(len(l)) - l * l - l
+        am = np.abs(m)
+        # scalar math-module constants: numpy's vector exp may differ in
+        # the last bit
+        c = np.vectorize(_norm_constant, otypes=[float])(l, am)
+        c = np.where(m != 0, c * np.sqrt(2.0), c)
+        # layout [diff, l, m, point] with the Condon-Shortley phase; orders
+        # m >= 0 sit at index m.  Reorder to C-contiguous [diff, point,
+        # column] so that row gathers read whole rows.
+        tables = assoc_legendre_p_all(L_max, L_max, np.cos(theta),
+                                      diff_n=int(derivatives))
+        P = tables.reshape(len(tables), -1, len(theta)).take(
+            l * (2 * L_max + 1) + am, axis=1)
+        del tables  # before the copy, so the peak stays at table + gather
+        P = P.transpose(0, 2, 1).copy()
+        self.Y = P[0]
+        self.Y *= c
+        self.colat = [self.Y]
+        if derivatives:
+            st = np.sin(theta)[:, None]
+            dpl = P[1] * (-st * c)  # d/dtheta = -sin(theta) d/dx
+            # the associated Legendre ODE gives the second derivative
+            self.colat += [dpl, -np.cos(theta)[:, None] / st * dpl
+                           - (l * (l + 1) - am * am / st**2) * self.Y]
+        j = np.arange(L_max + 1)
+        cos, sin = np.cos(np.outer(phi, j)), np.sin(np.outer(phi, j))
+        f, df = (np.concatenate([neg[:, :0:-1], pos], axis=1)
+                 for neg, pos in ((sin, cos), (j * cos, -j * sin)))
+        s = np.arange(-L_max, L_max + 1)
+        self.lon = [f, df, -(s * s) * f]
+        self.groups = [np.flatnonzero(m == o) for o in s]
+
+
+# (colatitude, longitude) table of u, u_t, u_p, u_tt, u_tp, u_pp
+_JET_TABLES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def _synthesis(tables: _ProductTables, A: np.ndarray) -> list[np.ndarray]:
+    """[u] or [u, u_t, u_p, u_tt, u_tp, u_pp] of columns ``A``, (K,) or (K, M).
+
+    A Legendre sum per order, then a longitude product per jet; point
+    q = i_theta * n_phi + j_phi.
+    """
+    cols = A.reshape(len(A), -1)
+    G = np.empty((len(tables.colat), len(tables.Y), len(tables.groups),
+                  cols.shape[1]))
+    for o, g in enumerate(tables.groups):
+        a = cols[g]
+        for k, T in enumerate(tables.colat):
+            G[k, :, o] = T[:, g] @ a
+    return [np.matmul(tables.lon[j], G[k]).reshape((-1,) + A.shape[1:])
+            for k, j in _JET_TABLES[:6 if len(tables.colat) > 1 else 1]]
+
+
+def _analysis(tables: _ProductTables, W: np.ndarray) -> np.ndarray:
+    """Transpose of the value synthesis, applied to weighted values ``W``."""
+    H = np.matmul(tables.lon[0].T,
+                  W.reshape(len(tables.Y), -1, W.size // len(W)))
+    out = np.empty((tables.Y.shape[1],) + W.shape[1:])
+    for o, g in enumerate(tables.groups):
+        out.reshape(len(out), -1)[g] = tables.Y[:, g].T @ H[:, o]
+    return out
 
 
 @dataclass
@@ -171,16 +169,23 @@ class QuadratureGrid:
     theta: np.ndarray      # (N,) flattened, node q = i_theta * n_phi + j_phi
     phi: np.ndarray        # (N,)
     weights: np.ndarray    # (N,), sums to 4 pi
-    _ops: _BasisOps | None = field(default=None, repr=False, compare=False)
+    _ops: _ProductTables | None = field(default=None, repr=False,
+                                        compare=False)
 
     @property
     def n_nodes(self) -> int:
         return len(self.theta)
 
     @property
-    def ops(self) -> _BasisOps:
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The colatitude and longitude lists whose product is the grid."""
+        return self.theta[::self.n_phi], self.phi[:self.n_phi]
+
+    @property
+    def ops(self) -> _ProductTables:
+        """Basis factor tables of the grid, built on first use."""
         if self._ops is None:
-            self._ops = _BasisOps(self.L_max, self.theta, self.phi)
+            self._ops = _ProductTables(self.L_max, *self.axes)
         return self._ops
 
 
@@ -260,11 +265,17 @@ def basis_matrix(L_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
     Returns the (len(theta), num_coeffs) evaluation matrix.  Points may lie
     anywhere on the sphere including the poles (where only m = 0 columns
-    are nonzero).
+    are nonzero).  The factors are tabulated once per distinct angle and
+    the matrix is one gather-multiply.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    return _basis_tables(L_max, theta, phi, derivatives=False)[0]
+    th, it = np.unique(theta, return_inverse=True)
+    ph, ip = np.unique(phi, return_inverse=True)
+    tables = _ProductTables(L_max, th, ph, derivatives=False)
+    out = tables.Y.take(it, axis=0)
+    out *= tables.lon[0].take(ip, axis=0).take(L_max + tables.orders, axis=1)
+    return out
 
 
 def analyze(grid: QuadratureGrid, values: np.ndarray) -> HarmonicCoeffs:
@@ -276,20 +287,32 @@ def analyze(grid: QuadratureGrid, values: np.ndarray) -> HarmonicCoeffs:
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_nodes,):
         raise ValueError(f"expected {grid.n_nodes} node values, got {values.shape}")
-    coeffs = grid.ops.Y.T @ (grid.weights * values)
-    return HarmonicCoeffs(grid.L_max, coeffs)
+    return HarmonicCoeffs(grid.L_max,
+                          _analysis(grid.ops, grid.weights * values))
+
+
+def chart_jets(grid: QuadratureGrid, coeffs: HarmonicCoeffs) -> list:
+    """Values and raw chart partials [u, u_t, u_p, u_tt, u_tp, u_pp] at the nodes."""
+    if coeffs.L_max != grid.L_max:
+        raise ValueError("coefficient truncation does not match grid")
+    return _synthesis(grid.ops, coeffs.values)
 
 
 def synthesize(grid: QuadratureGrid, coeffs: HarmonicCoeffs) -> np.ndarray:
     """Inverse transform: evaluate the expansion at the grid nodes."""
-    if coeffs.L_max != grid.L_max:
-        raise ValueError("coefficient truncation does not match grid")
-    return grid.ops.Y @ coeffs.values
+    return chart_jets(grid, coeffs)[0]
 
 
 def synthesize_at(coeffs: HarmonicCoeffs, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Evaluate the expansion at arbitrary points."""
     return basis_matrix(coeffs.L_max, theta, phi) @ coeffs.values
+
+
+def synthesize_product(coeffs: HarmonicCoeffs, theta: np.ndarray,
+                       phi: np.ndarray) -> np.ndarray:
+    """The expansion on colatitudes x longitudes (poles allowed), grid order."""
+    tables = _ProductTables(coeffs.L_max, theta, phi, derivatives=False)
+    return _synthesis(tables, coeffs.values)[0]
 
 
 def surface_gradient(grid: QuadratureGrid, coeffs: HarmonicCoeffs) -> np.ndarray:
@@ -298,19 +321,12 @@ def surface_gradient(grid: QuadratureGrid, coeffs: HarmonicCoeffs) -> np.ndarray
     These are the components of the differential in the (theta, phi) chart;
     shape (N, 2).
     """
-    if coeffs.L_max != grid.L_max:
-        raise ValueError("coefficient truncation does not match grid")
-    a = coeffs.values
-    return np.stack([grid.ops.Yt @ a, grid.ops.Yp @ a], axis=-1)
+    return np.stack(chart_jets(grid, coeffs)[1:3], axis=-1)
 
 
 def chart_second_partials(grid: QuadratureGrid, coeffs: HarmonicCoeffs) -> np.ndarray:
     """Raw chart second partials (u_tt, u_tp, u_pp) at the nodes, shape (N, 3)."""
-    if coeffs.L_max != grid.L_max:
-        raise ValueError("coefficient truncation does not match grid")
-    a = coeffs.values
-    o = grid.ops
-    return np.stack([o.Ytt @ a, o.Ytp @ a, o.Ypp @ a], axis=-1)
+    return np.stack(chart_jets(grid, coeffs)[3:], axis=-1)
 
 
 def surface_hessian(grid: QuadratureGrid, coeffs: HarmonicCoeffs) -> np.ndarray:
@@ -320,15 +336,14 @@ def surface_hessian(grid: QuadratureGrid, coeffs: HarmonicCoeffs) -> np.ndarray:
     H[:,1,1] = u_;pp.  Built from the chart partials and the round-metric
     Christoffel symbols, so the matrix is symmetric by construction.
     """
-    grad = surface_gradient(grid, coeffs)
-    raw = chart_second_partials(grid, coeffs)
+    _, ut, up, utt, utp, upp = chart_jets(grid, coeffs)
     st, ct = np.sin(grid.theta), np.cos(grid.theta)
     cot = ct / st
     H = np.empty((grid.n_nodes, 2, 2))
-    H[:, 0, 0] = raw[:, 0]
-    H[:, 0, 1] = raw[:, 1] - cot * grad[:, 1]
+    H[:, 0, 0] = utt
+    H[:, 0, 1] = utp - cot * up
     H[:, 1, 0] = H[:, 0, 1]
-    H[:, 1, 1] = raw[:, 2] + st * ct * grad[:, 0]
+    H[:, 1, 1] = upp + st * ct * ut
     return H
 
 

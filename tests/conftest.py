@@ -6,14 +6,15 @@ from curvedual import spectral
 
 
 @pytest.fixture
-def basis_ops_builds(monkeypatch):
-    """List that gains the L_max of every dense operator build."""
+def grid_table_builds(monkeypatch):
+    """List that gains the L_max of every grid factor-table build."""
     builds = []
-    init = spectral._BasisOps.__init__
+    ops = spectral.QuadratureGrid.ops
 
-    def counting(self, L_max, theta, phi):
-        builds.append(L_max)
-        init(self, L_max, theta, phi)
+    def counting(grid):
+        if grid._ops is None:
+            builds.append(grid.L_max)
+        return ops.fget(grid)
 
-    monkeypatch.setattr(spectral._BasisOps, "__init__", counting)
+    monkeypatch.setattr(spectral.QuadratureGrid, "ops", property(counting))
     return builds

@@ -225,13 +225,13 @@ class TestSolveCommand:
                    str(tmp_path / "r")])
         assert rc == 1
 
-    def test_solve_builds_operators_once(self, tmp_path, basis_ops_builds):
+    def test_solve_builds_operators_once(self, tmp_path, grid_table_builds):
         # the projector, the Newton solves, the step records and
         # solution_nodes.csv all use the run grid
         cfg = write_config(tmp_path / "config.json", L_max=8)
         rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "r")])
         assert rc == 0
-        assert basis_ops_builds == [8]
+        assert grid_table_builds == [8]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path / "config.json")
@@ -302,7 +302,7 @@ class TestCheckCommand:
         assert (out / "residuals.csv").exists()
 
     def test_check_builds_operators_once(self, tmp_path, capsys,
-                                         basis_ops_builds):
+                                         grid_table_builds):
         # one field feeds every diagnostic and residuals.csv
         src = tmp_path / "surface.json"
         write_surface(src, sphere_surface(np.pi / 4, L_max=8))
@@ -312,7 +312,7 @@ class TestCheckCommand:
                    "--out", str(out)])
         assert rc == 0
         assert (out / "residuals.csv").exists()
-        assert basis_ops_builds == [8]
+        assert grid_table_builds == [8]
 
     def test_off_center_surface_fails(self, tmp_path, capsys):
         # an odd-degree term moves the enclosed center off the origin,
@@ -337,6 +337,22 @@ class TestCheckCommand:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert "residual_stats" not in doc
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 3), ("pole", [0, 0, 0, 2]), ("L_max", 2)])
+    def test_surface_that_cannot_be_sampled_fails_cleanly(
+            self, tmp_path, capsys, key, value):
+        doc = json.loads(json.dumps(
+            {"n": 2, "pole": [0, 0, 0, 1], "L_max": 8, "gauge_tau0": -2.3,
+             "radial": [{"l": 0, "m": 0, "value": 2.78}]}))
+        doc[key] = value
+        src = tmp_path / "surface.json"
+        src.write_text(json.dumps(doc))
+        rc = main(["check", "--surface", str(src)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: surface needs n = 2")
+        assert err.count("\n") == 1
 
 
 class TestExportObj:

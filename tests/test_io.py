@@ -163,6 +163,16 @@ class TestSurfaceFiles:
         assert back.L_max == 8 and type(back.L_max) is int
         assert back.radial[2, 0] == 1.0
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", 3), ("pole", [0, 0, 0, 2]), ("pole", [0, 0, 0, float("nan")]),
+        ("L_max", 0), ("L_max", 2), ("L_max", 3), ("L_max", -1),
+    ])
+    def test_rejects_surface_that_cannot_be_sampled(self, key, value):
+        doc = surface_to_dict(sphere_surface(np.pi / 4, L_max=8))
+        doc[key] = value
+        with pytest.raises(DataError, match="n = 2, L_max >= 4 and a unit"):
+            surface_from_dict(doc)
+
     def test_rejects_short_pole(self):
         doc = surface_to_dict(sphere_surface(np.pi / 4, L_max=4))
         doc["pole"] = [0.0, 0.0, 1.0]

@@ -1,19 +1,22 @@
 """Tests for the symmetry-restricted Newton and continuation solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from curvedual.curvature import make_curvature_function
 from curvedual.errors import ConfigError, DataError, GroupError, NewtonError
-from curvedual.geometry import GraphSurface, sphere_surface
+from curvedual.geometry import HEMISPHERE_MARGIN, GraphSurface, sphere_surface
 from curvedual.solver import (BarrierReport, NewtonWorkspace, PrescribedData,
                               SolverOptions, SymmetryGroup, check_barriers,
                               continuation, default_base_constant,
                               full_basis, initial_sphere, invariant_projector,
                               linear_system, near_kernel, newton_solve,
                               residual_field, rotate_angles)
-from curvedual.spectral import (HarmonicCoeffs, analyze, build_grid, index_lm,
-                                lm_index, num_coeffs, synthesize)
+from curvedual.spectral import (HarmonicCoeffs, analyze, basis_matrix,
+                                build_grid, index_lm, lm_index, num_coeffs,
+                                synthesize, synthesize_at)
 
 GAUSS = make_curvature_function("gauss_power", 2)
 SQRT_4PI = np.sqrt(4.0 * np.pi)
@@ -115,6 +118,17 @@ def test_projector_basis_dimension_and_degrees(antipodal_projector):
     assert np.max(np.abs(B.T @ B - np.eye(basis.dim))) <= 1e-12
 
 
+def test_projector_matches_dense_quadrature_formula():
+    # the orbit average by quadrature, with the grid basis as a dense matrix
+    grid = build_grid(8)
+    group = SymmetryGroup.antipodal()
+    Yw = basis_matrix(8, grid.theta, grid.phi).T * grid.weights
+    ref = sum(Yw @ basis_matrix(8, *rotate_angles(A, grid.theta, grid.phi))
+              for A in group.elements) / group.order
+    P = invariant_projector(group, grid).matrix
+    assert np.max(np.abs(P - ref)) <= 1e-13
+
+
 def test_full_basis_is_identity():
     basis = full_basis(6)
     assert basis.dim == num_coeffs(6)
@@ -156,6 +170,28 @@ def test_data_values_product_form():
 def test_data_min_constant():
     data = constant_data(2.0, 1.0)
     assert abs(data.min_f() - 2.0) <= 1e-12
+
+
+def test_min_f_of_degree_24_data_samples_separably():
+    # the 181 x 360 product sample without its 65160 x 625 basis matrix
+    rng = np.random.default_rng(4)
+    b = HarmonicCoeffs(24, 0.02 * rng.standard_normal(num_coeffs(24)))
+    data = PrescribedData(a_poly=[0.1, 0.5], b=b, c=0.5)
+    tracemalloc.start()
+    try:
+        fmin = data.min_f()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # reference: the same angles through synthesize_at, one colatitude row
+    # at a time
+    phi = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
+    ang = min(np.exp(synthesize_at(b, np.full(360, t), phi)).min()
+              for t in np.linspace(0.0, np.pi, 181))
+    r = np.linspace(HEMISPHERE_MARGIN, np.pi / 2 - HEMISPHERE_MARGIN, 4097)
+    ref = data.radial_factor(r).min() * ang
+    assert abs(fmin - ref) <= 1e-14 * ref
+    assert peak <= 50e6, peak
 
 
 def test_default_base_constant():
@@ -270,15 +306,15 @@ def test_newton_curvature_floor_blocks_steps(antipodal_projector):
 
 
 def test_newton_solve_builds_no_operators(antipodal_projector,
-                                          basis_ops_builds):
+                                          grid_table_builds):
     data = constant_data(2.0, 2.0)
     ws = workspace(data, antipodal_projector)
-    basis_ops_builds.clear()
+    grid_table_builds.clear()
     start = initial_sphere(GAUSS, 2.0)
     start.radial[2, 0] += 0.02
     _, iters, _ = newton_solve(ws, 0.0, start)
     assert iters >= 1
-    assert basis_ops_builds == []
+    assert grid_table_builds == []
 
 
 def test_newton_truncation_mismatch_rejected(antipodal_projector):
@@ -404,13 +440,13 @@ def test_continuation_modulated_data(antipodal_projector):
     assert np.max(np.abs(P @ a - a)) <= 1e-10
 
 
-def test_continuation_builds_operators_once(basis_ops_builds):
+def test_continuation_builds_operators_once(grid_table_builds):
     # one run grid shared by the projector, every Newton solve and every
     # step record, and handed out with the report
     report = continuation(GAUSS, constant_data(2.0, 1.0),
                           opts=SolverOptions(L_max=8))
     assert report.converged and len(report.steps) == 7
-    assert basis_ops_builds == [8]
+    assert grid_table_builds == [8]
     assert report.grid.L_max == 8
 
 

@@ -1,11 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import assoc_legendre_p_all, eval_legendre
 
+from curvedual import sphere_surface
+from curvedual.geometry import curvature_field
 from curvedual.spectral import (
     HarmonicCoeffs,
-    _BasisOps,
+    _analysis,
     _norm_constant,
+    _ProductTables,
+    _synthesis,
     analyze,
     basis_matrix,
     build_grid,
@@ -29,6 +35,17 @@ def grid8():
 @pytest.fixture(scope="module")
 def grid24():
     return build_grid(24)
+
+
+def grid_basis(grid):
+    """Every basis function at the grid nodes, (N, K), by synthesis."""
+    return _synthesis(grid.ops, np.eye(num_coeffs(grid.L_max)))[0]
+
+
+def point_jets(L_max, t0, p0, a):
+    """The six jets of coefficients ``a`` at the single point (t0, p0)."""
+    tables = _ProductTables(L_max, np.array([t0]), np.array([p0]))
+    return [jet[0] for jet in _synthesis(tables, a.values)]
 
 
 def test_indexing_roundtrip():
@@ -61,7 +78,7 @@ def test_constant_integrates_to_sphere_area(grid8):
 def test_low_order_harmonics_match_closed_forms(grid8):
     # pins normalization and phase convention against explicit formulas
     t, p = grid8.theta, grid8.phi
-    B = grid8.ops.Y
+    B = grid_basis(grid8)
     expected = {
         (0, 0): np.full_like(t, 1 / np.sqrt(4 * np.pi)),
         (1, 0): np.sqrt(3 / (4 * np.pi)) * np.cos(t),
@@ -77,13 +94,13 @@ def test_low_order_harmonics_match_closed_forms(grid8):
 
 def test_gram_matrix_orthonormal(grid8):
     # oracle: dense Gram matrix from the quadrature rule itself
-    B = grid8.ops.Y
+    B = grid_basis(grid8)
     G = B.T @ (grid8.weights[:, None] * B)
     assert np.max(np.abs(G - np.eye(num_coeffs(8)))) <= 1e-10
 
 
 def test_gram_matrix_orthonormal_default_truncation(grid24):
-    B = grid24.ops.Y
+    B = grid_basis(grid24)
     G = B.T @ (grid24.weights[:, None] * B)
     assert np.max(np.abs(G - np.eye(num_coeffs(24)))) <= 1e-10
 
@@ -198,13 +215,11 @@ def test_gradient_against_finite_difference_oracle(grid8):
 
     fd_t = (u(t0 + h, p0) - u(t0 - h, p0)) / (2 * h)
     fd_p = (u(t0, p0 + h) - u(t0, p0 - h)) / (2 * h)
-    # evaluate the gradient spectrally at a node-free point using a direct
-    # basis derivative: reuse grid ops by synthesizing on a tiny custom grid
-    ops = _BasisOps(8, np.array([t0]), np.array([p0]))
-    gt = ops.Yt @ a.values
-    gp = ops.Yp @ a.values
-    assert abs(gt[0] - fd_t) <= 1e-8
-    assert abs(gp[0] - fd_p) <= 1e-8
+    # evaluate the gradient spectrally at a node-free point: the point is
+    # a one-by-one product of angle lists
+    _, gt, gp, _, _, _ = point_jets(8, t0, p0, a)
+    assert abs(gt - fd_t) <= 1e-8
+    assert abs(gp - fd_p) <= 1e-8
 
 
 def test_hessian_symmetric_and_trace_is_laplacian(grid8):
@@ -237,9 +252,8 @@ def test_hessian_against_finite_difference_oracle(grid8):
         [utt, utp - cot * up],
         [utp - cot * up, upp + np.sin(t0) * np.cos(t0) * ut],
     ])
-    ops = _BasisOps(8, np.array([t0]), np.array([p0]))
-    grad = np.array([ops.Yt @ a.values, ops.Yp @ a.values])[:, 0]
-    raw = np.array([ops.Ytt @ a.values, ops.Ytp @ a.values, ops.Ypp @ a.values])[:, 0]
+    _, *grad, rtt, rtp, rpp = point_jets(8, t0, p0, a)
+    raw = [rtt, rtp, rpp]
     H = np.array([
         [raw[0], raw[1] - cot * grad[1]],
         [raw[1] - cot * grad[1], raw[2] + np.sin(t0) * np.cos(t0) * grad[0]],
@@ -277,12 +291,10 @@ def test_grid_ops_rows_match_single_point_ops():
     # the grid shares each colatitude over a row of longitudes; a single
     # node has no repeated angle, so both paths of the tabulation meet
     grid = build_grid(12)
-    names = ("Y", "Yt", "Yp", "Ytt", "Ytp", "Ypp")
+    B = basis_matrix(12, grid.theta, grid.phi)
     for q in (0, 7, grid.n_phi + 3, grid.n_nodes // 2, grid.n_nodes - 1):
-        single = _BasisOps(12, grid.theta[q:q + 1], grid.phi[q:q + 1])
-        for name in names:
-            assert np.array_equal(getattr(grid.ops, name)[q:q + 1],
-                                  getattr(single, name)), (q, name)
+        single = basis_matrix(12, grid.theta[q:q + 1], grid.phi[q:q + 1])
+        assert np.array_equal(B[q:q + 1], single), q
 
 
 def test_basis_matrix_at_poles_is_zonal_closed_form():
@@ -303,7 +315,7 @@ def test_basis_matrix_at_poles_is_zonal_closed_form():
 
 
 def _reference_ops(L_max, theta, phi):
-    """The six matrices column by column, in the builder's operation order."""
+    """The six basis matrices column by column; Y in basis_matrix's order."""
     tables = assoc_legendre_p_all(L_max, L_max, np.cos(theta), diff_n=1)
     st = np.sin(theta)
     cot = np.cos(theta) / st
@@ -335,7 +347,44 @@ def test_tabulated_ops_equal_column_loop(L_max):
     scattered = (rng.uniform(0.05, 3.1, 40), rng.uniform(-1.0, 7.0, 40))
     for theta, phi in ((grid.theta, grid.phi), scattered):
         ref = _reference_ops(L_max, theta, phi)
-        ops = _BasisOps(L_max, theta, phi)
-        for k, name in enumerate(("Y", "Yt", "Yp", "Ytt", "Ytp", "Ypp")):
-            assert np.array_equal(getattr(ops, name), ref[k]), name
         assert np.array_equal(basis_matrix(L_max, theta, phi), ref[0])
+
+
+@pytest.mark.parametrize("L_max", [4, 9])
+def test_grid_jets_match_column_loop(L_max):
+    # the separable synthesis of a coefficient block against the dense
+    # column-loop matrices times the block
+    grid = build_grid(L_max)
+    A = np.random.default_rng(L_max).standard_normal((num_coeffs(L_max), 3))
+    ref = _reference_ops(L_max, grid.theta, grid.phi)
+    jets = _synthesis(grid.ops, A)
+    assert len(jets) == 6
+    for k, jet in enumerate(jets):
+        want = ref[k] @ A
+        assert jet.shape == want.shape
+        assert np.max(np.abs(jet - want)) <= 1e-13 * np.max(np.abs(want)), k
+
+
+def test_analysis_inverts_synthesis_on_blocks():
+    grid = build_grid(16)
+    A = np.random.default_rng(2).standard_normal((num_coeffs(16), 4))
+    values = _synthesis(grid.ops, A)[0]
+    back = _analysis(grid.ops, grid.weights[:, None] * values)
+    assert np.max(np.abs(back - A)) <= 1e-12
+    # a vector is the one-column case
+    vec = _analysis(grid.ops, grid.weights * values[:, 1])
+    assert np.max(np.abs(vec - back[:, 1])) <= 1e-13
+
+
+def test_curvature_field_builds_no_dense_operators():
+    # six dense (N, K) matrices at L_max 40 would take about 270 MB
+    grid = build_grid(40)
+    surface = sphere_surface(np.pi / 4, L_max=40)
+    tracemalloc.start()
+    try:
+        field = curvature_field(surface, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(field.kappa, 1.0, atol=1e-12)
+    assert peak <= 20e6, peak

@@ -156,13 +156,13 @@ def test_full_report_flags_nonconvex_input():
     assert np.isnan(rep.support_margin)
 
 
-def test_full_report_builds_no_operators(basis_ops_builds):
+def test_full_report_builds_no_operators(grid_table_builds):
     # every diagnostic reads the field it is given
     field = sampled(perturbed_surface(L_max=8))
-    basis_ops_builds.clear()
+    grid_table_builds.clear()
     rep = full_report(field, F=GAUSS, f=2.0)
     assert rep.convex and rep.support_margin < 0.0
-    assert basis_ops_builds == []
+    assert grid_table_builds == []
 
 
 def test_full_report_residual_data_shapes():
