@@ -134,7 +134,6 @@ def fundamental_forms(theta, phi, r, rt, rp, rtt, rtp, rpp):
     return {
         "x": x, "x_theta": xt, "x_phi": xp, "normal": nrm,
         "g": g, "h": hh, "shape_operator": shape_op, "kappa": kappa,
-        "radial_direction": radial,
     }
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "default_gauge_tau0",
     "frame_for_pole",
     "sphere_surface",
+    "check_annulus",
     "curvature_field",
     "rho_from_r",
     "r_from_rho",
@@ -203,6 +204,15 @@ def offset_sphere_surface(radius: float, tilt: float,
                         gauge_tau0=default_gauge_tau0())
 
 
+def check_annulus(r: np.ndarray) -> None:
+    """Raise DomainError unless every radius lies in the open annulus."""
+    lo, hi = r.min(), r.max()
+    if lo <= HEMISPHERE_MARGIN or hi >= np.pi / 2 - HEMISPHERE_MARGIN:
+        raise DomainError(
+            f"radial range [{lo:.6g}, {hi:.6g}] leaves the open hemisphere "
+            f"annulus ({HEMISPHERE_MARGIN:g}, pi/2 - {HEMISPHERE_MARGIN:g})")
+
+
 @dataclass
 class CurvatureField:
     """Pointwise geometric data of a surface sampled at grid nodes.
@@ -242,16 +252,12 @@ def curvature_field(surface: GraphSurface, grid: QuadratureGrid,
                     require_convex: bool = False) -> CurvatureField:
     """Sample a surface on a grid: radial jets and full curvature data.
 
-    The one place where radial jets are synthesised and the hemisphere
-    annulus is checked.  With ``require_convex`` the field must be
-    strictly convex or a :class:`ConvexityError` is raised.
+    The one place where radial jets of a surface are synthesised; the
+    radii must pass :func:`check_annulus`.  With ``require_convex`` the
+    field must be strictly convex or a :class:`ConvexityError` is raised.
     """
     r, rt, rp, rtt, rtp, rpp = spectral.chart_jets(grid, surface.radial)
-    lo, hi = r.min(), r.max()
-    if lo <= HEMISPHERE_MARGIN or hi >= np.pi / 2 - HEMISPHERE_MARGIN:
-        raise DomainError(
-            f"radial range [{lo:.6g}, {hi:.6g}] leaves the open hemisphere "
-            f"annulus ({HEMISPHERE_MARGIN:g}, pi/2 - {HEMISPHERE_MARGIN:g})")
+    check_annulus(r)
     out = _kernels.fundamental_forms(grid.theta, grid.phi, r, rt, rp,
                                      rtt, rtp, rpp)
     Q = frame_for_pole(surface.pole)

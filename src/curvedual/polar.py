@@ -175,42 +175,6 @@ def dual_surface(surface: GraphSurface, L_max: int | None = None,
     return dual_as_graph(gauss_map(field), L_max=L_max)
 
 
-def antipodal_samples(samples: DualSamples) -> DualSamples:
-    """Dual samples of the source's image under the parameter antipode.
-
-    The antipodal map of the parameter sphere extends to the ambient
-    reflection through the pole axis, which commutes with the normal
-    map.  For a source invariant under that map these are exact extra
-    samples of the same dual surface; appending them makes a subsequent
-    fit respect the symmetry to rounding accuracy.
-    """
-    p = samples.pole
-    A = 2.0 * np.outer(p, p) - np.eye(4)
-    return DualSamples(theta=np.pi - samples.theta,
-                       phi=np.mod(samples.phi + np.pi, 2.0 * np.pi),
-                       x_dual=samples.x_dual @ A,
-                       eta_theta=np.pi - samples.eta_theta,
-                       eta_phi=np.mod(samples.eta_phi + np.pi, 2.0 * np.pi),
-                       r_star=samples.r_star.copy(),
-                       kappa_dual=samples.kappa_dual.copy(),
-                       pole=samples.pole.copy())
-
-
-def concat_samples(a: DualSamples, b: DualSamples) -> DualSamples:
-    """Concatenate two sample sets over the same dual chart."""
-    if not np.allclose(a.pole, b.pole):
-        raise ValueError("sample sets use different dual poles")
-    cat = np.concatenate
-    return DualSamples(theta=cat([a.theta, b.theta]),
-                       phi=cat([a.phi, b.phi]),
-                       x_dual=cat([a.x_dual, b.x_dual]),
-                       eta_theta=cat([a.eta_theta, b.eta_theta]),
-                       eta_phi=cat([a.eta_phi, b.eta_phi]),
-                       r_star=cat([a.r_star, b.r_star]),
-                       kappa_dual=cat([a.kappa_dual, b.kappa_dual]),
-                       pole=a.pole.copy())
-
-
 @dataclass
 class SupportReport:
     """Support-number diagnostic over sampled node pairs.

@@ -32,7 +32,7 @@ from .curvature import CurvatureFunction, class_K_check
 from .errors import (ConfigError, DataError, DomainError, GroupError,
                      NewtonError, SingularJacobianError)
 from .geometry import (HEMISPHERE_MARGIN, CurvatureField, GraphSurface,
-                       curvature_field, sphere_surface)
+                       check_annulus, curvature_field, sphere_surface)
 from .spectral import HarmonicCoeffs, QuadratureGrid, build_grid, num_coeffs
 
 _MATCH_TOL = 1e-12
@@ -141,6 +141,11 @@ class InvariantBasis:
     def columns_of_degree(self, l: int) -> np.ndarray:
         return np.nonzero(self.degrees == l)[0]
 
+    def stray(self, values: np.ndarray) -> float:
+        """Largest coefficient of ``values`` outside the subspace."""
+        B = self.matrix
+        return float(np.max(np.abs(values - B @ (B.T @ values))))
+
 
 def full_basis(L_max: int) -> InvariantBasis:
     """Identity basis of the whole coefficient space (no symmetry)."""
@@ -204,11 +209,6 @@ def invariant_projector(group: SymmetryGroup, grid: QuadratureGrid
 
 # ------------------------------------------------------------ input data
 
-def _dense_angles(n_theta: int = 181, n_phi: int = 360):
-    return (np.linspace(0.0, np.pi, n_theta),
-            np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False))
-
-
 @dataclass
 class PrescribedData:
     """Prescribed positive data f and the homotopy base constant c.
@@ -242,18 +242,21 @@ class PrescribedData:
         """Minimum of f over the open hemisphere annulus, by dense sampling."""
         r = np.linspace(HEMISPHERE_MARGIN, np.pi / 2 - HEMISPHERE_MARGIN,
                         4097)
-        b = spectral.synthesize_product(self.b, *_dense_angles())
+        b = spectral.synthesize_product(
+            self.b, np.linspace(0.0, np.pi, 181),
+            np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False))
         return float(self.radial_factor(r).min() * np.exp(b.min()))
 
-    def validate(self, group: SymmetryGroup) -> None:
+    def validate(self, basis: InvariantBasis) -> None:
         """Check positivity of the margin to c and group invariance.
 
         Raises
         ------
         DataError
-            If c is not strictly between 0 and the minimum of f, or if
-            the angular factor is not invariant under every group
-            element (orbit sampling, tolerance 1e-12).
+            If c is not strictly between 0 and the minimum of f, if the
+            angular factor is truncated above ``basis.L_max``, or if its
+            coefficients leave the invariant subspace ``basis`` spans
+            (tolerance 1e-12).
         """
         if not np.all(np.isfinite(self.a_poly)):
             raise DataError("radial polynomial has non-finite coefficients")
@@ -268,17 +271,16 @@ class PrescribedData:
                 f"homotopy base constant c = {self.c:.6g} must be strictly "
                 f"below the minimum of the prescribed data, min f = "
                 f"{fmin:.6g}")
-        th, ph = _dense_angles(61, 120)
-        base = spectral.synthesize_product(self.b, th, ph)
-        th, ph = (a.ravel() for a in np.meshgrid(th, ph, indexing="ij"))
-        for k, A in enumerate(group.elements):
-            th2, ph2 = rotate_angles(A, th, ph)
-            rotated = spectral.synthesize_at(self.b, th2, ph2)
-            err = float(np.max(np.abs(rotated - base)))
-            if err > 1e-12:
-                raise DataError(
-                    f"prescribed data is not invariant under group element "
-                    f"{k}: orbit sampling error {err:.3g}")
+        if self.b.L_max > basis.L_max:
+            raise DataError(
+                f"angular field has L_max = {self.b.L_max}, above the run "
+                f"truncation L_max = {basis.L_max}")
+        err = basis.stray(self.b.pad_to(basis.L_max).values)
+        if err > 1e-12:
+            raise DataError(
+                f"prescribed data is not invariant under the symmetry "
+                f"group: coefficient content {err:.3g} outside the "
+                "invariant subspace")
 
 
 def default_base_constant(data_min: float) -> float:
@@ -335,12 +337,14 @@ def initial_sphere(F: CurvatureFunction, c: float, L_max: int = 24,
 
 @dataclass
 class _State:
-    """Residual field and curvature bounds at one iterate."""
+    """Residual field, curvature bounds and radial bounds at one iterate."""
 
     lam: np.ndarray
     norm: float
     kappa_min: float
     kappa_max: float
+    r_min: float
+    r_max: float
 
 
 class NewtonWorkspace:
@@ -363,24 +367,15 @@ class NewtonWorkspace:
         self.exp_b = np.exp(spectral.synthesize_product(data.b, *grid.axes))
         self.data = data
         self.F = F
-        self.lo = HEMISPHERE_MARGIN
-        self.hi = np.pi / 2 - HEMISPHERE_MARGIN
-
-    def lambda_batch(self, Z: np.ndarray, t: float):
-        """Residual fields for coefficient columns Z, shape (N, nb).
-
-        Also returns the per-column curvature extremes.  Raises
-        DomainError if any column leaves the hemisphere annulus.
-        """
-        return self._lambda_of_jets([S @ Z for S in self.synth], t)
 
     def _lambda_of_jets(self, jets, t: float):
-        """``lambda_batch`` on the six radial jet fields, each (N, nb)."""
+        """Residual fields and principal curvatures, each (N, nb).
+
+        ``jets`` are the six radial jet fields; DomainError is raised if
+        any field leaves the hemisphere annulus.
+        """
         R, RT, RP, RTT, RTP, RPP = jets
-        if R.min() <= self.lo or R.max() >= self.hi:
-            raise DomainError(
-                f"iterate radial range [{R.min():.6g}, {R.max():.6g}] "
-                "leaves the open hemisphere annulus")
+        check_annulus(R)
         K1, K2 = _kernels.kappa_batch(self.grid.theta, self.grid.phi,
                                       R, RT, RP, RTT, RTP, RPP)
         kappa = np.stack([K1, K2], axis=-1)
@@ -388,13 +383,15 @@ class NewtonWorkspace:
             Fv = self.F(kappa)
             fv = self.data.radial_factor(R) * self.exp_b[:, None]
             lam = Fv - (t * fv + (1.0 - t) * self.data.c)
-        return lam, K1.min(axis=0), K2.max(axis=0)
+        return lam, K1, K2
 
     def state(self, z: np.ndarray, t: float) -> _State:
-        lam, kmin, kmax = self.lambda_batch(z[:, None], t)
+        jets = [S @ z[:, None] for S in self.synth]
+        lam, K1, K2 = self._lambda_of_jets(jets, t)
         lam = lam[:, 0]
         return _State(lam=lam, norm=float(np.max(np.abs(lam))),
-                      kappa_min=float(kmin[0]), kappa_max=float(kmax[0]))
+                      kappa_min=float(K1.min()), kappa_max=float(K2.max()),
+                      r_min=float(jets[0].min()), r_max=float(jets[0].max()))
 
     def residual_vector(self, state: _State) -> np.ndarray:
         return self.project @ state.lam
@@ -412,15 +409,18 @@ class NewtonWorkspace:
         for k in range(6):
             jets[k, :, 2 * k] += _JET_STEP
             jets[k, :, 2 * k + 1] -= _JET_STEP
-        lam, _, _ = self._lambda_of_jets(jets, t)
+        lam = self._lambda_of_jets(jets, t)[0]
         d = (lam[:, 0::2] - lam[:, 1::2]) / (2.0 * _JET_STEP)  # (N, 6)
         dlam = sum(d[:, k, None] * S for k, S in enumerate(self.synth))
         return self.project @ dlam
 
 
 def _solve_newton_system(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve J x = rhs by SVD, rejecting numerically singular systems."""
-    U, s, Vt = np.linalg.svd(J)
+    """Solve J x = rhs by LU, rejecting numerically singular systems.
+
+    The rejection test reads the singular values only.
+    """
+    s = np.linalg.svd(J, compute_uv=False)
     if s[0] == 0.0 or s[-1] < _SOLVE_RCOND * s[0]:
         dim = int(np.sum(s < _KERNEL_RCOND * s[0])) if s[0] > 0 else len(s)
         raise SingularJacobianError(
@@ -428,7 +428,7 @@ def _solve_newton_system(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             f"singular value {s[-1] / max(s[0], 1e-300):.3g}); the "
             "symmetry restriction may be missing or misconfigured",
             null_dimension=dim)
-    return Vt.T @ ((U.T @ rhs) / s)
+    return np.linalg.solve(J, rhs)
 
 
 def near_kernel(J: np.ndarray, rcond: float = _KERNEL_RCOND):
@@ -440,12 +440,6 @@ def near_kernel(J: np.ndarray, rcond: float = _KERNEL_RCOND):
     _, s, Vt = np.linalg.svd(J)
     mask = s < rcond * s[0]
     return int(np.sum(mask)), Vt[mask]
-
-
-def _surface_like(start: GraphSurface, coeffs: np.ndarray) -> GraphSurface:
-    return GraphSurface(n=start.n, pole=start.pole.copy(),
-                        radial=HarmonicCoeffs(start.L_max, coeffs),
-                        gauge_tau0=start.gauge_tau0)
 
 
 def residual_field(F: CurvatureFunction, data: PrescribedData, t: float,
@@ -473,47 +467,34 @@ def linear_system(F: CurvatureFunction, data: PrescribedData, t: float,
     return J, ws.residual_vector(state), basis.degrees
 
 
-def newton_solve(ws: NewtonWorkspace, t: float, start: GraphSurface,
+def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
                  opts: SolverOptions | None = None):
     """Damped Newton iteration at fixed homotopy parameter t.
 
-    The unknown is the radial coefficient vector restricted to the
-    invariant basis of ``ws``; the residual is collocated at its
-    quadrature nodes and projected back onto that basis.  ``ws`` holds
-    every operator, so nothing is built here.  Convergence is measured by
-    the infinity norm of the residual over the grid nodes.  A step is
-    accepted only if the residual decreases and the iterate stays
-    strictly convex, with halving up to ``opts.max_halvings``.
+    The unknown ``z`` is the radial coefficient vector in the invariant
+    basis of ``ws``; the residual is collocated at its quadrature nodes
+    and projected back onto that basis.  ``ws`` holds every operator, so
+    nothing is built here.  Convergence is measured by the infinity norm
+    of the residual over the grid nodes.  A step is accepted only if the
+    residual decreases and the iterate stays strictly convex, with
+    halving up to ``opts.max_halvings``.
 
     Returns
     -------
-    (GraphSurface, int, float)
-        The solved surface, the number of Newton steps taken, and the
-        final residual norm.
+    (ndarray, int, _State)
+        The solved coefficients, the number of Newton steps taken, and
+        the state at the solution (residual and curvature and radial
+        bounds).
 
     Raises
     ------
-    ValueError, SingularJacobianError, NewtonError, DataError
+    SingularJacobianError, NewtonError, DomainError
     """
     opts = opts or SolverOptions()
-    if ws.basis.L_max != start.L_max:
-        raise ValueError(
-            f"workspace truncation L_max={ws.basis.L_max} does not match the "
-            f"start surface L_max={start.L_max}")
-
-    a_full = start.radial.values
-    z = ws.basis.matrix.T @ a_full
-    stray = float(np.max(np.abs(a_full - ws.basis.matrix @ z)))
-    if stray > 1e-8:
-        raise DataError(
-            f"start surface has coefficient content {stray:.3g} outside "
-            "the invariant subspace")
-
     state = ws.state(z, t)
     for iteration in range(opts.max_newton + 1):
         if state.norm <= opts.tol:
-            return _surface_like(start, ws.basis.matrix @ z), iteration, \
-                state.norm
+            return z, iteration, state
         if iteration == opts.max_newton:
             raise NewtonError(
                 f"no convergence within {opts.max_newton} Newton steps; "
@@ -582,13 +563,11 @@ class ContinuationReport:
                 "steps": [s.as_dict() for s in self.steps]}
 
 
-def _step_record(t, iterations, residual, surface, grid) -> ContinuationStep:
-    fld = curvature_field(surface, grid)
+def _step_record(t, iterations, state: _State) -> ContinuationStep:
     return ContinuationStep(t=float(t), iterations=int(iterations),
-                            residual=float(residual),
-                            kappa_min=fld.kappa_min, kappa_max=fld.kappa_max,
-                            r_min=float(fld.r.min()),
-                            r_max=float(fld.r.max()))
+                            residual=state.norm, kappa_min=state.kappa_min,
+                            kappa_max=state.kappa_max, r_min=state.r_min,
+                            r_max=state.r_max)
 
 
 def continuation(F: CurvatureFunction, data: PrescribedData,
@@ -602,7 +581,9 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
     after fast (at most 3 iteration) solves.  Every accepted step logs
     residual, curvature bounds and radial bounds.  The run either
     reaches t = 1 at full tolerance or reports the failure point with
-    the last good surface.
+    the last good surface.  The iterate is held as its coefficients in
+    the invariant basis throughout; the start surface must carry the
+    run truncation and lie in that basis's span (tolerance 1e-8).
     """
     opts = opts or SolverOptions()
     opts.validate()
@@ -614,8 +595,8 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
             "checks (monotonicity or weight ordering); continuation may "
             "lose convexity", stacklevel=2)
     grid = build_grid(opts.L_max)
-    projector = invariant_projector(group, grid)
-    data.validate(group)
+    basis = invariant_projector(group, grid).basis
+    data.validate(basis)
 
     surface = start if start is not None else \
         initial_sphere(F, data.c, L_max=opts.L_max)
@@ -623,38 +604,46 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
         raise ValueError(
             f"start surface L_max={surface.L_max} does not match "
             f"options L_max={opts.L_max}")
-    ws = NewtonWorkspace(grid, projector.basis, data, F)
+    stray = basis.stray(surface.radial.values)
+    if stray > 1e-8:
+        raise DataError(
+            f"start surface has coefficient content {stray:.3g} outside "
+            "the invariant subspace")
+    ws = NewtonWorkspace(grid, basis, data, F)
 
+    z = basis.matrix.T @ surface.radial.values
     steps: list[ContinuationStep] = []
     try:
-        surface, iters, resid = newton_solve(ws, 0.0, surface, opts)
+        z, iters, state = newton_solve(ws, 0.0, z, opts)
     except (NewtonError, SingularJacobianError, DomainError) as exc:
         return ContinuationReport(steps=steps, final_surface=surface,
                                   grid=grid, status="failed",
                                   message=f"t = 0 solve failed: {exc}")
-    steps.append(_step_record(0.0, iters, resid, surface, grid))
+    steps.append(_step_record(0.0, iters, state))
 
     t = 0.0
     dt = opts.dt0
+    status, message = "converged", ""
     while t < 1.0:
         t_try = min(1.0, t + dt)
         try:
-            trial, iters, resid = newton_solve(ws, t_try, surface, opts)
+            z_try, iters, state = newton_solve(ws, t_try, z, opts)
         except (NewtonError, SingularJacobianError, DomainError) as exc:
             dt *= 0.5
             if dt < opts.dt_min:
-                return ContinuationReport(
-                    steps=steps, final_surface=surface, grid=grid,
-                    status="failed",
-                    message=f"step size underflow at t = {t_try:g}: {exc}")
+                status = "failed"
+                message = f"step size underflow at t = {t_try:g}: {exc}"
+                break
             continue
-        surface = trial
-        t = t_try
-        steps.append(_step_record(t, iters, resid, surface, grid))
+        z, t = z_try, t_try
+        steps.append(_step_record(t, iters, state))
         if iters <= 3:
             dt = min(dt * 1.5, opts.dt_max)
-    return ContinuationReport(steps=steps, final_surface=surface, grid=grid,
-                              status="converged")
+    final = GraphSurface(n=surface.n, pole=surface.pole.copy(),
+                         radial=HarmonicCoeffs(opts.L_max, basis.matrix @ z),
+                         gauge_tau0=surface.gauge_tau0)
+    return ContinuationReport(steps=steps, final_surface=final, grid=grid,
+                              status=status, message=message)
 
 
 # -------------------------------------------------------------- barriers

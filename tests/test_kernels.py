@@ -81,6 +81,6 @@ def test_newton_iteration_makes_one_kernel_call_of_width_12(monkeypatch):
     start.radial[2, 0] += 0.02
     basis = invariant_projector(SymmetryGroup.antipodal(), build_grid(8)).basis
     _, iters, _ = newton_solve(NewtonWorkspace(build_grid(8), basis, data, F),
-                               0.0, start)
+                               0.0, basis.matrix.T @ start.radial.values)
     assert iters >= 2
     assert [w for w in widths if w > 1] == [12] * iters

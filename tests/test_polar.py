@@ -4,9 +4,9 @@ import pytest
 from curvedual.curvature import make_curvature_function
 from curvedual.errors import ConvexityError, DataError, ResolutionError
 from curvedual.geometry import curvature_field, sphere_surface
-from curvedual.polar import (DualSamples, antipodal_samples, concat_samples,
-                             dual_as_graph, dual_surface, fit_residual,
-                             gauss_map, support_test, transfer_problem)
+from curvedual.polar import (DualSamples, dual_as_graph, dual_surface,
+                             fit_residual, gauss_map, support_test,
+                             transfer_problem)
 from curvedual.spectral import HarmonicCoeffs, analyze, build_grid, \
     surface_gradient
 from curvedual import geometry
@@ -143,25 +143,6 @@ def test_dual_of_even_surface_is_even():
     # source invariant under the antipodal map of the parameter sphere:
     # the dual graph keeps that invariance, so odd degrees vanish
     dual = dual_surface(perturbed_surface(), L_max=32, sample_L=36)
-    for l in range(1, dual.L_max + 1, 2):
-        assert np.max(np.abs(dual.radial.degree_slice(l))) <= 1e-9, l
-
-
-def test_dual_of_generic_even_surface_with_augmentation():
-    # random even-degree source: only the antipodal invariance survives,
-    # and appending the image samples makes the fit honor it exactly
-    rng = np.random.default_rng(7)
-    c = HarmonicCoeffs.zeros(36)
-    c[0, 0] = (np.pi / 4) * np.sqrt(4 * np.pi)
-    for l in (2, 4, 6):
-        for m in range(-l, l + 1):
-            c[l, m] = 0.012 * rng.standard_normal() / (1 + l)
-    surf = geometry.GraphSurface(n=2, pole=E4.copy(), radial=c,
-                                 gauge_tau0=geometry.default_gauge_tau0())
-    grid = build_grid(36)
-    samples = gauss_map(curvature_field(surf, grid, require_convex=True))
-    both = concat_samples(samples, antipodal_samples(samples))
-    dual = dual_as_graph(both, L_max=32)
     for l in range(1, dual.L_max + 1, 2):
         assert np.max(np.abs(dual.radial.degree_slice(l))) <= 1e-9, l
 

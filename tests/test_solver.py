@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from curvedual.curvature import make_curvature_function
-from curvedual.errors import ConfigError, DataError, GroupError, NewtonError
+from curvedual.errors import (ConfigError, DataError, GroupError, NewtonError,
+                              SingularJacobianError)
 from curvedual.geometry import HEMISPHERE_MARGIN, GraphSurface, sphere_surface
 from curvedual.solver import (BarrierReport, NewtonWorkspace, PrescribedData,
                               SolverOptions, SymmetryGroup, check_barriers,
@@ -198,16 +199,16 @@ def test_default_base_constant():
     assert default_base_constant(2.0) == pytest.approx(1.8)
 
 
-def test_data_rejects_base_above_minimum():
+def test_data_rejects_base_above_minimum(antipodal_projector):
     data = constant_data(2.0, 2.0)
     with pytest.raises(DataError, match="strictly below the minimum"):
-        data.validate(SymmetryGroup.antipodal())
+        data.validate(antipodal_projector.basis)
 
 
-def test_data_rejects_nonpositive_base():
+def test_data_rejects_nonpositive_base(antipodal_projector):
     data = constant_data(2.0, -1.0)
     with pytest.raises(DataError, match="positive"):
-        data.validate(SymmetryGroup.antipodal())
+        data.validate(antipodal_projector.basis)
 
 
 @pytest.mark.parametrize("c, b_value, message", [
@@ -216,38 +217,67 @@ def test_data_rejects_nonpositive_base():
     (np.nan, 0.0, "positive and finite"),
     (np.inf, 0.0, "positive and finite"),
 ])
-def test_data_rejects_nonfinite_values(c, b_value, message):
+def test_data_rejects_nonfinite_values(c, b_value, message,
+                                       antipodal_projector):
     b = HarmonicCoeffs.zeros(2)
     b[2, 0] = b_value
     data = PrescribedData(a_poly=[np.log(2.0)], b=b, c=c)
     with pytest.raises(DataError, match=message):
-        data.validate(SymmetryGroup.antipodal())
+        data.validate(antipodal_projector.basis)
 
 
-def test_data_rejects_noninvariant_angular_factor():
+def test_data_rejects_noninvariant_angular_factor(antipodal_projector):
     b = np.zeros(num_coeffs(2))
     b[lm_index(1, 0)] = 0.1
     data = PrescribedData(a_poly=[np.log(2.0)], b=HarmonicCoeffs(2, b), c=1.0)
     with pytest.raises(DataError, match="not invariant"):
-        data.validate(SymmetryGroup.antipodal())
+        data.validate(antipodal_projector.basis)
 
 
-def test_data_accepts_even_angular_factor():
+def test_data_rejects_degree_above_truncation(antipodal_projector):
+    b = HarmonicCoeffs.zeros(26)
+    b[26, 0] = 0.01
+    data = PrescribedData(a_poly=[np.log(2.0)], b=b, c=1.0)
+    with pytest.raises(DataError, match="L_max = 26, above the run"):
+        data.validate(antipodal_projector.basis)
+
+
+def test_data_accepts_even_angular_factor(antipodal_projector):
     b = np.zeros(num_coeffs(2))
     b[lm_index(2, -1)] = 0.2
     data = PrescribedData(a_poly=[np.log(2.0)], b=HarmonicCoeffs(2, b), c=1.0)
-    data.validate(SymmetryGroup.antipodal())
+    data.validate(antipodal_projector.basis)
+
+
+def test_validate_of_degree_24_data_stays_small(antipodal_projector):
+    # the invariance test is in coefficient space: no orbit of samples
+    rng = np.random.default_rng(5)
+    b = HarmonicCoeffs.zeros(24)
+    for l in range(0, 25, 2):
+        b.degree_slice(l)[:] = 0.02 * rng.standard_normal(2 * l + 1)
+    data = PrescribedData(a_poly=[0.1, 0.5], b=b, c=0.5)
+    tracemalloc.start()
+    try:
+        data.validate(antipodal_projector.basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6, peak
 
 
 # ---------------------------------------------------------------- newton
 
+def coeffs_of(surface, projector):
+    return projector.basis.matrix.T @ surface.radial.values
+
+
 def test_newton_exact_start(antipodal_projector):
     data = constant_data(2.0, 2.0)
     start = initial_sphere(GAUSS, 2.0)
-    surf, iters, resid = newton_solve(workspace(data, antipodal_projector),
-                                      0.0, start)
+    _, iters, state = newton_solve(workspace(data, antipodal_projector),
+                                   0.0, coeffs_of(start, antipodal_projector))
     assert iters <= 1
-    assert resid <= 1e-12
+    assert state.norm <= 1e-12
 
 
 def test_newton_perturbed_start_returns_to_sphere(antipodal_projector):
@@ -258,24 +288,25 @@ def test_newton_perturbed_start_returns_to_sphere(antipodal_projector):
     pert = GraphSurface(n=2, pole=start.pole.copy(),
                         radial=HarmonicCoeffs(24, a),
                         gauge_tau0=start.gauge_tau0)
-    surf, iters, resid = newton_solve(workspace(data, antipodal_projector),
-                                      0.0, pert)
-    assert resid <= 1e-10
+    z, iters, state = newton_solve(workspace(data, antipodal_projector),
+                                   0.0, coeffs_of(pert, antipodal_projector))
+    assert state.norm <= 1e-10
     grid = build_grid(24)
-    u = synthesize(grid, surf.radial)
+    u = synthesize(grid, HarmonicCoeffs(
+        24, antipodal_projector.basis.matrix @ z))
     assert np.max(np.abs(u - np.pi / 4)) <= 1e-9
 
 
-def test_newton_rejects_start_outside_subspace(antipodal_projector):
-    data = constant_data(2.0, 2.0)
-    start = initial_sphere(GAUSS, 2.0)
+def test_newton_rejects_start_outside_subspace():
+    data = constant_data(2.0, 1.0)
+    start = initial_sphere(GAUSS, 1.0)
     a = start.radial.values.copy()
     a[lm_index(1, 0)] += 0.01
     bad = GraphSurface(n=2, pole=start.pole.copy(),
                        radial=HarmonicCoeffs(24, a),
                        gauge_tau0=start.gauge_tau0)
     with pytest.raises(DataError, match="outside"):
-        newton_solve(workspace(data, antipodal_projector), 0.0, bad)
+        continuation(GAUSS, data, start=bad)
 
 
 def test_newton_iteration_budget_enforced(antipodal_projector):
@@ -287,7 +318,8 @@ def test_newton_iteration_budget_enforced(antipodal_projector):
                         radial=HarmonicCoeffs(24, a),
                         gauge_tau0=start.gauge_tau0)
     with pytest.raises(NewtonError, match="no convergence"):
-        newton_solve(workspace(data, antipodal_projector), 0.0, pert,
+        newton_solve(workspace(data, antipodal_projector), 0.0,
+                     coeffs_of(pert, antipodal_projector),
                      SolverOptions(max_newton=1))
 
 
@@ -301,7 +333,8 @@ def test_newton_curvature_floor_blocks_steps(antipodal_projector):
                         radial=HarmonicCoeffs(24, a),
                         gauge_tau0=start.gauge_tau0)
     with pytest.raises(NewtonError, match="line search"):
-        newton_solve(workspace(data, antipodal_projector), 0.0, pert,
+        newton_solve(workspace(data, antipodal_projector), 0.0,
+                     coeffs_of(pert, antipodal_projector),
                      SolverOptions(kappa_floor=2.0))
 
 
@@ -312,16 +345,27 @@ def test_newton_solve_builds_no_operators(antipodal_projector,
     grid_table_builds.clear()
     start = initial_sphere(GAUSS, 2.0)
     start.radial[2, 0] += 0.02
-    _, iters, _ = newton_solve(ws, 0.0, start)
+    _, iters, _ = newton_solve(ws, 0.0, coeffs_of(start, antipodal_projector))
     assert iters >= 1
     assert grid_table_builds == []
 
 
-def test_newton_truncation_mismatch_rejected(antipodal_projector):
-    data = constant_data(2.0, 2.0)
+def test_newton_truncation_mismatch_rejected():
+    data = constant_data(2.0, 1.0)
     start = sphere_surface(np.pi / 4, L_max=16)
     with pytest.raises(ValueError, match="does not match"):
-        newton_solve(workspace(data, antipodal_projector), 0.0, start)
+        continuation(GAUSS, data, start=start)
+
+
+def test_newton_rejects_singular_system():
+    # without the symmetry restriction the degree-1 harmonics span a
+    # three-dimensional kernel at the sphere
+    data = constant_data(3.0, 2.0)
+    ws = NewtonWorkspace(build_grid(24), full_basis(24), data, GAUSS)
+    start = initial_sphere(GAUSS, 2.0, L_max=24)
+    with pytest.raises(SingularJacobianError) as info:
+        newton_solve(ws, 0.5, start.radial.values)
+    assert info.value.null_dimension == 3
 
 
 # ------------------------------------------------- linearization checks
@@ -371,9 +415,9 @@ def test_jacobian_matches_directional_differences(antipodal_projector):
     for _ in range(20):
         d = rng.standard_normal(len(z))
         d /= np.linalg.norm(d)
-        lam_p, _, _ = ws.lambda_batch((z + h * d)[:, None], 0.6)
-        lam_m, _, _ = ws.lambda_batch((z - h * d)[:, None], 0.6)
-        fd = ws.project @ ((lam_p[:, 0] - lam_m[:, 0]) / (2 * h))
+        lam_p = ws.state(z + h * d, 0.6).lam
+        lam_m = ws.state(z - h * d, 0.6).lam
+        fd = ws.project @ ((lam_p - lam_m) / (2 * h))
         rel = np.linalg.norm(J @ d - fd) / np.linalg.norm(fd)
         assert rel <= 1e-5
 

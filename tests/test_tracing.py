@@ -7,6 +7,7 @@ tracer is imported as it is and only run here.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -17,20 +18,47 @@ from curvedual.io import write_surface
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_traced_check_op_counts_one_table_build_and_one_field(
-        tmp_path, monkeypatch, capsys):
+def traced_op(monkeypatch, argv):
+    """Exit code and counters of one ``cli.main(argv)`` op under the tracer."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
-    src = tmp_path / "surface.json"
-    write_surface(src, sphere_surface(np.pi / 4, L_max=8))
     tracer = tracing.Tracer()
     tracer.install()
     try:
         tracer.op, tracer.recording = 0, True
-        rc = cli.main(["check", "--surface", str(src)])
+        rc = cli.main(argv)
         tracer.recording = False
     finally:
         tracer.uninstall()
+    return rc, tracer.counts[0]
+
+
+def test_traced_check_op_counts_one_table_build_and_one_field(
+        tmp_path, monkeypatch, capsys):
+    src = tmp_path / "surface.json"
+    write_surface(src, sphere_surface(np.pi / 4, L_max=8))
+    rc, counts = traced_op(monkeypatch, ["check", "--surface", str(src)])
     assert rc == 0
-    assert tracer.counts[0]["spectral.ops_builds"] == 1
-    assert tracer.counts[0]["geometry.curvature_field_calls"] == 1
+    assert counts["spectral.ops_builds"] == 1
+    assert counts["geometry.curvature_field_calls"] == 1
+
+
+def test_traced_solve_op_counts_newton_work(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "F": "gauss_power", "L_max": 8, "c": 1.0,
+        "f": {"a_poly": [float(np.log(2.0))],
+              "b": [{"l": 2, "m": 0, "value": 0.16}]}}))
+    out = tmp_path / "run"
+    rc, counts = traced_op(monkeypatch, ["solve", "--config", str(config),
+                                         "--out", str(out)])
+    assert rc == 0
+    report = json.loads((out / "continuation_report.json").read_text())
+    iterations = sum(s["iterations"] for s in report["steps"])
+    assert iterations == 21
+    assert counts["solver.newton_iters"] == iterations
+    assert counts["solver.newton_solve_calls"] == 7
+    assert counts["solver.state_evals"] == 28
+    assert counts["spectral.ops_builds"] == 1
+    # the node dump samples the final surface; the steps read Newton states
+    assert counts["geometry.curvature_field_calls"] == 1
