@@ -7,16 +7,21 @@ The equation solved is, per quadrature node,
 with ``f`` the prescribed positive data and ``c`` a constant chosen below
 its minimum.  At t = 0 the exact solution is a geodesic sphere; the path
 is followed to t = 1 by damped Newton steps in the radial coefficient
-vector, restricted to the subspace invariant under a fixed-point-free
-symmetry group.  Restricting removes the three-dimensional kernel of the
-linearization spanned by the degree-1 harmonics, which otherwise makes
-the Newton system singular at every solution.
+vector, each solve started from the secant extrapolation of the last two
+points on the path, restricted to the subspace invariant under a
+fixed-point-free symmetry group.  Restricting removes the
+three-dimensional kernel of the linearization spanned by the degree-1
+harmonics, which otherwise makes the Newton system singular at every
+solution.
 
 The residual at a node depends only on the radial jet (r, r_t, r_p,
 r_tt, r_tp, r_pp) at that node, so the Newton matrix factors through six
 per-node partial derivatives.  These are central finite differences on
 the jets, evaluated in one batch through the curvature kernel, and the
-matrix follows from them by products with the synthesis matrices.
+matrix follows from them by one contraction with the stacked synthesis
+matrices.  Each Newton step is one LU solve, which also bounds the
+condition number; singular values are computed only when that bound
+cannot clear the system.
 """
 
 from __future__ import annotations
@@ -230,14 +235,6 @@ class PrescribedData:
     def radial_factor(self, r: np.ndarray) -> np.ndarray:
         return np.exp(npoly.polyval(np.asarray(r, dtype=float), self.a_poly))
 
-    def angular_factor(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        return np.exp(spectral.synthesize_at(self.b, theta, phi))
-
-    def values(self, r: np.ndarray, theta: np.ndarray,
-               phi: np.ndarray) -> np.ndarray:
-        """f evaluated at radius r and direction (theta, phi)."""
-        return self.radial_factor(r) * self.angular_factor(theta, phi)
-
     def min_f(self) -> float:
         """Minimum of f over the open hemisphere annulus, by dense sampling."""
         r = np.linspace(HEMISPHERE_MARGIN, np.pi / 2 - HEMISPHERE_MARGIN,
@@ -351,7 +348,8 @@ class NewtonWorkspace:
     """Precomputed matrices for residual and Jacobian evaluation.
 
     Radial synthesis restricted to the invariant basis is six dense
-    matrices, one per chart derivative; residual projection is one more.
+    matrices, one per chart derivative, stacked in one (6, N, M) array;
+    residual projection is one more.
     All Newton work is matrix products against these, and one workspace
     serves every Newton solve of a continuation run.
     """
@@ -411,15 +409,29 @@ class NewtonWorkspace:
             jets[k, :, 2 * k + 1] -= _JET_STEP
         lam = self._lambda_of_jets(jets, t)[0]
         d = (lam[:, 0::2] - lam[:, 1::2]) / (2.0 * _JET_STEP)  # (N, 6)
-        dlam = sum(d[:, k, None] * S for k, S in enumerate(self.synth))
-        return self.project @ dlam
+        return self.project @ np.einsum("nk,knm->nm", d, self.synth)
 
 
 def _solve_newton_system(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve J x = rhs by LU, rejecting numerically singular systems.
 
-    The rejection test reads the singular values only.
+    A system is rejected when its smallest singular value is below 1e-12
+    times its largest.  One LU solve against [rhs | I] gives the step and
+    the inverse, hence the 1-norm condition number kappa_1; since
+    kappa_2 <= M kappa_1 for an M x M matrix, M kappa_1 < 1e12 proves the
+    system passes without computing a singular value.  Otherwise (or when
+    the LU meets an exactly zero pivot) the singular values decide.
     """
+    M = len(J)
+    try:
+        X = np.linalg.solve(J, np.column_stack([rhs, np.eye(M)]))
+    except np.linalg.LinAlgError:
+        X = None
+    if X is not None:
+        kappa1 = (np.abs(J).sum(axis=0).max()
+                  * np.abs(X[:, 1:]).sum(axis=0).max())
+        if M * kappa1 * _SOLVE_RCOND < 1.0:
+            return X[:, 0]
     s = np.linalg.svd(J, compute_uv=False)
     if s[0] == 0.0 or s[-1] < _SOLVE_RCOND * s[0]:
         dim = int(np.sum(s < _KERNEL_RCOND * s[0])) if s[0] > 0 else len(s)
@@ -578,8 +590,11 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
 
     Adaptive stepping in t: start with ``opts.dt0``; halve on Newton
     failure down to ``opts.dt_min``; grow by 1.5 up to ``opts.dt_max``
-    after fast (at most 3 iteration) solves.  Every accepted step logs
-    residual, curvature bounds and radial bounds.  The run either
+    after fast (at most 3 iteration) solves.  Newton at t_try starts
+    from the secant predictor z + (t_try - t) / (t - t_prev) (z - z_prev)
+    through the last two accepted points (from z itself on the first
+    step after t = 0), rebuilt for every tried t_try.  Every accepted
+    step logs residual, curvature bounds and radial bounds.  The run either
     reaches t = 1 at full tolerance or reports the failure point with
     the last good surface.  The iterate is held as its coefficients in
     the invariant basis throughout; the start surface must carry the
@@ -621,13 +636,16 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
                                   message=f"t = 0 solve failed: {exc}")
     steps.append(_step_record(0.0, iters, state))
 
-    t = 0.0
+    t, t_prev, z_prev = 0.0, None, None
     dt = opts.dt0
     status, message = "converged", ""
     while t < 1.0:
         t_try = min(1.0, t + dt)
+        # secant predictor through the last two accepted points
+        z_start = z if z_prev is None else \
+            z + (t_try - t) / (t - t_prev) * (z - z_prev)
         try:
-            z_try, iters, state = newton_solve(ws, t_try, z, opts)
+            z_try, iters, state = newton_solve(ws, t_try, z_start, opts)
         except (NewtonError, SingularJacobianError, DomainError) as exc:
             dt *= 0.5
             if dt < opts.dt_min:
@@ -635,6 +653,7 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
                 message = f"step size underflow at t = {t_try:g}: {exc}"
                 break
             continue
+        z_prev, t_prev = z, t
         z, t = z_try, t_try
         steps.append(_step_record(t, iters, state))
         if iters <= 3:

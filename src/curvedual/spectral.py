@@ -92,9 +92,11 @@ class _ProductTables:
         l = np.repeat(np.arange(L_max + 1), 2 * np.arange(L_max + 1) + 1)
         self.orders = m = np.arange(len(l)) - l * l - l
         am = np.abs(m)
-        # scalar math-module constants: numpy's vector exp may differ in
-        # the last bit
-        c = np.vectorize(_norm_constant, otypes=[float])(l, am)
+        # scalar math-module constants, one per (l, |m|): numpy's vector
+        # exp may differ in the last bit
+        pl, pm = np.tril_indices(L_max + 1)
+        c = np.vectorize(_norm_constant, otypes=[float])(pl, pm)[
+            l * (l + 1) // 2 + am]
         c = np.where(m != 0, c * np.sqrt(2.0), c)
         # layout [diff, l, m, point] with the Condon-Shortley phase; orders
         # m >= 0 sit at index m.  Reorder to C-contiguous [diff, point,
@@ -127,11 +129,11 @@ class _ProductTables:
 _JET_TABLES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def _synthesis(tables: _ProductTables, A: np.ndarray) -> list[np.ndarray]:
+def _synthesis(tables: _ProductTables, A: np.ndarray) -> np.ndarray:
     """[u] or [u, u_t, u_p, u_tt, u_tp, u_pp] of columns ``A``, (K,) or (K, M).
 
-    A Legendre sum per order, then a longitude product per jet; point
-    q = i_theta * n_phi + j_phi.
+    A Legendre sum per order, then a longitude product per jet written
+    into one (1 or 6, N, ...) array; point q = i_theta * n_phi + j_phi.
     """
     cols = A.reshape(len(A), -1)
     G = np.empty((len(tables.colat), len(tables.Y), len(tables.groups),
@@ -140,8 +142,12 @@ def _synthesis(tables: _ProductTables, A: np.ndarray) -> list[np.ndarray]:
         a = cols[g]
         for k, T in enumerate(tables.colat):
             G[k, :, o] = T[:, g] @ a
-    return [np.matmul(tables.lon[j], G[k]).reshape((-1,) + A.shape[1:])
-            for k, j in _JET_TABLES[:6 if len(tables.colat) > 1 else 1]]
+    jets = _JET_TABLES[:6 if len(tables.colat) > 1 else 1]
+    out = np.empty((len(jets), len(tables.Y), len(tables.lon[0]),
+                    cols.shape[1]))
+    for i, (k, j) in enumerate(jets):
+        np.matmul(tables.lon[j], G[k], out=out[i])
+    return out.reshape((len(jets), -1) + A.shape[1:])
 
 
 def _analysis(tables: _ProductTables, W: np.ndarray) -> np.ndarray:
@@ -291,7 +297,7 @@ def analyze(grid: QuadratureGrid, values: np.ndarray) -> HarmonicCoeffs:
                           _analysis(grid.ops, grid.weights * values))
 
 
-def chart_jets(grid: QuadratureGrid, coeffs: HarmonicCoeffs) -> list:
+def chart_jets(grid: QuadratureGrid, coeffs: HarmonicCoeffs) -> np.ndarray:
     """Values and raw chart partials [u, u_t, u_p, u_tt, u_tp, u_pp] at the nodes."""
     if coeffs.L_max != grid.L_max:
         raise ValueError("coefficient truncation does not match grid")

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CurvatureField, rho_from_r, stereographic_project
+from .geometry import (CurvatureField, StereographicField, rho_from_r,
+                       stereographic_project)
 from .polar import support_test
 from .solver import data_on_field
 
 
-def steiner_point(field: CurvatureField) -> np.ndarray:
+def steiner_point(field: CurvatureField,
+                  st: StereographicField | None = None) -> np.ndarray:
     """Curvature-weighted centroid of the stereographic image.
 
     The image of the surface under stereographic projection is weighted
@@ -32,9 +34,11 @@ def steiner_point(field: CurvatureField) -> np.ndarray:
     For a surface invariant under a fixed-point-free symmetry group the
     point vanishes; for an off-center surface it does not, which makes
     it the standard symmetry diagnostic.  Components are in the frame of
-    the surface's pole.
+    the surface's pole.  ``st`` is the field's stereographic image,
+    projected here when not given.
     """
-    st = stereographic_project(field)
+    if st is None:
+        st = stereographic_project(field)
     density = field.grid.weights * st.gauss_curvature * st.area_jacobian
     return (st.y * density[:, None]).sum(axis=0) / (4.0 * np.pi)
 
@@ -49,16 +53,19 @@ def enclosing_balls(field: CurvatureField) -> tuple[float, float]:
     return float(field.r.min()), float(field.r.max())
 
 
-def stereographic_residual(field: CurvatureField) -> float:
+def stereographic_residual(field: CurvatureField,
+                           st: StereographicField | None = None) -> float:
     """Max node error of the conformal relation between curvature paths.
 
     The spherical shape operator scaled by the conformal factor must
     equal the Euclidean shape operator of the stereographic image plus
     the normal derivative of the conformal factor times the identity.
     The two sides come from fully independent differentiations, so this
-    is a strong end-to-end consistency measure.
+    is a strong end-to-end consistency measure.  ``st`` is as in
+    :func:`steiner_point`.
     """
-    st = stereographic_project(field)
+    if st is None:
+        st = stereographic_project(field)
     e_psi = 1.0 / (1.0 + rho_from_r(field.r) ** 2 / 4.0)
     lhs = e_psi[:, None, None] * field.shape_operator
     eye = np.broadcast_to(np.eye(2), lhs.shape)
@@ -126,10 +133,11 @@ def full_report(field: CurvatureField, F=None, f=None,
         Seed for the support pair sampling.
     """
     convex = bool(field.kappa_min > 0.0)
-    p = steiner_point(field)
+    st = stereographic_project(field)
+    p = steiner_point(field, st)
 
     if convex:
-        stereo = stereographic_residual(field)
+        stereo = stereographic_residual(field, st)
         support_margin = support_test(
             field, sample_count=support_samples, seed=seed).max_off_diagonal
     else:

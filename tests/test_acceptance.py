@@ -18,8 +18,9 @@ from curvedual.geometry import (GraphSurface, curvature_field,
 from curvedual.polar import (dual_surface, gauss_map, support_test,
                              transfer_problem)
 from curvedual.solver import (PrescribedData, check_barriers, continuation,
-                              initial_sphere, invariant_projector,
-                              linear_system, near_kernel, SymmetryGroup)
+                              data_on_field, initial_sphere,
+                              invariant_projector, linear_system,
+                              near_kernel, SymmetryGroup)
 from curvedual.spectral import (HarmonicCoeffs, analyze, build_grid,
                                 index_lm, lm_index, num_coeffs,
                                 surface_gradient, synthesize)
@@ -183,7 +184,7 @@ def test_07_dual_problem_consistency(existence_run):
     grid = build_grid(surface.L_max)
     field = curvature_field(surface, grid)
     samples = gauss_map(field)
-    f_src = modulated_data().values(field.r, grid.theta, grid.phi)
+    f_src = data_on_field(modulated_data(), field)
     F_dual, f_dual = transfer_problem(GAUSS, f_src)
     worst = float(np.max(np.abs(F_dual(samples.kappa_dual) - f_dual)))
     report(7, "solution dualizes to the reciprocal problem", worst <= 1e-6,

@@ -8,11 +8,14 @@ import pytest
 from curvedual.curvature import make_curvature_function
 from curvedual.errors import (ConfigError, DataError, GroupError, NewtonError,
                               SingularJacobianError)
-from curvedual.geometry import HEMISPHERE_MARGIN, GraphSurface, sphere_surface
+from curvedual.geometry import (HEMISPHERE_MARGIN, GraphSurface,
+                                curvature_field, sphere_surface)
 from curvedual.solver import (BarrierReport, NewtonWorkspace, PrescribedData,
-                              SolverOptions, SymmetryGroup, check_barriers,
-                              continuation, default_base_constant,
-                              full_basis, initial_sphere, invariant_projector,
+                              SolverOptions, SymmetryGroup,
+                              _solve_newton_system, check_barriers,
+                              continuation, data_on_field,
+                              default_base_constant, full_basis,
+                              initial_sphere, invariant_projector,
                               linear_system, near_kernel, newton_solve,
                               residual_field, rotate_angles)
 from curvedual.spectral import (HarmonicCoeffs, analyze, basis_matrix,
@@ -159,13 +162,12 @@ def test_data_values_product_form():
     b = np.zeros(num_coeffs(2))
     b[lm_index(2, 0)] = 0.3
     data = PrescribedData(a_poly=[0.1, 0.5], b=HarmonicCoeffs(2, b), c=0.5)
-    r = np.array([0.4, 0.9])
-    theta = np.array([0.7, 1.3])
-    phi = np.array([0.0, 2.0])
-    from curvedual.spectral import synthesize_at
-    expected = np.exp(0.1 + 0.5 * r) * np.exp(
-        synthesize_at(HarmonicCoeffs(2, b), theta, phi))
-    assert np.allclose(data.values(r, theta, phi), expected, atol=1e-14)
+    surface = sphere_surface(0.7, L_max=4)
+    surface.radial[2, 0] = 0.05
+    field = curvature_field(surface, build_grid(4))
+    expected = np.exp(0.1 + 0.5 * field.r) * np.exp(
+        synthesize_at(HarmonicCoeffs(2, b), field.grid.theta, field.grid.phi))
+    assert np.allclose(data_on_field(data, field), expected, atol=1e-14)
 
 
 def test_data_min_constant():
@@ -366,6 +368,43 @@ def test_newton_rejects_singular_system():
     with pytest.raises(SingularJacobianError) as info:
         newton_solve(ws, 0.5, start.radial.values)
     assert info.value.null_dimension == 3
+
+
+@pytest.mark.parametrize("tail, zero_column, null_dimension, svd_calls", [
+    ([], False, None, 0),              # kappa_2 = 2: the LU gate passes
+    ([], True, 1, 1),                  # exactly singular: LU raises
+    ([1e-9, 1 / 1.5e12], False, 2, 1),  # kappa_2 = 1.5e12: rejected
+    ([1e-11], False, None, 1),         # 1e12 / M < kappa_2 < 1e12: solves
+], ids=["well_conditioned", "zero_column", "kappa2_above_1e12",
+        "kappa2_between_gate_and_rule"])
+def test_newton_system_singularity_gate(monkeypatch, tail, zero_column,
+                                        null_dimension, svd_calls):
+    M = 20
+    rng = np.random.default_rng(5)
+    U = np.linalg.qr(rng.standard_normal((M, M)))[0]
+    V = np.linalg.qr(rng.standard_normal((M, M)))[0]
+    s = np.concatenate([np.linspace(1.0, 0.5, M - len(tail)), tail])
+    J = (U * s) @ V.T
+    if zero_column:
+        J[:, 3] = 0.0
+    rhs = rng.standard_normal(M)
+    if tail == [1e-11]:
+        # the case must lie between the gate and the singular-value rule
+        assert M * np.linalg.cond(J, 1) * 1e-12 >= 1.0
+        assert np.linalg.cond(J, 2) < 1e12
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or svd(*a, **k))
+    if null_dimension is None:
+        x = _solve_newton_system(J, rhs)
+        np.testing.assert_allclose(x, np.linalg.solve(J, rhs), rtol=1e-12)
+    else:
+        with pytest.raises(SingularJacobianError,
+                           match="numerically singular") as info:
+            _solve_newton_system(J, rhs)
+        assert info.value.null_dimension == null_dimension
+    assert len(calls) == svd_calls
 
 
 # ------------------------------------------------- linearization checks

@@ -55,10 +55,10 @@ def test_traced_solve_op_counts_newton_work(tmp_path, monkeypatch, capsys):
     assert rc == 0
     report = json.loads((out / "continuation_report.json").read_text())
     iterations = sum(s["iterations"] for s in report["steps"])
-    assert iterations == 21
+    assert iterations == 17
     assert counts["solver.newton_iters"] == iterations
     assert counts["solver.newton_solve_calls"] == 7
-    assert counts["solver.state_evals"] == 28
+    assert counts["solver.state_evals"] == 24
     assert counts["spectral.ops_builds"] == 1
     # the node dump samples the final surface; the steps read Newton states
     assert counts["geometry.curvature_field_calls"] == 1
