@@ -172,6 +172,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    # a bad config fails before the two fits run
+    config = None if args.config is None else \
+        parse_config(_load_json(args.config))
     surface = formats.read_surface(args.surface)
     os.makedirs(args.out, exist_ok=True)
     grid = build_grid(surface.L_max)
@@ -196,8 +199,8 @@ def cmd_dual(args) -> int:
         "dual_fit_residual": fit_residual(samples, dual),
         "dual_L_max": dual.L_max,
     }
-    if args.config is not None:
-        F, data, opts, group = parse_config(_load_json(args.config))
+    if config is not None:
+        F, data, _, _ = config
         f_src = data_on_field(data, field)
         F_dual, f_dual = transfer_problem(F, f_src)
         resid = F_dual(samples.kappa_dual) - f_dual

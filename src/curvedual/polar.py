@@ -11,7 +11,8 @@ Dual curvatures are computed intrinsically at the source nodes, from the
 dual metric and second fundamental form, so the reciprocal pairing with
 the source curvatures is a genuine cross-check rather than a definition.
 Refitting through least squares is needed only to produce a standalone
-:class:`~curvedual.geometry.GraphSurface`.
+:class:`~curvedual.geometry.GraphSurface`; the fit solves the normal
+equations when they are well conditioned and an SVD solve otherwise.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ log = logging.getLogger(__name__)
 
 _CONDITION_LIMIT = 1e8
 _SV_CUTOFF = 1e-12
+# largest kappa_2 of the basis matrix fitted through the normal equations
+_NORMAL_EQUATIONS_LIMIT = 1e3
 
 
 @dataclass
@@ -114,24 +117,40 @@ def dual_as_graph(samples: DualSamples, L_max: int) -> GraphSurface:
     """Fit the dual samples as a radial graph about the antipodal pole.
 
     A least-squares spherical-harmonic fit of ``r_star`` over the
-    scattered dual directions.  Degrees of freedom whose singular values
-    fall below 1e-12 of the largest are discarded; the dual directions
-    cluster where the source curvature is large, and the cutoff keeps the
-    fit stable there.
+    scattered dual directions, with basis matrix B.  The fit first forms
+    the Gram matrix G = B^T B and its eigenvalues, whose extreme ratio
+    gives the condition number kappa_2(B) = sqrt(ev_max / ev_min).  When
+    kappa_2(B) <= 1e3 it solves the normal equations G c = B^T r_star:
+    the least-squares solution is then unique, and the normal equations
+    reach it with relative error about eps * kappa^2 <= 1e-10 (Golub &
+    Van Loan, *Matrix Computations*, 4th ed., section 5.3) for about a
+    third of the flops of an SVD solve.  Otherwise, or when the
+    eigenvalues are not positive and finite, it falls back to the SVD
+    solve: degrees of freedom whose singular values fall below 1e-12 of
+    the largest are discarded; the dual directions cluster where the
+    source curvature is large, and the cutoff keeps the fit stable there.
 
     Raises
     ------
     ResolutionError
-        If the condition number of the fit exceeds 1e8.  The caller
-        should raise the source grid density.
+        If the condition number of the fit, measured by the SVD on the
+        fallback path, exceeds 1e8.  The caller should raise the source
+        grid density.
     """
     B = spectral.basis_matrix(L_max, samples.eta_theta, samples.eta_phi)
-    coeffs, _, _, sv = np.linalg.lstsq(B, samples.r_star, rcond=_SV_CUTOFF)
-    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
-    if cond > _CONDITION_LIMIT:
-        raise ResolutionError(
-            f"dual graph fit is ill conditioned (condition number "
-            f"{cond:.3g}); raise the sampling grid density")
+    G = B.T @ B  # numpy sends this form to syrk
+    ev = np.linalg.eigvalsh(G)
+    cond = np.sqrt(ev[-1] / ev[0]) if ev[0] > 0.0 else np.inf
+    if cond <= _NORMAL_EQUATIONS_LIMIT:  # false for NaN
+        coeffs = np.linalg.solve(G, B.T @ samples.r_star)
+    else:
+        coeffs, _, _, sv = np.linalg.lstsq(B, samples.r_star,
+                                           rcond=_SV_CUTOFF)
+        cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
+        if cond > _CONDITION_LIMIT:
+            raise ResolutionError(
+                f"dual graph fit is ill conditioned (condition number "
+                f"{cond:.3g}); raise the sampling grid density")
     residual = float(np.max(np.abs(B @ coeffs - samples.r_star)))
     log.debug("dual graph fit: %d samples, L_max=%d, condition %.3g, "
               "max residual %.3g", samples.n_nodes, L_max, cond, residual)

@@ -489,7 +489,9 @@ def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
     nothing is built here.  Convergence is measured by the infinity norm
     of the residual over the grid nodes.  A step is accepted only if the
     residual decreases and the iterate stays strictly convex, with
-    halving up to ``opts.max_halvings``.
+    halving up to ``opts.max_halvings``.  A starting residual that is
+    not finite, as F gives on a non-convex iterate, raises NewtonError
+    before any linear algebra.
 
     Returns
     -------
@@ -504,6 +506,12 @@ def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
     """
     opts = opts or SolverOptions()
     state = ws.state(z, t)
+    if not np.isfinite(state.norm):
+        # e.g. F of a non-convex start; a NaN matrix would only fail
+        # later inside LAPACK
+        raise NewtonError(
+            f"residual is not finite at t = {t:g}; kappa_min "
+            f"{state.kappa_min:.6g}")
     for iteration in range(opts.max_newton + 1):
         if state.norm <= opts.tol:
             return z, iteration, state

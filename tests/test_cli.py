@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvedual import HarmonicCoeffs, build_grid, sphere_surface, synthesize
+from curvedual import cli
 from curvedual.cli import main, parse_config
 from curvedual.errors import ConfigError
 from curvedual.geometry import GraphSurface
@@ -271,6 +272,21 @@ class TestDualCommand:
         # the pi/4 sphere solves f = 2, so the transferred problem is
         # solved exactly by its polar dual
         assert report["transfer_residual_max"] <= 1e-8
+
+    def test_bad_config_fails_before_fitting(self, tmp_path, capsys,
+                                             monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("dual fit ran before the config was parsed")
+
+        monkeypatch.setattr(cli, "dual_surface", no_fit)
+        src = tmp_path / "surface.json"
+        write_surface(src, sphere_surface(np.pi / 4, L_max=12))
+        cfg = write_config(tmp_path / "config.json", F="nope")
+        rc = main(["dual", "--surface", str(src), "--config", cfg,
+                   "--out", str(tmp_path / "dual")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown curvature function")
 
     def test_rejects_nonconvex_surface(self, tmp_path, capsys):
         radial = HarmonicCoeffs.zeros(16)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from curvedual.geometry import curvature_field, sphere_surface
 from curvedual.polar import (DualSamples, dual_as_graph, dual_surface,
                              fit_residual, gauss_map, support_test,
                              transfer_problem)
-from curvedual.spectral import HarmonicCoeffs, analyze, build_grid, \
-    surface_gradient
+from curvedual.spectral import HarmonicCoeffs, analyze, basis_matrix, \
+    build_grid, surface_gradient
 from curvedual import geometry
 
 E4 = np.array([0.0, 0.0, 0.0, 1.0])
@@ -159,6 +161,45 @@ def test_degenerate_samples_rejected():
                             kappa_dual=s.kappa_dual[rep], pole=s.pole)
     with pytest.raises(ResolutionError):
         dual_as_graph(collapsed, L_max=4)
+
+
+def _svd_fit(samples, L_max):
+    B = basis_matrix(L_max, samples.eta_theta, samples.eta_phi)
+    return np.linalg.lstsq(B, samples.r_star, rcond=1e-12)[0]
+
+
+def _squeezed_sphere_samples(factor):
+    # scaling eta_theta pulls the dual directions toward the chart pole,
+    # which raises the condition number of the fit
+    grid = build_grid(8)
+    s = gauss_map(curvature_field(sphere_surface(np.pi / 4, L_max=8), grid))
+    return dataclasses.replace(s, eta_theta=factor * s.eta_theta)
+
+
+def test_well_conditioned_fit_uses_normal_equations(monkeypatch):
+    samples = gauss_map(curvature_field(perturbed_surface().padded_to(36),
+                                        build_grid(36)))
+    expect = _svd_fit(samples, 32)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD solve on a well-conditioned fit")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_svd)
+    coeffs = dual_as_graph(samples, L_max=32).radial.values
+    assert np.max(np.abs(coeffs - expect)) <= 1e-12
+
+
+def test_ill_conditioned_fit_falls_back_to_svd():
+    samples = _squeezed_sphere_samples(0.5)  # condition number 8.3e4
+    coeffs = dual_as_graph(samples, L_max=6).radial.values
+    assert np.array_equal(coeffs, _svd_fit(samples, 6))
+
+
+def test_fit_above_condition_limit_rejected():
+    samples = _squeezed_sphere_samples(0.2)  # condition number 1.7e10
+    message = r"ill conditioned \(condition number 1\.66e\+10\)"
+    with pytest.raises(ResolutionError, match=message):
+        dual_as_graph(samples, L_max=6)
 
 
 def test_second_fundamental_form_shared_with_dual():

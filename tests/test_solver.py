@@ -573,6 +573,19 @@ def test_continuation_report_dict():
             "r_max"} <= set(d["steps"][-1])
 
 
+def test_continuation_nonconvex_start_fails_cleanly():
+    # F is not finite where a principal curvature is negative, so the
+    # t = 0 solve fails with a report instead of a LAPACK error
+    start = sphere_surface(np.pi / 4, L_max=24)
+    start.radial[2, 0] += 0.45
+    start.radial[4, 0] += 0.2
+    report = continuation(GAUSS, constant_data(2.0, 1.0),
+                          opts=SolverOptions(L_max=24), start=start)
+    assert report.status == "failed" and report.steps == []
+    assert report.message.startswith(
+        "t = 0 solve failed: residual is not finite at t = 0; kappa_min -1.5")
+
+
 # -------------------------------------------------------------- barriers
 
 def test_barriers_sphere_pair():
