@@ -1,9 +1,9 @@
-"""Per-node kernels: embedding, fundamental forms, principal curvatures.
+"""Per-node kernels: fundamental forms and principal curvatures.
 
-Everything is vectorized numpy over arbitrary leading axes.  The solver
-evaluates curvatures through :func:`kappa_batch`, which takes a batch of
-radial fields and returns their principal curvatures; the full geometric
-record of a surface comes from :func:`fundamental_forms`.
+Everything is vectorized numpy over arbitrary leading axes.  The solver's
+:func:`kappa_batch` (principal curvatures of a batch of radial fields) and
+:func:`fundamental_forms` (the full geometric record of a surface) share
+one closed-form routine of the radial 2-jet.
 
 All angles are chart coordinates (theta, phi) on the parameter sphere; the
 radial inputs are the chart partial derivatives of the radial function.
@@ -56,20 +56,59 @@ def _frame_fields(theta, phi):
     return w, wt, wp, wtp, wpp
 
 
-def embedding_derivatives(theta, phi, r, rt, rp, rtt, rtp, rpp):
-    """Embedding of the radial graph and its chart derivatives in R^4.
+def _graph_forms(theta, r, rt, rp, rtt, rtp, rpp):
+    """Fundamental forms of a radial graph from the 2-jet of r at each node.
 
-    Inputs broadcast together; outputs gain a trailing axis of length 4.
-    The pole sits at the fourth coordinate axis.
+    In the warped chart dr^2 + sin^2 r sigma of S^3, sigma the round
+    metric d theta^2 + sin^2 theta d phi^2, the graph of r has
+
+        g_ij = r_i r_j + sin^2 r sigma_ij,
+        h_ij = (-r_;ij + 2 cot r r_i r_j + sin r cos r sigma_ij) / v,
+
+    with r_;ij the covariant Hessian of sigma and
+    v^2 = 1 + sigma^ij r_i r_j / sin^2 r; h is taken against the outward
+    normal.  Inputs broadcast together.  Returns v, the metric components
+    (g11, g12, g22), the second-form components (h11, h12, h22), the shape
+    operator components (s11, s12, s21, s22) and the principal curvatures,
+    ascending on a trailing axis.
     """
-    w, wt, wp, wtp, wpp = _frame_fields(theta, phi)
+    st, ct = np.sin(theta), np.cos(theta)
+    sr, cr = np.sin(r), np.cos(r)
+    st2, sr2 = st * st, sr * sr
+    v = np.sqrt(1.0 + (rt * rt + rp * rp / st2) / sr2)
+    g11 = rt * rt + sr2
+    g12 = rt * rp
+    g22 = rp * rp + sr2 * st2
+    c, k = 2.0 * cr / sr, sr * cr
+    h11 = (-rtt + c * rt * rt + k) / v
+    h12 = (-(rtp - ct / st * rp) + c * rt * rp) / v
+    h22 = (-(rpp + st * ct * rt) + c * rp * rp + k * st2) / v
+    detg = g11 * g22 - g12**2
+    s11 = (g22 * h11 - g12 * h12) / detg
+    s12 = (g22 * h12 - g12 * h22) / detg
+    s21 = (g11 * h12 - g12 * h11) / detg
+    s22 = (g11 * h22 - g12 * h12) / detg
+    kappa = eig2_ascending(s11, s12, s21, s22)
+    return v, (g11, g12, g22), (h11, h12, h22), (s11, s12, s21, s22), kappa
+
+
+def fundamental_forms(theta, phi, r, rt, rp, rtt, rtp, rpp):
+    """Full geometric data at each node.
+
+    Returns a dict with the embedding x = (sin r w, cos r) in R^4 (pole on
+    the fourth axis), its chart tangents, the outward unit normal, metric,
+    second fundamental form, shape operator, and principal curvatures
+    (ascending).  The normal is written in closed form; its component
+    along the radial direction d/dr is 1/v > 0, so it points outward.
+    """
+    v, (g11, g12, g22), (h11, h12, h22), (s11, s12, s21, s22), kappa = \
+        _graph_forms(theta, r, rt, rp, rtt, rtp, rpp)
+    w, wt, wp, _, _ = _frame_fields(theta, phi)
     sr = np.sin(r)[..., None]
     cr = np.cos(r)[..., None]
     rt_ = np.asarray(rt)[..., None]
     rp_ = np.asarray(rp)[..., None]
-    rtt_ = np.asarray(rtt)[..., None]
-    rtp_ = np.asarray(rtp)[..., None]
-    rpp_ = np.asarray(rpp)[..., None]
+    st2 = np.sin(theta)[..., None] ** 2
 
     def four(vec3, last):
         return np.concatenate([vec3, last], axis=-1)
@@ -77,57 +116,8 @@ def embedding_derivatives(theta, phi, r, rt, rp, rtt, rtp, rpp):
     x = four(sr * w, cr)
     xt = four(cr * rt_ * w + sr * wt, -sr * rt_)
     xp = four(cr * rp_ * w + sr * wp, -sr * rp_)
-    xtt = four((cr * rtt_ - sr * rt_**2) * w + 2 * cr * rt_ * wt + sr * (-w),
-               -(sr * rtt_ + cr * rt_**2))
-    xtp = four((cr * rtp_ - sr * rt_ * rp_) * w + cr * (rt_ * wp + rp_ * wt) + sr * wtp,
-               -(sr * rtp_ + cr * rt_ * rp_))
-    xpp = four((cr * rpp_ - sr * rp_**2) * w + 2 * cr * rp_ * wp + sr * wpp,
-               -(sr * rpp_ + cr * rp_**2))
-    return x, xt, xp, xtt, xtp, xpp
-
-
-def cross4(u, v, w):
-    """Generalized cross product in R^4, orthogonal to u, v, w (..., 4)."""
-    out = np.empty_like(u)
-    idx = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
-    sign = 1.0
-    for a, (i, j, k) in enumerate(idx):
-        det = (u[..., i] * (v[..., j] * w[..., k] - v[..., k] * w[..., j])
-               - u[..., j] * (v[..., i] * w[..., k] - v[..., k] * w[..., i])
-               + u[..., k] * (v[..., i] * w[..., j] - v[..., j] * w[..., i]))
-        out[..., a] = sign * det
-        sign = -sign
-    return out
-
-
-def fundamental_forms(theta, phi, r, rt, rp, rtt, rtp, rpp):
-    """Full geometric data at each node.
-
-    Returns a dict with the embedding, tangents, outward unit normal,
-    metric, second fundamental form, shape operator, and principal
-    curvatures (ascending).
-    """
-    x, xt, xp, xtt, xtp, xpp = embedding_derivatives(
-        theta, phi, r, rt, rp, rtt, rtp, rpp)
-    g11 = np.einsum("...i,...i->...", xt, xt)
-    g12 = np.einsum("...i,...i->...", xt, xp)
-    g22 = np.einsum("...i,...i->...", xp, xp)
-    nrm = cross4(x, xt, xp)
-    nrm /= np.linalg.norm(nrm, axis=-1, keepdims=True)
-    w, _, _, _, _ = _frame_fields(theta, phi)
-    radial = np.concatenate([np.cos(r)[..., None] * w,
-                             -np.sin(r)[..., None]], axis=-1)
-    flip = np.einsum("...i,...i->...", nrm, radial) < 0
-    nrm[flip] *= -1.0
-    h11 = -np.einsum("...i,...i->...", xtt, nrm)
-    h12 = -np.einsum("...i,...i->...", xtp, nrm)
-    h22 = -np.einsum("...i,...i->...", xpp, nrm)
-    detg = g11 * g22 - g12**2
-    s11 = (g22 * h11 - g12 * h12) / detg
-    s12 = (g22 * h12 - g12 * h22) / detg
-    s21 = (g11 * h12 - g12 * h11) / detg
-    s22 = (g11 * h22 - g12 * h12) / detg
-    kappa = eig2_ascending(s11, s12, s21, s22)
+    nrm = four(cr * w - rt_ / sr * wt - rp_ / (sr * st2) * wp,
+               -sr) / v[..., None]
     g = np.stack([np.stack([g11, g12], -1), np.stack([g12, g22], -1)], -2)
     hh = np.stack([np.stack([h11, h12], -1), np.stack([h12, h22], -1)], -2)
     shape_op = np.stack([np.stack([s11, s12], -1), np.stack([s21, s22], -1)], -2)
@@ -141,9 +131,8 @@ def kappa_batch(theta, phi, R, RT, RP, RTT, RTP, RPP):
     """Principal curvatures for a batch of radial fields.
 
     ``theta``/``phi`` have shape (N,); the six field arrays (N, nb).
-    Returns (kappa_min, kappa_max) arrays of shape (N, nb).
+    Returns (kappa_min, kappa_max) arrays of shape (N, nb).  The chart
+    formulas do not involve ``phi``.
     """
-    out = fundamental_forms(theta[:, None], phi[:, None],
-                            R, RT, RP, RTT, RTP, RPP)
-    kap = out["kappa"]
+    kap = _graph_forms(theta[:, None], R, RT, RP, RTT, RTP, RPP)[-1]
     return kap[..., 0], kap[..., 1]

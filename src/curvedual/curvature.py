@@ -25,7 +25,6 @@ __all__ = [
     "apply_to_shape_operator",
     "class_K_check",
     "ClassKReport",
-    "CATALOG",
 ]
 
 _EIG_CLUSTER_TOL = 1e-9
@@ -243,9 +242,6 @@ def make_curvature_function(name: str, n: int = 2) -> CurvatureFunction:
             raise ValueError(f"unknown curvature function {name!r}") from None
         return _SigmaK(n=n, k=k)
     raise ValueError(f"unknown curvature function {name!r}")
-
-
-CATALOG = ("mean", "gauss_power", "norm_A", "sigma_1", "sigma_2")
 
 
 def apply_to_shape_operator(F: CurvatureFunction, h_mixed: np.ndarray,

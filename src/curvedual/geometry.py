@@ -7,8 +7,9 @@ the parameter 2-sphere.  The embedding into R^4 is
     x(xi) = sin r(xi) * omega(xi) (+) cos r(xi) * pole,
 
 omega the unit direction in the pole's equatorial 3-space.  Curvature data
-comes from chart derivatives of the embedding; an independent conformal
-chart formula is provided as a cross-check path.
+comes in closed form from the 2-jet of r in the warped metric
+dr^2 + sin^2 r sigma (see :mod:`curvedual._kernels`); an independent
+conformal chart formula is provided as a cross-check path.
 """
 
 from __future__ import annotations
@@ -207,7 +208,8 @@ def offset_sphere_surface(radius: float, tilt: float,
 def check_annulus(r: np.ndarray) -> None:
     """Raise DomainError unless every radius lies in the open annulus."""
     lo, hi = r.min(), r.max()
-    if lo <= HEMISPHERE_MARGIN or hi >= np.pi / 2 - HEMISPHERE_MARGIN:
+    # written as "not inside" so that a NaN radius fails too
+    if not (lo > HEMISPHERE_MARGIN and hi < np.pi / 2 - HEMISPHERE_MARGIN):
         raise DomainError(
             f"radial range [{lo:.6g}, {hi:.6g}] leaves the open hemisphere "
             f"annulus ({HEMISPHERE_MARGIN:g}, pi/2 - {HEMISPHERE_MARGIN:g})")
@@ -282,7 +284,7 @@ def curvature_field(surface: GraphSurface, grid: QuadratureGrid,
 def second_fundamental_form_conformal(field: CurvatureField) -> np.ndarray:
     """Second fundamental form via the cylindrical conformal chart.
 
-    Independent of the embedding path: writes the surface as a graph of
+    Independent of the warped-chart kernel: writes the surface as a graph of
     the logarithmic radial coordinate u = tau(r) over the parameter sphere
     and applies the conformal relation between the product-chart and
     spherical fundamental forms,

@@ -9,6 +9,7 @@ reason.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -124,6 +125,8 @@ def surface_from_dict(doc: dict) -> GraphSurface:
                        "surface pole")
     L_max = json_number(int, L_max, "surface L_max")
     gauge_tau0 = json_number(float, gauge_tau0, "surface gauge_tau0")
+    if not math.isfinite(gauge_tau0):
+        raise DataError(f"surface gauge_tau0 must be finite, got {gauge_tau0}")
     if pole.shape != (4,) or not isinstance(entries, list):
         raise DataError("surface document has invalid L_max, pole or radial")
     # what GraphSurface and build_grid accept; NaN fails the pole test too
@@ -139,6 +142,9 @@ def surface_from_dict(doc: dict) -> GraphSurface:
             raise DataError(f"malformed radial entry {entry!r}") from exc
         l, m = json_number(int, l, "radial l"), json_number(int, m, "radial m")
         value = json_number(float, value, "radial value")
+        if not math.isfinite(value):
+            raise DataError(f"radial value at (l={l}, m={m}) must be finite, "
+                            f"got {value!r}")
         if not (0 <= l <= L_max and -l <= m <= l):
             raise DataError(f"radial entry (l={l}, m={m}) outside truncation "
                             f"L_max={L_max}")

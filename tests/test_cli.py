@@ -386,3 +386,31 @@ class TestExportObj:
         rc = main(["export-obj", "--surface", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "mesh.obj")])
         assert rc == 1
+
+
+@pytest.mark.parametrize("command", ["dual", "check", "export-obj"])
+@pytest.mark.parametrize("key, value", [
+    ("value", math.nan), ("value", math.inf), ("gauge_tau0", math.nan)])
+def test_non_finite_surface_fails_cleanly(tmp_path, capsys, command, key,
+                                          value):
+    # json reads the NaN and Infinity tokens; the file must still be refused
+    doc = {"n": 2, "pole": [0, 0, 0, 1], "L_max": 8, "gauge_tau0": -2.3,
+           "radial": [{"l": 0, "m": 0, "value": 2.78},
+                      {"l": 2, "m": 0, "value": 0.0}]}
+    if key == "value":
+        doc["radial"][1]["value"] = value
+    else:
+        doc[key] = value
+    src = tmp_path / "surface.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = [command, "--surface", str(src)]
+    if command != "check":
+        argv += ["--out", str(out)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "must be finite" in captured.err
+    assert not out.exists()

@@ -9,7 +9,9 @@ from curvedual.geometry import (
     conformal_psi,
     curvature_field,
     default_gauge_tau0,
+    check_annulus,
     frame_for_pole,
+    offset_sphere_surface,
     r_from_tau,
     rho_from_r,
     second_fundamental_form_conformal,
@@ -79,6 +81,13 @@ def test_embed_rejects_nonpositive_radius(grid):
         curvature_field(s, grid)
 
 
+def test_check_annulus_rejects_nan():
+    # every comparison with NaN is false, so the test must be written as
+    # "not inside" rather than "outside"
+    with pytest.raises(DomainError):
+        check_annulus(np.array([0.5, np.nan, 0.6]))
+
+
 def test_frame_for_pole_orthogonal():
     for pole in [np.array([0.0, 0.0, 0.0, 1.0]),
                  np.array([1.0, 0.0, 0.0, 0.0]),
@@ -144,6 +153,15 @@ def test_sphere_umbilic(grid):
     assert np.max(np.abs(f.kappa[:, 1] - f.kappa[:, 0])) <= 1e-9
 
 
+@pytest.mark.parametrize("tilt", [0.15, 0.3])
+def test_offset_sphere_curvature_is_one(grid, tilt):
+    # a round sphere of radius pi/4 about an off-axis center: its graph
+    # coefficients are dense, so every radial jet is non-zero, yet
+    # kappa = cot(pi/4) = 1 at every node
+    f = curvature_field(offset_sphere_surface(np.pi / 4, tilt), grid)
+    assert np.max(np.abs(f.kappa - 1.0)) <= 1e-9
+
+
 def test_normal_orthogonality_and_orientation(grid, perturbed):
     f = curvature_field(perturbed, grid)
     assert np.max(np.abs(np.einsum("ni,ni->n", f.normal, f.x))) <= 1e-12
@@ -161,8 +179,11 @@ def test_normal_orthogonality_and_orientation(grid, perturbed):
 
 def test_metric_consistency(grid, perturbed):
     f = curvature_field(perturbed, grid)
-    g11 = np.einsum("ni,ni->n", f.x_theta, f.x_theta)
-    assert np.max(np.abs(g11 - f.g[:, 0, 0])) <= 1e-12
+    for i, j, a, b in ((0, 0, f.x_theta, f.x_theta),
+                       (0, 1, f.x_theta, f.x_phi),
+                       (1, 1, f.x_phi, f.x_phi)):
+        gij = np.einsum("ni,ni->n", a, b)
+        assert np.max(np.abs(gij - f.g[:, i, j])) <= 1e-12
 
 
 def test_gauss_weingarten_consistency(grid, perturbed):
@@ -180,21 +201,6 @@ def test_gauss_weingarten_consistency(grid, perturbed):
         err = max(err, np.max(np.abs(gradc[:, 0] - pred_t)),
                   np.max(np.abs(gradc[:, 1] - pred_p)))
     assert err <= 1e-7
-
-
-def test_gauss_formula_tangential_part(grid, perturbed):
-    # <x_(,ij), x> = -g_ij  follows from |x| = 1; checks second derivatives
-    f = curvature_field(perturbed, grid)
-    from curvedual._kernels import embedding_derivatives
-    r, = (f.r,)
-    grad = spectral.surface_gradient(grid, perturbed.radial)
-    raw = spectral.chart_second_partials(grid, perturbed.radial)
-    x, xt, xp, xtt, xtp, xpp = embedding_derivatives(
-        grid.theta, grid.phi, r, grad[:, 0], grad[:, 1],
-        raw[:, 0], raw[:, 1], raw[:, 2])
-    assert np.max(np.abs(np.einsum("ni,ni->n", xtt, x) + f.g[:, 0, 0])) <= 1e-10
-    assert np.max(np.abs(np.einsum("ni,ni->n", xtp, x) + f.g[:, 0, 1])) <= 1e-10
-    assert np.max(np.abs(np.einsum("ni,ni->n", xpp, x) + f.g[:, 1, 1])) <= 1e-10
 
 
 def test_conformal_chart_second_fundamental_form_agrees(grid, perturbed):

@@ -135,6 +135,8 @@ class TestSurfaceFiles:
         ("gauge_tau0", "0.5", "surface gauge_tau0 must be numeric"),
         ("pole", [0, 0, 0, "1"], "surface pole must be numeric"),
         ("radial", {"l": 0}, "invalid L_max, pole or radial"),
+        ("gauge_tau0", math.nan, "surface gauge_tau0 must be finite"),
+        ("gauge_tau0", -math.inf, "surface gauge_tau0 must be finite"),
     ])
     def test_rejects_non_numeric_field(self, key, value, message):
         doc = surface_to_dict(sphere_surface(np.pi / 4, L_max=8))
@@ -148,6 +150,9 @@ class TestSurfaceFiles:
         ({"l": 2, "m": 0, "value": "2.7"}, "radial value must be numeric"),
         ({"l": 2, "m": 0, "value": True}, "radial value must be numeric"),
         ({"l": None, "m": 0, "value": 0.1}, "radial l must be numeric"),
+        ({"l": 2, "m": 0, "value": math.nan}, "radial value at"),
+        ({"l": 2, "m": 0, "value": math.inf}, "radial value at"),
+        ({"l": 2, "m": 0, "value": -math.inf}, "radial value at"),
     ])
     def test_rejects_non_numeric_entry(self, entry, message):
         doc = surface_to_dict(sphere_surface(np.pi / 4, L_max=8))

@@ -52,14 +52,6 @@ def test_selected_backend_sphere_curvature():
     assert np.max(np.abs(k2 - 1 / np.tan(r0))) <= 1e-12
 
 
-def test_cross4_orthogonality():
-    rng = np.random.default_rng(0)
-    u, v, w = rng.standard_normal((3, 10, 4))
-    c = _kernels.cross4(u, v, w)
-    for other in (u, v, w):
-        assert np.max(np.abs(np.einsum("ni,ni->n", c, other))) <= 1e-12
-
-
 def test_newton_iteration_makes_one_kernel_call_of_width_12(monkeypatch):
     from curvedual.curvature import make_curvature_function
     from curvedual.solver import (NewtonWorkspace, PrescribedData,
