@@ -237,6 +237,8 @@ def _check_passes(report_dict: dict) -> bool:
 
 
 def cmd_check(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     surface = formats.read_surface(args.surface)
     F = f = None
     if args.config is not None:
@@ -303,9 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once, with the module: a command only parses (building one costs
+# more than parsing, and argparse's first message lookup imports locale)
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (CurveDualError, OSError) as exc:

@@ -33,10 +33,6 @@ __all__ = [
     "check_annulus",
     "curvature_field",
     "rho_from_r",
-    "r_from_rho",
-    "tau_from_r",
-    "r_from_tau",
-    "conformal_psi",
     "offset_sphere_surface",
     "second_fundamental_form_conformal",
     "stereographic_project",
@@ -54,47 +50,9 @@ def rho_from_r(r):
     return 2.0 * np.tan(np.asarray(r, dtype=float) / 2.0)
 
 
-def r_from_rho(rho):
-    """Inverse of :func:`rho_from_r`."""
-    return 2.0 * np.arctan(np.asarray(rho, dtype=float) / 2.0)
-
-
 def default_gauge_tau0() -> float:
     """Gauge constant tau0 with tau(DEFAULT_GAUGE_RADIUS) = 0."""
     return float(np.log(rho_from_r(DEFAULT_GAUGE_RADIUS)))
-
-
-def tau_from_r(r, tau0: float | None = None):
-    """Logarithmic radial coordinate tau = log rho - tau0."""
-    if tau0 is None:
-        tau0 = default_gauge_tau0()
-    return np.log(rho_from_r(r)) - tau0
-
-
-def r_from_tau(tau, tau0: float | None = None):
-    """Inverse of :func:`tau_from_r`."""
-    if tau0 is None:
-        tau0 = default_gauge_tau0()
-    return r_from_rho(np.exp(np.asarray(tau, dtype=float) + tau0))
-
-
-def conformal_psi(tau, tau0: float | None = None):
-    """Conformal factor of the cylindrical chart and its tau-derivatives.
-
-    The spherical metric over the punctured hemisphere is
-    e^{2 psi} (d tau^2 + sigma) with psi(tau) = log rho - log(1 + rho^2/4),
-    rho = e^{tau + tau0}.  Returns (psi, psi', psi'').  The derivatives
-    satisfy |psi'|^2 - psi'' = 1 identically, and e^psi = sin r,
-    psi' = cos r at the matching geodesic radius.
-    """
-    if tau0 is None:
-        tau0 = default_gauge_tau0()
-    rho = np.exp(np.asarray(tau, dtype=float) + tau0)
-    q = rho**2 / 4.0
-    psi = np.log(rho) - np.log1p(q)
-    dpsi = (1.0 - q) / (1.0 + q)
-    ddpsi = -4.0 * q / (1.0 + q) ** 2
-    return psi, dpsi, ddpsi
 
 
 def frame_for_pole(pole: np.ndarray) -> np.ndarray:
@@ -126,7 +84,9 @@ class GraphSurface:
     """Radial graph over the parameter sphere about ``pole``.
 
     ``radial`` holds the spherical-harmonic coefficients of the geodesic
-    radius r(xi); ``gauge_tau0`` fixes the logarithmic chart's origin.
+    radius r(xi).  ``gauge_tau0``, the origin of the logarithmic radial
+    coordinate tau = log rho - tau0, is stored and validated but read by
+    no computation.
     """
 
     n: int

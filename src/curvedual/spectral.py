@@ -18,8 +18,10 @@ Conventions
 * Y_{l,0}(theta, phi)   = K_{l0} P_l^0(cos theta)
   Y_{l,m}(theta, phi)   = sqrt(2) K_{lm} P_l^m(cos theta) cos(m phi),  m > 0
   Y_{l,-m}(theta, phi)  = sqrt(2) K_{lm} P_l^m(cos theta) sin(m phi),  m > 0
-  with K_{lm} = sqrt((2l+1)(l-m)! / (4 pi (l+m)!)) and P_l^m including the
-  Condon-Shortley phase (scipy convention).
+  with K_{lm} = sqrt((2l+1)(l-m)! / (4 pi (l+m)!)) and
+  P_l^m(x) = (-1)^m (1 - x^2)^(m/2) d^m/dx^m P_l(x), the Condon-Shortley
+  phase included.  The products K_{lm} P_l^m come straight from the fully
+  normalized recurrence, never from P_l^m and K_{lm} apart.
 * Covariant derivatives are taken with respect to the round metric
   sigma = d theta^2 + sin^2 theta d phi^2.
 """
@@ -29,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import assoc_legendre_p_all
 
 __all__ = [
     "QuadratureGrid",
@@ -44,10 +45,7 @@ __all__ = [
     "synthesize_at",
     "synthesize_product",
     "chart_jets",
-    "surface_gradient",
     "surface_hessian",
-    "chart_second_partials",
-    "laplace_beltrami",
 ]
 
 
@@ -69,14 +67,6 @@ def index_lm(idx: int) -> tuple[int, int]:
     return l, idx - l * l - l
 
 
-def _norm_constant(l: int, m: int) -> float:
-    from math import lgamma, pi, sqrt, exp
-
-    # sqrt((2l+1)/(4 pi) * (l-m)!/(l+m)!) via log-gamma for stability
-    logfact = lgamma(l - m + 1) - lgamma(l + m + 1)
-    return sqrt((2 * l + 1) / (4 * pi)) * exp(0.5 * logfact)
-
-
 class _ProductTables:
     """Basis factor tables on the product of colatitudes x longitudes.
 
@@ -91,31 +81,42 @@ class _ProductTables:
                  derivatives: bool = True):
         l = np.repeat(np.arange(L_max + 1), 2 * np.arange(L_max + 1) + 1)
         self.orders = m = np.arange(len(l)) - l * l - l
-        am = np.abs(m)
-        # scalar math-module constants, one per (l, |m|): numpy's vector
-        # exp may differ in the last bit
-        pl, pm = np.tril_indices(L_max + 1)
-        c = np.vectorize(_norm_constant, otypes=[float])(pl, pm)[
-            l * (l + 1) // 2 + am]
-        c = np.where(m != 0, c * np.sqrt(2.0), c)
-        # layout [diff, l, m, point] with the Condon-Shortley phase; orders
-        # m >= 0 sit at index m.  Reorder to C-contiguous [diff, point,
-        # column] so that row gathers read whole rows.
-        tables = assoc_legendre_p_all(L_max, L_max, np.cos(theta),
-                                      diff_n=int(derivatives))
-        P = tables.reshape(len(tables), -1, len(theta)).take(
-            l * (2 * L_max + 1) + am, axis=1)
-        del tables  # before the copy, so the peak stays at table + gather
-        P = P.transpose(0, 2, 1).copy()
-        self.Y = P[0]
-        self.Y *= c
-        self.colat = [self.Y]
+        ct = np.cos(theta)[:, None]
+        # sqrt((1-x)(1+x)) rather than sin(theta): exact zeros at both poles
+        st = np.sqrt((1.0 - ct) * (1.0 + ct))
+        # fully normalized recurrence (Holmes & Featherstone, 2002): the
+        # sectoral P_mm, then P_{m+1,m}, then three terms in l, all orders
+        # of one degree per step; sqrt(2) for m != 0 enters at P_mm
+        j = np.arange(1, L_max + 1)
+        sect = np.cumprod(-np.sqrt((2 * j + 1) / (2 * j)) * st, axis=1)
+        sect = np.hstack([np.ones_like(st), np.sqrt(2.0) * sect])
+        sect /= np.sqrt(4.0 * np.pi)
+        self.Y = Y = np.empty((len(theta), len(l)))
+        for d in range(L_max + 1):
+            # columns of order 0 at degrees d, d - 1 and d - 2
+            z, z1, z2 = d * d + d, d * d - d, (d - 1) * (d - 1) - (d - 1)
+            Y[:, z + d] = sect[:, d]
+            if d >= 1:
+                Y[:, z + d - 1:z + d] = (np.sqrt(2 * d + 1) * ct
+                                         * Y[:, z1 + d - 1:z1 + d])
+            if d >= 2:
+                k = np.arange(d - 1)
+                a = np.sqrt((4 * d * d - 1) / (d * d - k * k))
+                b = np.sqrt(((d - 1) ** 2 - k * k) / (4 * (d - 1) ** 2 - 1))
+                Y[:, z:z + d - 1] = a * (ct * Y[:, z1:z1 + d - 1]
+                                         - b * Y[:, z2:z2 + d - 1])
+            Y[:, z - d:z] = Y[:, z + d:z:-1]  # m < 0 repeats |m|
+        self.colat = [Y]
         if derivatives:
-            st = np.sin(theta)[:, None]
-            dpl = P[1] * (-st * c)  # d/dtheta = -sin(theta) d/dx
+            am = np.abs(m)
+            # sin(theta) dP_lm/dtheta = l cos(theta) P_lm - e_lm P_{l-1,m}
+            e = np.sqrt((2 * l + 1) * (l * l - am * am)
+                        / np.maximum(2 * l - 1, 1))
+            prev = np.where(am < l, l * l - l + m, 0)  # column of (l - 1, m)
+            dpl = (l * ct * Y - e * Y[:, prev]) / st
             # the associated Legendre ODE gives the second derivative
-            self.colat += [dpl, -np.cos(theta)[:, None] / st * dpl
-                           - (l * (l + 1) - am * am / st**2) * self.Y]
+            self.colat += [dpl, -ct / st * dpl
+                           - (l * (l + 1) - am * am / st**2) * Y]
         j = np.arange(L_max + 1)
         cos, sin = np.cos(np.outer(phi, j)), np.sin(np.outer(phi, j))
         f, df = (np.concatenate([neg[:, :0:-1], pos], axis=1)
@@ -321,20 +322,6 @@ def synthesize_product(coeffs: HarmonicCoeffs, theta: np.ndarray,
     return _synthesis(tables, coeffs.values)[0]
 
 
-def surface_gradient(grid: QuadratureGrid, coeffs: HarmonicCoeffs) -> np.ndarray:
-    """Covariant gradient components (u_theta, u_phi) at the grid nodes.
-
-    These are the components of the differential in the (theta, phi) chart;
-    shape (N, 2).
-    """
-    return np.stack(chart_jets(grid, coeffs)[1:3], axis=-1)
-
-
-def chart_second_partials(grid: QuadratureGrid, coeffs: HarmonicCoeffs) -> np.ndarray:
-    """Raw chart second partials (u_tt, u_tp, u_pp) at the nodes, shape (N, 3)."""
-    return np.stack(chart_jets(grid, coeffs)[3:], axis=-1)
-
-
 def surface_hessian(grid: QuadratureGrid, coeffs: HarmonicCoeffs) -> np.ndarray:
     """Covariant Hessian with respect to the round metric, shape (N, 2, 2).
 
@@ -351,10 +338,3 @@ def surface_hessian(grid: QuadratureGrid, coeffs: HarmonicCoeffs) -> np.ndarray:
     H[:, 1, 0] = H[:, 0, 1]
     H[:, 1, 1] = upp + st * ct * ut
     return H
-
-
-def laplace_beltrami(grid: QuadratureGrid, coeffs: HarmonicCoeffs) -> np.ndarray:
-    """Laplace-Beltrami of the expansion at the nodes (round metric)."""
-    H = surface_hessian(grid, coeffs)
-    inv_s2 = 1.0 / np.sin(grid.theta) ** 2
-    return H[:, 0, 0] + inv_s2 * H[:, 1, 1]

@@ -22,8 +22,8 @@ from curvedual.solver import (PrescribedData, check_barriers, continuation,
                               invariant_projector, linear_system,
                               near_kernel, SymmetryGroup)
 from curvedual.spectral import (HarmonicCoeffs, analyze, build_grid,
-                                index_lm, lm_index, num_coeffs,
-                                surface_gradient, synthesize)
+                                chart_jets, index_lm, lm_index,
+                                num_coeffs, synthesize)
 from curvedual.validation import steiner_point, stereographic_residual
 from curvedual import geometry
 
@@ -120,9 +120,8 @@ def test_02_duality_reciprocity_and_shared_form(bumpy, bumpy_field):
     d_theta = np.empty_like(samples.x_dual)
     d_phi = np.empty_like(samples.x_dual)
     for a in range(4):
-        grad = surface_gradient(grid, analyze(grid, samples.x_dual[:, a]))
-        d_theta[:, a] = grad[:, 0]
-        d_phi[:, a] = grad[:, 1]
+        d_theta[:, a], d_phi[:, a] = chart_jets(
+            grid, analyze(grid, samples.x_dual[:, a]))[1:3]
     h_cross = np.empty_like(bumpy_field.h)
     h_cross[:, 0, 0] = np.sum(d_theta * bumpy_field.x_theta, axis=1)
     h_cross[:, 0, 1] = np.sum(d_theta * bumpy_field.x_phi, axis=1)

@@ -3,6 +3,10 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +350,15 @@ class TestCheckCommand:
         assert doc["passed"] is False
         assert doc["steiner_magnitude"] > 1e-8
 
+    def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
+        src = tmp_path / "surface.json"
+        write_surface(src, sphere_surface(np.pi / 4, L_max=8))
+        rc = main(["check", "--surface", str(src), "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: --seed must be nonnegative, got -1\n"
+        assert captured.out == ""
+
     def test_without_config_skips_residuals(self, tmp_path, capsys):
         src = tmp_path / "surface.json"
         write_surface(src, sphere_surface(np.pi / 4, L_max=12))
@@ -414,3 +427,15 @@ def test_non_finite_surface_fails_cleanly(tmp_path, capsys, command, key,
     assert captured.err.count("\n") == 1
     assert "must be finite" in captured.err
     assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy is a test-only oracle
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, curvedual.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -6,18 +6,15 @@ from curvedual.errors import DomainError
 from curvedual.geometry import (
     CurvatureField,
     GraphSurface,
-    conformal_psi,
     curvature_field,
     default_gauge_tau0,
     check_annulus,
     frame_for_pole,
     offset_sphere_surface,
-    r_from_tau,
     rho_from_r,
     second_fundamental_form_conformal,
     sphere_surface,
     stereographic_project,
-    tau_from_r,
 )
 from curvedual.spectral import HarmonicCoeffs, analyze, build_grid, synthesize
 
@@ -192,14 +189,14 @@ def test_gauss_weingarten_consistency(grid, perturbed):
     err = 0.0
     for comp in range(4):
         coeffs = analyze(grid, f.normal[:, comp])
-        gradc = spectral.surface_gradient(grid, coeffs)
+        gradc_t, gradc_p = spectral.chart_jets(grid, coeffs)[1:3]
         # h^k_i x_k for i = theta, phi
         pred_t = (f.shape_operator[:, 0, 0] * f.x_theta[:, comp]
                   + f.shape_operator[:, 1, 0] * f.x_phi[:, comp])
         pred_p = (f.shape_operator[:, 0, 1] * f.x_theta[:, comp]
                   + f.shape_operator[:, 1, 1] * f.x_phi[:, comp])
-        err = max(err, np.max(np.abs(gradc[:, 0] - pred_t)),
-                  np.max(np.abs(gradc[:, 1] - pred_p)))
+        err = max(err, np.max(np.abs(gradc_t - pred_t)),
+                  np.max(np.abs(gradc_p - pred_p)))
     assert err <= 1e-7
 
 
@@ -235,36 +232,6 @@ def test_rotation_equivariance(grid, perturbed):
     perm = (np.arange(grid.n_nodes).reshape(grid.n_theta, grid.n_phi))
     perm = np.roll(perm, -k, axis=1).ravel()
     assert np.max(np.abs(f1.kappa - f0.kappa[perm])) <= 1e-9
-
-
-# ------------------------------------------------------- conformal chart
-
-def test_conformal_psi_identity():
-    tau = np.linspace(-3, 2.2, 41)
-    psi, dpsi, ddpsi = conformal_psi(tau, 0.3)
-    assert np.max(np.abs(dpsi**2 - ddpsi - 1.0)) <= 1e-12
-
-
-def test_conformal_psi_matches_trig():
-    r = np.linspace(0.05, 1.5, 33)
-    tau0 = default_gauge_tau0()
-    tau = tau_from_r(r, tau0)
-    psi, dpsi, _ = conformal_psi(tau, tau0)
-    assert np.max(np.abs(np.exp(psi) - np.sin(r))) <= 1e-12
-    assert np.max(np.abs(dpsi - np.cos(r))) <= 1e-12
-
-
-def test_conformal_psi_at_equator_radius():
-    # rho = 2 corresponds to r = pi/2 where psi = log(2) - log(2) = 0
-    tau0 = 0.0
-    psi, _, _ = conformal_psi(np.log(2.0), tau0)
-    assert abs(psi) <= 1e-14
-
-
-def test_tau_gauge_roundtrip():
-    r = np.array([0.1, 0.5, 1.2])
-    assert np.max(np.abs(r_from_tau(tau_from_r(r)) - r)) <= 1e-12
-    assert abs(tau_from_r(0.1)) <= 1e-14
 
 
 # ------------------------------------------------------- stereographic

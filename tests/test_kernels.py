@@ -1,8 +1,7 @@
 import numpy as np
 
 from curvedual import _kernels
-from curvedual.spectral import HarmonicCoeffs, build_grid, chart_second_partials, \
-    surface_gradient, synthesize
+from curvedual.spectral import HarmonicCoeffs, build_grid, chart_jets
 
 
 def _fields(L_max=12, nb=3, seed=2):
@@ -20,11 +19,8 @@ def _fields(L_max=12, nb=3, seed=2):
         for l in range(1, 5):
             for m in range(-l, l + 1):
                 c[l, m] = 0.01 * rng.standard_normal()
-        R[:, j] = synthesize(grid, c)
-        gr = surface_gradient(grid, c)
-        raw = chart_second_partials(grid, c)
-        RT[:, j], RP[:, j] = gr[:, 0], gr[:, 1]
-        RTT[:, j], RTP[:, j], RPP[:, j] = raw[:, 0], raw[:, 1], raw[:, 2]
+        (R[:, j], RT[:, j], RP[:, j],
+         RTT[:, j], RTP[:, j], RPP[:, j]) = chart_jets(grid, c)
     return grid, (R, RT, RP, RTT, RTP, RPP)
 
 

@@ -10,7 +10,7 @@ from curvedual.polar import (DualSamples, dual_as_graph, dual_surface,
                              fit_residual, gauss_map, support_test,
                              transfer_problem)
 from curvedual.spectral import HarmonicCoeffs, analyze, basis_matrix, \
-    build_grid, surface_gradient
+    build_grid, chart_jets
 from curvedual import geometry
 
 E4 = np.array([0.0, 0.0, 0.0, 1.0])
@@ -214,9 +214,7 @@ def test_second_fundamental_form_shared_with_dual():
     d_phi = np.empty_like(samples.x_dual)
     for a in range(4):
         comp = analyze(grid, samples.x_dual[:, a])
-        grad = surface_gradient(grid, comp)
-        d_theta[:, a] = grad[:, 0]
-        d_phi[:, a] = grad[:, 1]
+        d_theta[:, a], d_phi[:, a] = chart_jets(grid, comp)[1:3]
 
     h_cross = np.empty_like(field.h)
     h_cross[:, 0, 0] = np.sum(d_theta * field.x_theta, axis=1)

@@ -9,18 +9,15 @@ from curvedual.geometry import curvature_field
 from curvedual.spectral import (
     HarmonicCoeffs,
     _analysis,
-    _norm_constant,
     _ProductTables,
     _synthesis,
     analyze,
     basis_matrix,
     build_grid,
-    chart_second_partials,
+    chart_jets,
     index_lm,
-    laplace_beltrami,
     lm_index,
     num_coeffs,
-    surface_gradient,
     surface_hessian,
     synthesize,
     synthesize_at,
@@ -46,6 +43,12 @@ def point_jets(L_max, t0, p0, a):
     """The six jets of coefficients ``a`` at the single point (t0, p0)."""
     tables = _ProductTables(L_max, np.array([t0]), np.array([p0]))
     return [jet[0] for jet in _synthesis(tables, a.values)]
+
+
+def laplacian(grid, a):
+    """Laplace-Beltrami at the nodes: the trace of the covariant Hessian."""
+    H = surface_hessian(grid, a)
+    return H[:, 0, 0] + H[:, 1, 1] / np.sin(grid.theta) ** 2
 
 
 def test_indexing_roundtrip():
@@ -150,7 +153,7 @@ def test_eigenrelation_all_modes(grid8):
         for m in range(-l, l + 1):
             a = HarmonicCoeffs.zeros(8)
             a[l, m] = 1.0
-            lap = laplace_beltrami(grid8, a)
+            lap = laplacian(grid8, a)
             vals = synthesize(grid8, a)
             err = np.max(np.abs(lap + l * (l + 1) * vals))
             assert err <= 1e-8, (l, m, err)
@@ -160,7 +163,7 @@ def test_eigenrelation_spot_checks_default_truncation(grid24):
     for l, m in [(2, 0), (5, -3), (10, 7), (22, -22)]:
         a = HarmonicCoeffs.zeros(24)
         a[l, m] = 1.0
-        lap = laplace_beltrami(grid24, a)
+        lap = laplacian(grid24, a)
         vals = synthesize(grid24, a)
         assert np.max(np.abs(lap + l * (l + 1) * vals)) <= 1e-8
 
@@ -197,7 +200,7 @@ def test_laplacian_against_finite_difference_oracle(grid24):
 def test_gradient_and_hessian_of_constant_vanish(grid8):
     a = HarmonicCoeffs.zeros(8)
     a[0, 0] = 3.7
-    g = surface_gradient(grid8, a)
+    g = chart_jets(grid8, a)[1:3]
     H = surface_hessian(grid8, a)
     assert np.max(np.abs(g)) <= 1e-12
     assert np.max(np.abs(H)) <= 1e-12
@@ -227,8 +230,10 @@ def test_hessian_symmetric_and_trace_is_laplacian(grid8):
     a = HarmonicCoeffs(8, rng.standard_normal(num_coeffs(8)))
     H = surface_hessian(grid8, a)
     assert np.max(np.abs(H[:, 0, 1] - H[:, 1, 0])) <= 1e-12
-    tr = H[:, 0, 0] + H[:, 1, 1] / np.sin(grid8.theta) ** 2
-    assert np.max(np.abs(tr - laplace_beltrami(grid8, a))) <= 1e-12
+    # Delta Y_lm = -l(l+1) Y_lm
+    lam = np.array([-l * (l + 1) for l in range(9) for _ in range(2 * l + 1)])
+    lap = synthesize(grid8, HarmonicCoeffs(8, lam * a.values))
+    assert np.max(np.abs(laplacian(grid8, a) - lap)) <= 1e-12
 
 
 def test_hessian_against_finite_difference_oracle(grid8):
@@ -264,12 +269,11 @@ def test_hessian_against_finite_difference_oracle(grid8):
 def test_chart_partials_match_hessian_construction(grid8):
     a = HarmonicCoeffs.zeros(8)
     a[4, -3] = 1.1
-    raw = chart_second_partials(grid8, a)
-    grad = surface_gradient(grid8, a)
+    _, _, grad_p, raw_tt, raw_tp, _ = chart_jets(grid8, a)
     H = surface_hessian(grid8, a)
     cot = np.cos(grid8.theta) / np.sin(grid8.theta)
-    assert np.max(np.abs(H[:, 0, 0] - raw[:, 0])) <= 1e-13
-    assert np.max(np.abs(H[:, 0, 1] - (raw[:, 1] - cot * grad[:, 1]))) <= 1e-13
+    assert np.max(np.abs(H[:, 0, 0] - raw_tt)) <= 1e-13
+    assert np.max(np.abs(H[:, 0, 1] - (raw_tp - cot * grad_p))) <= 1e-13
 
 
 def test_synthesize_at_matches_grid_synthesis(grid8):
@@ -314,6 +318,14 @@ def test_basis_matrix_at_poles_is_zonal_closed_form():
             assert np.max(np.abs(B[:, idx] - expect)) <= 1e-13, l
 
 
+def _norm_constant(l, m):
+    from math import exp, lgamma, pi, sqrt
+
+    # sqrt((2l+1)/(4 pi) * (l-m)!/(l+m)!) via log-gamma for stability
+    logfact = lgamma(l - m + 1) - lgamma(l + m + 1)
+    return sqrt((2 * l + 1) / (4 * pi)) * exp(0.5 * logfact)
+
+
 def _reference_ops(L_max, theta, phi):
     """The six basis matrices column by column; Y in basis_matrix's order."""
     tables = assoc_legendre_p_all(L_max, L_max, np.cos(theta), diff_n=1)
@@ -340,14 +352,21 @@ def _reference_ops(L_max, theta, phi):
     return out
 
 
-@pytest.mark.parametrize("L_max", [4, 9])
-def test_tabulated_ops_equal_column_loop(L_max):
+# largest |basis_matrix - column loop| seen: 7.8e-16 (L 4), 3.3e-15 (L 9)
+# and 6.9e-14 (L 32, on the grid); each bound keeps a factor of 4 or more
+@pytest.mark.parametrize("L_max, tol", [(4, 4e-15), (9, 1.5e-14), (32, 3e-13)],
+                         ids=["4", "9", "32"])
+def test_tabulated_ops_equal_column_loop(L_max, tol):
+    # the recurrence tables against scipy's P_l^m times c_lm, column by
+    # column, on the grid and at scattered points that include both poles
     rng = np.random.default_rng(L_max)
     grid = build_grid(L_max)
-    scattered = (rng.uniform(0.05, 3.1, 40), rng.uniform(-1.0, 7.0, 40))
+    scattered = (np.concatenate([[0.0, np.pi], rng.uniform(0.05, 3.1, 40)]),
+                 rng.uniform(-1.0, 7.0, 42))
     for theta, phi in ((grid.theta, grid.phi), scattered):
-        ref = _reference_ops(L_max, theta, phi)
-        assert np.array_equal(basis_matrix(L_max, theta, phi), ref[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = _reference_ops(L_max, theta, phi)  # chart jets not at poles
+        assert np.max(np.abs(basis_matrix(L_max, theta, phi) - ref[0])) <= tol
 
 
 @pytest.mark.parametrize("L_max", [4, 9])
