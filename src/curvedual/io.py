@@ -171,11 +171,11 @@ def read_surface(path) -> GraphSurface:
 
 def _write_rows(path, header: list, columns: list) -> None:
     rows = np.stack([np.asarray(c, dtype=float) for c in columns], axis=1)
+    # the text of csv.writer with format_float, one % per row
+    fmt = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_float(v) for v in row])
+        csv.writer(fh).writerow(header)
+        fh.writelines(fmt % tuple(row) for row in rows.tolist())
 
 
 def write_field_csv(path, theta, phi, values) -> None:

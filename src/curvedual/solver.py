@@ -6,7 +6,7 @@ The equation solved is, per quadrature node,
 
 with ``f`` the prescribed positive data and ``c`` a constant chosen below
 its minimum.  At t = 0 the exact solution is a geodesic sphere; the path
-is followed to t = 1 by damped Newton steps in the radial coefficient
+is followed to t = 1 by damped quasi-Newton steps in the radial coefficient
 vector, each solve started from the secant extrapolation of the last two
 points on the path, restricted to the subspace invariant under a
 fixed-point-free symmetry group.  Restricting removes the
@@ -15,13 +15,17 @@ harmonics, which otherwise makes the Newton system singular at every
 solution.
 
 The residual at a node depends only on the radial jet (r, r_t, r_p,
-r_tt, r_tp, r_pp) at that node, so the Newton matrix factors through six
-per-node partial derivatives.  These are central finite differences on
-the jets, evaluated in one batch through the curvature kernel, and the
-matrix follows from them by one contraction with the stacked synthesis
-matrices.  Each Newton step is one LU solve, which also bounds the
-condition number; singular values are computed only when that bound
-cannot clear the system.
+r_tt, r_tp, r_pp) at that node, so a state is one product of the stacked
+synthesis matrices with the coefficients, and the Newton matrix factors
+through six per-node partial derivatives.  These are central finite
+differences on the jets, evaluated in one batch through the curvature
+kernel, and the matrix follows from them by one contraction with the
+stacked synthesis matrices.  The matrix is rarely assembled: Newton
+steps apply an approximate inverse held across iterations and homotopy
+steps and corrected by Broyden updates, and the matrix is assembled and
+inverted again only when the residual stops contracting fast enough.
+The LU inverse also bounds the condition number; singular values are
+computed only when that bound cannot clear the matrix.
 """
 
 from __future__ import annotations
@@ -44,6 +48,11 @@ _MATCH_TOL = 1e-12
 _SOLVE_RCOND = 1e-12
 _JET_STEP = 1e-6  # central-difference step on each radial jet component
 _KERNEL_RCOND = 1e-8
+# quasi-Newton refresh rules: a projected-residual contraction worse than
+# _THETA_MAX, or |s^T X y| <= _BROYDEN_RCOND |s| |X y| (a near-singular
+# update), assembles the Newton matrix again
+_THETA_MAX = 0.25
+_BROYDEN_RCOND = 1e-8
 
 
 # ------------------------------------------------------------- symmetry
@@ -315,6 +324,16 @@ class SolverOptions:
         if self.max_newton < 0:
             raise ConfigError(
                 f'"max_newton" must be nonnegative, got {self.max_newton}')
+        # a nonpositive floor lets a non-convex iterate through the line
+        # search; an empty band rejects every trial as a numerical failure
+        if not 0.0 < self.kappa_floor < self.kappa_ceil < np.inf:
+            raise ConfigError(
+                '"kappa_floor" and "kappa_ceil" must satisfy 0 < '
+                f'"kappa_floor" < "kappa_ceil" < inf, got '
+                f"{self.kappa_floor!r} and {self.kappa_ceil!r}")
+        if self.max_halvings < 0:
+            raise ConfigError(
+                f'"max_halvings" must be nonnegative, got {self.max_halvings}')
 
 
 def initial_sphere(F: CurvatureFunction, c: float, L_max: int = 24,
@@ -351,7 +370,10 @@ class NewtonWorkspace:
     matrices, one per chart derivative, stacked in one (6, N, M) array;
     residual projection is one more.
     All Newton work is matrix products against these, and one workspace
-    serves every Newton solve of a continuation run.
+    serves every Newton solve of a continuation run.  So does the
+    approximate inverse Newton matrix ``inverse`` (None until the first
+    assembly, and after a failed solve); ``refreshes`` counts the
+    assemblies that produced it.
     """
 
     def __init__(self, grid: QuadratureGrid, basis: InvariantBasis,
@@ -365,6 +387,8 @@ class NewtonWorkspace:
         self.exp_b = np.exp(spectral.synthesize_product(data.b, *grid.axes))
         self.data = data
         self.F = F
+        self.inverse: np.ndarray | None = None
+        self.refreshes = 0
 
     def _lambda_of_jets(self, jets, t: float):
         """Residual fields and principal curvatures, each (N, nb).
@@ -383,8 +407,12 @@ class NewtonWorkspace:
             lam = Fv - (t * fv + (1.0 - t) * self.data.c)
         return lam, K1, K2
 
+    def _jets(self, z: np.ndarray) -> np.ndarray:
+        """The six radial jet fields of ``z``, (6, N), in one product."""
+        return (self.synth.reshape(-1, len(z)) @ z).reshape(6, -1)
+
     def state(self, z: np.ndarray, t: float) -> _State:
-        jets = [S @ z[:, None] for S in self.synth]
+        jets = self._jets(z)[:, :, None]
         lam, K1, K2 = self._lambda_of_jets(jets, t)
         lam = lam[:, 0]
         return _State(lam=lam, norm=float(np.max(np.abs(lam))),
@@ -402,8 +430,7 @@ class NewtonWorkspace:
         partial is a central difference on one jet component; the twelve
         perturbed copies of the jets share one kernel call.
         """
-        base = np.stack([S @ z for S in self.synth])         # (6, N)
-        jets = np.repeat(base[:, :, None], 12, axis=2)        # (6, N, 12)
+        jets = np.repeat(self._jets(z)[:, :, None], 12, axis=2)  # (6, N, 12)
         for k in range(6):
             jets[k, :, 2 * k] += _JET_STEP
             jets[k, :, 2 * k + 1] -= _JET_STEP
@@ -411,36 +438,40 @@ class NewtonWorkspace:
         d = (lam[:, 0::2] - lam[:, 1::2]) / (2.0 * _JET_STEP)  # (N, 6)
         return self.project @ np.einsum("nk,knm->nm", d, self.synth)
 
+    def refresh(self, z: np.ndarray, t: float) -> None:
+        """Assemble the Newton matrix at (z, t) and hold its gated inverse."""
+        self.inverse = _gated_inverse(self.jacobian(z, t))
+        self.refreshes += 1
 
-def _solve_newton_system(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve J x = rhs by LU, rejecting numerically singular systems.
 
-    A system is rejected when its smallest singular value is below 1e-12
-    times its largest.  One LU solve against [rhs | I] gives the step and
-    the inverse, hence the 1-norm condition number kappa_1; since
-    kappa_2 <= M kappa_1 for an M x M matrix, M kappa_1 < 1e12 proves the
-    system passes without computing a singular value.  Otherwise (or when
-    the LU meets an exactly zero pivot) the singular values decide.
+def _gated_inverse(J: np.ndarray) -> np.ndarray:
+    """Inverse of the Newton matrix J, rejecting numerically singular J.
+
+    A matrix is rejected when its smallest singular value is below 1e-12
+    times its largest.  The LU inverse gives the 1-norm condition number
+    kappa_1; since kappa_2 <= M kappa_1 for an M x M matrix,
+    M kappa_1 < 1e12 proves the matrix passes without computing a
+    singular value.  Otherwise the singular values decide; an exactly
+    zero LU pivot counts as singular.
     """
     M = len(J)
     try:
-        X = np.linalg.solve(J, np.column_stack([rhs, np.eye(M)]))
+        X = np.linalg.inv(J)
     except np.linalg.LinAlgError:
         X = None
     if X is not None:
-        kappa1 = (np.abs(J).sum(axis=0).max()
-                  * np.abs(X[:, 1:]).sum(axis=0).max())
+        kappa1 = np.abs(J).sum(axis=0).max() * np.abs(X).sum(axis=0).max()
         if M * kappa1 * _SOLVE_RCOND < 1.0:
-            return X[:, 0]
+            return X
     s = np.linalg.svd(J, compute_uv=False)
-    if s[0] == 0.0 or s[-1] < _SOLVE_RCOND * s[0]:
+    if X is None or s[0] == 0.0 or s[-1] < _SOLVE_RCOND * s[0]:
         dim = int(np.sum(s < _KERNEL_RCOND * s[0])) if s[0] > 0 else len(s)
         raise SingularJacobianError(
             f"Newton system is numerically singular (smallest relative "
             f"singular value {s[-1] / max(s[0], 1e-300):.3g}); the "
             "symmetry restriction may be missing or misconfigured",
             null_dimension=dim)
-    return np.linalg.solve(J, rhs)
+    return X
 
 
 def near_kernel(J: np.ndarray, rcond: float = _KERNEL_RCOND):
@@ -452,14 +483,6 @@ def near_kernel(J: np.ndarray, rcond: float = _KERNEL_RCOND):
     _, s, Vt = np.linalg.svd(J)
     mask = s < rcond * s[0]
     return int(np.sum(mask)), Vt[mask]
-
-
-def residual_field(F: CurvatureFunction, data: PrescribedData, t: float,
-                   surface: GraphSurface) -> np.ndarray:
-    """Pointwise residual F(kappa) - (t f + (1 - t) c) at the grid nodes."""
-    field = curvature_field(surface, build_grid(surface.L_max))
-    return F(field.kappa) - (t * data_on_field(data, field)
-                             + (1.0 - t) * data.c)
 
 
 def linear_system(F: CurvatureFunction, data: PrescribedData, t: float,
@@ -479,9 +502,33 @@ def linear_system(F: CurvatureFunction, data: PrescribedData, t: float,
     return J, ws.residual_vector(state), basis.degrees
 
 
+def _line_search(ws: NewtonWorkspace, t: float, z: np.ndarray,
+                 delta: np.ndarray, state: _State, opts: SolverOptions,
+                 halvings: int):
+    """First of z + delta, z + delta / 2, ... that lowers the residual.
+
+    A trial must also keep the curvature within [kappa_floor,
+    kappa_ceil] and the radius in the hemisphere annulus.  Returns
+    (z_try, trial state), or None after ``halvings`` halvings.
+    """
+    scale = 1.0
+    for _ in range(halvings + 1):
+        z_try = z + scale * delta
+        try:
+            trial = ws.state(z_try, t)
+        except DomainError:
+            trial = None
+        if (trial is not None and trial.norm < state.norm
+                and trial.kappa_min >= opts.kappa_floor
+                and trial.kappa_max <= opts.kappa_ceil):
+            return z_try, trial
+        scale *= 0.5
+    return None
+
+
 def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
                  opts: SolverOptions | None = None):
-    """Damped Newton iteration at fixed homotopy parameter t.
+    """Damped quasi-Newton iteration at fixed homotopy parameter t.
 
     The unknown ``z`` is the radial coefficient vector in the invariant
     basis of ``ws``; the residual is collocated at its quadrature nodes
@@ -492,6 +539,18 @@ def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
     halving up to ``opts.max_halvings``.  A starting residual that is
     not finite, as F gives on a non-convex iterate, raises NewtonError
     before any linear algebra.
+
+    Each step applies ``ws.inverse``, an approximate inverse Newton
+    matrix kept across iterations and across solves, and is followed by
+    the "good" Broyden update X <- X + (s - X y)(s^T X) / (s^T X y) for
+    the step s and the change y of the projected residual (the
+    quasi-Newton corrector QNERR of Deuflhard, *Newton Methods for
+    Nonlinear Problems*, 2004, ch. 2).  The matrix is assembled and
+    inverted again (a refresh) when none is held, when the contraction
+    ||r_new|| / ||r|| of the projected residual exceeds ``_THETA_MAX``,
+    when s^T X y is negligible, and when a reused inverse fails its first
+    line-search trial; that refresh takes the place of the first
+    halving.  A failed solve leaves ``ws.inverse`` at None.
 
     Returns
     -------
@@ -505,6 +564,15 @@ def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
     SingularJacobianError, NewtonError, DomainError
     """
     opts = opts or SolverOptions()
+    try:
+        return _quasi_newton(ws, t, z, opts)
+    except (NewtonError, SingularJacobianError, DomainError):
+        ws.inverse = None  # an inverse that led to a failure is not reused
+        raise
+
+
+def _quasi_newton(ws: NewtonWorkspace, t: float, z: np.ndarray,
+                  opts: SolverOptions):
     state = ws.state(z, t)
     if not np.isfinite(state.norm):
         # e.g. F of a non-convex start; a NaN matrix would only fail
@@ -512,6 +580,7 @@ def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
         raise NewtonError(
             f"residual is not finite at t = {t:g}; kappa_min "
             f"{state.kappa_min:.6g}")
+    r = ws.residual_vector(state)
     for iteration in range(opts.max_newton + 1):
         if state.norm <= opts.tol:
             return z, iteration, state
@@ -519,28 +588,30 @@ def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
             raise NewtonError(
                 f"no convergence within {opts.max_newton} Newton steps; "
                 f"residual {state.norm:.3e} at t = {t:g}")
-        J = ws.jacobian(z, t)
-        delta = _solve_newton_system(J, -ws.residual_vector(state))
-
-        scale = 1.0
         accepted = None
-        for _ in range(opts.max_halvings + 1):
-            z_try = z + scale * delta
-            try:
-                trial = ws.state(z_try, t)
-            except DomainError:
-                trial = None
-            if (trial is not None and trial.norm < state.norm
-                    and trial.kappa_min >= opts.kappa_floor
-                    and trial.kappa_max <= opts.kappa_ceil):
-                accepted = (z_try, trial)
-                break
-            scale *= 0.5
+        if ws.inverse is not None:  # a reused inverse gets its full step
+            accepted = _line_search(ws, t, z, -(ws.inverse @ r), state,
+                                    opts, 0)
+        if accepted is None:
+            ws.refresh(z, t)
+            accepted = _line_search(ws, t, z, -(ws.inverse @ r), state,
+                                    opts, opts.max_halvings)
         if accepted is None:
             raise NewtonError(
                 f"line search failed after {opts.max_halvings} halvings "
                 f"at t = {t:g}; residual {state.norm:.3e}")
-        z, state = accepted
+        z_new, state = accepted
+        r_new = ws.residual_vector(state)
+        s, X = z_new - z, ws.inverse
+        Xy = X @ (r_new - r)
+        sXy = s @ Xy
+        if (np.linalg.norm(r_new) > _THETA_MAX * np.linalg.norm(r)
+                or abs(sXy) <= _BROYDEN_RCOND * np.linalg.norm(s)
+                * np.linalg.norm(Xy)):
+            ws.inverse = None  # refreshed where the next step needs it
+        else:
+            X += np.outer(s - Xy, (s @ X) / sXy)
+        z, r = z_new, r_new
 
 
 # ---------------------------------------------------------- continuation
@@ -598,7 +669,9 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
 
     Adaptive stepping in t: start with ``opts.dt0``; halve on Newton
     failure down to ``opts.dt_min``; grow by 1.5 up to ``opts.dt_max``
-    after fast (at most 3 iteration) solves.  Newton at t_try starts
+    after a solve that assembled the Newton matrix at most once (the
+    quasi-Newton iteration count says little about the step's
+    difficulty, its refreshes do).  Newton at t_try starts
     from the secant predictor z + (t_try - t) / (t - t_prev) (z - z_prev)
     through the last two accepted points (from z itself on the first
     step after t = 0), rebuilt for every tried t_try.  Every accepted
@@ -652,6 +725,7 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
         # secant predictor through the last two accepted points
         z_start = z if z_prev is None else \
             z + (t_try - t) / (t - t_prev) * (z - z_prev)
+        refreshes = ws.refreshes
         try:
             z_try, iters, state = newton_solve(ws, t_try, z_start, opts)
         except (NewtonError, SingularJacobianError, DomainError) as exc:
@@ -664,7 +738,7 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
         z_prev, t_prev = z, t
         z, t = z_try, t_try
         steps.append(_step_record(t, iters, state))
-        if iters <= 3:
+        if ws.refreshes - refreshes <= 1:
             dt = min(dt * 1.5, opts.dt_max)
     final = GraphSurface(n=surface.n, pole=surface.pole.copy(),
                          radial=HarmonicCoeffs(opts.L_max, basis.matrix @ z),

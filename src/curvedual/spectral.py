@@ -126,6 +126,9 @@ class _ProductTables:
         self.groups = [np.flatnonzero(m == o) for o in s]
 
 
+# points per longitude-factor gather in basis_matrix
+_GATHER_ROWS = 256
+
 # (colatitude, longitude) table of u, u_t, u_p, u_tt, u_tp, u_pp
 _JET_TABLES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
@@ -273,7 +276,9 @@ def basis_matrix(L_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     Returns the (len(theta), num_coeffs) evaluation matrix.  Points may lie
     anywhere on the sphere including the poles (where only m = 0 columns
     are nonzero).  The factors are tabulated once per distinct angle and
-    the matrix is one gather-multiply.
+    the matrix is one gather-multiply, the longitude factor gathered
+    ``_GATHER_ROWS`` points at a time so that it never takes the size of
+    the result.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -281,7 +286,11 @@ def basis_matrix(L_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     ph, ip = np.unique(phi, return_inverse=True)
     tables = _ProductTables(L_max, th, ph, derivatives=False)
     out = tables.Y.take(it, axis=0)
-    out *= tables.lon[0].take(ip, axis=0).take(L_max + tables.orders, axis=1)
+    cols = L_max + tables.orders
+    for i in range(0, len(out), _GATHER_ROWS):
+        rows = ip[i:i + _GATHER_ROWS]
+        out[i:i + _GATHER_ROWS] *= tables.lon[0].take(rows, axis=0).take(
+            cols, axis=1)
     return out
 
 

@@ -119,6 +119,7 @@ class TestParseConfig:
             assert 0.0 < getattr(opts, key) < math.inf
         for key in ("tol", "kappa_floor", "kappa_ceil"):
             assert type(getattr(opts, key)) is float
+        assert 0.0 < opts.kappa_floor < opts.kappa_ceil < math.inf
         assert type(data.c) is float
 
 
@@ -199,6 +200,13 @@ class TestSolveCommand:
         ({"tol": math.inf}, '"tol" must be finite and nonnegative'),
         ({"tol": math.nan}, '"tol" must be finite and nonnegative'),
         ({"tol": -1}, '"tol" must be finite and nonnegative'),
+        # a curvature band that admits non-convex iterates or none at all
+        ({"kappa_floor": -1}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
+        ({"kappa_floor": 0}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
+        ({"kappa_floor": 1e300}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
+        ({"kappa_ceil": 0}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
+        ({"kappa_ceil": math.inf}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
+        ({"kappa_floor": math.nan}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
     ])
     def test_bad_config_value_fails_cleanly(self, tmp_path, capsys,
                                             overrides, message):

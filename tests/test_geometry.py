@@ -12,7 +12,6 @@ from curvedual.geometry import (
     frame_for_pole,
     offset_sphere_surface,
     rho_from_r,
-    second_fundamental_form_conformal,
     sphere_surface,
     stereographic_project,
 )
@@ -198,6 +197,40 @@ def test_gauss_weingarten_consistency(grid, perturbed):
         err = max(err, np.max(np.abs(gradc_t - pred_t)),
                   np.max(np.abs(gradc_p - pred_p)))
     assert err <= 1e-7
+
+
+def second_fundamental_form_conformal(field: CurvatureField) -> np.ndarray:
+    """Second fundamental form via the cylindrical conformal chart.
+
+    Independent of the warped-chart kernel: writes the surface as a graph of
+    the logarithmic radial coordinate u = tau(r) over the parameter sphere
+    and applies the conformal relation between the product-chart and
+    spherical fundamental forms,
+
+        h_ij = e^psi ( -u_;ij / v + psi' (u_i u_j + sigma_ij) / v ),
+
+    with v^2 = 1 + sigma^{ij} u_i u_j and psi evaluated on the surface.
+    r and its gradient come from ``field``, the covariant Hessian is
+    differentiated afresh.  Returns chart components (N, 2, 2).
+    """
+    grid = field.grid
+    grad_r = np.stack([field.r_theta, field.r_phi], axis=-1)
+    hess_r = spectral.surface_hessian(grid, field.surface.radial)
+    sr, cr = np.sin(field.r), np.cos(field.r)
+    # u = tau(r): du/dr = 1/sin r, d2u/dr2 = -cos r / sin^2 r
+    u_i = grad_r / sr[:, None]
+    u_hess = (hess_r / sr[:, None, None]
+              - (cr / sr**2)[:, None, None]
+              * np.einsum("ni,nj->nij", grad_r, grad_r))
+    st = np.sin(grid.theta)
+    sigma = np.zeros((grid.n_nodes, 2, 2))
+    sigma[:, 0, 0] = 1.0
+    sigma[:, 1, 1] = st**2
+    sigma_inv_diag = np.stack([np.ones_like(st), 1.0 / st**2], axis=-1)
+    v = np.sqrt(1.0 + np.einsum("ni,ni->n", sigma_inv_diag * u_i, u_i))
+    g_chart = np.einsum("ni,nj->nij", u_i, u_i) + sigma
+    # e^psi = sin r and psi' = cos r on the surface
+    return (sr / v)[:, None, None] * (-u_hess + cr[:, None, None] * g_chart)
 
 
 def test_conformal_chart_second_fundamental_form_agrees(grid, perturbed):

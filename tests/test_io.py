@@ -225,6 +225,24 @@ class TestCsvTables:
                            "r_star", "kt1", "kt2"]
         assert float(rows[1][4]) == pytest.approx(np.pi / 4, abs=1e-10)
 
+    def test_rows_match_csv_writer_byte_for_byte(self, tmp_path):
+        # reference: csv.writer over format_float text, one value at a time
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                   -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                   0.1, 1.0, -4.0, 2.2250738585072014e-308, 1e16, 1e-5]
+        rng = np.random.default_rng(12)
+        theta = np.array(special + list(rng.standard_normal(40)
+                                        * 10.0 ** rng.integers(-300, 300, 40)))
+        phi, values = theta[::-1].copy(), np.roll(theta, 7)
+        path, ref = tmp_path / "field.csv", tmp_path / "ref.csv"
+        write_field_csv(path, theta, phi, values)
+        with open(ref, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["theta", "phi", "value"])
+            for row in zip(theta, phi, values):
+                writer.writerow([format_float(v) for v in row])
+        assert path.read_bytes() == ref.read_bytes()
+
 
 class TestObjExport:
     def test_sphere_vertices_on_image_sphere(self, tmp_path):

@@ -68,7 +68,9 @@ def test_newton_iteration_makes_one_kernel_call_of_width_12(monkeypatch):
     start = initial_sphere(F, 2.0, L_max=8)
     start.radial[2, 0] += 0.02
     basis = invariant_projector(SymmetryGroup.antipodal(), build_grid(8)).basis
-    _, iters, _ = newton_solve(NewtonWorkspace(build_grid(8), basis, data, F),
-                               0.0, basis.matrix.T @ start.radial.values)
-    assert iters >= 2
-    assert [w for w in widths if w > 1] == [12] * iters
+    ws = NewtonWorkspace(build_grid(8), basis, data, F)
+    _, iters, _ = newton_solve(ws, 0.0, basis.matrix.T @ start.radial.values)
+    # the start state, one assembly of the Newton matrix, then one state
+    # per iteration: its inverse is reused with Broyden updates
+    assert iters == 7 and ws.refreshes == 1
+    assert widths == [1, 12] + [1] * iters

@@ -11,13 +11,12 @@ from curvedual.errors import (ConfigError, DataError, GroupError, NewtonError,
 from curvedual.geometry import (HEMISPHERE_MARGIN, GraphSurface,
                                 curvature_field, sphere_surface)
 from curvedual.solver import (BarrierReport, NewtonWorkspace, PrescribedData,
-                              SolverOptions, SymmetryGroup,
-                              _solve_newton_system, check_barriers,
-                              continuation, data_on_field,
+                              SolverOptions, SymmetryGroup, _gated_inverse,
+                              check_barriers, continuation, data_on_field,
                               default_base_constant, full_basis,
                               initial_sphere, invariant_projector,
                               linear_system, near_kernel, newton_solve,
-                              residual_field, rotate_angles)
+                              rotate_angles)
 from curvedual.spectral import (HarmonicCoeffs, analyze, basis_matrix,
                                 build_grid, index_lm, lm_index, num_coeffs,
                                 synthesize, synthesize_at)
@@ -387,7 +386,6 @@ def test_newton_system_singularity_gate(monkeypatch, tail, zero_column,
     J = (U * s) @ V.T
     if zero_column:
         J[:, 3] = 0.0
-    rhs = rng.standard_normal(M)
     if tail == [1e-11]:
         # the case must lie between the gate and the singular-value rule
         assert M * np.linalg.cond(J, 1) * 1e-12 >= 1.0
@@ -397,14 +395,81 @@ def test_newton_system_singularity_gate(monkeypatch, tail, zero_column,
     monkeypatch.setattr(np.linalg, "svd",
                         lambda *a, **k: calls.append(1) or svd(*a, **k))
     if null_dimension is None:
-        x = _solve_newton_system(J, rhs)
-        np.testing.assert_allclose(x, np.linalg.solve(J, rhs), rtol=1e-12)
+        assert np.array_equal(_gated_inverse(J), np.linalg.inv(J))
     else:
         with pytest.raises(SingularJacobianError,
                            match="numerically singular") as info:
-            _solve_newton_system(J, rhs)
+            _gated_inverse(J)
         assert info.value.null_dimension == null_dimension
     assert len(calls) == svd_calls
+
+
+def recorded(ws):
+    """Log ("state", z) and ("refresh", z) for every such call on ``ws``."""
+    log = []
+    state, refresh = ws.state, ws.refresh
+    ws.state = lambda z, t: log.append(("state", z.copy())) or state(z, t)
+    ws.refresh = lambda z, t: (log.append(("refresh", z.copy()))
+                               or refresh(z, t))
+    return log
+
+
+def perturbed_start(projector):
+    start = initial_sphere(GAUSS, 2.0)
+    start.radial[2, 0] += 0.02
+    return coeffs_of(start, projector)
+
+
+def test_stale_inverse_failing_first_trial_refreshes_instead_of_halving(
+        antipodal_projector):
+    ws = workspace(constant_data(2.0, 2.0), antipodal_projector)
+    z0 = perturbed_start(antipodal_projector)
+    r0 = ws.residual_vector(ws.state(z0, 0.0))
+    X0 = np.linalg.inv(ws.jacobian(z0, 0.0))
+    ws.inverse = -X0  # a held inverse whose full step raises the residual
+    log = recorded(ws)
+    _, _, state = newton_solve(ws, 0.0, z0)
+    assert state.norm <= 1e-10
+    assert [kind for kind, _ in log[:4]] == ["state", "state", "refresh",
+                                             "state"]
+    assert np.array_equal(log[1][1], z0 + X0 @ r0)
+    assert np.array_equal(log[2][1], z0)
+    # the refreshed inverse takes its full step: no halving
+    assert np.array_equal(log[3][1], z0 - X0 @ r0)
+
+
+@pytest.mark.parametrize("factor, refreshed", [
+    (0.5, True),   # the residual contracts by about 0.5 > 0.25
+    (0.9, False),  # by about 0.1: a Broyden update, no assembly
+])
+def test_weak_contraction_forces_refresh(antipodal_projector, factor,
+                                         refreshed):
+    ws = workspace(constant_data(2.0, 2.0), antipodal_projector)
+    z0 = perturbed_start(antipodal_projector)
+    ws.inverse = factor * np.linalg.inv(ws.jacobian(z0, 0.0))
+    log = recorded(ws)
+    _, _, state = newton_solve(ws, 0.0, z0)
+    assert state.norm <= 1e-10
+    # the held inverse's full step is accepted; the next call refreshes
+    # only after a weak contraction
+    assert [kind for kind, _ in log[:2]] == ["state", "state"]
+    assert (log[2][0] == "refresh") is refreshed
+    if refreshed:
+        assert np.array_equal(log[2][1], log[1][1])
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"max_newton": 1}, "no convergence"),
+    ({"kappa_floor": 2.0}, "line search failed"),
+])
+def test_failed_newton_solve_drops_inverse(antipodal_projector, options,
+                                           message):
+    ws = workspace(constant_data(2.0, 2.0), antipodal_projector)
+    z0 = perturbed_start(antipodal_projector)
+    ws.refresh(z0, 0.0)
+    with pytest.raises(NewtonError, match=message):
+        newton_solve(ws, 0.0, z0, SolverOptions(**options))
+    assert ws.inverse is None
 
 
 # ------------------------------------------------- linearization checks
@@ -469,10 +534,9 @@ def test_residual_field_of_invariant_iterate_is_invariant():
     a = start.radial.values.copy()
     a[lm_index(2, 0)] += 0.03
     a[lm_index(4, 2)] += 0.01
-    surf = GraphSurface(n=2, pole=start.pole.copy(),
-                        radial=HarmonicCoeffs(24, a),
-                        gauge_tau0=start.gauge_tau0)
-    lam = residual_field(GAUSS, data, 0.6, surf)
+    # the whole coefficient space: invariance comes from the geometry alone
+    ws = NewtonWorkspace(build_grid(24), full_basis(24), data, GAUSS)
+    lam = ws.state(a, 0.6).lam
     assert np.max(np.abs(lam)) > 0.01
     coeffs = analyze(build_grid(24), lam).values
     odd = [abs(coeffs[i]) for i in range(len(coeffs))
@@ -480,10 +544,11 @@ def test_residual_field_of_invariant_iterate_is_invariant():
     assert max(odd) <= 1e-10
 
 
-def test_residual_field_vanishes_at_exact_solution():
+def test_residual_field_vanishes_at_exact_solution(antipodal_projector):
     data = constant_data(2.0, 2.0)
     sphere = initial_sphere(GAUSS, 2.0)
-    lam = residual_field(GAUSS, data, 0.0, sphere)
+    lam = workspace(data, antipodal_projector).state(
+        coeffs_of(sphere, antipodal_projector), 0.0).lam
     assert np.max(np.abs(lam)) <= 1e-12
 
 
@@ -548,6 +613,15 @@ def test_continuation_rejects_bad_base_constant():
     ({"tol": np.nan}, '"tol" must be finite and nonnegative'),
     ({"tol": -1.0}, '"tol" must be finite and nonnegative'),
     ({"max_newton": -1}, '"max_newton" must be nonnegative'),
+    # a nonpositive floor passes non-convex iterates; an empty band fails
+    # every line search as if the numerics had
+    ({"kappa_floor": -1.0}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
+    ({"kappa_floor": np.nan}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
+    ({"kappa_floor": 1e300}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
+    ({"kappa_ceil": 0.0}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
+    ({"kappa_ceil": np.inf}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
+    ({"kappa_ceil": np.nan}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
+    ({"max_halvings": -1}, '"max_halvings" must be nonnegative'),
 ])
 def test_continuation_rejects_bad_step_options(options, message):
     with pytest.raises(ConfigError, match=message):
