@@ -98,12 +98,11 @@ def write_json(path, obj) -> None:
 # --------------------------------------------------------------- surface
 
 def surface_to_dict(surface: GraphSurface) -> dict:
-    radial = []
-    for l in range(surface.L_max + 1):
-        for m in range(-l, l + 1):
-            value = surface.radial[l, m]
-            if value != 0.0:
-                radial.append({"l": l, "m": m, "value": float(value)})
+    values = surface.radial.values
+    idx = np.flatnonzero(values != 0.0)
+    l = np.floor(np.sqrt(idx)).astype(int)  # exact: idx is far below 2**52
+    radial = [{"l": a, "m": b, "value": v} for a, b, v in
+              zip(l.tolist(), (idx - l * l - l).tolist(), values[idx].tolist())]
     return {"n": surface.n,
             "pole": [float(v) for v in surface.pole],
             "L_max": surface.L_max,
@@ -152,8 +151,27 @@ def surface_from_dict(doc: dict) -> GraphSurface:
     return GraphSurface(n=n, pole=pole, radial=coeffs, gauge_tau0=gauge_tau0)
 
 
+# one radial entry as dumps_canonical lays it out inside a surface document
+_RADIAL_ENTRY = '    {\n      "l": %d,\n      "m": %d,\n      "value": %s\n    }'
+
+
 def write_surface(path, surface: GraphSurface) -> None:
-    write_json(path, surface_to_dict(surface))
+    """Write the text of ``write_json(path, surface_to_dict(surface))``.
+
+    The radial list, most of the file, takes one ``%`` format per entry
+    instead of a pass of the generic emitter over each entry's dict.
+    """
+    doc = surface_to_dict(surface)
+    entries = doc.pop("radial")
+    texts = []
+    for e in entries:
+        v = e["value"]
+        texts.append(_RADIAL_ENTRY % (e["l"], e["m"], "%.17g" % v
+                                      if math.isfinite(v) else _scalar(v)))
+    radial = "[\n" + ",\n".join(texts) + "\n  ]" if texts else "[]"
+    head = dumps_canonical(doc)[:-2]  # up to the closing "\n}"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{head},\n  "radial": {radial}\n}}\n')
 
 
 def read_surface(path) -> GraphSurface:

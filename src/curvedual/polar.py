@@ -11,8 +11,13 @@ Dual curvatures are computed intrinsically at the source nodes, from the
 dual metric and second fundamental form, so the reciprocal pairing with
 the source curvatures is a genuine cross-check rather than a definition.
 Refitting through least squares is needed only to produce a standalone
-:class:`~curvedual.geometry.GraphSurface`; the fit solves the normal
-equations when they are well conditioned and an SVD solve otherwise.
+:class:`~curvedual.geometry.GraphSurface`.  The fit solves the normal
+equations only when a Cholesky factor of the diagonally shifted Gram
+matrix certifies that the basis matrix has condition number below 1e3,
+by the Cholesky backward-error bound (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., Thm 10.3), and an SVD solve otherwise.
+The certificate is sufficient, not necessary: a fit with condition number
+between about 700 and 1e3 may take the SVD solve.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ log = logging.getLogger(__name__)
 
 _CONDITION_LIMIT = 1e8
 _SV_CUTOFF = 1e-12
-# largest kappa_2 of the basis matrix fitted through the normal equations
-_NORMAL_EQUATIONS_LIMIT = 1e3
+# relative diagonal shift whose Cholesky factor certifies kappa_2(B) < 1e3
+_CHOLESKY_SHIFT = 2e-6
 
 
 @dataclass
@@ -117,32 +122,50 @@ def dual_as_graph(samples: DualSamples, L_max: int) -> GraphSurface:
     """Fit the dual samples as a radial graph about the antipodal pole.
 
     A least-squares spherical-harmonic fit of ``r_star`` over the
-    scattered dual directions, with basis matrix B.  The fit first forms
-    the Gram matrix G = B^T B and its eigenvalues, whose extreme ratio
-    gives the condition number kappa_2(B) = sqrt(ev_max / ev_min).  When
-    kappa_2(B) <= 1e3 it solves the normal equations G c = B^T r_star:
-    the least-squares solution is then unique, and the normal equations
-    reach it with relative error about eps * kappa^2 <= 1e-10 (Golub &
-    Van Loan, *Matrix Computations*, 4th ed., section 5.3) for about a
-    third of the flops of an SVD solve.  Otherwise, or when the
-    eigenvalues are not positive and finite, it falls back to the SVD
-    solve: degrees of freedom whose singular values fall below 1e-12 of
-    the largest are discarded; the dual directions cluster where the
-    source curvature is large, and the cutoff keeps the fit stable there.
+    scattered dual directions, with basis matrix B (n columns) and Gram
+    matrix G = B^T B.  When kappa_2(B) <= 1e3 the least-squares solution
+    is unique, and the normal equations G c = B^T r_star reach it with
+    relative error about eps * kappa^2 <= 1e-10 (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., section 5.3) for about a third of the flops
+    of an SVD solve.
+
+    The gate is a certificate, not a measurement.  With s = ||G||_1,
+    which bounds lambda_max(G) because G is symmetric, and the shift
+    mu = 2e-6 s, the fit takes the normal equations only when the
+    Cholesky factorization of G - mu I completes with a finite diagonal.
+    By the backward-error bound of Cholesky factorization (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 10.3;
+    Demmel 1989) that factor is exact for G - mu I + E with
+    ||E||_2 <= n(n+1) u s, u the unit roundoff.  Hence
+    lambda_min(G) >= mu - n(n+1) u s > 1e-6 lambda_max(G) whenever
+    n(n+1) u < 1e-6 (n below about 9e4), so kappa_2(B) < 1e3: no fit
+    above 1e3 takes the normal equations.  The test is sufficient, not
+    necessary.  The factor can fail once kappa_2(B) exceeds about
+    sqrt(lambda_max / mu) <= 707, and such a fit takes the SVD solve.
+
+    The SVD solve, taken whenever the certificate fails, discards the
+    degrees of freedom whose singular values fall below 1e-12 of the
+    largest; the dual directions cluster where the source curvature is
+    large, and the cutoff keeps the fit stable there.
 
     Raises
     ------
     ResolutionError
-        If the condition number of the fit, measured by the SVD on the
-        fallback path, exceeds 1e8.  The caller should raise the source
-        grid density.
+        If any sample is not finite, before any factorization, or if the
+        condition number of the fit, measured by the SVD on the fallback
+        path, exceeds 1e8.  The caller should raise the source grid
+        density.
     """
+    if not all(np.isfinite(v).all() for v in (samples.eta_theta,
+                                              samples.eta_phi,
+                                              samples.r_star)):
+        raise ResolutionError("dual samples are not finite; the source "
+                              "surface cannot be fitted")
     B = spectral.basis_matrix(L_max, samples.eta_theta, samples.eta_phi)
     G = B.T @ B  # numpy sends this form to syrk
-    ev = np.linalg.eigvalsh(G)
-    cond = np.sqrt(ev[-1] / ev[0]) if ev[0] > 0.0 else np.inf
-    if cond <= _NORMAL_EQUATIONS_LIMIT:  # false for NaN
+    if _certifies_normal_equations(G):
         coeffs = np.linalg.solve(G, B.T @ samples.r_star)
+        method = "normal equations, condition < 1e3"
     else:
         coeffs, _, _, sv = np.linalg.lstsq(B, samples.r_star,
                                            rcond=_SV_CUTOFF)
@@ -151,12 +174,34 @@ def dual_as_graph(samples: DualSamples, L_max: int) -> GraphSurface:
             raise ResolutionError(
                 f"dual graph fit is ill conditioned (condition number "
                 f"{cond:.3g}); raise the sampling grid density")
+        method = f"SVD, condition {cond:.3g}"
     residual = float(np.max(np.abs(B @ coeffs - samples.r_star)))
-    log.debug("dual graph fit: %d samples, L_max=%d, condition %.3g, "
-              "max residual %.3g", samples.n_nodes, L_max, cond, residual)
+    log.debug("dual graph fit: %d samples, L_max=%d, %s, max residual %.3g",
+              samples.n_nodes, L_max, method, residual)
     return GraphSurface(n=2, pole=samples.pole.copy(),
                         radial=spectral.HarmonicCoeffs(L_max, coeffs),
                         gauge_tau0=default_gauge_tau0())
+
+
+def _certifies_normal_equations(G: np.ndarray) -> bool:
+    """True when a shifted Cholesky factor proves kappa_2 of G below 1e6.
+
+    The shift is applied to G's diagonal in place and undone exactly, so
+    the test costs one factor and no copy of G (see :func:`dual_as_graph`).
+    """
+    s = np.linalg.norm(G, 1)
+    if not np.isfinite(s):
+        return False
+    diagonal = G.diagonal().copy()
+    np.fill_diagonal(G, diagonal - _CHOLESKY_SHIFT * s)
+    try:
+        factor = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        np.fill_diagonal(G, diagonal)
+    # cholesky returns NaN factors of a NaN matrix rather than raising
+    return bool(np.isfinite(factor.diagonal()).all())
 
 
 def fit_residual(samples: DualSamples, surface: GraphSurface) -> float:

@@ -10,6 +10,10 @@ Healy, "Computing Fourier transforms and convolutions on the 2-sphere"
 of values and chart derivatives is a Legendre sum per order and one product
 in longitude, analysis its transpose (Schaeffer, 2013).  Only
 ``basis_matrix``, at scattered points, forms a points x coefficients matrix.
+The Legendre tables are computed degree-major, one contiguous row per basis
+function, so each step of the recurrence reads and writes whole rows; they
+are exposed as (colatitudes x coefficients) transposed views, and
+``basis_matrix`` gathers its rows straight from that view.
 
 Conventions
 -----------
@@ -45,7 +49,6 @@ __all__ = [
     "synthesize_at",
     "synthesize_product",
     "chart_jets",
-    "surface_hessian",
 ]
 
 
@@ -72,51 +75,55 @@ class _ProductTables:
 
     ``colat``: c_lm P_l^|m|(cos theta_i) per column, (n_theta, K), and with
     ``derivatives`` its theta-derivatives (unsafe at the exact poles).
-    ``lon``: sin(|m| phi) for m < 0, else cos(m phi), per signed order
-    -L..L, and two phi-derivatives, (n_phi, 2L+1).  ``groups[o]``: the
-    columns of order o - L.
+    Each is the transposed view of a degree-major (K, n_theta) array, so
+    that a gather of basis columns reads contiguous rows.  ``lon``:
+    sin(|m| phi) for m < 0, else cos(m phi), per signed order -L..L, and
+    two phi-derivatives, (n_phi, 2L+1).  ``groups[o]``: the columns of
+    order o - L.
     """
 
     def __init__(self, L_max: int, theta: np.ndarray, phi: np.ndarray,
                  derivatives: bool = True):
         l = np.repeat(np.arange(L_max + 1), 2 * np.arange(L_max + 1) + 1)
         self.orders = m = np.arange(len(l)) - l * l - l
-        ct = np.cos(theta)[:, None]
+        ct = np.cos(theta)
         # sqrt((1-x)(1+x)) rather than sin(theta): exact zeros at both poles
         st = np.sqrt((1.0 - ct) * (1.0 + ct))
         # fully normalized recurrence (Holmes & Featherstone, 2002): the
         # sectoral P_mm, then P_{m+1,m}, then three terms in l, all orders
         # of one degree per step; sqrt(2) for m != 0 enters at P_mm
-        j = np.arange(1, L_max + 1)
-        sect = np.cumprod(-np.sqrt((2 * j + 1) / (2 * j)) * st, axis=1)
-        sect = np.hstack([np.ones_like(st), np.sqrt(2.0) * sect])
+        j = np.arange(1, L_max + 1)[:, None]
+        sect = np.cumprod(-np.sqrt((2 * j + 1) / (2 * j)) * st, axis=0)
+        sect = np.vstack([np.ones_like(st), np.sqrt(2.0) * sect])
         sect /= np.sqrt(4.0 * np.pi)
-        self.Y = Y = np.empty((len(theta), len(l)))
+        # degree-major: each step reads and writes whole contiguous rows
+        P = np.empty((len(l), len(theta)))
         for d in range(L_max + 1):
-            # columns of order 0 at degrees d, d - 1 and d - 2
+            # rows of order 0 at degrees d, d - 1 and d - 2
             z, z1, z2 = d * d + d, d * d - d, (d - 1) * (d - 1) - (d - 1)
-            Y[:, z + d] = sect[:, d]
+            P[z + d] = sect[d]
             if d >= 1:
-                Y[:, z + d - 1:z + d] = (np.sqrt(2 * d + 1) * ct
-                                         * Y[:, z1 + d - 1:z1 + d])
+                P[z + d - 1] = np.sqrt(2 * d + 1) * ct * P[z1 + d - 1]
             if d >= 2:
-                k = np.arange(d - 1)
+                k = np.arange(d - 1)[:, None]
                 a = np.sqrt((4 * d * d - 1) / (d * d - k * k))
                 b = np.sqrt(((d - 1) ** 2 - k * k) / (4 * (d - 1) ** 2 - 1))
-                Y[:, z:z + d - 1] = a * (ct * Y[:, z1:z1 + d - 1]
-                                         - b * Y[:, z2:z2 + d - 1])
-            Y[:, z - d:z] = Y[:, z + d:z:-1]  # m < 0 repeats |m|
-        self.colat = [Y]
+                P[z:z + d - 1] = a * (ct * P[z1:z1 + d - 1]
+                                      - b * P[z2:z2 + d - 1])
+            P[z - d:z] = P[z + d:z:-1]  # m < 0 repeats |m|
+        self.Y = P.T
+        self.colat = [self.Y]
         if derivatives:
             am = np.abs(m)
+            prev = np.where(am < l, l * l - l + m, 0)  # row of (l - 1, m)
+            l, am = l[:, None], am[:, None]
             # sin(theta) dP_lm/dtheta = l cos(theta) P_lm - e_lm P_{l-1,m}
             e = np.sqrt((2 * l + 1) * (l * l - am * am)
                         / np.maximum(2 * l - 1, 1))
-            prev = np.where(am < l, l * l - l + m, 0)  # column of (l - 1, m)
-            dpl = (l * ct * Y - e * Y[:, prev]) / st
+            dpl = (l * ct * P - e * P[prev]) / st
             # the associated Legendre ODE gives the second derivative
-            self.colat += [dpl, -ct / st * dpl
-                           - (l * (l + 1) - am * am / st**2) * Y]
+            self.colat += [dpl.T, (-ct / st * dpl
+                                   - (l * (l + 1) - am * am / st**2) * P).T]
         j = np.arange(L_max + 1)
         cos, sin = np.cos(np.outer(phi, j)), np.sin(np.outer(phi, j))
         f, df = (np.concatenate([neg[:, :0:-1], pos], axis=1)
@@ -285,7 +292,7 @@ def basis_matrix(L_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     th, it = np.unique(theta, return_inverse=True)
     ph, ip = np.unique(phi, return_inverse=True)
     tables = _ProductTables(L_max, th, ph, derivatives=False)
-    out = tables.Y.take(it, axis=0)
+    out = tables.Y[it]  # reads the transposed view in place; take copies it
     cols = L_max + tables.orders
     for i in range(0, len(out), _GATHER_ROWS):
         rows = ip[i:i + _GATHER_ROWS]
@@ -329,21 +336,3 @@ def synthesize_product(coeffs: HarmonicCoeffs, theta: np.ndarray,
     """The expansion on colatitudes x longitudes (poles allowed), grid order."""
     tables = _ProductTables(coeffs.L_max, theta, phi, derivatives=False)
     return _synthesis(tables, coeffs.values)[0]
-
-
-def surface_hessian(grid: QuadratureGrid, coeffs: HarmonicCoeffs) -> np.ndarray:
-    """Covariant Hessian with respect to the round metric, shape (N, 2, 2).
-
-    Components: H[:,0,0] = u_;tt, H[:,0,1] = H[:,1,0] = u_;tp,
-    H[:,1,1] = u_;pp.  Built from the chart partials and the round-metric
-    Christoffel symbols, so the matrix is symmetric by construction.
-    """
-    _, ut, up, utt, utp, upp = chart_jets(grid, coeffs)
-    st, ct = np.sin(grid.theta), np.cos(grid.theta)
-    cot = ct / st
-    H = np.empty((grid.n_nodes, 2, 2))
-    H[:, 0, 0] = utt
-    H[:, 0, 1] = utp - cot * up
-    H[:, 1, 0] = H[:, 0, 1]
-    H[:, 1, 1] = upp + st * ct * ut
-    return H

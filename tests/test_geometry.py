@@ -16,6 +16,7 @@ from curvedual.geometry import (
     stereographic_project,
 )
 from curvedual.spectral import HarmonicCoeffs, analyze, build_grid, synthesize
+from test_spectral import surface_hessian
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +216,7 @@ def second_fundamental_form_conformal(field: CurvatureField) -> np.ndarray:
     """
     grid = field.grid
     grad_r = np.stack([field.r_theta, field.r_phi], axis=-1)
-    hess_r = spectral.surface_hessian(grid, field.surface.radial)
+    hess_r = surface_hessian(grid, field.surface.radial)
     sr, cr = np.sin(field.r), np.cos(field.r)
     # u = tau(r): du/dr = 1/sin r, d2u/dr2 = -cos r / sin^2 r
     u_i = grad_r / sr[:, None]

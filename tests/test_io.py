@@ -92,6 +92,21 @@ class TestSurfaceFiles:
         assert back.L_max == surface.L_max
         assert back.n == surface.n
 
+    @pytest.mark.parametrize("L_max", [4, 8])
+    def test_writer_matches_generic_emitter(self, tmp_path, L_max):
+        # the per-entry format against dumps_canonical, on the extreme
+        # doubles, the non-finite texts and a surface with no entries
+        surface = random_surface(L_max)
+        surface.radial.values[1:7] = [-0.0, 5e-324, 1.7976931348623157e308,
+                                      np.nan, np.inf, -np.inf]
+        empty = random_surface(L_max)
+        empty.radial.values[:] = 0.0
+        for s in (surface, empty):
+            path = tmp_path / "surface.json"
+            write_surface(path, s)
+            assert path.read_bytes() == (
+                dumps_canonical(surface_to_dict(s)) + "\n").encode()
+
     def test_zero_coefficients_dropped(self):
         surface = sphere_surface(np.pi / 4, L_max=6)
         doc = surface_to_dict(surface)

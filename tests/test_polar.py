@@ -163,6 +163,24 @@ def test_degenerate_samples_rejected():
         dual_as_graph(collapsed, L_max=4)
 
 
+def _no_lapack(*args, **kwargs):
+    raise AssertionError("LAPACK called on non-finite samples")
+
+
+@pytest.mark.parametrize("name", ["eta_theta", "eta_phi", "r_star"])
+def test_nonfinite_samples_rejected(monkeypatch, name):
+    # NaN input makes LAPACK's least squares print DLASCL errors and raise
+    # a bare LinAlgError; the fit must stop before any factorization
+    grid = build_grid(8)
+    s = gauss_map(curvature_field(sphere_surface(np.pi / 4, L_max=8), grid))
+    values = getattr(s, name).copy()
+    values[17] = np.nan
+    for solver in ("cholesky", "eigvalsh", "lstsq", "solve"):
+        monkeypatch.setattr(np.linalg, solver, _no_lapack)
+    with pytest.raises(ResolutionError, match="not finite"):
+        dual_as_graph(dataclasses.replace(s, **{name: values}), L_max=4)
+
+
 def _svd_fit(samples, L_max):
     B = basis_matrix(L_max, samples.eta_theta, samples.eta_phi)
     return np.linalg.lstsq(B, samples.r_star, rcond=1e-12)[0]
@@ -193,6 +211,37 @@ def test_ill_conditioned_fit_falls_back_to_svd():
     samples = _squeezed_sphere_samples(0.5)  # condition number 8.3e4
     coeffs = dual_as_graph(samples, L_max=6).radial.values
     assert np.array_equal(coeffs, _svd_fit(samples, 6))
+
+
+def test_fit_above_1e3_never_takes_normal_equations(monkeypatch):
+    # kappa_2 = 1.59e3: the unshifted Gram matrix has a Cholesky factor,
+    # so only the shift keeps this fit off the normal equations
+    samples = _squeezed_sphere_samples(0.65)
+    expect = _svd_fit(samples, 6)
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    coeffs = dual_as_graph(samples, L_max=6).radial.values
+    assert len(calls) == 1
+    assert np.array_equal(coeffs, expect)
+
+
+def test_fit_below_certified_bound_uses_normal_equations(monkeypatch):
+    # kappa_2 = 475, below the certified bound of about 670 at this size
+    samples = _squeezed_sphere_samples(0.7)
+    expect = _svd_fit(samples, 6)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD solve on a certified fit")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_svd)
+    coeffs = dual_as_graph(samples, L_max=6).radial.values
+    assert np.max(np.abs(coeffs - expect)) <= 1e-10
 
 
 def test_fit_above_condition_limit_rejected():

@@ -18,7 +18,6 @@ from curvedual.spectral import (
     index_lm,
     lm_index,
     num_coeffs,
-    surface_hessian,
     synthesize,
     synthesize_at,
 )
@@ -43,6 +42,24 @@ def point_jets(L_max, t0, p0, a):
     """The six jets of coefficients ``a`` at the single point (t0, p0)."""
     tables = _ProductTables(L_max, np.array([t0]), np.array([p0]))
     return [jet[0] for jet in _synthesis(tables, a.values)]
+
+
+def surface_hessian(grid, coeffs):
+    """Covariant Hessian with respect to the round metric, shape (N, 2, 2).
+
+    Components: H[:,0,0] = u_;tt, H[:,0,1] = H[:,1,0] = u_;tp,
+    H[:,1,1] = u_;pp.  Built from the chart partials and the round-metric
+    Christoffel symbols, so the matrix is symmetric by construction.
+    """
+    _, ut, up, utt, utp, upp = chart_jets(grid, coeffs)
+    st, ct = np.sin(grid.theta), np.cos(grid.theta)
+    cot = ct / st
+    H = np.empty((grid.n_nodes, 2, 2))
+    H[:, 0, 0] = utt
+    H[:, 0, 1] = utp - cot * up
+    H[:, 1, 0] = H[:, 0, 1]
+    H[:, 1, 1] = upp + st * ct * ut
+    return H
 
 
 def laplacian(grid, a):
@@ -430,3 +447,51 @@ def test_curvature_field_builds_no_dense_operators():
         tracemalloc.stop()
     assert np.allclose(field.kappa, 1.0, atol=1e-12)
     assert peak <= 20e6, peak
+
+
+def _point_major_tables(L_max, theta):
+    """The Legendre recurrence and its theta-derivatives in (n_theta, K)
+    layout, one column block per step: the reference for the degree-major
+    tables, which perform the same operations on every element."""
+    l = np.repeat(np.arange(L_max + 1), 2 * np.arange(L_max + 1) + 1)
+    m = np.arange(len(l)) - l * l - l
+    ct = np.cos(theta)[:, None]
+    st = np.sqrt((1.0 - ct) * (1.0 + ct))
+    j = np.arange(1, L_max + 1)
+    sect = np.cumprod(-np.sqrt((2 * j + 1) / (2 * j)) * st, axis=1)
+    sect = np.hstack([np.ones_like(st), np.sqrt(2.0) * sect])
+    sect /= np.sqrt(4.0 * np.pi)
+    Y = np.empty((len(theta), len(l)))
+    for d in range(L_max + 1):
+        z, z1, z2 = d * d + d, d * d - d, (d - 1) * (d - 1) - (d - 1)
+        Y[:, z + d] = sect[:, d]
+        if d >= 1:
+            Y[:, z + d - 1:z + d] = (np.sqrt(2 * d + 1) * ct
+                                     * Y[:, z1 + d - 1:z1 + d])
+        if d >= 2:
+            k = np.arange(d - 1)
+            a = np.sqrt((4 * d * d - 1) / (d * d - k * k))
+            b = np.sqrt(((d - 1) ** 2 - k * k) / (4 * (d - 1) ** 2 - 1))
+            Y[:, z:z + d - 1] = a * (ct * Y[:, z1:z1 + d - 1]
+                                     - b * Y[:, z2:z2 + d - 1])
+        Y[:, z - d:z] = Y[:, z + d:z:-1]
+    am = np.abs(m)
+    e = np.sqrt((2 * l + 1) * (l * l - am * am) / np.maximum(2 * l - 1, 1))
+    dpl = (l * ct * Y - e * Y[:, np.where(am < l, l * l - l + m, 0)]) / st
+    return [Y, dpl, -ct / st * dpl - (l * (l + 1) - am * am / st**2) * Y]
+
+
+@pytest.mark.parametrize("L_max", [4, 8, 24, 32, 40])
+def test_degree_major_tables_equal_point_major_recurrence(L_max):
+    # bit for bit, on the grid colatitudes and on scattered ones with both
+    # poles, where the derivative tables hold the same inf and NaN
+    rng = np.random.default_rng(L_max)
+    theta = np.concatenate([[0.0], np.sort(rng.uniform(0.0, np.pi, 60)),
+                            [np.pi]])
+    for th in (build_grid(L_max).axes[0], theta):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = _point_major_tables(L_max, th)
+            tables = _ProductTables(L_max, th, np.zeros(1))
+        for got, ref in zip(tables.colat, want, strict=True):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
