@@ -70,6 +70,8 @@ def _harmonics_from_entries(entries, L_max: int) -> HarmonicCoeffs:
         if l > L_max:
             raise ConfigError(
                 f"harmonic entry has degree {l} above L_max = {L_max}")
+        if (l, m) in pairs:
+            raise ConfigError(f"harmonic entry (l={l}, m={m}) is repeated")
         pairs[(l, m)] = value
         L = max(L, l)
     return HarmonicCoeffs.from_dict(L, pairs)
@@ -113,8 +115,6 @@ def parse_config(doc: dict):
 
     opts = SolverOptions(
         L_max=_numeric(int, doc.get("L_max", 24), '"L_max"'))
-    if opts.L_max < 4:
-        raise ConfigError(f"L_max must be at least 4, got {opts.L_max}")
     for key in ("tol", "kappa_floor", "kappa_ceil", "dt0", "dt_min",
                 "dt_max"):
         if key in doc:
@@ -146,8 +146,6 @@ def parse_config(doc: dict):
 
 def cmd_solve(args) -> int:
     F, data, opts, group = parse_config(_load_json(args.config))
-    if args.tol_override is not None:
-        opts.tol = args.tol_override
     os.makedirs(args.out, exist_ok=True)
 
     report = continuation(F, data, opts=opts, group=group)
@@ -277,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="run homotopy continuation")
     ps.add_argument("--config", required=True, help="config JSON path")
     ps.add_argument("--out", required=True, help="output directory")
-    ps.add_argument("--tol-override", type=float, default=None,
-                    dest="tol_override", help="override the Newton tolerance")
     ps.set_defaults(func=cmd_solve)
 
     pd = sub.add_parser("dual", help="compute the polar dual surface")

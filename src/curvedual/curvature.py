@@ -22,12 +22,9 @@ import numpy as np
 __all__ = [
     "CurvatureFunction",
     "make_curvature_function",
-    "apply_to_shape_operator",
     "class_K_check",
     "ClassKReport",
 ]
-
-_EIG_CLUSTER_TOL = 1e-9
 
 
 class CurvatureFunction:
@@ -242,38 +239,6 @@ def make_curvature_function(name: str, n: int = 2) -> CurvatureFunction:
             raise ValueError(f"unknown curvature function {name!r}") from None
         return _SigmaK(n=n, k=k)
     raise ValueError(f"unknown curvature function {name!r}")
-
-
-def apply_to_shape_operator(F: CurvatureFunction, h_mixed: np.ndarray,
-                            g: np.ndarray):
-    """Evaluate F on a shape operator and return (value, dF/dh_ij).
-
-    ``h_mixed`` is the mixed-index shape operator g^{ik} h_kj, ``g`` the
-    metric; both shaped (..., n, n).  The derivative tensor returned is
-    with respect to the covariant components h_ij at fixed metric:
-    F^{ij} = sum_k f_k v_k^i v_k^j over g-orthonormal eigenvectors v_k.
-    Repeated eigenvalues need no special handling for the first
-    derivative; eigenvectors from the symmetrized pencil stay
-    g-orthonormal through clusters (tolerance 1e-9 guards the sort).
-    """
-    h_mixed = np.asarray(h_mixed, dtype=float)
-    g = np.asarray(g, dtype=float)
-    n = h_mixed.shape[-1]
-    # solve the symmetric generalized problem h v = kappa g v via Cholesky
-    L = np.linalg.cholesky(g)
-    Linv = np.linalg.inv(L)
-    h_cov = np.einsum("...ij,...jk->...ik", g, h_mixed)
-    A = np.einsum("...ij,...jk,...lk->...il", Linv, h_cov, Linv)
-    A = 0.5 * (A + np.swapaxes(A, -1, -2))
-    kappa, U = np.linalg.eigh(A)
-    # eigh returns an orthonormal frame even through eigenvalue clusters,
-    # and the first derivative needs no divided differences, so values
-    # within _EIG_CLUSTER_TOL of each other require no special casing
-    # g-orthonormal eigenvectors with contravariant components
-    V = np.einsum("...ji,...jk->...ik", Linv, U)
-    f_k = F.gradient(kappa)
-    Fij = np.einsum("...k,...ik,...jk->...ij", f_k, V, V)
-    return F.value(kappa), Fij
 
 
 @dataclass

@@ -17,7 +17,7 @@ from .errors import DataError
 from .geometry import (CurvatureField, GraphSurface, curvature_field,
                        rho_from_r, stereographic_project)
 from .polar import DualSamples
-from .spectral import HarmonicCoeffs, build_grid, synthesize_at
+from .spectral import HarmonicCoeffs, build_grid, lm_index, synthesize_at
 
 
 def format_float(x: float) -> str:
@@ -134,6 +134,7 @@ def surface_from_dict(doc: dict) -> GraphSurface:
             "surface needs n = 2, L_max >= 4 and a unit pole, got "
             f"n = {n}, L_max = {L_max}, pole = {pole.tolist()}")
     coeffs = HarmonicCoeffs.zeros(L_max)
+    seen = set()
     for entry in entries:
         try:
             l, m, value = entry["l"], entry["m"], entry["value"]
@@ -147,7 +148,11 @@ def surface_from_dict(doc: dict) -> GraphSurface:
         if not (0 <= l <= L_max and -l <= m <= l):
             raise DataError(f"radial entry (l={l}, m={m}) outside truncation "
                             f"L_max={L_max}")
-        coeffs[l, m] = value
+        idx = lm_index(l, m)
+        if idx in seen:
+            raise DataError(f"radial entry (l={l}, m={m}) is repeated")
+        seen.add(idx)
+        coeffs.values[idx] = value
     return GraphSurface(n=n, pole=pole, radial=coeffs, gauge_tau0=gauge_tau0)
 
 

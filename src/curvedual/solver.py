@@ -9,7 +9,9 @@ its minimum.  At t = 0 the exact solution is a geodesic sphere; the path
 is followed to t = 1 by damped quasi-Newton steps in the radial coefficient
 vector, each solve started from the secant extrapolation of the last two
 points on the path, restricted to the subspace invariant under a
-fixed-point-free symmetry group.  Restricting removes the
+symmetry group that acts freely on the sphere.  The only such group
+besides the trivial one is the antipodal group, whose invariant subspace
+is the even-degree coefficients.  Restricting to it removes the
 three-dimensional kernel of the linearization spanned by the degree-1
 harmonics, which otherwise makes the Newton system singular at every
 solution.
@@ -57,15 +59,6 @@ _BROYDEN_RCOND = 1e-8
 
 # ------------------------------------------------------------- symmetry
 
-def rotate_angles(A: np.ndarray, theta: np.ndarray, phi: np.ndarray):
-    """Chart angles of A xi for unit directions xi given by (theta, phi)."""
-    xi = _kernels._frame_fields(theta, phi)[0]
-    img = xi @ np.asarray(A, dtype=float).T
-    theta2 = np.arctan2(np.hypot(img[..., 0], img[..., 1]), img[..., 2])
-    phi2 = np.mod(np.arctan2(img[..., 1], img[..., 0]), 2.0 * np.pi)
-    return theta2, phi2
-
-
 @dataclass
 class SymmetryGroup:
     """Finite group of orthogonal transformations of the parameter sphere.
@@ -73,7 +66,8 @@ class SymmetryGroup:
     Elements are 3 x 3 orthogonal matrices.  ``validate`` checks the
     group axioms on the element list and that no element other than the
     identity fixes a direction, the condition that keeps degree-1
-    harmonics out of the invariant subspace.
+    harmonics out of the invariant subspace.  Only two groups pass:
+    the trivial group and the antipodal group.
     """
 
     name: str
@@ -103,6 +97,11 @@ class SymmetryGroup:
 
     def validate(self) -> None:
         """Check orthogonality, the group axioms, and freeness.
+
+        A group that passes is {I} or {I, -I}: a rotation other than I
+        fixes its axis, so G meets SO(3), the kernel of det on G, only in
+        I and |G| <= 2; and the only orthogonal involution with no
+        eigenvalue 1 is -I.
 
         Raises
         ------
@@ -163,62 +162,30 @@ class InvariantBasis:
 
 def full_basis(L_max: int) -> InvariantBasis:
     """Identity basis of the whole coefficient space (no symmetry)."""
-    K = num_coeffs(L_max)
-    degrees = np.array([spectral.index_lm(i)[0] for i in range(K)])
-    return InvariantBasis(L_max=L_max, matrix=np.eye(K), degrees=degrees)
-
-
-@dataclass
-class InvariantProjector:
-    """Orthogonal projector onto the group-invariant coefficients."""
-
-    group: SymmetryGroup
-    L_max: int
-    matrix: np.ndarray   # (num_coeffs, num_coeffs)
-    basis: InvariantBasis
+    l = np.arange(L_max + 1)
+    return InvariantBasis(L_max=L_max, matrix=np.eye(num_coeffs(L_max)),
+                          degrees=np.repeat(l, 2 * l + 1))
 
 
 def invariant_projector(group: SymmetryGroup, grid: QuadratureGrid
-                        ) -> InvariantProjector:
-    """Build the orbit-average projector and its degree-labeled basis.
+                        ) -> InvariantBasis:
+    """Basis B of the group-invariant coefficients; the projector is B B^T.
 
-    The average of the coefficient-space actions of the group elements,
-    by quadrature on ``grid``, whose truncation is the projector's.
-    Rotations preserve harmonic degree, so the projector is block
-    diagonal per degree and the basis is extracted degree by degree from
-    a symmetric eigendecomposition of each block.  For a free group the
-    degree-1 block vanishes entirely.
+    After ``group.validate`` the group G is {I} or {I, -I}: a rotation
+    other than I fixes its axis, so G meets SO(3), the kernel of det on
+    G, only in I and |G| <= 2; and the only orthogonal involution with
+    no eigenvalue 1 is -I.  Since Y_lm(-xi) = (-1)^l Y_lm(xi), the
+    invariant coefficients are all of them for {I} and those of even
+    degree for {I, -I}, up to the truncation of ``grid``; B holds the
+    matching columns of the identity.
     """
     group.validate()
-    L_max = grid.L_max
-    K = num_coeffs(L_max)
-    P = np.zeros((K, K))
-    for A in group.elements:
-        th2, ph2 = rotate_angles(A, grid.theta, grid.phi)
-        P += spectral._analysis(grid.ops, grid.weights[:, None]
-                                * spectral.basis_matrix(L_max, th2, ph2))
-    P /= group.order
-
-    cols = []
-    degs = []
-    for l in range(L_max + 1):
-        sl = slice(l * l, (l + 1) * (l + 1))
-        block = P[sl, sl]
-        vals, vecs = np.linalg.eigh(0.5 * (block + block.T))
-        for j in range(len(vals)):
-            if vals[j] > 0.5:
-                v = np.zeros(K)
-                v[sl] = vecs[:, j]
-                cols.append(v)
-                degs.append(l)
-    if cols:
-        B = np.stack(cols, axis=1)
-    else:
-        B = np.zeros((K, 0))
-    basis = InvariantBasis(L_max=L_max, matrix=B,
-                           degrees=np.array(degs, dtype=int))
-    return InvariantProjector(group=group, L_max=L_max, matrix=P,
-                              basis=basis)
+    basis = full_basis(grid.L_max)
+    if group._index_of(-np.eye(3)) < 0:
+        return basis
+    even = basis.degrees % 2 == 0
+    return InvariantBasis(L_max=grid.L_max, matrix=basis.matrix[:, even],
+                          degrees=basis.degrees[even])
 
 
 # ------------------------------------------------------------ input data
@@ -311,7 +278,13 @@ class SolverOptions:
     max_halvings: int = 20
 
     def validate(self) -> None:
-        """Raise ConfigError for step controls that stall or fake a run."""
+        """Raise ConfigError for a truncation no grid takes and for step
+        controls that stall or fake a run."""
+        if not isinstance(self.L_max, (int, np.integer)):
+            raise ConfigError(
+                f'"L_max" must be an integer, got {self.L_max!r}')
+        if self.L_max < 4:
+            raise ConfigError(f"L_max must be at least 4, got {self.L_max}")
         # zero, negative or NaN steps never advance t; an infinite or NaN
         # tolerance accepts every iterate
         for key in ("dt0", "dt_min", "dt_max"):
@@ -486,15 +459,13 @@ def near_kernel(J: np.ndarray, rcond: float = _KERNEL_RCOND):
 
 
 def linear_system(F: CurvatureFunction, data: PrescribedData, t: float,
-                  surface: GraphSurface,
-                  projector: InvariantProjector | None = None):
+                  surface: GraphSurface, basis: InvariantBasis | None = None):
     """Assembled Newton matrix and residual at a surface, for diagnostics.
 
-    Returns (J, residual_vector, degrees) in the invariant basis, or in
-    the full coefficient basis when no projector is given.
+    Returns (J, residual_vector, degrees) in ``basis``, or in the full
+    coefficient basis when no basis is given.
     """
-    basis = projector.basis if projector is not None else \
-        full_basis(surface.L_max)
+    basis = basis if basis is not None else full_basis(surface.L_max)
     ws = NewtonWorkspace(build_grid(surface.L_max), basis, data, F)
     z = basis.matrix.T @ surface.radial.values
     state = ws.state(z, t)
@@ -691,7 +662,7 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
             "checks (monotonicity or weight ordering); continuation may "
             "lose convexity", stacklevel=2)
     grid = build_grid(opts.L_max)
-    basis = invariant_projector(group, grid).basis
+    basis = invariant_projector(group, grid)
     data.validate(basis)
 
     surface = start if start is not None else \

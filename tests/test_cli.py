@@ -207,6 +207,10 @@ class TestSolveCommand:
         ({"kappa_ceil": 0}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
         ({"kappa_ceil": math.inf}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
         ({"kappa_floor": math.nan}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
+        # a repeated pair would overwrite the first value
+        ({"f": {"a_poly": [LOG2], "b": [{"l": 2, "m": 0, "value": 0.1},
+                                        {"l": 2, "m": 0, "value": 0.2}]}},
+         "harmonic entry (l=2, m=0) is repeated"),
     ])
     def test_bad_config_value_fails_cleanly(self, tmp_path, capsys,
                                             overrides, message):

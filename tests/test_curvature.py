@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedual.curvature import (
-    apply_to_shape_operator,
     class_K_check,
     make_curvature_function,
 )
@@ -150,33 +149,7 @@ def test_sigma_k_three_dimensional_gradient():
     assert np.max(np.abs(F.gradient(kappa) - fd)) <= 1e-6
 
 
-# ------------------------------------------------- shape-operator interface
-
-def test_apply_mean_recovers_inverse_metric():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        A = rng.standard_normal((2, 2))
-        g = A @ A.T + 2 * np.eye(2)
-        h_cov = rng.standard_normal((2, 2))
-        h_cov = 0.5 * (h_cov + h_cov.T) + 3 * np.eye(2)
-        h_mixed = np.linalg.inv(g) @ h_cov
-        F = make_curvature_function("mean")
-        val, Fij = apply_to_shape_operator(F, h_mixed, g)
-        assert np.max(np.abs(Fij - np.linalg.inv(g))) <= 1e-10
-        assert val == pytest.approx(np.trace(h_mixed), rel=1e-12)
-
-
-def test_apply_umbilic_shape_operator():
-    # h^i_j = kappa delta: F^{ij} = (F / (n kappa)) g^{ij} for any catalog F
-    g = np.array([[2.0, 0.3], [0.3, 1.5]])
-    kappa0 = 0.8
-    h_mixed = kappa0 * np.eye(2)
-    for name in ("mean", "gauss_power", "norm_A"):
-        F = make_curvature_function(name)
-        val, Fij = apply_to_shape_operator(F, h_mixed, g)
-        expect = (val / (2 * kappa0)) * np.linalg.inv(g)
-        assert np.max(np.abs(Fij - expect)) <= 1e-10, name
-
+# ---------------------------------------------------- weighted curvatures
 
 def test_apply_gauss_power_weighted_curvatures():
     # for the product root the weighted curvatures F_i kappa_i are equal
@@ -185,33 +158,6 @@ def test_apply_gauss_power_weighted_curvatures():
     w = F.gradient(kappa) * kappa
     assert w[0] == pytest.approx(w[1], rel=1e-13)
     assert w[0] == pytest.approx(float(F(kappa)) / 2, rel=1e-13)
-
-
-def test_apply_matches_covariant_perturbation():
-    # F^{ij} dh_ij approximates dF for symmetric perturbations at fixed g
-    rng = np.random.default_rng(6)
-    g = np.array([[1.4, 0.2], [0.2, 1.1]])
-    h_cov = np.array([[1.0, 0.25], [0.25, 1.6]])
-    for name in ("mean", "gauss_power", "norm_A"):
-        F = make_curvature_function(name)
-        ginv = np.linalg.inv(g)
-        val0, Fij = apply_to_shape_operator(F, ginv @ h_cov, g)
-        dh = rng.standard_normal((2, 2))
-        dh = 0.5 * (dh + dh.T) * 1e-6
-        val1, _ = apply_to_shape_operator(F, ginv @ (h_cov + dh), g)
-        val_m, _ = apply_to_shape_operator(F, ginv @ (h_cov - dh), g)
-        pred = np.sum(Fij * dh)
-        assert abs((val1 - val_m) / 2 - pred) <= 1e-9, name
-
-
-def test_apply_near_umbilic_stable():
-    # clustered eigenvalues: derivative tensor stays finite and correct
-    g = np.eye(2)
-    h_mixed = np.diag([1.0, 1.0 + 1e-12])
-    F = make_curvature_function("gauss_power")
-    val, Fij = apply_to_shape_operator(F, h_mixed, g)
-    assert np.all(np.isfinite(Fij))
-    assert np.max(np.abs(Fij - np.eye(2))) <= 1e-9
 
 
 # ----------------------------------------------------- structural checks

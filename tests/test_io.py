@@ -168,6 +168,8 @@ class TestSurfaceFiles:
         ({"l": 2, "m": 0, "value": math.nan}, "radial value at"),
         ({"l": 2, "m": 0, "value": math.inf}, "radial value at"),
         ({"l": 2, "m": 0, "value": -math.inf}, "radial value at"),
+        # the sphere document already holds (0, 0)
+        ({"l": 0, "m": 0, "value": 0.5}, r"entry \(l=0, m=0\) is repeated"),
     ])
     def test_rejects_non_numeric_entry(self, entry, message):
         doc = surface_to_dict(sphere_surface(np.pi / 4, L_max=8))

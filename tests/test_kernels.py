@@ -67,7 +67,7 @@ def test_newton_iteration_makes_one_kernel_call_of_width_12(monkeypatch):
                           c=2.0)
     start = initial_sphere(F, 2.0, L_max=8)
     start.radial[2, 0] += 0.02
-    basis = invariant_projector(SymmetryGroup.antipodal(), build_grid(8)).basis
+    basis = invariant_projector(SymmetryGroup.antipodal(), build_grid(8))
     ws = NewtonWorkspace(build_grid(8), basis, data, F)
     _, iters, _ = newton_solve(ws, 0.0, basis.matrix.T @ start.radial.values)
     # the start state, one assembly of the Newton matrix, then one state

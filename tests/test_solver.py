@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from curvedual import solver
 from curvedual.curvature import make_curvature_function
 from curvedual.errors import (ConfigError, DataError, GroupError, NewtonError,
                               SingularJacobianError)
@@ -15,8 +16,7 @@ from curvedual.solver import (BarrierReport, NewtonWorkspace, PrescribedData,
                               check_barriers, continuation, data_on_field,
                               default_base_constant, full_basis,
                               initial_sphere, invariant_projector,
-                              linear_system, near_kernel, newton_solve,
-                              rotate_angles)
+                              linear_system, near_kernel, newton_solve)
 from curvedual.spectral import (HarmonicCoeffs, analyze, basis_matrix,
                                 build_grid, index_lm, lm_index, num_coeffs,
                                 synthesize, synthesize_at)
@@ -31,13 +31,12 @@ def constant_data(f_value, c):
 
 
 @pytest.fixture(scope="module")
-def antipodal_projector():
+def antipodal_basis():
     return invariant_projector(SymmetryGroup.antipodal(), build_grid(24))
 
 
-def workspace(data, projector):
-    return NewtonWorkspace(build_grid(projector.L_max), projector.basis,
-                           data, GAUSS)
+def workspace(data, basis):
+    return NewtonWorkspace(build_grid(basis.L_max), basis, data, GAUSS)
 
 
 # ------------------------------------------------------------- symmetry
@@ -75,31 +74,75 @@ def test_group_missing_identity_rejected():
         g.validate()
 
 
-def test_rotate_angles_antipodal():
-    theta = np.array([0.3, 1.2, 2.8])
-    phi = np.array([0.1, 3.0, 5.9])
-    th2, ph2 = rotate_angles(-np.eye(3), theta, phi)
-    assert np.allclose(th2, np.pi - theta, atol=1e-12)
-    assert np.allclose(ph2, np.mod(phi + np.pi, 2 * np.pi), atol=1e-12)
+def rotation(axis, angle):
+    """Rotation by ``angle`` about the unit vector ``axis`` (Rodrigues)."""
+    k = np.cross(np.eye(3), axis)  # k @ v = axis x v
+    return (np.cos(angle) * np.eye(3) + np.sin(angle) * k
+            + (1.0 - np.cos(angle)) * np.outer(axis, axis))
 
 
-def test_rotate_angles_identity():
-    theta = np.array([0.3, 1.2])
-    phi = np.array([0.1, 3.0])
-    th2, ph2 = rotate_angles(np.eye(3), theta, phi)
-    assert np.allclose(th2, theta, atol=1e-14)
-    assert np.allclose(ph2, phi, atol=1e-14)
+def generated_group(generators):
+    """Every product of the generators, by breadth-first closure."""
+    elements = [np.eye(3)]
+    frontier = elements[:]
+    while frontier:
+        found = []
+        for A in frontier:
+            for G in generators:
+                P = G @ A
+                if all(np.max(np.abs(P - E)) > 1e-9 for E in elements):
+                    elements.append(P)
+                    found.append(P)
+        frontier = found
+    return elements
+
+
+def test_only_trivial_and_antipodal_groups_act_freely():
+    # the premise of the closed-form invariant basis: cyclic,
+    # rotoreflection, dihedral and reflection groups about random axes,
+    # with and without -I, pass validation exactly when they are {I} or
+    # {I, -I}
+    rng = np.random.default_rng(7)
+    families = []
+    for n in range(1, 7):
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        perp = np.cross(axis, rng.standard_normal(3))
+        perp /= np.linalg.norm(perp)
+        mirror = np.eye(3) - 2.0 * np.outer(axis, axis)
+        turn = rotation(axis, 2.0 * np.pi / n)
+        families += [[turn], [turn @ mirror], [turn, rotation(perp, np.pi)]]
+    families.append([mirror])
+    verdicts = []
+    for gens in families:
+        for extra in ([], [-np.eye(3)]):
+            elements = generated_group(gens + extra)
+            assert len(elements) <= 24
+            group = SymmetryGroup("generated", elements)
+            try:
+                group.validate()
+                accepted = True
+            except GroupError:
+                accepted = False
+            antipodal = all(np.allclose(A, np.eye(3), atol=1e-12)
+                            or np.allclose(A, -np.eye(3), atol=1e-12)
+                            for A in elements)
+            assert accepted == antipodal, [A.round(3) for A in elements]
+            verdicts.append(accepted)
+    assert len(verdicts) == 38 and sum(verdicts) == 4
 
 
 # ------------------------------------------------------------ projector
 
-def test_projector_idempotent(antipodal_projector):
-    P = antipodal_projector.matrix
+def test_projector_idempotent(antipodal_basis):
+    B = antipodal_basis.matrix
+    P = B @ B.T
     assert np.max(np.abs(P @ P - P)) <= 1e-12
 
 
-def test_projector_keeps_even_kills_odd(antipodal_projector):
-    P = antipodal_projector.matrix
+def test_projector_keeps_even_kills_odd(antipodal_basis):
+    B = antipodal_basis.matrix
+    P = B @ B.T
     K = num_coeffs(24)
     for idx in [0, lm_index(2, 1), lm_index(4, -3), lm_index(24, 10)]:
         e = np.zeros(K)
@@ -112,8 +155,8 @@ def test_projector_keeps_even_kills_odd(antipodal_projector):
         assert np.max(np.abs(P @ e)) <= 1e-12
 
 
-def test_projector_basis_dimension_and_degrees(antipodal_projector):
-    basis = antipodal_projector.basis
+def test_projector_basis_dimension_and_degrees(antipodal_basis):
+    basis = antipodal_basis
     # even degrees 0..24: sum of (2l+1) over 13 degrees
     assert basis.dim == 325
     assert set(basis.degrees.tolist()) == set(range(0, 25, 2))
@@ -121,15 +164,34 @@ def test_projector_basis_dimension_and_degrees(antipodal_projector):
     assert np.max(np.abs(B.T @ B - np.eye(basis.dim))) <= 1e-12
 
 
+def rotate_angles(A, theta, phi):
+    """Chart angles of A xi for the unit directions xi at (theta, phi)."""
+    xi = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                   np.cos(theta)], axis=-1)
+    img = xi @ A.T
+    return (np.arctan2(np.hypot(img[..., 0], img[..., 1]), img[..., 2]),
+            np.mod(np.arctan2(img[..., 1], img[..., 0]), 2.0 * np.pi))
+
+
 def test_projector_matches_dense_quadrature_formula():
     # the orbit average by quadrature, with the grid basis as a dense matrix
-    grid = build_grid(8)
     group = SymmetryGroup.antipodal()
-    Yw = basis_matrix(8, grid.theta, grid.phi).T * grid.weights
-    ref = sum(Yw @ basis_matrix(8, *rotate_angles(A, grid.theta, grid.phi))
-              for A in group.elements) / group.order
-    P = invariant_projector(group, grid).matrix
-    assert np.max(np.abs(P - ref)) <= 1e-13
+    for L in (8, 24):
+        grid = build_grid(L)
+        Yw = basis_matrix(L, grid.theta, grid.phi).T * grid.weights
+        ref = sum(Yw @ basis_matrix(L, *rotate_angles(A, grid.theta,
+                                                      grid.phi))
+                  for A in group.elements) / group.order
+        B = invariant_projector(group, grid).matrix
+        assert np.max(np.abs(B @ B.T - ref)) <= 1e-13, L
+
+
+def test_trivial_group_gives_full_basis():
+    basis = invariant_projector(SymmetryGroup("trivial", [np.eye(3)]),
+                                build_grid(6))
+    full = full_basis(6)
+    assert np.array_equal(basis.matrix, full.matrix)
+    assert np.array_equal(basis.degrees, full.degrees)
 
 
 def test_full_basis_is_identity():
@@ -200,16 +262,16 @@ def test_default_base_constant():
     assert default_base_constant(2.0) == pytest.approx(1.8)
 
 
-def test_data_rejects_base_above_minimum(antipodal_projector):
+def test_data_rejects_base_above_minimum(antipodal_basis):
     data = constant_data(2.0, 2.0)
     with pytest.raises(DataError, match="strictly below the minimum"):
-        data.validate(antipodal_projector.basis)
+        data.validate(antipodal_basis)
 
 
-def test_data_rejects_nonpositive_base(antipodal_projector):
+def test_data_rejects_nonpositive_base(antipodal_basis):
     data = constant_data(2.0, -1.0)
     with pytest.raises(DataError, match="positive"):
-        data.validate(antipodal_projector.basis)
+        data.validate(antipodal_basis)
 
 
 @pytest.mark.parametrize("c, b_value, message", [
@@ -219,38 +281,38 @@ def test_data_rejects_nonpositive_base(antipodal_projector):
     (np.inf, 0.0, "positive and finite"),
 ])
 def test_data_rejects_nonfinite_values(c, b_value, message,
-                                       antipodal_projector):
+                                       antipodal_basis):
     b = HarmonicCoeffs.zeros(2)
     b[2, 0] = b_value
     data = PrescribedData(a_poly=[np.log(2.0)], b=b, c=c)
     with pytest.raises(DataError, match=message):
-        data.validate(antipodal_projector.basis)
+        data.validate(antipodal_basis)
 
 
-def test_data_rejects_noninvariant_angular_factor(antipodal_projector):
+def test_data_rejects_noninvariant_angular_factor(antipodal_basis):
     b = np.zeros(num_coeffs(2))
     b[lm_index(1, 0)] = 0.1
     data = PrescribedData(a_poly=[np.log(2.0)], b=HarmonicCoeffs(2, b), c=1.0)
     with pytest.raises(DataError, match="not invariant"):
-        data.validate(antipodal_projector.basis)
+        data.validate(antipodal_basis)
 
 
-def test_data_rejects_degree_above_truncation(antipodal_projector):
+def test_data_rejects_degree_above_truncation(antipodal_basis):
     b = HarmonicCoeffs.zeros(26)
     b[26, 0] = 0.01
     data = PrescribedData(a_poly=[np.log(2.0)], b=b, c=1.0)
     with pytest.raises(DataError, match="L_max = 26, above the run"):
-        data.validate(antipodal_projector.basis)
+        data.validate(antipodal_basis)
 
 
-def test_data_accepts_even_angular_factor(antipodal_projector):
+def test_data_accepts_even_angular_factor(antipodal_basis):
     b = np.zeros(num_coeffs(2))
     b[lm_index(2, -1)] = 0.2
     data = PrescribedData(a_poly=[np.log(2.0)], b=HarmonicCoeffs(2, b), c=1.0)
-    data.validate(antipodal_projector.basis)
+    data.validate(antipodal_basis)
 
 
-def test_validate_of_degree_24_data_stays_small(antipodal_projector):
+def test_validate_of_degree_24_data_stays_small(antipodal_basis):
     # the invariance test is in coefficient space: no orbit of samples
     rng = np.random.default_rng(5)
     b = HarmonicCoeffs.zeros(24)
@@ -259,7 +321,7 @@ def test_validate_of_degree_24_data_stays_small(antipodal_projector):
     data = PrescribedData(a_poly=[0.1, 0.5], b=b, c=0.5)
     tracemalloc.start()
     try:
-        data.validate(antipodal_projector.basis)
+        data.validate(antipodal_basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -268,20 +330,20 @@ def test_validate_of_degree_24_data_stays_small(antipodal_projector):
 
 # ---------------------------------------------------------------- newton
 
-def coeffs_of(surface, projector):
-    return projector.basis.matrix.T @ surface.radial.values
+def coeffs_of(surface, basis):
+    return basis.matrix.T @ surface.radial.values
 
 
-def test_newton_exact_start(antipodal_projector):
+def test_newton_exact_start(antipodal_basis):
     data = constant_data(2.0, 2.0)
     start = initial_sphere(GAUSS, 2.0)
-    _, iters, state = newton_solve(workspace(data, antipodal_projector),
-                                   0.0, coeffs_of(start, antipodal_projector))
+    _, iters, state = newton_solve(workspace(data, antipodal_basis),
+                                   0.0, coeffs_of(start, antipodal_basis))
     assert iters <= 1
     assert state.norm <= 1e-12
 
 
-def test_newton_perturbed_start_returns_to_sphere(antipodal_projector):
+def test_newton_perturbed_start_returns_to_sphere(antipodal_basis):
     data = constant_data(2.0, 2.0)
     start = initial_sphere(GAUSS, 2.0)
     a = start.radial.values.copy()
@@ -289,12 +351,12 @@ def test_newton_perturbed_start_returns_to_sphere(antipodal_projector):
     pert = GraphSurface(n=2, pole=start.pole.copy(),
                         radial=HarmonicCoeffs(24, a),
                         gauge_tau0=start.gauge_tau0)
-    z, iters, state = newton_solve(workspace(data, antipodal_projector),
-                                   0.0, coeffs_of(pert, antipodal_projector))
+    z, iters, state = newton_solve(workspace(data, antipodal_basis),
+                                   0.0, coeffs_of(pert, antipodal_basis))
     assert state.norm <= 1e-10
     grid = build_grid(24)
     u = synthesize(grid, HarmonicCoeffs(
-        24, antipodal_projector.basis.matrix @ z))
+        24, antipodal_basis.matrix @ z))
     assert np.max(np.abs(u - np.pi / 4)) <= 1e-9
 
 
@@ -310,7 +372,7 @@ def test_newton_rejects_start_outside_subspace():
         continuation(GAUSS, data, start=bad)
 
 
-def test_newton_iteration_budget_enforced(antipodal_projector):
+def test_newton_iteration_budget_enforced(antipodal_basis):
     data = constant_data(2.0, 2.0)
     start = initial_sphere(GAUSS, 2.0)
     a = start.radial.values.copy()
@@ -319,12 +381,12 @@ def test_newton_iteration_budget_enforced(antipodal_projector):
                         radial=HarmonicCoeffs(24, a),
                         gauge_tau0=start.gauge_tau0)
     with pytest.raises(NewtonError, match="no convergence"):
-        newton_solve(workspace(data, antipodal_projector), 0.0,
-                     coeffs_of(pert, antipodal_projector),
+        newton_solve(workspace(data, antipodal_basis), 0.0,
+                     coeffs_of(pert, antipodal_basis),
                      SolverOptions(max_newton=1))
 
 
-def test_newton_curvature_floor_blocks_steps(antipodal_projector):
+def test_newton_curvature_floor_blocks_steps(antipodal_basis):
     # the pi/4 sphere has kappa = 1; a floor above that rejects every trial
     data = constant_data(2.0, 2.0)
     start = initial_sphere(GAUSS, 2.0)
@@ -334,19 +396,19 @@ def test_newton_curvature_floor_blocks_steps(antipodal_projector):
                         radial=HarmonicCoeffs(24, a),
                         gauge_tau0=start.gauge_tau0)
     with pytest.raises(NewtonError, match="line search"):
-        newton_solve(workspace(data, antipodal_projector), 0.0,
-                     coeffs_of(pert, antipodal_projector),
+        newton_solve(workspace(data, antipodal_basis), 0.0,
+                     coeffs_of(pert, antipodal_basis),
                      SolverOptions(kappa_floor=2.0))
 
 
-def test_newton_solve_builds_no_operators(antipodal_projector,
+def test_newton_solve_builds_no_operators(antipodal_basis,
                                           grid_table_builds):
     data = constant_data(2.0, 2.0)
-    ws = workspace(data, antipodal_projector)
+    ws = workspace(data, antipodal_basis)
     grid_table_builds.clear()
     start = initial_sphere(GAUSS, 2.0)
     start.radial[2, 0] += 0.02
-    _, iters, _ = newton_solve(ws, 0.0, coeffs_of(start, antipodal_projector))
+    _, iters, _ = newton_solve(ws, 0.0, coeffs_of(start, antipodal_basis))
     assert iters >= 1
     assert grid_table_builds == []
 
@@ -414,16 +476,16 @@ def recorded(ws):
     return log
 
 
-def perturbed_start(projector):
+def perturbed_start(basis):
     start = initial_sphere(GAUSS, 2.0)
     start.radial[2, 0] += 0.02
-    return coeffs_of(start, projector)
+    return coeffs_of(start, basis)
 
 
 def test_stale_inverse_failing_first_trial_refreshes_instead_of_halving(
-        antipodal_projector):
-    ws = workspace(constant_data(2.0, 2.0), antipodal_projector)
-    z0 = perturbed_start(antipodal_projector)
+        antipodal_basis):
+    ws = workspace(constant_data(2.0, 2.0), antipodal_basis)
+    z0 = perturbed_start(antipodal_basis)
     r0 = ws.residual_vector(ws.state(z0, 0.0))
     X0 = np.linalg.inv(ws.jacobian(z0, 0.0))
     ws.inverse = -X0  # a held inverse whose full step raises the residual
@@ -442,10 +504,10 @@ def test_stale_inverse_failing_first_trial_refreshes_instead_of_halving(
     (0.5, True),   # the residual contracts by about 0.5 > 0.25
     (0.9, False),  # by about 0.1: a Broyden update, no assembly
 ])
-def test_weak_contraction_forces_refresh(antipodal_projector, factor,
+def test_weak_contraction_forces_refresh(antipodal_basis, factor,
                                          refreshed):
-    ws = workspace(constant_data(2.0, 2.0), antipodal_projector)
-    z0 = perturbed_start(antipodal_projector)
+    ws = workspace(constant_data(2.0, 2.0), antipodal_basis)
+    z0 = perturbed_start(antipodal_basis)
     ws.inverse = factor * np.linalg.inv(ws.jacobian(z0, 0.0))
     log = recorded(ws)
     _, _, state = newton_solve(ws, 0.0, z0)
@@ -462,10 +524,10 @@ def test_weak_contraction_forces_refresh(antipodal_projector, factor,
     ({"max_newton": 1}, "no convergence"),
     ({"kappa_floor": 2.0}, "line search failed"),
 ])
-def test_failed_newton_solve_drops_inverse(antipodal_projector, options,
+def test_failed_newton_solve_drops_inverse(antipodal_basis, options,
                                            message):
-    ws = workspace(constant_data(2.0, 2.0), antipodal_projector)
-    z0 = perturbed_start(antipodal_projector)
+    ws = workspace(constant_data(2.0, 2.0), antipodal_basis)
+    z0 = perturbed_start(antipodal_basis)
     ws.refresh(z0, 0.0)
     with pytest.raises(NewtonError, match=message):
         newton_solve(ws, 0.0, z0, SolverOptions(**options))
@@ -485,11 +547,11 @@ def test_full_space_near_kernel_is_degree_one():
         assert set(degrees[support].tolist()) == {1}
 
 
-def test_sphere_spectrum_ratios(antipodal_projector):
+def test_sphere_spectrum_ratios(antipodal_basis):
     data = constant_data(2.0, 2.0)
     sphere = initial_sphere(GAUSS, 2.0)
     J, res, degrees = linear_system(GAUSS, data, 0.0, sphere,
-                                    antipodal_projector)
+                                    antipodal_basis)
     lam = {}
     for l in (0, 2, 4):
         cols = np.nonzero(degrees == l)[0]
@@ -502,17 +564,17 @@ def test_sphere_spectrum_ratios(antipodal_projector):
     assert lam[4] / lam[2] == pytest.approx(4.5, abs=1e-4)
 
 
-def test_jacobian_matches_directional_differences(antipodal_projector):
+def test_jacobian_matches_directional_differences(antipodal_basis):
     data = PrescribedData(a_poly=[np.log(2.0), 0.3],
                           b=HarmonicCoeffs(2, np.zeros(num_coeffs(2))),
                           c=2.0)
     grid = build_grid(24)
-    ws = NewtonWorkspace(grid, antipodal_projector.basis, data, GAUSS)
+    ws = NewtonWorkspace(grid, antipodal_basis, data, GAUSS)
     start = initial_sphere(GAUSS, 2.0)
     a = start.radial.values.copy()
     a[lm_index(2, 0)] += 0.03
     a[lm_index(4, 2)] += 0.01
-    z = antipodal_projector.basis.matrix.T @ a
+    z = antipodal_basis.matrix.T @ a
     J = ws.jacobian(z, 0.6)
     rng = np.random.default_rng(11)
     h = 1e-5
@@ -544,11 +606,11 @@ def test_residual_field_of_invariant_iterate_is_invariant():
     assert max(odd) <= 1e-10
 
 
-def test_residual_field_vanishes_at_exact_solution(antipodal_projector):
+def test_residual_field_vanishes_at_exact_solution(antipodal_basis):
     data = constant_data(2.0, 2.0)
     sphere = initial_sphere(GAUSS, 2.0)
-    lam = workspace(data, antipodal_projector).state(
-        coeffs_of(sphere, antipodal_projector), 0.0).lam
+    lam = workspace(data, antipodal_basis).state(
+        coeffs_of(sphere, antipodal_basis), 0.0).lam
     assert np.max(np.abs(lam)) <= 1e-12
 
 
@@ -566,7 +628,7 @@ def test_continuation_constant_data_reaches_sphere():
     assert np.max(np.abs(u - np.pi / 4)) <= 1e-10
 
 
-def test_continuation_modulated_data(antipodal_projector):
+def test_continuation_modulated_data(antipodal_basis):
     b = np.zeros(num_coeffs(2))
     b[lm_index(2, 0)] = 0.4 / np.sqrt(6.0)
     b[lm_index(2, 2)] = 0.2 / np.sqrt(6.0)
@@ -584,7 +646,8 @@ def test_continuation_modulated_data(antipodal_projector):
     odd = [abs(a[i]) for i in range(len(a)) if index_lm(i)[0] % 2 == 1]
     assert max(odd) <= 1e-10
     # invariance of the full coefficient vector
-    P = antipodal_projector.matrix
+    B = antipodal_basis.matrix
+    P = B @ B.T
     assert np.max(np.abs(P @ a - a)) <= 1e-10
 
 
@@ -627,6 +690,19 @@ def test_continuation_rejects_bad_step_options(options, message):
     with pytest.raises(ConfigError, match=message):
         continuation(GAUSS, constant_data(2.0, 1.0),
                      SolverOptions(L_max=8, **options))
+
+
+@pytest.mark.parametrize("L_max, message", [
+    (2, "L_max must be at least 4, got 2"),
+    (24.0, '"L_max" must be an integer, got 24.0'),
+])
+def test_continuation_rejects_bad_truncation(monkeypatch, L_max, message):
+    built = []
+    monkeypatch.setattr(solver, "build_grid", built.append)
+    with pytest.raises(ConfigError, match=message):
+        continuation(GAUSS, constant_data(2.0, 1.0),
+                     SolverOptions(L_max=L_max))
+    assert built == []
 
 
 def test_continuation_warns_for_inadmissible_function():
