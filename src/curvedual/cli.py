@@ -153,7 +153,9 @@ def cmd_solve(args) -> int:
                           report.final_surface)
     formats.write_json(os.path.join(args.out, "continuation_report.json"),
                        report.as_dict())
-    fld = curvature_field(report.final_surface, report.grid)
+    # the node dump is on the full grid even where the run grid is folded
+    grid = build_grid(opts.L_max) if report.grid.folded else report.grid
+    fld = curvature_field(report.final_surface, grid)
     formats.write_nodes_csv(os.path.join(args.out, "solution_nodes.csv"), fld)
 
     print(f"status: {report.status}")

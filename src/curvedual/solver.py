@@ -16,6 +16,18 @@ three-dimensional kernel of the linearization spanned by the degree-1
 harmonics, which otherwise makes the Newton system singular at every
 solution.
 
+With the antipodal group the solve runs on half the sphere.  For an
+invariant iterate and invariant data the residual is even,
+lambda(-xi) = lambda(xi), because xi -> -xi is an isometry of the
+parameter sphere that carries the surface to itself.  The run grid is
+then the folded grid of ``spectral.build_folded_grid``: the Gauss-Legendre
+rows north of the equator at doubled weights, the equator row once, and
+2 L_max + 2 longitudes, so that every dropped node is the antipode of a
+kept one.  Its node maximum of the residual and its projection onto the
+even-degree basis equal those of the full grid with the same longitudes,
+so the iterates are that grid's, to rounding, at half the nodes of every
+state, assembly and projection.  The trivial group runs on the full grid.
+
 The residual at a node depends only on the radial jet (r, r_t, r_p,
 r_tt, r_tp, r_pp) at that node, so a state is one product of the stacked
 synthesis matrices with the coefficients, and the Newton matrix factors
@@ -89,6 +101,11 @@ class SymmetryGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @property
+    def has_antipode(self) -> bool:
+        """Whether xi -> -xi is an element."""
+        return self._index_of(-np.eye(3)) >= 0
+
     def _index_of(self, M: np.ndarray) -> int:
         for k, A in enumerate(self.elements):
             if np.max(np.abs(A - M)) <= _MATCH_TOL:
@@ -96,7 +113,8 @@ class SymmetryGroup:
         return -1
 
     def validate(self) -> None:
-        """Check orthogonality, the group axioms, and freeness.
+        """Check orthogonality, distinct elements, the group axioms, and
+        freeness.
 
         A group that passes is {I} or {I, -I}: a rotation other than I
         fixes its axis, so G meets SO(3), the kernel of det on G, only in
@@ -112,6 +130,10 @@ class SymmetryGroup:
         for k, A in enumerate(self.elements):
             if np.max(np.abs(A.T @ A - np.eye(3))) > 1e-10:
                 raise GroupError(f"element {k} is not orthogonal")
+            first = self._index_of(A)
+            if first < k:
+                raise GroupError(f"element {k} repeats element {first}; "
+                                 "list each group element once")
         if self._index_of(np.eye(3)) < 0:
             raise GroupError("identity element missing")
         for k, A in enumerate(self.elements):
@@ -181,7 +203,7 @@ def invariant_projector(group: SymmetryGroup, grid: QuadratureGrid
     """
     group.validate()
     basis = full_basis(grid.L_max)
-    if group._index_of(-np.eye(3)) < 0:
+    if not group.has_antipode:
         return basis
     even = basis.degrees % 2 == 0
     return InvariantBasis(L_max=grid.L_max, matrix=basis.matrix[:, even],
@@ -650,7 +672,9 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
     reaches t = 1 at full tolerance or reports the failure point with
     the last good surface.  The iterate is held as its coefficients in
     the invariant basis throughout; the start surface must carry the
-    run truncation and lie in that basis's span (tolerance 1e-8).
+    run truncation and lie in that basis's span (tolerance 1e-8).  The
+    run grid, returned as the report's ``grid``, is the folded grid when
+    -I is in ``group`` and ``build_grid(opts.L_max)`` otherwise.
     """
     opts = opts or SolverOptions()
     opts.validate()
@@ -661,7 +685,9 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
             f"curvature function {F.name!r} fails the admissibility "
             "checks (monotonicity or weight ordering); continuation may "
             "lose convexity", stacklevel=2)
-    grid = build_grid(opts.L_max)
+    # an iterate invariant under -I has an antipodally even residual
+    grid = (spectral.build_folded_grid if group.has_antipode
+            else build_grid)(opts.L_max)
     basis = invariant_projector(group, grid)
     data.validate(basis)
 

@@ -40,6 +40,7 @@ __all__ = [
     "QuadratureGrid",
     "HarmonicCoeffs",
     "build_grid",
+    "build_folded_grid",
     "num_coeffs",
     "lm_index",
     "index_lm",
@@ -133,7 +134,7 @@ class _ProductTables:
         self.groups = [np.flatnonzero(m == o) for o in s]
 
 
-# points per longitude-factor gather in basis_matrix
+# points per longitude-factor gather in basis_matrix and synthesize_at
 _GATHER_ROWS = 256
 
 # (colatitude, longitude) table of u, u_t, u_p, u_tt, u_tp, u_pp
@@ -176,16 +177,23 @@ class QuadratureGrid:
     """Product quadrature grid: Gauss-Legendre colatitudes x uniform longitudes.
 
     Nodes avoid the poles.  The weight vector integrates band-limited
-    products exactly: polynomials of degree <= 2*n_theta - 1 in cos(theta)
-    and trigonometric polynomials of order < n_phi in phi.
+    products exactly: polynomials of degree <= 2*(L_max + 1) - 1 in
+    cos(theta) and trigonometric polynomials of order < n_phi in phi.
+
+    A folded grid (``folded``, from :func:`build_folded_grid`) keeps only
+    the rows north of the equator, at doubled weights, and the equator row
+    once; its n_phi is even, so each dropped node is the antipode of a
+    kept one.  It integrates exactly only integrands that are even under
+    xi -> -xi, such as the product of two even-degree fields.
     """
 
     L_max: int
-    n_theta: int
+    n_theta: int           # rows held, L_max + 1 unless folded
     n_phi: int
     theta: np.ndarray      # (N,) flattened, node q = i_theta * n_phi + j_phi
     phi: np.ndarray        # (N,)
     weights: np.ndarray    # (N,), sums to 4 pi
+    folded: bool = False
     _ops: _ProductTables | None = field(default=None, repr=False,
                                         compare=False)
 
@@ -206,6 +214,33 @@ class QuadratureGrid:
         return self._ops
 
 
+def _product_grid(L_max: int, n_phi: int, folded: bool) -> QuadratureGrid:
+    """Gauss-Legendre rows of degree L_max + 1 times n_phi longitudes.
+
+    With ``folded``, only the rows of :func:`build_folded_grid`.
+    """
+    if L_max < 4:
+        raise ValueError(f"L_max must be at least 4, got {L_max}")
+    n_theta = L_max + 1
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    order = np.argsort(-x)            # theta ascending (x = cos theta descending)
+    theta_1d = np.arccos(x[order])
+    wt_1d = w[order]
+    if folded:
+        # rows i and n_theta - 1 - i are mirror images: keep the north
+        # ones at twice their weight and the equator row (odd n_theta) once
+        keep = (n_theta + 1) // 2
+        theta_1d, wt_1d = theta_1d[:keep], 2.0 * wt_1d[:keep]
+        wt_1d[n_theta // 2:] /= 2.0
+    phi_1d = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    theta = np.repeat(theta_1d, n_phi)
+    phi = np.tile(phi_1d, len(theta_1d))
+    weights = np.repeat(wt_1d, n_phi) * (2.0 * np.pi / n_phi)
+    return QuadratureGrid(L_max=L_max, n_theta=len(theta_1d), n_phi=n_phi,
+                          theta=theta, phi=phi, weights=weights,
+                          folded=folded)
+
+
 def build_grid(L_max: int) -> QuadratureGrid:
     """Build the quadrature grid for transforms through degree ``L_max``.
 
@@ -214,20 +249,25 @@ def build_grid(L_max: int) -> QuadratureGrid:
     L_max : int
         Truncation degree, at least 4.
     """
-    if L_max < 4:
-        raise ValueError(f"L_max must be at least 4, got {L_max}")
-    n_theta = L_max + 1
-    n_phi = 2 * L_max + 1
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    order = np.argsort(-x)            # theta ascending (x = cos theta descending)
-    theta_1d = np.arccos(x[order])
-    wt_1d = w[order]
-    phi_1d = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    theta = np.repeat(theta_1d, n_phi)
-    phi = np.tile(phi_1d, n_theta)
-    weights = np.repeat(wt_1d, n_phi) * (2.0 * np.pi / n_phi)
-    return QuadratureGrid(L_max=L_max, n_theta=n_theta, n_phi=n_phi,
-                          theta=theta, phi=phi, weights=weights)
+    return _product_grid(L_max, 2 * L_max + 1, folded=False)
+
+
+def build_folded_grid(L_max: int) -> QuadratureGrid:
+    """Half of the grid for antipodally even integrands through ``L_max``.
+
+    The full grid would have 2 L_max + 2 longitudes, so that phi + pi is
+    a node with phi; the antipode (pi - theta, phi + pi) of every node
+    south of the equator is then a kept node, and each kept row off the
+    equator carries the weight of its mirror row too.  For a field even
+    under xi -> -xi the maximum over the nodes and every quadrature sum
+    of an even integrand equal those of that full grid.
+
+    Parameters
+    ----------
+    L_max : int
+        Truncation degree, at least 4.
+    """
+    return _product_grid(L_max, 2 * L_max + 2, folded=True)
 
 
 @dataclass
@@ -277,6 +317,21 @@ class HarmonicCoeffs:
         return self.values[l * l:(l + 1) * (l + 1)]
 
 
+def _point_tables(L_max: int, theta, phi):
+    """Value tables on the distinct angles, and each point's two indices."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    th, it = np.unique(theta, return_inverse=True)
+    ph, ip = np.unique(phi, return_inverse=True)
+    return _ProductTables(L_max, th, ph, derivatives=False), it, ip
+
+
+def _longitude_rows(tables: _ProductTables, L_max: int,
+                    ip: np.ndarray) -> np.ndarray:
+    """Longitude factor of every basis column at longitudes ``ip``."""
+    return tables.lon[0].take(ip, axis=0).take(L_max + tables.orders, axis=1)
+
+
 def basis_matrix(L_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Evaluate all basis functions at arbitrary points.
 
@@ -287,17 +342,11 @@ def basis_matrix(L_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     ``_GATHER_ROWS`` points at a time so that it never takes the size of
     the result.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    th, it = np.unique(theta, return_inverse=True)
-    ph, ip = np.unique(phi, return_inverse=True)
-    tables = _ProductTables(L_max, th, ph, derivatives=False)
+    tables, it, ip = _point_tables(L_max, theta, phi)
     out = tables.Y[it]  # reads the transposed view in place; take copies it
-    cols = L_max + tables.orders
     for i in range(0, len(out), _GATHER_ROWS):
-        rows = ip[i:i + _GATHER_ROWS]
-        out[i:i + _GATHER_ROWS] *= tables.lon[0].take(rows, axis=0).take(
-            cols, axis=1)
+        out[i:i + _GATHER_ROWS] *= _longitude_rows(
+            tables, L_max, ip[i:i + _GATHER_ROWS])
     return out
 
 
@@ -327,8 +376,18 @@ def synthesize(grid: QuadratureGrid, coeffs: HarmonicCoeffs) -> np.ndarray:
 
 
 def synthesize_at(coeffs: HarmonicCoeffs, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Evaluate the expansion at arbitrary points."""
-    return basis_matrix(coeffs.L_max, theta, phi) @ coeffs.values
+    """Evaluate the expansion at arbitrary points.
+
+    The rows of :func:`basis_matrix` are formed and applied
+    ``_GATHER_ROWS`` points at a time, so the full matrix never is.
+    """
+    tables, it, ip = _point_tables(coeffs.L_max, theta, phi)
+    out = np.empty(len(it))
+    for i in range(0, len(it), _GATHER_ROWS):
+        rows = tables.Y[it[i:i + _GATHER_ROWS]]
+        rows *= _longitude_rows(tables, coeffs.L_max, ip[i:i + _GATHER_ROWS])
+        out[i:i + _GATHER_ROWS] = rows @ coeffs.values
+    return out
 
 
 def synthesize_product(coeffs: HarmonicCoeffs, theta: np.ndarray,

@@ -5,16 +5,27 @@ import pytest
 from curvedual import spectral
 
 
-@pytest.fixture
-def grid_table_builds(monkeypatch):
-    """List that gains the L_max of every grid factor-table build."""
+def _record_table_builds(monkeypatch, key):
     builds = []
     ops = spectral.QuadratureGrid.ops
 
     def counting(grid):
         if grid._ops is None:
-            builds.append(grid.L_max)
+            builds.append(key(grid))
         return ops.fget(grid)
 
     monkeypatch.setattr(spectral.QuadratureGrid, "ops", property(counting))
     return builds
+
+
+@pytest.fixture
+def grid_table_builds(monkeypatch):
+    """List that gains the L_max of every grid factor-table build."""
+    return _record_table_builds(monkeypatch, lambda grid: grid.L_max)
+
+
+@pytest.fixture
+def grid_shape_builds(monkeypatch):
+    """List that gains (L_max, n_theta, n_phi) of every factor-table build."""
+    return _record_table_builds(
+        monkeypatch, lambda grid: (grid.L_max, grid.n_theta, grid.n_phi))

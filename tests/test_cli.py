@@ -211,6 +211,10 @@ class TestSolveCommand:
         ({"f": {"a_poly": [LOG2], "b": [{"l": 2, "m": 0, "value": 0.1},
                                         {"l": 2, "m": 0, "value": 0.2}]}},
          "harmonic entry (l=2, m=0) is repeated"),
+        # a repeated element would count twice in the group
+        ({"group": {"matrices": [np.eye(3).tolist(), (-np.eye(3)).tolist(),
+                                 (-np.eye(3)).tolist()]}},
+         "element 2 repeats element 1"),
     ])
     def test_bad_config_value_fails_cleanly(self, tmp_path, capsys,
                                             overrides, message):
@@ -242,13 +246,23 @@ class TestSolveCommand:
                    str(tmp_path / "r")])
         assert rc == 1
 
-    def test_solve_builds_operators_once(self, tmp_path, grid_table_builds):
-        # the projector, the Newton solves, the step records and
-        # solution_nodes.csv all use the run grid
+    def test_solve_builds_operators_once(self, tmp_path, grid_shape_builds):
+        # the Newton solves and the step records use the folded run grid,
+        # solution_nodes.csv the full grid; each distinct grid is built once
         cfg = write_config(tmp_path / "config.json", L_max=8)
         rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "r")])
         assert rc == 0
-        assert grid_table_builds == [8]
+        assert grid_shape_builds == [(8, 5, 18), (8, 9, 17)]
+        rows = (tmp_path / "r" / "solution_nodes.csv").read_text()
+        assert len(rows.splitlines()) == 1 + 9 * 17
+
+    def test_trivial_group_solves_and_writes_on_one_grid(self, tmp_path,
+                                                         grid_shape_builds):
+        cfg = write_config(tmp_path / "config.json", L_max=8,
+                           group={"matrices": [np.eye(3).tolist()]})
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "r")])
+        assert rc == 0
+        assert grid_shape_builds == [(8, 9, 17)]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path / "config.json")

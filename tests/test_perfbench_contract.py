@@ -9,6 +9,7 @@ benchmark modules are imported as they are and only run here.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -35,5 +36,13 @@ def test_workload_input_zero_passes_its_check(tmp_path, capsys, perfbench,
     rc = cli.main(specs[0]["argv"] + ["--out", str(out)])
     ok, reason, _ = workloads.check_output(workload, rc, str(out))
     assert ok, reason
+    if workload == "solve":
+        # the benchmark's work: a faster solve may not take fewer steps or
+        # iterations, nor stop at a larger residual
+        steps = json.loads(
+            (out / "continuation_report.json").read_text())["steps"]
+        assert len(steps) == 7
+        assert sum(s["iterations"] for s in steps) == 38
+        assert steps[-1]["residual"] <= 1e-10
     args = run.parse_args(["--workload", workload, "--seed", "0"])
     assert run.context_line(args, 1).startswith("context: backend=")

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from curvedual import solver
+from curvedual import solver, spectral
 from curvedual.curvature import make_curvature_function
 from curvedual.errors import (ConfigError, DataError, GroupError, NewtonError,
                               SingularJacobianError)
@@ -72,6 +72,17 @@ def test_group_missing_identity_rejected():
     g = SymmetryGroup("noid", [-np.eye(3)])
     with pytest.raises(GroupError, match="identity"):
         g.validate()
+
+
+@pytest.mark.parametrize("elements, message", [
+    ([np.eye(3), -np.eye(3), -np.eye(3)], "element 2 repeats element 1"),
+    ([np.eye(3), np.eye(3) + 1e-13, -np.eye(3)],
+     "element 1 repeats element 0"),
+])
+def test_group_repeated_element_rejected(elements, message):
+    # a repeat would count as a group element twice
+    with pytest.raises(GroupError, match=message):
+        SymmetryGroup("dup", elements).validate()
 
 
 def rotation(axis, angle):
@@ -628,14 +639,16 @@ def test_continuation_constant_data_reaches_sphere():
     assert np.max(np.abs(u - np.pi / 4)) <= 1e-10
 
 
+def modulated_data():
+    """The modulated problem of acceptance check 06."""
+    b = HarmonicCoeffs.zeros(2)
+    b[2, 0], b[2, 2], b[2, -1] = 0.4, 0.2, -0.2
+    b.values /= np.sqrt(6.0)
+    return PrescribedData(a_poly=[np.log(2.0)], b=b, c=1.0)
+
+
 def test_continuation_modulated_data(antipodal_basis):
-    b = np.zeros(num_coeffs(2))
-    b[lm_index(2, 0)] = 0.4 / np.sqrt(6.0)
-    b[lm_index(2, 2)] = 0.2 / np.sqrt(6.0)
-    b[lm_index(2, -1)] = -0.2 / np.sqrt(6.0)
-    data = PrescribedData(a_poly=[np.log(2.0)], b=HarmonicCoeffs(2, b),
-                          c=1.0)
-    report = continuation(GAUSS, data)
+    report = continuation(GAUSS, modulated_data())
     assert report.converged
     last = report.steps[-1]
     assert last.t == 1.0
@@ -649,6 +662,40 @@ def test_continuation_modulated_data(antipodal_basis):
     B = antipodal_basis.matrix
     P = B @ B.T
     assert np.max(np.abs(P @ a - a)) <= 1e-10
+
+
+def test_antipodal_continuation_runs_on_folded_grid(monkeypatch):
+    # the fold keeps the iterates of the full grid with the same
+    # 2 L_max + 2 longitudes: every max-norm and projection is the same
+    folded = continuation(GAUSS, modulated_data())
+    assert folded.grid.folded and folded.grid.n_phi == 50
+    assert folded.grid.n_nodes == 13 * 50
+    monkeypatch.setattr(spectral, "build_folded_grid",
+                        lambda L: spectral._product_grid(L, 2 * L + 2, False))
+    even = continuation(GAUSS, modulated_data())
+    assert not even.grid.folded and even.grid.n_nodes == 25 * 50
+    assert folded.converged and even.converged
+    assert [s.iterations for s in folded.steps] == \
+        [s.iterations for s in even.steps]
+    assert [s.t for s in folded.steps] == [s.t for s in even.steps]
+    diff = folded.final_surface.radial.values - \
+        even.final_surface.radial.values
+    assert np.max(np.abs(diff)) <= 1e-14
+    for a, b in zip(folded.steps, even.steps):
+        assert abs(a.kappa_min - b.kappa_min) <= 1e-12
+        assert abs(a.r_max - b.r_max) <= 1e-12
+
+
+def test_trivial_group_solves_on_full_grid(grid_shape_builds):
+    trivial = SymmetryGroup("trivial", [np.eye(3)])
+    report = continuation(GAUSS, constant_data(2.0, 1.0),
+                          opts=SolverOptions(L_max=8), group=trivial)
+    full = build_grid(8)
+    assert report.converged and not report.grid.folded
+    for name in ("theta", "phi", "weights"):
+        assert np.array_equal(getattr(report.grid, name),
+                              getattr(full, name)), name
+    assert grid_shape_builds == [(8, 9, 17)]
 
 
 def test_continuation_builds_operators_once(grid_table_builds):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from curvedual.spectral import (
     _synthesis,
     analyze,
     basis_matrix,
+    build_folded_grid,
     build_grid,
     chart_jets,
     index_lm,
@@ -88,6 +93,46 @@ def test_grid_shapes_and_weights(grid24):
 def test_build_grid_rejects_small_truncation():
     with pytest.raises(ValueError):
         build_grid(3)
+    with pytest.raises(ValueError):
+        build_folded_grid(3)
+
+
+@pytest.mark.parametrize("L_max, rows", [(8, 5), (9, 5), (24, 13)])
+def test_folded_grid_keeps_north_rows_and_equator(L_max, rows):
+    grid = build_folded_grid(L_max)
+    full = build_grid(L_max)
+    assert grid.folded and not full.folded
+    assert (grid.L_max, grid.n_theta, grid.n_phi) == (L_max, rows,
+                                                       2 * L_max + 2)
+    assert grid.n_nodes == rows * grid.n_phi
+    assert abs(grid.weights.sum() - 4 * np.pi) <= 1e-12
+    theta, phi = grid.axes
+    # the first rows of the full grid's colatitudes, and the equator
+    # (odd L_max + 1) kept once at the full grid's weight
+    assert np.array_equal(theta, full.axes[0][:rows])
+    assert np.all(theta <= np.pi / 2)
+    row_w = grid.weights[::grid.n_phi] * grid.n_phi / (2 * np.pi)
+    full_w = full.weights[::full.n_phi] * full.n_phi / (2 * np.pi)
+    north = (L_max + 1) // 2
+    assert np.allclose(row_w[:north], 2 * full_w[:north], rtol=1e-14, atol=0)
+    assert np.allclose(row_w[north:], full_w[north:rows], rtol=1e-14, atol=0)
+    # phi + pi is a node with phi
+    assert np.allclose(np.sort((phi + np.pi) % (2 * np.pi)), phi,
+                       rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("L_max", [8, 9])  # with and without equator row
+def test_folded_grid_even_degree_gram_matrix_is_identity(L_max):
+    grid = build_folded_grid(L_max)
+    even = np.flatnonzero(np.repeat(np.arange(L_max + 1),
+                                    2 * np.arange(L_max + 1) + 1) % 2 == 0)
+    B = grid_basis(grid)[:, even]
+    G = B.T @ (grid.weights[:, None] * B)
+    assert np.max(np.abs(G - np.eye(len(even)))) <= 1e-13
+    # an odd-degree integrand is not integrated: Y_10 Y_00 sums to a
+    # nonzero value where the full grid gives zero
+    odd = grid_basis(grid)[:, lm_index(1, 0)] * grid_basis(grid)[:, 0]
+    assert abs(grid.weights @ odd) > 0.1
 
 
 def test_constant_integrates_to_sphere_area(grid8):
@@ -299,6 +344,55 @@ def test_synthesize_at_matches_grid_synthesis(grid8):
     on_grid = synthesize(grid8, a)
     off = synthesize_at(a, grid8.theta, grid8.phi)
     assert np.max(np.abs(on_grid - off)) <= 1e-11
+
+
+# one BLAS thread: a threaded gemv sums the last rows of each thread's
+# share in another order, so the formed product's rounding depends on
+# where the library splits its rows
+_UNCHUNKED_PRODUCT = """
+import numpy as np
+from curvedual.spectral import HarmonicCoeffs, basis_matrix, synthesize_at
+rng = np.random.default_rng(5)
+for L, n in ((32, 1225), (24, 1000), (8, 300)):
+    theta = np.arccos(rng.uniform(-1.0, 1.0, n))
+    theta[:2] = 0.0, np.pi
+    phi = rng.uniform(0.0, 2.0 * np.pi, n)
+    a = HarmonicCoeffs(L, rng.standard_normal((L + 1) ** 2))
+    print(np.array_equal(synthesize_at(a, theta, phi),
+                         basis_matrix(L, theta, phi) @ a.values))
+"""
+
+
+def test_synthesize_at_equals_formed_product():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _UNCHUNKED_PRODUCT],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out == "True\n" * 3
+
+
+def test_synthesize_at_never_forms_the_basis_matrix():
+    # the dual fit residual's size: 1225 scattered points at L 32.  The
+    # formed 1225 x 1089 matrix peaked at 25.7 MB; the chunked product
+    # peaks at 17.3 MB, of which the Legendre table is 10.7 MB
+    L = 32
+    rng = np.random.default_rng(13)
+    theta = np.arccos(rng.uniform(-1.0, 1.0, 1225))
+    phi = rng.uniform(0.0, 2.0 * np.pi, 1225)
+    a = HarmonicCoeffs(L, rng.standard_normal(num_coeffs(L)))
+    tracemalloc.start()
+    try:
+        values = synthesize_at(a, theta, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ref = basis_matrix(L, theta, phi) @ a.values
+    assert np.max(np.abs(values - ref)) <= 1e-13
+    assert peak <= 19e6, peak
 
 
 def test_coeff_container_validation():

@@ -43,7 +43,8 @@ def test_traced_check_op_counts_one_table_build_and_one_field(
     assert counts["geometry.curvature_field_calls"] == 1
 
 
-def test_traced_solve_op_counts_newton_work(tmp_path, monkeypatch, capsys):
+def test_traced_solve_op_counts_newton_work(tmp_path, monkeypatch, capsys,
+                                            grid_shape_builds):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "F": "gauss_power", "L_max": 8, "c": 1.0,
@@ -63,6 +64,9 @@ def test_traced_solve_op_counts_newton_work(tmp_path, monkeypatch, capsys):
     # one start state per solve, one per iteration, and one full step of a
     # reused inverse that failed and was refreshed
     assert counts["solver.state_evals"] == 42
-    assert counts["spectral.ops_builds"] == 1
+    # the folded run grid and the full grid of solution_nodes.csv, each
+    # built once
+    assert counts["spectral.ops_builds"] == 2
+    assert grid_shape_builds == [(8, 5, 18), (8, 9, 17)]
     # the node dump samples the final surface; the steps read Newton states
     assert counts["geometry.curvature_field_calls"] == 1
