@@ -630,11 +630,16 @@ class ContinuationStep:
 
 @dataclass
 class ContinuationReport:
-    """Outcome of a continuation run; ``status`` is converged or failed."""
+    """Outcome of a continuation run; ``status`` is converged or failed.
+
+    ``grid`` is the run grid every step was solved on.  With -I in the
+    group it is folded and covers half the sphere; sample the surface on
+    ``build_grid(L_max)`` for whole-sphere diagnostics.
+    """
 
     steps: list
     final_surface: GraphSurface
-    grid: QuadratureGrid  # the run grid every step was solved on
+    grid: QuadratureGrid
     status: str
     message: str = ""
 

@@ -134,7 +134,7 @@ class _ProductTables:
         self.groups = [np.flatnonzero(m == o) for o in s]
 
 
-# points per longitude-factor gather in basis_matrix and synthesize_at
+# points per longitude-factor gather in basis_matrix
 _GATHER_ROWS = 256
 
 # (colatitude, longitude) table of u, u_t, u_p, u_tt, u_tp, u_pp
@@ -317,21 +317,6 @@ class HarmonicCoeffs:
         return self.values[l * l:(l + 1) * (l + 1)]
 
 
-def _point_tables(L_max: int, theta, phi):
-    """Value tables on the distinct angles, and each point's two indices."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    th, it = np.unique(theta, return_inverse=True)
-    ph, ip = np.unique(phi, return_inverse=True)
-    return _ProductTables(L_max, th, ph, derivatives=False), it, ip
-
-
-def _longitude_rows(tables: _ProductTables, L_max: int,
-                    ip: np.ndarray) -> np.ndarray:
-    """Longitude factor of every basis column at longitudes ``ip``."""
-    return tables.lon[0].take(ip, axis=0).take(L_max + tables.orders, axis=1)
-
-
 def basis_matrix(L_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Evaluate all basis functions at arbitrary points.
 
@@ -342,11 +327,17 @@ def basis_matrix(L_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     ``_GATHER_ROWS`` points at a time so that it never takes the size of
     the result.
     """
-    tables, it, ip = _point_tables(L_max, theta, phi)
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    th, it = np.unique(theta, return_inverse=True)
+    ph, ip = np.unique(phi, return_inverse=True)
+    tables = _ProductTables(L_max, th, ph, derivatives=False)
     out = tables.Y[it]  # reads the transposed view in place; take copies it
+    cols = L_max + tables.orders
     for i in range(0, len(out), _GATHER_ROWS):
-        out[i:i + _GATHER_ROWS] *= _longitude_rows(
-            tables, L_max, ip[i:i + _GATHER_ROWS])
+        rows = ip[i:i + _GATHER_ROWS]
+        out[i:i + _GATHER_ROWS] *= tables.lon[0].take(rows, axis=0).take(
+            cols, axis=1)
     return out
 
 
@@ -354,8 +345,12 @@ def analyze(grid: QuadratureGrid, values: np.ndarray) -> HarmonicCoeffs:
     """Forward transform: quadrature inner products against the basis.
 
     Exact for fields band-limited to ``grid.L_max``; general smooth fields
-    incur the usual aliasing of their super-truncation content.
+    incur the usual aliasing of their super-truncation content.  A folded
+    grid is refused: it cannot separate odd-degree content from even.
     """
+    if grid.folded:
+        raise ValueError("analyze needs the whole sphere; a folded grid "
+                         "integrates only antipodally even products")
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_nodes,):
         raise ValueError(f"expected {grid.n_nodes} node values, got {values.shape}")
@@ -376,18 +371,8 @@ def synthesize(grid: QuadratureGrid, coeffs: HarmonicCoeffs) -> np.ndarray:
 
 
 def synthesize_at(coeffs: HarmonicCoeffs, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Evaluate the expansion at arbitrary points.
-
-    The rows of :func:`basis_matrix` are formed and applied
-    ``_GATHER_ROWS`` points at a time, so the full matrix never is.
-    """
-    tables, it, ip = _point_tables(coeffs.L_max, theta, phi)
-    out = np.empty(len(it))
-    for i in range(0, len(it), _GATHER_ROWS):
-        rows = tables.Y[it[i:i + _GATHER_ROWS]]
-        rows *= _longitude_rows(tables, coeffs.L_max, ip[i:i + _GATHER_ROWS])
-        out[i:i + _GATHER_ROWS] = rows @ coeffs.values
-    return out
+    """Evaluate the expansion at arbitrary points."""
+    return basis_matrix(coeffs.L_max, theta, phi) @ coeffs.values
 
 
 def synthesize_product(coeffs: HarmonicCoeffs, theta: np.ndarray,

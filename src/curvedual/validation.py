@@ -35,8 +35,12 @@ def steiner_point(field: CurvatureField,
     point vanishes; for an off-center surface it does not, which makes
     it the standard symmetry diagnostic.  Components are in the frame of
     the surface's pole.  ``st`` is the field's stereographic image,
-    projected here when not given.
+    projected here when not given.  A field on a folded grid is refused:
+    y is odd under xi -> -xi, so the sum needs the southern nodes too.
     """
+    if field.grid.folded:
+        raise ValueError("the Steiner point needs the whole sphere; sample "
+                         "the surface on build_grid(L_max), not a folded grid")
     if st is None:
         st = stereographic_project(field)
     density = field.grid.weights * st.gauss_curvature * st.area_jacobian
@@ -122,7 +126,8 @@ def full_report(field: CurvatureField, F=None, f=None,
     Parameters
     ----------
     field : CurvatureField
-        Sampled surface to examine; need not be convex.
+        Sampled surface to examine; need not be convex.  It must be on a
+        full grid: :func:`steiner_point` refuses a folded one.
     F, f : optional
         Curvature function and prescribed data (PrescribedData, scalar,
         or per-node array).  When both are given the report includes the

@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,55 +340,6 @@ def test_synthesize_at_matches_grid_synthesis(grid8):
     on_grid = synthesize(grid8, a)
     off = synthesize_at(a, grid8.theta, grid8.phi)
     assert np.max(np.abs(on_grid - off)) <= 1e-11
-
-
-# one BLAS thread: a threaded gemv sums the last rows of each thread's
-# share in another order, so the formed product's rounding depends on
-# where the library splits its rows
-_UNCHUNKED_PRODUCT = """
-import numpy as np
-from curvedual.spectral import HarmonicCoeffs, basis_matrix, synthesize_at
-rng = np.random.default_rng(5)
-for L, n in ((32, 1225), (24, 1000), (8, 300)):
-    theta = np.arccos(rng.uniform(-1.0, 1.0, n))
-    theta[:2] = 0.0, np.pi
-    phi = rng.uniform(0.0, 2.0 * np.pi, n)
-    a = HarmonicCoeffs(L, rng.standard_normal((L + 1) ** 2))
-    print(np.array_equal(synthesize_at(a, theta, phi),
-                         basis_matrix(L, theta, phi) @ a.values))
-"""
-
-
-def test_synthesize_at_equals_formed_product():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _UNCHUNKED_PRODUCT],
-                         env=env, check=True, capture_output=True,
-                         text=True).stdout
-    assert out == "True\n" * 3
-
-
-def test_synthesize_at_never_forms_the_basis_matrix():
-    # the dual fit residual's size: 1225 scattered points at L 32.  The
-    # formed 1225 x 1089 matrix peaked at 25.7 MB; the chunked product
-    # peaks at 17.3 MB, of which the Legendre table is 10.7 MB
-    L = 32
-    rng = np.random.default_rng(13)
-    theta = np.arccos(rng.uniform(-1.0, 1.0, 1225))
-    phi = rng.uniform(0.0, 2.0 * np.pi, 1225)
-    a = HarmonicCoeffs(L, rng.standard_normal(num_coeffs(L)))
-    tracemalloc.start()
-    try:
-        values = synthesize_at(a, theta, phi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    ref = basis_matrix(L, theta, phi) @ a.values
-    assert np.max(np.abs(values - ref)) <= 1e-13
-    assert peak <= 19e6, peak
 
 
 def test_coeff_container_validation():

@@ -8,7 +8,9 @@ from curvedual.errors import DataError, DomainError
 from curvedual.geometry import (GraphSurface, curvature_field,
                                 offset_sphere_surface, sphere_surface)
 from curvedual.polar import dual_surface
-from curvedual.spectral import HarmonicCoeffs, build_grid, synthesize
+from curvedual.solver import PrescribedData, SolverOptions, continuation
+from curvedual.spectral import (HarmonicCoeffs, analyze, build_grid,
+                                synthesize)
 from curvedual.validation import (DiagnosticsReport, enclosing_balls,
                                   full_report, steiner_point,
                                   stereographic_residual)
@@ -133,6 +135,25 @@ def test_full_report_solved_sphere():
     assert rep.stereographic_residual <= 1e-10
     assert rep.support_margin < 0.0
     assert rep.residual_stats["max_abs"] <= 1e-12
+
+
+def test_full_report_refuses_the_folded_run_grid():
+    # the antipodal run grid holds the northern half only; the odd
+    # integrand of the Steiner point would sum to a nonzero value there
+    b = HarmonicCoeffs.zeros(2)
+    b[2, 0] = 0.1
+    data = PrescribedData(a_poly=[np.log(2.0)], b=b, c=1.0)
+    report = continuation(GAUSS, data, opts=SolverOptions(L_max=8))
+    assert report.converged and report.grid.folded
+    surface = report.final_surface
+    folded = curvature_field(surface, report.grid)
+    with pytest.raises(ValueError, match="whole sphere"):
+        full_report(folded, F=GAUSS, f=data)
+    with pytest.raises(ValueError, match="whole sphere"):
+        analyze(report.grid, folded.r)
+    rep = full_report(sampled(surface), F=GAUSS, f=data)
+    assert rep.steiner_magnitude <= 1e-10
+    assert rep.residual_stats["max_abs"] <= 1e-8
 
 
 def test_full_report_without_equation_data():
