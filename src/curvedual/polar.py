@@ -11,18 +11,21 @@ Dual curvatures are computed intrinsically at the source nodes, from the
 dual metric and second fundamental form, so the reciprocal pairing with
 the source curvatures is a genuine cross-check rather than a definition.
 Refitting through least squares is needed only to produce a standalone
-:class:`~curvedual.geometry.GraphSurface`.  The fit solves the normal
-equations only when a Cholesky factor of the diagonally shifted Gram
-matrix certifies that the basis matrix has condition number below 1e3,
-by the Cholesky backward-error bound (Higham, *Accuracy and Stability of
-Numerical Algorithms*, 2nd ed., Thm 10.3), and an SVD solve otherwise.
-The certificate is sufficient, not necessary: a fit with condition number
-between about 700 and 1e3 may take the SVD solve.
+:class:`~curvedual.geometry.GraphSurface`.  The fit weights each sample
+by its area on the dual chart sphere, which the Weingarten relation gives
+from data the curvature field already holds, so its normal matrix is a
+quadrature of the identity Gram matrix of the orthonormal basis.  A
+Frobenius-norm certificate that this matrix is near the identity lets
+conjugate gradients solve it without any factorization; fits it cannot
+certify fall back to the normal equations behind a shifted Cholesky
+certificate (Higham, *Accuracy and Stability of Numerical Algorithms*,
+2nd ed., Thm 10.3), and then to an SVD solve (see :func:`dual_as_graph`).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +43,11 @@ _CONDITION_LIMIT = 1e8
 _SV_CUTOFF = 1e-12
 # relative diagonal shift whose Cholesky factor certifies kappa_2(B) < 1e3
 _CHOLESKY_SHIFT = 2e-6
+# largest certified ||A - I||_F that the fit solves by conjugate
+# gradients: kappa_2(A) <= 9 and rho = 1/2 there
+_FROBENIUS_MAX = 0.8
+# relative residual at which conjugate gradients stops
+_CG_TOL = 1e-14
 
 
 @dataclass
@@ -51,7 +59,10 @@ class DualSamples:
     coordinates; ``eta_theta``, ``eta_phi`` and ``r_star`` locate that
     point in the graph chart about ``pole``, which is the antipode of the
     source pole.  ``kappa_dual`` holds the dual principal curvatures in
-    ascending order.
+    ascending order.  ``weights``, present only when :func:`gauss_map` is
+    asked for them, is each sample's area on the dual chart sphere: the
+    source quadrature weight times the area ratio of the Gauss map read
+    in that chart, so it sums to 4 pi up to quadrature error.
     """
 
     theta: np.ndarray       # (N,)
@@ -62,13 +73,14 @@ class DualSamples:
     r_star: np.ndarray      # (N,)
     kappa_dual: np.ndarray  # (N, 2)
     pole: np.ndarray        # (4,) pole of the dual graph chart
+    weights: np.ndarray | None = None  # (N,) dual-sphere area per sample
 
     @property
     def n_nodes(self) -> int:
         return len(self.theta)
 
 
-def gauss_map(field: CurvatureField) -> DualSamples:
+def gauss_map(field: CurvatureField, weights: bool = False) -> DualSamples:
     """Map a strictly convex surface to its polar dual, node by node.
 
     The dual point at each node is the outward unit normal.  Dual
@@ -77,10 +89,20 @@ def gauss_map(field: CurvatureField) -> DualSamples:
     shared second fundamental form; they come out as the reciprocals of
     the source curvatures with the order reversed.
 
+    With ``weights``, each sample also gets its area on the dual chart
+    sphere, w_q J_q, where w_q is the source quadrature weight and
+    J = |u_theta x u_phi| / sin(theta) the area ratio of the chart
+    direction u of the dual point.  The chart derivatives of u come from
+    the Weingarten relation d_i x_dual = S^k_i x_k, with S the source
+    shape operator, so the weights cost no differentiation.  Only the
+    dual fit needs them.
+
     Parameters
     ----------
     field : CurvatureField
         Sampled source surface; must be strictly convex.
+    weights : bool
+        Also compute ``DualSamples.weights``.
 
     Returns
     -------
@@ -103,7 +125,8 @@ def gauss_map(field: CurvatureField) -> DualSamples:
 
     # chart angles via arctangents, stable near the chart axis
     planar = np.hypot(std[:, 0], std[:, 1])
-    r_star = np.arctan2(np.hypot(planar, std[:, 2]), std[:, 3])
+    equatorial = np.hypot(planar, std[:, 2])  # sin r_star
+    r_star = np.arctan2(equatorial, std[:, 3])
     eta_theta = np.arctan2(planar, std[:, 2])
     eta_phi = np.mod(np.arctan2(std[:, 1], std[:, 0]), 2.0 * np.pi)
 
@@ -113,74 +136,174 @@ def gauss_map(field: CurvatureField) -> DualSamples:
         shape_dual[..., 0, 0], shape_dual[..., 0, 1],
         shape_dual[..., 1, 0], shape_dual[..., 1, 1])
 
+    area = None
+    if weights:
+        # u = a / |a| with a the equatorial part of Q^T x_dual, so
+        # |u_theta x u_phi| = |det(a, a_theta, a_phi)| / |a|^3
+        S = field.shape_operator
+        a_t, a_p = ((S[:, 0, i, None] * field.x_theta
+                     + S[:, 1, i, None] * field.x_phi) @ Q[:, :3]
+                    for i in (0, 1))
+        vol = np.einsum("ni,ni->n", std[:, :3], np.cross(a_t, a_p))
+        area = field.grid.weights * np.abs(vol) / (
+            equatorial**3 * np.sin(field.grid.theta))
+
     return DualSamples(theta=field.grid.theta, phi=field.grid.phi,
                        x_dual=x_dual, eta_theta=eta_theta, eta_phi=eta_phi,
-                       r_star=r_star, kappa_dual=kappa_dual, pole=pole_dual)
+                       r_star=r_star, kappa_dual=kappa_dual, pole=pole_dual,
+                       weights=area)
 
 
 def dual_as_graph(samples: DualSamples, L_max: int) -> GraphSurface:
     """Fit the dual samples as a radial graph about the antipodal pole.
 
-    A least-squares spherical-harmonic fit of ``r_star`` over the
-    scattered dual directions, with basis matrix B (n columns) and Gram
-    matrix G = B^T B.  When kappa_2(B) <= 1e3 the least-squares solution
-    is unique, and the normal equations G c = B^T r_star reach it with
-    relative error about eps * kappa^2 <= 1e-10 (Golub & Van Loan, *Matrix
-    Computations*, 4th ed., section 5.3) for about a third of the flops
-    of an SVD solve.
+    A weighted least-squares spherical-harmonic fit of ``r_star`` over the
+    scattered dual directions: with B the basis matrix (n columns) and W
+    the diagonal of ``samples.weights``, the rows of B and ``r_star`` are
+    scaled by sqrt(W).  The weights are the samples' areas on the dual
+    chart sphere, so A = B^T W B is a quadrature of the Gram matrix of an
+    orthonormal basis and close to the identity, and B^T W r_star is the
+    quadrature of the coefficient integrals (Driscoll & Healy 1994).  The
+    solve stays an exact least-squares solve of the weighted rows.
 
-    The gate is a certificate, not a measurement.  With s = ||G||_1,
-    which bounds lambda_max(G) because G is symmetric, and the shift
-    mu = 2e-6 s, the fit takes the normal equations only when the
-    Cholesky factorization of G - mu I completes with a finite diagonal.
-    By the backward-error bound of Cholesky factorization (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 10.3;
-    Demmel 1989) that factor is exact for G - mu I + E with
-    ||E||_2 <= n(n+1) u s, u the unit roundoff.  Hence
-    lambda_min(G) >= mu - n(n+1) u s > 1e-6 lambda_max(G) whenever
-    n(n+1) u < 1e-6 (n below about 9e4), so kappa_2(B) < 1e3: no fit
-    above 1e3 takes the normal equations.  The test is sufficient, not
-    necessary.  The factor can fail once kappa_2(B) exceeds about
-    sqrt(lambda_max / mu) <= 707, and such a fit takes the SVD solve.
+    Three tiers, the first that applies:
 
-    The SVD solve, taken whenever the certificate fails, discards the
-    degrees of freedom whose singular values fall below 1e-12 of the
-    largest; the dual directions cluster where the source curvature is
-    large, and the cutoff keeps the fit stable there.
+    * **Near identity.**  With eta an upper bound on ||A - I||_F that
+      includes the rounding of forming A, every eigenvalue of A lies in
+      [1 - eta, 1 + eta].  When eta <= 0.8, kappa_2(A) <= (1 + eta) /
+      (1 - eta) <= 9, and conjugate gradients from the quadrature
+      coefficients solve A c = B^T W r_star within a step cap that this
+      bound implies (Golub & Van Loan, *Matrix Computations*, 4th ed.,
+      section 11.3).  No factorization is formed.
+    * **Normal equations.**  With s = ||A||_1 >= lambda_max(A) and the
+      shift mu = 2e-6 s, the fit takes the normal equations when the
+      Cholesky factorization of A - mu I completes with a finite
+      diagonal.  By the backward-error bound of Cholesky factorization
+      (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+      Thm 10.3; Demmel 1989) that factor is exact for A - mu I + E with
+      ||E||_2 <= n(n+1) u s, u the unit roundoff, so lambda_min(A) >
+      1e-6 lambda_max(A) whenever n(n+1) u < 1e-6 (n below about 9e4):
+      the weighted basis has kappa_2 < 1e3.  The normal equations alone
+      reach the least-squares solution with relative error about
+      eps * kappa^2 <= 1e-10 (Golub & Van Loan, section 5.3); one step of
+      iterative refinement with the least-squares residual
+      B^T W (r_star - B c), a second solve, takes it to about 1e-14 on
+      the squeezed test fits (Bjorck, *Numerical Methods for Least
+      Squares Problems*, 1996).  The test is sufficient, not necessary:
+      it can fail once kappa_2 exceeds about sqrt(lambda_max / mu) <= 707.
+    * **SVD.**  Otherwise the weighted rows are solved by SVD, discarding
+      the degrees of freedom whose singular values fall below 1e-12 of
+      the largest; the dual directions cluster where the source
+      curvature is large, and the cutoff keeps the fit stable there.
 
     Raises
     ------
+    ValueError
+        If the samples carry no weights (``gauss_map(..., weights=True)``
+        computes them).
     ResolutionError
-        If any sample is not finite, before any factorization, or if the
-        condition number of the fit, measured by the SVD on the fallback
-        path, exceeds 1e8.  The caller should raise the source grid
-        density.
+        If any sample or weight is not finite, before any factorization,
+        or if the condition number of the weighted fit, measured by the
+        SVD on the last tier, exceeds 1e8.  The caller should raise the
+        source grid density.
     """
+    if samples.weights is None:
+        raise ValueError("the dual fit needs sample weights; use "
+                         "gauss_map(field, weights=True)")
     if not all(np.isfinite(v).all() for v in (samples.eta_theta,
                                               samples.eta_phi,
-                                              samples.r_star)):
+                                              samples.r_star,
+                                              samples.weights)):
         raise ResolutionError("dual samples are not finite; the source "
                               "surface cannot be fitted")
+    root = np.sqrt(samples.weights)
     B = spectral.basis_matrix(L_max, samples.eta_theta, samples.eta_phi)
-    G = B.T @ B  # numpy sends this form to syrk
-    if _certifies_normal_equations(G):
-        coeffs = np.linalg.solve(G, B.T @ samples.r_star)
-        method = "normal equations, condition < 1e3"
-    else:
-        coeffs, _, _, sv = np.linalg.lstsq(B, samples.r_star,
-                                           rcond=_SV_CUTOFF)
-        cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
-        if cond > _CONDITION_LIMIT:
-            raise ResolutionError(
-                f"dual graph fit is ill conditioned (condition number "
-                f"{cond:.3g}); raise the sampling grid density")
-        method = f"SVD, condition {cond:.3g}"
-    residual = float(np.max(np.abs(B @ coeffs - samples.r_star)))
-    log.debug("dual graph fit: %d samples, L_max=%d, %s, max residual %.3g",
-              samples.n_nodes, L_max, method, residual)
+    B *= root[:, None]
+    rhs = root * samples.r_star
+    A = B.T @ B  # numpy sends this form to syrk
+    quadrature = B.T @ rhs
+    eta = _distance_from_identity(A, samples.n_nodes)
+    coeffs = None
+    if eta <= _FROBENIUS_MAX:
+        coeffs, steps = _conjugate_gradients(A, quadrature, eta)
+        method = f"CG, ||A - I||_F <= {eta:.3g}, {steps} steps"
+    if coeffs is None:
+        if _certifies_normal_equations(A):
+            coeffs = np.linalg.solve(A, quadrature)
+            # one step of refinement with the least-squares residual
+            coeffs += np.linalg.solve(A, B.T @ (rhs - B @ coeffs))
+            method = "normal equations, condition < 1e3"
+        else:
+            coeffs, _, _, sv = np.linalg.lstsq(B, rhs, rcond=_SV_CUTOFF)
+            cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
+            if cond > _CONDITION_LIMIT:
+                raise ResolutionError(
+                    f"dual graph fit is ill conditioned (condition number "
+                    f"{cond:.3g}); raise the sampling grid density")
+            method = f"SVD, condition {cond:.3g}"
+    log.debug("dual graph fit: %d samples, L_max=%d, %s",
+              samples.n_nodes, L_max, method)
     return GraphSurface(n=2, pole=samples.pole.copy(),
                         radial=spectral.HarmonicCoeffs(L_max, coeffs),
                         gauge_tau0=default_gauge_tau0())
+
+
+def _distance_from_identity(A: np.ndarray, n_samples: int) -> float:
+    """Upper bound on ||A - I||_F for the exact A = B^T B of rounded B.
+
+    The norm is taken with the diagonal shifted in place and then
+    restored, so no copy of A is made; the form
+    vdot(A, A) - 2 tr A + n would cancel.  Each entry of the computed A
+    is a sum of ``n_samples`` products, in error by at most
+    gamma_N ||b_i|| ||b_j|| (Higham, Sec. 3.1), so ||E||_F <= gamma_N tr A;
+    the norm's own rounding is covered by gamma over the entries of A.
+    """
+    diagonal = A.diagonal().copy()
+    np.fill_diagonal(A, diagonal - 1.0)
+    eta = float(np.linalg.norm(A))
+    np.fill_diagonal(A, diagonal)
+    trace = float(diagonal.sum())
+    return eta * (1.0 + _gamma(A.size)) + _gamma(n_samples) * trace
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff."""
+    nu = n * np.finfo(float).eps / 2.0
+    return nu / (1.0 - nu)
+
+
+def _conjugate_gradients(A: np.ndarray, b: np.ndarray, eta: float
+                         ) -> tuple[np.ndarray | None, int]:
+    """Solve A c = b from c = b, given ||A - I||_2 <= eta < 1.
+
+    The spectrum lies in [1 - eta, 1 + eta], so kappa = (1 + eta) /
+    (1 - eta) and the residual after k steps is at most
+    2 sqrt(kappa) rho^k ||b - A b||, rho = (sqrt(kappa) - 1) /
+    (sqrt(kappa) + 1) = eta / (1 + sqrt(1 - eta^2)), with
+    ||b - A b|| <= eta ||b||.  The step cap is the k at which that bound
+    reaches the stopping tolerance.  Returns the solution and the steps
+    taken, or None if the cap is reached first.
+    """
+    kappa = (1.0 + eta) / (1.0 - eta)
+    rate = eta / (1.0 + math.sqrt(1.0 - eta * eta))
+    cap = max(1, math.ceil(math.log(_CG_TOL / (2.0 * math.sqrt(kappa) * eta))
+                           / math.log(rate)))
+    c = b.copy()
+    r = b - A @ c
+    p = r.copy()
+    rr = float(r @ r)
+    stop = (_CG_TOL * float(np.linalg.norm(b))) ** 2
+    for step in range(cap):
+        if rr <= stop:
+            return c, step
+        q = A @ p
+        alpha = rr / float(p @ q)
+        c += alpha * p
+        r -= alpha * q
+        rr, rr_old = float(r @ r), rr
+        p *= rr / rr_old
+        p += r
+    return (c if rr <= stop else None), cap
 
 
 def _certifies_normal_equations(G: np.ndarray) -> bool:
@@ -236,7 +359,7 @@ def dual_surface(surface: GraphSurface, L_max: int | None = None,
     grid = build_grid(sample_L)
     field = curvature_field(surface.padded_to(sample_L), grid,
                             require_convex=True)
-    return dual_as_graph(gauss_map(field), L_max=L_max)
+    return dual_as_graph(gauss_map(field, weights=True), L_max=L_max)
 
 
 @dataclass

@@ -12,8 +12,10 @@ in longitude, analysis its transpose (Schaeffer, 2013).  Only
 ``basis_matrix``, at scattered points, forms a points x coefficients matrix.
 The Legendre tables are computed degree-major, one contiguous row per basis
 function, so each step of the recurrence reads and writes whole rows; they
-are exposed as (colatitudes x coefficients) transposed views, and
-``basis_matrix`` gathers its rows straight from that view.
+are exposed as (colatitudes x coefficients) transposed views.
+``basis_matrix`` runs the same recurrence straight at its points and
+multiplies each degree's rows in place by a longitude table, so it
+gathers nothing and returns the transposed view of a degree-major array.
 
 Conventions
 -----------
@@ -71,6 +73,35 @@ def index_lm(idx: int) -> tuple[int, int]:
     return l, idx - l * l - l
 
 
+def _legendre(L_max: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """c_lm P_l^|m| at cos/sin of the colatitudes, degree-major (K, len(ct)).
+
+    The fully normalized recurrence (Holmes & Featherstone, 2002): the
+    sectoral P_mm, then P_{m+1,m}, then three terms in l, all orders of
+    one degree per step; sqrt(2) for m != 0 enters at P_mm.  Each step
+    reads and writes whole contiguous rows.
+    """
+    j = np.arange(1, L_max + 1)[:, None]
+    sect = np.cumprod(-np.sqrt((2 * j + 1) / (2 * j)) * st, axis=0)
+    sect = np.vstack([np.ones_like(st), np.sqrt(2.0) * sect])
+    sect /= np.sqrt(4.0 * np.pi)
+    P = np.empty((num_coeffs(L_max), len(ct)))
+    for d in range(L_max + 1):
+        # rows of order 0 at degrees d, d - 1 and d - 2
+        z, z1, z2 = d * d + d, d * d - d, (d - 1) * (d - 1) - (d - 1)
+        P[z + d] = sect[d]
+        if d >= 1:
+            P[z + d - 1] = np.sqrt(2 * d + 1) * ct * P[z1 + d - 1]
+        if d >= 2:
+            k = np.arange(d - 1)[:, None]
+            a = np.sqrt((4 * d * d - 1) / (d * d - k * k))
+            b = np.sqrt(((d - 1) ** 2 - k * k) / (4 * (d - 1) ** 2 - 1))
+            P[z:z + d - 1] = a * (ct * P[z1:z1 + d - 1]
+                                  - b * P[z2:z2 + d - 1])
+        P[z - d:z] = P[z + d:z:-1]  # m < 0 repeats |m|
+    return P
+
+
 class _ProductTables:
     """Basis factor tables on the product of colatitudes x longitudes.
 
@@ -90,28 +121,7 @@ class _ProductTables:
         ct = np.cos(theta)
         # sqrt((1-x)(1+x)) rather than sin(theta): exact zeros at both poles
         st = np.sqrt((1.0 - ct) * (1.0 + ct))
-        # fully normalized recurrence (Holmes & Featherstone, 2002): the
-        # sectoral P_mm, then P_{m+1,m}, then three terms in l, all orders
-        # of one degree per step; sqrt(2) for m != 0 enters at P_mm
-        j = np.arange(1, L_max + 1)[:, None]
-        sect = np.cumprod(-np.sqrt((2 * j + 1) / (2 * j)) * st, axis=0)
-        sect = np.vstack([np.ones_like(st), np.sqrt(2.0) * sect])
-        sect /= np.sqrt(4.0 * np.pi)
-        # degree-major: each step reads and writes whole contiguous rows
-        P = np.empty((len(l), len(theta)))
-        for d in range(L_max + 1):
-            # rows of order 0 at degrees d, d - 1 and d - 2
-            z, z1, z2 = d * d + d, d * d - d, (d - 1) * (d - 1) - (d - 1)
-            P[z + d] = sect[d]
-            if d >= 1:
-                P[z + d - 1] = np.sqrt(2 * d + 1) * ct * P[z1 + d - 1]
-            if d >= 2:
-                k = np.arange(d - 1)[:, None]
-                a = np.sqrt((4 * d * d - 1) / (d * d - k * k))
-                b = np.sqrt(((d - 1) ** 2 - k * k) / (4 * (d - 1) ** 2 - 1))
-                P[z:z + d - 1] = a * (ct * P[z1:z1 + d - 1]
-                                      - b * P[z2:z2 + d - 1])
-            P[z - d:z] = P[z + d:z:-1]  # m < 0 repeats |m|
+        P = _legendre(L_max, ct, st)
         self.Y = P.T
         self.colat = [self.Y]
         if derivatives:
@@ -133,9 +143,6 @@ class _ProductTables:
         self.lon = [f, df, -(s * s) * f]
         self.groups = [np.flatnonzero(m == o) for o in s]
 
-
-# points per longitude-factor gather in basis_matrix
-_GATHER_ROWS = 256
 
 # (colatitude, longitude) table of u, u_t, u_p, u_tt, u_tp, u_pp
 _JET_TABLES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -322,23 +329,21 @@ def basis_matrix(L_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
     Returns the (len(theta), num_coeffs) evaluation matrix.  Points may lie
     anywhere on the sphere including the poles (where only m = 0 columns
-    are nonzero).  The factors are tabulated once per distinct angle and
-    the matrix is one gather-multiply, the longitude factor gathered
-    ``_GATHER_ROWS`` points at a time so that it never takes the size of
-    the result.
+    are nonzero).  The Legendre rows are evaluated straight at the points,
+    degree-major, and each degree's block is multiplied in place by the
+    rows of orders -l..l of a (2L+1, points) longitude table; the result
+    is the transposed view of that (num_coeffs, points) array.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    th, it = np.unique(theta, return_inverse=True)
-    ph, ip = np.unique(phi, return_inverse=True)
-    tables = _ProductTables(L_max, th, ph, derivatives=False)
-    out = tables.Y[it]  # reads the transposed view in place; take copies it
-    cols = L_max + tables.orders
-    for i in range(0, len(out), _GATHER_ROWS):
-        rows = ip[i:i + _GATHER_ROWS]
-        out[i:i + _GATHER_ROWS] *= tables.lon[0].take(rows, axis=0).take(
-            cols, axis=1)
-    return out
+    ct = np.cos(theta)
+    P = _legendre(L_max, ct, np.sqrt((1.0 - ct) * (1.0 + ct)))
+    # row L + m: sin(|m| phi) for m < 0, else cos(m phi)
+    j = np.arange(L_max + 1)[:, None]
+    lon = np.concatenate([np.sin(j[:0:-1] * phi), np.cos(j * phi)])
+    for l in range(L_max + 1):
+        P[l * l:(l + 1) * (l + 1)] *= lon[L_max - l:L_max + l + 1]
+    return P.T
 
 
 def analyze(grid: QuadratureGrid, values: np.ndarray) -> HarmonicCoeffs:

@@ -177,6 +177,36 @@ class TestSurfaceFiles:
         with pytest.raises(DataError, match=message):
             surface_from_dict(doc)
 
+    def test_full_l32_document_round_trip(self, tmp_path):
+        # what curvedual dual writes: all 1089 entries of an L 32 surface
+        surface = random_surface(32)
+        path = tmp_path / "surface.json"
+        write_surface(path, surface)
+        back = read_surface(path)
+        assert len(surface_to_dict(surface)["radial"]) == 1089
+        assert np.array_equal(back.radial.values, surface.radial.values)
+
+    @pytest.mark.parametrize("bad, later, message", [
+        # the first bad entry is reported, whatever fault comes after it
+        ({"l": 2, "m": 0.5, "value": 0.1}, {"m": 0, "value": 0.1},
+         "radial m must be an integer"),
+        ({"m": 0, "value": 0.1}, {"l": 2, "m": 0.5, "value": 0.1},
+         "malformed radial entry"),
+        ({"l": 10**400, "m": 0, "value": 0.1}, {"l": 2, "m": 0, "value": True},
+         "radial l must be numeric"),
+        ({"l": 9, "m": 0, "value": 0.1}, {"l": 2, "m": 0, "value": True},
+         "outside truncation"),
+        ({"l": 2, "m": 0, "value": 10**400}, {"l": 0.5, "m": 0, "value": 1.0},
+         "radial value must be numeric"),
+        ({"l": 3, "m": 1, "value": 0.1}, {"l": 3, "m": 1, "value": 0.2},
+         r"entry \(l=3, m=1\) is repeated"),
+    ])
+    def test_first_bad_entry_in_list_order(self, bad, later, message):
+        doc = surface_to_dict(random_surface(8))
+        doc["radial"][40:40] = [bad, later]
+        with pytest.raises(DataError, match=message):
+            surface_from_dict(doc)
+
     def test_integral_floats_accepted(self):
         doc = surface_to_dict(sphere_surface(np.pi / 4, L_max=8))
         doc.update(n=2.0, L_max=8.0)

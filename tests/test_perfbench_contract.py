@@ -12,9 +12,12 @@ import importlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from curvedual import cli
+from curvedual import cli, io, polar
+from curvedual.geometry import curvature_field
+from curvedual.spectral import basis_matrix, build_grid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,3 +49,33 @@ def test_workload_input_zero_passes_its_check(tmp_path, capsys, perfbench,
         assert steps[-1]["residual"] <= 1e-10
     args = run.parse_args(["--workload", workload, "--seed", "0"])
     assert run.context_line(args, 1).startswith("context: backend=")
+
+
+def test_dual_input_zero_fits_are_near_identity(tmp_path, monkeypatch,
+                                                perfbench):
+    # both legs of the benchmark's dual op certify ||A - I||_F <= 0.8 and
+    # are solved by conjugate gradients alone: no Cholesky, LU or SVD
+    workloads, _ = perfbench
+    spec = workloads.generate("dual", 0, str(tmp_path))[0]
+    surface = io.read_surface(spec["argv"][spec["argv"].index("--surface")
+                                           + 1])
+    legs = []
+    for source, L_max, sample_L in ((surface, 32, 36), (None, 24, 40)):
+        source = source or legs[-1][1]
+        field = curvature_field(source.padded_to(sample_L),
+                                build_grid(sample_L), require_convex=True)
+        samples = polar.gauss_map(field, weights=True)
+        root = np.sqrt(samples.weights)
+        B = basis_matrix(L_max, samples.eta_theta, samples.eta_phi)
+        expect = np.linalg.lstsq(root[:, None] * B, root * samples.r_star,
+                                 rcond=None)[0]
+        with monkeypatch.context() as patch:
+            for name in ("cholesky", "solve", "lstsq"):
+                patch.setattr(np.linalg, name, _no_factorization)
+            legs.append((expect, polar.dual_as_graph(samples, L_max)))
+    for expect, fitted in legs:
+        assert np.max(np.abs(fitted.radial.values - expect)) <= 1e-12
+
+
+def _no_factorization(*args, **kwargs):
+    raise AssertionError("factorization in a near-identity dual fit")

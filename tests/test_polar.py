@@ -6,9 +6,10 @@ import pytest
 from curvedual.curvature import make_curvature_function
 from curvedual.errors import ConvexityError, DataError, ResolutionError
 from curvedual.geometry import curvature_field, sphere_surface
-from curvedual.polar import (DualSamples, dual_as_graph, dual_surface,
-                             fit_residual, gauss_map, support_test,
-                             transfer_problem)
+from curvedual import polar
+from curvedual.polar import (DualSamples, _conjugate_gradients,
+                             dual_as_graph, dual_surface, fit_residual,
+                             gauss_map, support_test, transfer_problem)
 from curvedual.spectral import HarmonicCoeffs, analyze, basis_matrix, \
     build_grid, chart_jets
 from curvedual import geometry
@@ -85,7 +86,7 @@ def test_gauss_map_rejects_nonconvex():
 def test_dual_graph_of_sphere():
     grid = build_grid(16)
     field = curvature_field(sphere_surface(np.pi / 6, L_max=16), grid)
-    dual = dual_as_graph(gauss_map(field), L_max=16)
+    dual = dual_as_graph(gauss_map(field, weights=True), L_max=16)
     values = dual.radial.values
     a00 = values[0]
     assert abs(a00 - (np.pi / 3) * np.sqrt(4 * np.pi)) <= 1e-9
@@ -97,7 +98,7 @@ def test_dual_graph_of_sphere():
 def test_ball_polarity(radius):
     grid = build_grid(12)
     field = curvature_field(sphere_surface(radius, L_max=12), grid)
-    dual = dual_as_graph(gauss_map(field), L_max=12)
+    dual = dual_as_graph(gauss_map(field, weights=True), L_max=12)
     expect = (np.pi / 2 - radius) * np.sqrt(4 * np.pi)
     assert abs(dual.radial.values[0] - expect) <= 1e-9
     assert np.max(np.abs(dual.radial.values[1:])) <= 1e-9
@@ -109,7 +110,7 @@ def test_inclusion_reversal_for_balls():
     radii = []
     for r in (np.pi / 6, np.pi / 4):
         field = curvature_field(sphere_surface(r, L_max=8), grid)
-        dual = dual_as_graph(gauss_map(field), L_max=8)
+        dual = dual_as_graph(gauss_map(field, weights=True), L_max=8)
         radii.append(dual.radial.values[0] / np.sqrt(4 * np.pi))
     assert radii[0] > radii[1]
 
@@ -130,7 +131,8 @@ def test_double_dual_returns_source():
 def test_dual_fit_residual_small():
     surf = perturbed_surface()
     grid = build_grid(36)
-    samples = gauss_map(curvature_field(surf.padded_to(36), grid))
+    samples = gauss_map(curvature_field(surf.padded_to(36), grid),
+                        weights=True)
     dual = dual_as_graph(samples, L_max=32)
     assert fit_residual(samples, dual) <= 1e-6
 
@@ -149,16 +151,37 @@ def test_dual_of_even_surface_is_even():
         assert np.max(np.abs(dual.radial.degree_slice(l))) <= 1e-9, l
 
 
+@pytest.mark.parametrize("radius", [np.pi / 6, np.pi / 4, 1.2])
+def test_ball_weights_equal_grid_weights(radius):
+    # the dual of a ball about the pole is a ball about its antipode, and
+    # its chart direction is the source direction mirrored: J = 1
+    grid = build_grid(16)
+    samples = gauss_map(curvature_field(sphere_surface(radius, L_max=16),
+                                        grid), weights=True)
+    assert np.max(np.abs(samples.weights / grid.weights - 1.0)) <= 2e-15
+
+
+def test_weights_only_on_request():
+    field = curvature_field(perturbed_surface(), build_grid(24))
+    samples = gauss_map(field)
+    assert samples.weights is None
+    with pytest.raises(ValueError, match="needs sample weights"):
+        dual_as_graph(samples, L_max=24)
+    weights = gauss_map(field, weights=True).weights
+    assert abs(weights.sum() / (4.0 * np.pi) - 1.0) <= 1e-14
+
+
 def test_degenerate_samples_rejected():
     grid = build_grid(8)
     field = curvature_field(sphere_surface(np.pi / 4, L_max=8), grid)
-    s = gauss_map(field)
+    s = gauss_map(field, weights=True)
     rep = np.zeros(60, dtype=int)  # every sample at the same direction
     collapsed = DualSamples(theta=s.theta[rep], phi=s.phi[rep],
                             x_dual=s.x_dual[rep],
                             eta_theta=s.eta_theta[rep],
                             eta_phi=s.eta_phi[rep], r_star=s.r_star[rep],
-                            kappa_dual=s.kappa_dual[rep], pole=s.pole)
+                            kappa_dual=s.kappa_dual[rep], pole=s.pole,
+                            weights=s.weights[rep])
     with pytest.raises(ResolutionError):
         dual_as_graph(collapsed, L_max=4)
 
@@ -167,12 +190,14 @@ def _no_lapack(*args, **kwargs):
     raise AssertionError("LAPACK called on non-finite samples")
 
 
-@pytest.mark.parametrize("name", ["eta_theta", "eta_phi", "r_star"])
+@pytest.mark.parametrize("name", ["eta_theta", "eta_phi", "r_star",
+                                  "weights"])
 def test_nonfinite_samples_rejected(monkeypatch, name):
     # NaN input makes LAPACK's least squares print DLASCL errors and raise
     # a bare LinAlgError; the fit must stop before any factorization
     grid = build_grid(8)
-    s = gauss_map(curvature_field(sphere_surface(np.pi / 4, L_max=8), grid))
+    s = gauss_map(curvature_field(sphere_surface(np.pi / 4, L_max=8), grid),
+                  weights=True)
     values = getattr(s, name).copy()
     values[17] = np.nan
     for solver in ("cholesky", "eigvalsh", "lstsq", "solve"):
@@ -182,21 +207,32 @@ def test_nonfinite_samples_rejected(monkeypatch, name):
 
 
 def _svd_fit(samples, L_max):
+    # the weighted rows sqrt(w) B against sqrt(w) r_star
+    root = np.sqrt(samples.weights)
     B = basis_matrix(L_max, samples.eta_theta, samples.eta_phi)
-    return np.linalg.lstsq(B, samples.r_star, rcond=1e-12)[0]
+    return np.linalg.lstsq(root[:, None] * B, root * samples.r_star,
+                           rcond=1e-12)[0]
 
 
 def _squeezed_sphere_samples(factor):
     # scaling eta_theta pulls the dual directions toward the chart pole,
-    # which raises the condition number of the fit
+    # which raises the condition number of the fit; the weights stay
     grid = build_grid(8)
-    s = gauss_map(curvature_field(sphere_surface(np.pi / 4, L_max=8), grid))
+    s = gauss_map(curvature_field(sphere_surface(np.pi / 4, L_max=8), grid),
+                  weights=True)
     return dataclasses.replace(s, eta_theta=factor * s.eta_theta)
 
 
-def test_well_conditioned_fit_uses_normal_equations(monkeypatch):
-    samples = gauss_map(curvature_field(perturbed_surface().padded_to(36),
-                                        build_grid(36)))
+@pytest.fixture(scope="module")
+def bumpy_samples():
+    # acceptance 03's first leg: the L 24 bumpy surface sampled at L 36
+    return gauss_map(curvature_field(perturbed_surface().padded_to(36),
+                                     build_grid(36)), weights=True)
+
+
+def test_well_conditioned_fit_uses_normal_equations(monkeypatch,
+                                                     bumpy_samples):
+    samples = bumpy_samples
     expect = _svd_fit(samples, 32)
 
     def no_svd(*args, **kwargs):
@@ -207,14 +243,49 @@ def test_well_conditioned_fit_uses_normal_equations(monkeypatch):
     assert np.max(np.abs(coeffs - expect)) <= 1e-12
 
 
+def test_acceptance_03_first_leg_takes_cholesky_tier(monkeypatch,
+                                                    bumpy_samples):
+    # ||A - I||_F is 3.4 at sample_L 36 while the spectral deviation is
+    # 0.94: the Frobenius bound cannot certify it, the shifted Cholesky
+    # factor can, and the normal equations are solved by LU, then refined
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD solve on a certified fit")
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    monkeypatch.setattr(np.linalg, "lstsq", no_svd)
+    dual_as_graph(bumpy_samples, L_max=32)
+    assert len(solves) == 2
+
+
+def test_cg_step_cap_falls_through_to_cholesky_tier(monkeypatch):
+    # a spectrum wider than the claimed bound cannot meet the cap
+    A = np.diag(np.linspace(0.05, 1.95, 50))
+    assert _conjugate_gradients(A, np.ones(50), 0.1)[0] is None
+    # and a fit whose CG stops at the cap is solved by the next tier
+    samples = gauss_map(curvature_field(sphere_surface(np.pi / 4, L_max=8),
+                                        build_grid(8)), weights=True)
+    expect = _svd_fit(samples, 6)
+    monkeypatch.setattr(polar, "_conjugate_gradients",
+                        lambda A, b, eta: (None, 1))
+    coeffs = dual_as_graph(samples, L_max=6).radial.values
+    assert np.max(np.abs(coeffs - expect)) <= 1e-12
+
+
 def test_ill_conditioned_fit_falls_back_to_svd():
-    samples = _squeezed_sphere_samples(0.5)  # condition number 8.3e4
+    samples = _squeezed_sphere_samples(0.5)  # condition number 6.0e4
     coeffs = dual_as_graph(samples, L_max=6).radial.values
     assert np.array_equal(coeffs, _svd_fit(samples, 6))
 
 
 def test_fit_above_1e3_never_takes_normal_equations(monkeypatch):
-    # kappa_2 = 1.59e3: the unshifted Gram matrix has a Cholesky factor,
+    # kappa_2 = 1.07e3: the unshifted Gram matrix has a Cholesky factor,
     # so only the shift keeps this fit off the normal equations
     samples = _squeezed_sphere_samples(0.65)
     expect = _svd_fit(samples, 6)
@@ -232,7 +303,8 @@ def test_fit_above_1e3_never_takes_normal_equations(monkeypatch):
 
 
 def test_fit_below_certified_bound_uses_normal_equations(monkeypatch):
-    # kappa_2 = 475, below the certified bound of about 670 at this size
+    # kappa_2 = 319, below the certified bound of about 670 at this size;
+    # ||A - I||_F is 4.6, so the fit is not near the identity either
     samples = _squeezed_sphere_samples(0.7)
     expect = _svd_fit(samples, 6)
 
@@ -245,8 +317,8 @@ def test_fit_below_certified_bound_uses_normal_equations(monkeypatch):
 
 
 def test_fit_above_condition_limit_rejected():
-    samples = _squeezed_sphere_samples(0.2)  # condition number 1.7e10
-    message = r"ill conditioned \(condition number 1\.66e\+10\)"
+    samples = _squeezed_sphere_samples(0.2)  # condition number 1.6e10
+    message = r"ill conditioned \(condition number 1\.55e\+10\)"
     with pytest.raises(ResolutionError, match=message):
         dual_as_graph(samples, L_max=6)
 

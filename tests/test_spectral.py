@@ -359,27 +359,26 @@ def test_grid_ops_rows_match_single_point_ops():
         assert np.array_equal(B[q:q + 1], single), q
 
 
-def test_basis_matrix_gathers_longitudes_in_chunks():
+def test_basis_matrix_matches_product_tables():
     # the dual fit's size: 2701 scattered points at L 32, 23.5 MB per
-    # points x coefficients array; the unchunked gather held three of them
-    # (76 MB peak), the chunked one holds the table and the result (54 MB)
+    # points x coefficients array, plus both poles; the degree-major
+    # product holds the result and two small tables, never a gather
     L = 32
     rng = np.random.default_rng(13)
-    theta = np.arccos(rng.uniform(-1.0, 1.0, 2701))
-    phi = rng.uniform(0.0, 2.0 * np.pi, 2701)
+    theta = np.concatenate([[0.0, np.pi],
+                            np.arccos(rng.uniform(-1.0, 1.0, 2701))])
+    phi = np.concatenate([[0.4, 2.5], rng.uniform(0.0, 2.0 * np.pi, 2701)])
     tracemalloc.start()
     try:
         B = basis_matrix(L, theta, phi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    th, it = np.unique(theta, return_inverse=True)
-    ph, ip = np.unique(phi, return_inverse=True)
-    tables = _ProductTables(L, th, ph, derivatives=False)
-    ref = tables.Y.take(it, axis=0) * tables.lon[0].take(ip, axis=0).take(
-        L + tables.orders, axis=1)
+    # point q pairs colatitude q with longitude q of the product tables
+    tables = _ProductTables(L, theta, phi, derivatives=False)
+    ref = tables.Y * tables.lon[0][:, L + tables.orders]
     assert np.array_equal(B, ref)
-    assert peak <= 60e6, peak
+    assert peak <= 30e6, peak
 
 
 def test_basis_matrix_at_poles_is_zonal_closed_form():
