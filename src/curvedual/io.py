@@ -17,8 +17,7 @@ from .errors import DataError
 from .geometry import (CurvatureField, GraphSurface, curvature_field,
                        rho_from_r, stereographic_project)
 from .polar import DualSamples
-from .spectral import (HarmonicCoeffs, build_grid, lm_index, num_coeffs,
-                       synthesize_at)
+from .spectral import HarmonicCoeffs, build_grid, lm_index, synthesize_at
 
 
 def format_float(x: float) -> str:
@@ -134,33 +133,7 @@ def surface_from_dict(doc: dict) -> GraphSurface:
         raise DataError(
             "surface needs n = 2, L_max >= 4 and a unit pole, got "
             f"n = {n}, L_max = {L_max}, pole = {pole.tolist()}")
-    coeffs = HarmonicCoeffs(L_max, _radial_values(entries, L_max))
-    return GraphSurface(n=n, pole=pole, radial=coeffs, gauge_tau0=gauge_tau0)
-
-
-def _radial_values(entries: list, L_max: int) -> np.ndarray:
-    """Coefficient vector of a surface document's radial entry list.
-
-    The entries are checked column by column with numpy.  A list that
-    fails any column check is walked entry by entry instead, so the error
-    names the first bad entry in list order.
-    """
-    values = np.zeros(num_coeffs(L_max))
-    try:
-        l, m, v = ([e[k] for e in entries] for k in ("l", "m", "value"))
-        # bool is a subclass of int but not a JSON number here
-        if {type(x) for x in l + m + v} <= {int, float}:
-            l, m = np.array(l, dtype=float), np.array(m, dtype=float)
-            v = np.array(v, dtype=float)
-            if (np.isfinite(v).all() and (l == np.floor(l)).all()
-                    and (m == np.floor(m)).all() and (0 <= l).all()
-                    and (l <= L_max).all() and (np.abs(m) <= l).all()):
-                idx = (l * l + l + m).astype(int)
-                if np.bincount(idx, minlength=1).max() <= 1:
-                    values[idx] = v
-                    return values
-    except (KeyError, TypeError, OverflowError):
-        pass
+    coeffs = HarmonicCoeffs.zeros(L_max)
     seen = set()
     for entry in entries:
         try:
@@ -179,8 +152,8 @@ def _radial_values(entries: list, L_max: int) -> np.ndarray:
         if idx in seen:
             raise DataError(f"radial entry (l={l}, m={m}) is repeated")
         seen.add(idx)
-        values[idx] = value
-    return values
+        coeffs.values[idx] = value
+    return GraphSurface(n=n, pole=pole, radial=coeffs, gauge_tau0=gauge_tau0)
 
 
 # one radial entry as dumps_canonical lays it out inside a surface document

@@ -170,21 +170,14 @@ class TestSurfaceFiles:
         ({"l": 2, "m": 0, "value": -math.inf}, "radial value at"),
         # the sphere document already holds (0, 0)
         ({"l": 0, "m": 0, "value": 0.5}, r"entry \(l=0, m=0\) is repeated"),
+        # fits a float, but numpy holds an int this large as an object
+        ({"l": 2, "m": 0, "value": 2**64}, "radial value must be numeric"),
     ])
     def test_rejects_non_numeric_entry(self, entry, message):
         doc = surface_to_dict(sphere_surface(np.pi / 4, L_max=8))
         doc["radial"].append(entry)
         with pytest.raises(DataError, match=message):
             surface_from_dict(doc)
-
-    def test_full_l32_document_round_trip(self, tmp_path):
-        # what curvedual dual writes: all 1089 entries of an L 32 surface
-        surface = random_surface(32)
-        path = tmp_path / "surface.json"
-        write_surface(path, surface)
-        back = read_surface(path)
-        assert len(surface_to_dict(surface)["radial"]) == 1089
-        assert np.array_equal(back.radial.values, surface.radial.values)
 
     @pytest.mark.parametrize("bad, later, message", [
         # the first bad entry is reported, whatever fault comes after it
