@@ -14,7 +14,6 @@ from .errors import (
     CurveDualError,
     DataError,
     DomainError,
-    GroupError,
     NewtonError,
     ResolutionError,
     SingularJacobianError,
@@ -53,7 +52,6 @@ from .solver import (
     NewtonWorkspace,
     PrescribedData,
     SolverOptions,
-    SymmetryGroup,
     check_barriers,
     continuation,
     initial_sphere,
@@ -70,7 +68,7 @@ from .validation import (
 
 __all__ = [
     "ConfigError", "ConvexityError", "CurveDualError", "DataError",
-    "DomainError", "GroupError", "NewtonError", "ResolutionError",
+    "DomainError", "NewtonError", "ResolutionError",
     "SingularJacobianError",
     "HarmonicCoeffs", "QuadratureGrid", "analyze", "build_grid",
     "synthesize", "synthesize_at",
@@ -80,7 +78,7 @@ __all__ = [
     "DualSamples", "dual_surface", "gauss_map", "support_test",
     "transfer_problem",
     "BarrierReport", "ContinuationReport", "NewtonWorkspace",
-    "PrescribedData", "SolverOptions", "SymmetryGroup", "check_barriers",
+    "PrescribedData", "SolverOptions", "check_barriers",
     "continuation", "initial_sphere", "invariant_projector", "newton_solve",
     "DiagnosticsReport", "enclosing_balls", "full_report", "steiner_point",
     "stereographic_residual",

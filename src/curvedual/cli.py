@@ -15,11 +15,11 @@ import numpy as np
 
 from . import io as formats
 from .curvature import make_curvature_function
-from .errors import ConfigError, CurveDualError, DataError, GroupError
+from .errors import ConfigError, CurveDualError, DataError
 from .geometry import curvature_field
 from .polar import dual_surface, fit_residual, gauss_map, transfer_problem
-from .solver import (PrescribedData, SolverOptions, SymmetryGroup,
-                     continuation, data_on_field, default_base_constant)
+from .solver import (PrescribedData, SolverOptions, continuation,
+                     data_on_field, default_base_constant)
 from .spectral import HarmonicCoeffs, build_grid
 from .validation import full_report
 
@@ -77,21 +77,17 @@ def _harmonics_from_entries(entries, L_max: int) -> HarmonicCoeffs:
     return HarmonicCoeffs.from_dict(L, pairs)
 
 
-def _group_from_config(entry) -> SymmetryGroup:
-    if entry == "antipodal" or entry is None:
-        return SymmetryGroup.antipodal()
-    if isinstance(entry, dict) and set(entry) == {"matrices"}:
-        matrices = _numeric(list, entry["matrices"], "group matrices")
-        try:
-            return SymmetryGroup("custom", matrices)
-        except GroupError as exc:
-            raise ConfigError(str(exc)) from exc
+def _antipodal_from_config(entry) -> bool:
+    # {I} and {I, -I} are the only groups acting freely on the sphere
+    # (solver.invariant_projector), so the key takes just these two values
+    if entry in (None, "antipodal", "trivial"):
+        return entry != "trivial"
     raise ConfigError(
-        f"group must be \"antipodal\" or {{\"matrices\": [...]}}, got {entry!r}")
+        f'group must be "antipodal" or "trivial", got {entry!r}')
 
 
 def parse_config(doc: dict):
-    """Turn a config document into (F, data, options, group).
+    """Turn a config document into (F, data, options, antipodal).
 
     Unknown keys anywhere are rejected so that typos fail loudly rather
     than silently running with defaults.
@@ -133,7 +129,7 @@ def parse_config(doc: dict):
                       fspec.get("a_poly", [0.0]), "f.a_poly")
     b = _harmonics_from_entries(fspec.get("b", []), opts.L_max)
 
-    group = _group_from_config(doc.get("group"))
+    antipodal = _antipodal_from_config(doc.get("group"))
 
     if "c" in doc:
         c = _numeric(float, doc["c"], '"c"')
@@ -141,14 +137,14 @@ def parse_config(doc: dict):
         c = default_base_constant(
             PrescribedData(a_poly=a_poly, b=b, c=1.0).min_f())
     data = PrescribedData(a_poly=a_poly, b=b, c=c)
-    return F, data, opts, group
+    return F, data, opts, antipodal
 
 
 def cmd_solve(args) -> int:
-    F, data, opts, group = parse_config(_load_json(args.config))
+    F, data, opts, antipodal = parse_config(_load_json(args.config))
     os.makedirs(args.out, exist_ok=True)
 
-    report = continuation(F, data, opts=opts, group=group)
+    report = continuation(F, data, opts=opts, antipodal=antipodal)
     formats.write_surface(os.path.join(args.out, "solution_surface.json"),
                           report.final_surface)
     formats.write_json(os.path.join(args.out, "continuation_report.json"),
@@ -242,7 +238,7 @@ def cmd_check(args) -> int:
     surface = formats.read_surface(args.surface)
     F = f = None
     if args.config is not None:
-        F, f, opts, group = parse_config(_load_json(args.config))
+        F, f, _, _ = parse_config(_load_json(args.config))
     fld = curvature_field(surface, build_grid(surface.L_max))
     report = full_report(fld, F=F, f=f, seed=args.seed)
     doc = report.as_dict()
@@ -314,6 +310,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CurveDualError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. an L_max far beyond any machine
+        print(f"error: input too large for memory: "
+              f"{str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

@@ -17,10 +17,6 @@ class ResolutionError(CurveDualError):
     """Sample set cannot resolve the requested spectral fit."""
 
 
-class GroupError(CurveDualError):
-    """Symmetry-group input violates the group axioms or has fixed points."""
-
-
 class DataError(CurveDualError):
     """Prescribed data violates a solver precondition."""
 

@@ -52,13 +52,12 @@ from numpy.polynomial import polynomial as npoly
 
 from . import _kernels, spectral
 from .curvature import CurvatureFunction, class_K_check
-from .errors import (ConfigError, DataError, DomainError, GroupError,
-                     NewtonError, SingularJacobianError)
+from .errors import (ConfigError, DataError, DomainError, NewtonError,
+                     SingularJacobianError)
 from .geometry import (HEMISPHERE_MARGIN, CurvatureField, GraphSurface,
                        check_annulus, curvature_field, sphere_surface)
 from .spectral import HarmonicCoeffs, QuadratureGrid, build_grid, num_coeffs
 
-_MATCH_TOL = 1e-12
 _SOLVE_RCOND = 1e-12
 _JET_STEP = 1e-6  # central-difference step on each radial jet component
 _KERNEL_RCOND = 1e-8
@@ -72,142 +71,50 @@ _BROYDEN_RCOND = 1e-8
 # ------------------------------------------------------------- symmetry
 
 @dataclass
-class SymmetryGroup:
-    """Finite group of orthogonal transformations of the parameter sphere.
-
-    Elements are 3 x 3 orthogonal matrices.  ``validate`` checks the
-    group axioms on the element list and that no element other than the
-    identity fixes a direction, the condition that keeps degree-1
-    harmonics out of the invariant subspace.  Only two groups pass:
-    the trivial group and the antipodal group.
-    """
-
-    name: str
-    elements: list
-
-    def __post_init__(self):
-        self.elements = [np.asarray(A, dtype=float) for A in self.elements]
-        for A in self.elements:
-            if A.shape != (3, 3):
-                raise GroupError(f"group element has shape {A.shape}, "
-                                 "expected (3, 3)")
-
-    @classmethod
-    def antipodal(cls) -> "SymmetryGroup":
-        """The two-element group generated by xi -> -xi."""
-        return cls(name="antipodal", elements=[np.eye(3), -np.eye(3)])
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def has_antipode(self) -> bool:
-        """Whether xi -> -xi is an element."""
-        return self._index_of(-np.eye(3)) >= 0
-
-    def _index_of(self, M: np.ndarray) -> int:
-        for k, A in enumerate(self.elements):
-            if np.max(np.abs(A - M)) <= _MATCH_TOL:
-                return k
-        return -1
-
-    def validate(self) -> None:
-        """Check orthogonality, distinct elements, the group axioms, and
-        freeness.
-
-        A group that passes is {I} or {I, -I}: a rotation other than I
-        fixes its axis, so G meets SO(3), the kernel of det on G, only in
-        I and |G| <= 2; and the only orthogonal involution with no
-        eigenvalue 1 is -I.
-
-        Raises
-        ------
-        GroupError
-            With a diagnostic naming the failing element; for a fixed
-            direction the offending unit vector is included.
-        """
-        for k, A in enumerate(self.elements):
-            if np.max(np.abs(A.T @ A - np.eye(3))) > 1e-10:
-                raise GroupError(f"element {k} is not orthogonal")
-            first = self._index_of(A)
-            if first < k:
-                raise GroupError(f"element {k} repeats element {first}; "
-                                 "list each group element once")
-        if self._index_of(np.eye(3)) < 0:
-            raise GroupError("identity element missing")
-        for k, A in enumerate(self.elements):
-            if self._index_of(A.T) < 0:
-                raise GroupError(f"inverse of element {k} not in the group")
-            for kk, B in enumerate(self.elements):
-                if self._index_of(A @ B) < 0:
-                    raise GroupError(
-                        f"product of elements {k} and {kk} not in the group")
-        for k, A in enumerate(self.elements):
-            if np.max(np.abs(A - np.eye(3))) <= _MATCH_TOL:
-                continue
-            if abs(np.linalg.det(A - np.eye(3))) < 1e-12:
-                vals, vecs = np.linalg.eig(A)
-                j = int(np.argmin(np.abs(vals - 1.0)))
-                v = np.real(vecs[:, j])
-                v /= np.linalg.norm(v)
-                raise GroupError(
-                    f"element {k} fixes the direction {v.tolist()}; the "
-                    "group must act freely on the parameter sphere")
-
-
-@dataclass
 class InvariantBasis:
-    """Orthonormal basis of an invariant coefficient subspace.
+    """The coefficients an invariant subspace keeps.
 
-    ``matrix`` has one column per basis vector; ``degrees`` labels each
-    column with the spherical-harmonic degree it lives in, which the
-    construction preserves.
+    The subspace is spanned by the basis functions of the sorted flat
+    coefficient indices ``index``; its orthogonal projector keeps those
+    coefficients and zeroes the rest.
     """
 
     L_max: int
-    matrix: np.ndarray   # (num_coeffs, dim)
-    degrees: np.ndarray  # (dim,)
+    index: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def columns_of_degree(self, l: int) -> np.ndarray:
-        return np.nonzero(self.degrees == l)[0]
+    def degrees(self) -> np.ndarray:
+        """Spherical-harmonic degree of each kept coefficient."""
+        return np.floor(np.sqrt(self.index)).astype(int)  # exact: < 2**52
 
     def stray(self, values: np.ndarray) -> float:
         """Largest coefficient of ``values`` outside the subspace."""
-        B = self.matrix
-        return float(np.max(np.abs(values - B @ (B.T @ values))))
+        rest = np.ones(len(values), dtype=bool)
+        rest[self.index] = False
+        return float(np.max(np.abs(values[rest]), initial=0.0))
+
+    def scatter(self, z: np.ndarray) -> np.ndarray:
+        """The coefficient vector whose kept coefficients are ``z``."""
+        values = np.zeros(num_coeffs(self.L_max))
+        values[self.index] = z
+        return values
 
 
-def full_basis(L_max: int) -> InvariantBasis:
-    """Identity basis of the whole coefficient space (no symmetry)."""
-    l = np.arange(L_max + 1)
-    return InvariantBasis(L_max=L_max, matrix=np.eye(num_coeffs(L_max)),
-                          degrees=np.repeat(l, 2 * l + 1))
+def invariant_projector(antipodal: bool, L_max: int) -> InvariantBasis:
+    """The coefficients invariant under {I, -I}, or all of them under {I}.
 
-
-def invariant_projector(group: SymmetryGroup, grid: QuadratureGrid
-                        ) -> InvariantBasis:
-    """Basis B of the group-invariant coefficients; the projector is B B^T.
-
-    After ``group.validate`` the group G is {I} or {I, -I}: a rotation
-    other than I fixes its axis, so G meets SO(3), the kernel of det on
-    G, only in I and |G| <= 2; and the only orthogonal involution with
-    no eigenvalue 1 is -I.  Since Y_lm(-xi) = (-1)^l Y_lm(xi), the
-    invariant coefficients are all of them for {I} and those of even
-    degree for {I, -I}, up to the truncation of ``grid``; B holds the
-    matching columns of the identity.
+    The solve needs a finite group G of orthogonal maps acting freely on
+    the sphere, so that no degree-1 harmonic is invariant.  Only {I} and
+    {I, -I} do: a rotation other than I fixes its axis, so G meets
+    SO(3), the kernel of det on G, only in I and |G| <= 2; and the only
+    orthogonal involution with no eigenvalue 1 is -I.  Since
+    Y_lm(-xi) = (-1)^l Y_lm(xi), the invariant coefficients through
+    degree ``L_max`` are those of even degree when ``antipodal`` and all
+    of them otherwise.
     """
-    group.validate()
-    basis = full_basis(grid.L_max)
-    if not group.has_antipode:
-        return basis
-    even = basis.degrees % 2 == 0
-    return InvariantBasis(L_max=grid.L_max, matrix=basis.matrix[:, even],
-                          degrees=basis.degrees[even])
+    l = np.repeat(np.arange(L_max + 1), 2 * np.arange(L_max + 1) + 1)
+    keep = l % 2 == 0 if antipodal else np.ones(len(l), dtype=bool)
+    return InvariantBasis(L_max=L_max, index=np.flatnonzero(keep))
 
 
 # ------------------------------------------------------------ input data
@@ -234,13 +141,24 @@ class PrescribedData:
         return np.exp(npoly.polyval(np.asarray(r, dtype=float), self.a_poly))
 
     def min_f(self) -> float:
-        """Minimum of f over the open hemisphere annulus, by dense sampling."""
-        r = np.linspace(HEMISPHERE_MARGIN, np.pi / 2 - HEMISPHERE_MARGIN,
-                        4097)
+        """Minimum of f over the open hemisphere annulus.
+
+        The radial factor's minimum is exact: it is attained at an end of
+        [margin, pi/2 - margin] or at a root of a' inside (the real parts
+        of complex roots are points of the interval too, so they do no
+        harm).  The angular factor is sampled on a 181 x 360 product grid.
+        """
+        lo, hi = HEMISPHERE_MARGIN, np.pi / 2 - HEMISPHERE_MARGIN
+        r = np.array([lo, hi])
+        if np.all(np.isfinite(self.a_poly)):  # else the eigensolver raises
+            crit = npoly.polyroots(npoly.polyder(self.a_poly)).real
+            r = np.concatenate([r, crit[(lo < crit) & (crit < hi)]])
+        with np.errstate(over="ignore"):  # a steep a_poly may reach inf
+            radial = self.radial_factor(r).min()
         b = spectral.synthesize_product(
             self.b, np.linspace(0.0, np.pi, 181),
             np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False))
-        return float(self.radial_factor(r).min() * np.exp(b.min()))
+        return float(radial * np.exp(b.min()))
 
     def validate(self, basis: InvariantBasis) -> None:
         """Check positivity of the margin to c and group invariance.
@@ -377,7 +295,7 @@ class NewtonWorkspace:
             raise ValueError("basis truncation does not match grid")
         self.grid = grid
         self.basis = basis
-        self.synth = spectral._synthesis(grid.ops, basis.matrix)
+        self.synth = spectral._jet_columns(grid.ops, basis.index)
         self.project = self.synth[0].T * grid.weights
         self.exp_b = np.exp(spectral.synthesize_product(data.b, *grid.axes))
         self.data = data
@@ -487,9 +405,10 @@ def linear_system(F: CurvatureFunction, data: PrescribedData, t: float,
     Returns (J, residual_vector, degrees) in ``basis``, or in the full
     coefficient basis when no basis is given.
     """
-    basis = basis if basis is not None else full_basis(surface.L_max)
+    basis = basis if basis is not None else \
+        invariant_projector(False, surface.L_max)
     ws = NewtonWorkspace(build_grid(surface.L_max), basis, data, F)
-    z = basis.matrix.T @ surface.radial.values
+    z = surface.radial.values[basis.index]
     state = ws.state(z, t)
     J = ws.jacobian(z, t)
     return J, ws.residual_vector(state), basis.degrees
@@ -632,7 +551,7 @@ class ContinuationStep:
 class ContinuationReport:
     """Outcome of a continuation run; ``status`` is converged or failed.
 
-    ``grid`` is the run grid every step was solved on.  With -I in the
+    ``grid`` is the run grid every step was solved on.  With the antipodal
     group it is folded and covers half the sphere; sample the surface on
     ``build_grid(L_max)`` for whole-sphere diagnostics.
     """
@@ -661,7 +580,7 @@ def _step_record(t, iterations, state: _State) -> ContinuationStep:
 
 def continuation(F: CurvatureFunction, data: PrescribedData,
                  opts: SolverOptions | None = None,
-                 group: SymmetryGroup | None = None,
+                 antipodal: bool = True,
                  start: GraphSurface | None = None) -> ContinuationReport:
     """Follow the homotopy from the geodesic sphere to the full problem.
 
@@ -679,11 +598,11 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
     the invariant basis throughout; the start surface must carry the
     run truncation and lie in that basis's span (tolerance 1e-8).  The
     run grid, returned as the report's ``grid``, is the folded grid when
-    -I is in ``group`` and ``build_grid(opts.L_max)`` otherwise.
+    ``antipodal`` (the group {I, -I}) and ``build_grid(opts.L_max)``
+    otherwise (the trivial group).
     """
     opts = opts or SolverOptions()
     opts.validate()
-    group = group or SymmetryGroup.antipodal()
     rep = class_K_check(F, n_samples=2000, seed=0)
     if not (rep.monotone and rep.weight_ordering):
         warnings.warn(
@@ -691,9 +610,9 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
             "checks (monotonicity or weight ordering); continuation may "
             "lose convexity", stacklevel=2)
     # an iterate invariant under -I has an antipodally even residual
-    grid = (spectral.build_folded_grid if group.has_antipode
+    grid = (spectral.build_folded_grid if antipodal
             else build_grid)(opts.L_max)
-    basis = invariant_projector(group, grid)
+    basis = invariant_projector(antipodal, opts.L_max)
     data.validate(basis)
 
     surface = start if start is not None else \
@@ -709,7 +628,7 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
             "the invariant subspace")
     ws = NewtonWorkspace(grid, basis, data, F)
 
-    z = basis.matrix.T @ surface.radial.values
+    z = surface.radial.values[basis.index]
     steps: list[ContinuationStep] = []
     try:
         z, iters, state = newton_solve(ws, 0.0, z, opts)
@@ -743,7 +662,7 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
         if ws.refreshes - refreshes <= 1:
             dt = min(dt * 1.5, opts.dt_max)
     final = GraphSurface(n=surface.n, pole=surface.pole.copy(),
-                         radial=HarmonicCoeffs(opts.L_max, basis.matrix @ z),
+                         radial=HarmonicCoeffs(opts.L_max, basis.scatter(z)),
                          gauge_tau0=surface.gauge_tau0)
     return ContinuationReport(steps=steps, final_surface=final, grid=grid,
                               status=status, message=message)

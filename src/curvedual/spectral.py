@@ -9,7 +9,9 @@ Healy, "Computing Fourier transforms and convolutions on the 2-sphere"
 (1994).  A grid is represented only by these 1-D factor tables: synthesis
 of values and chart derivatives is a Legendre sum per order and one product
 in longitude, analysis its transpose (Schaeffer, 2013).  Only
-``basis_matrix``, at scattered points, forms a points x coefficients matrix.
+``basis_matrix``, at scattered points, and ``_jet_columns``, the jets of
+chosen basis functions as outer products of table columns, form a points x
+coefficients matrix.
 The Legendre tables are computed degree-major, one contiguous row per basis
 function, so each step of the recurrence reads and writes whole rows; they
 are exposed as (colatitudes x coefficients) transposed views.
@@ -116,6 +118,7 @@ class _ProductTables:
 
     def __init__(self, L_max: int, theta: np.ndarray, phi: np.ndarray,
                  derivatives: bool = True):
+        self.L_max = L_max
         l = np.repeat(np.arange(L_max + 1), 2 * np.arange(L_max + 1) + 1)
         self.orders = m = np.arange(len(l)) - l * l - l
         ct = np.cos(theta)
@@ -148,25 +151,38 @@ class _ProductTables:
 _JET_TABLES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def _synthesis(tables: _ProductTables, A: np.ndarray) -> np.ndarray:
-    """[u] or [u, u_t, u_p, u_tt, u_tp, u_pp] of columns ``A``, (K,) or (K, M).
+def _synthesis(tables: _ProductTables, a: np.ndarray) -> np.ndarray:
+    """[u] or [u, u_t, u_p, u_tt, u_tp, u_pp] of coefficients ``a``, (K,).
 
     A Legendre sum per order, then a longitude product per jet written
-    into one (1 or 6, N, ...) array; point q = i_theta * n_phi + j_phi.
+    into one (1 or 6, N) array; point q = i_theta * n_phi + j_phi.  The
+    trailing axis of length 1 keeps one matrix-vector product per row:
+    a single matrix product would round differently and move the outputs.
     """
-    cols = A.reshape(len(A), -1)
-    G = np.empty((len(tables.colat), len(tables.Y), len(tables.groups),
-                  cols.shape[1]))
+    G = np.empty((len(tables.colat), len(tables.Y), len(tables.groups), 1))
     for o, g in enumerate(tables.groups):
-        a = cols[g]
         for k, T in enumerate(tables.colat):
-            G[k, :, o] = T[:, g] @ a
+            G[k, :, o, 0] = T[:, g] @ a[g]
     jets = _JET_TABLES[:6 if len(tables.colat) > 1 else 1]
-    out = np.empty((len(jets), len(tables.Y), len(tables.lon[0]),
-                    cols.shape[1]))
+    out = np.empty((len(jets), len(tables.Y), len(tables.lon[0]), 1))
     for i, (k, j) in enumerate(jets):
         np.matmul(tables.lon[j], G[k], out=out[i])
-    return out.reshape((len(jets), -1) + A.shape[1:])
+    return out.reshape(len(jets), -1)
+
+
+def _jet_columns(tables: _ProductTables, index: np.ndarray) -> np.ndarray:
+    """The six jets of the basis functions ``index``, (6, N, len(index)).
+
+    Each basis function is a colatitude factor times a longitude factor,
+    so its jets at the product nodes are outer products of gathered table
+    columns; no sum is formed.
+    """
+    cols = tables.L_max + tables.orders[index]
+    out = np.empty((6, len(tables.Y), len(tables.lon[0]), len(index)))
+    for i, (k, j) in enumerate(_JET_TABLES):
+        np.multiply(tables.colat[k][:, None, index],
+                    tables.lon[j][None, :, cols], out=out[i])
+    return out.reshape(6, -1, len(index))
 
 
 def _analysis(tables: _ProductTables, W: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from curvedual.polar import (dual_surface, gauss_map, support_test,
 from curvedual.solver import (PrescribedData, check_barriers, continuation,
                               data_on_field, initial_sphere,
                               invariant_projector, linear_system,
-                              near_kernel, SymmetryGroup)
+                              near_kernel)
 from curvedual.spectral import (HarmonicCoeffs, analyze, build_grid,
                                 chart_jets, index_lm, lm_index,
                                 num_coeffs, synthesize)
@@ -195,7 +195,7 @@ def test_08_linearization_spectrum():
                           b=HarmonicCoeffs(2, np.zeros(num_coeffs(2))),
                           c=2.0)
     sphere = initial_sphere(GAUSS, 2.0)
-    projector = invariant_projector(SymmetryGroup.antipodal(), build_grid(24))
+    projector = invariant_projector(True, 24)
     J, _, degrees = linear_system(GAUSS, data, 0.0, sphere, projector)
     lam = {}
     for l in (0, 2, 4):

@@ -20,6 +20,7 @@ from curvedual.geometry import GraphSurface
 from curvedual.io import read_surface, write_surface
 
 LOG2 = math.log(2.0)
+TWO_GROUPS = 'group must be "antipodal" or "trivial"'
 
 
 # every key set, and "c" given so that parsing never samples min f
@@ -50,19 +51,19 @@ def write_config(path, **overrides):
 
 class TestParseConfig:
     def test_defaults(self):
-        F, data, opts, group = parse_config(
+        F, data, opts, antipodal = parse_config(
             {"F": "gauss_power", "f": {"a_poly": [LOG2]}, "c": 1.0})
         assert F.name == "gauss_power" and F.n == 2
         assert opts.L_max == 24
-        assert group.name == "antipodal" and group.order == 2
+        assert antipodal is True
 
     def test_default_base_constant_below_min(self):
-        F, data, opts, group = parse_config(
+        F, data, opts, antipodal = parse_config(
             {"F": "mean", "f": {"a_poly": [LOG2]}})
         assert data.c == pytest.approx(0.9 * 2.0, abs=1e-12)
 
     def test_modulation_entries(self):
-        F, data, opts, group = parse_config(
+        F, data, opts, antipodal = parse_config(
             {"F": "gauss_power",
              "f": {"a_poly": [LOG2], "b": [{"l": 2, "m": 0, "value": 0.1}]},
              "c": 1.0})
@@ -83,15 +84,22 @@ class TestParseConfig:
             parse_config({"F": "mean"})
 
     def test_custom_group_matrices(self):
+        # {I} and {I, -I} are the only groups that act freely, so an
+        # element list is refused even where it spells one of them
         eye = np.eye(3).tolist()
         neg = (-np.eye(3)).tolist()
-        F, data, opts, group = parse_config(
+        with pytest.raises(ConfigError, match='"antipodal" or "trivial"'):
+            parse_config({"F": "gauss_power", "f": {"a_poly": [LOG2]},
+                          "c": 1.0, "group": {"matrices": [eye, neg]}})
+
+    def test_trivial_group(self):
+        F, data, opts, antipodal = parse_config(
             {"F": "gauss_power", "f": {"a_poly": [LOG2]}, "c": 1.0,
-             "group": {"matrices": [eye, neg]}})
-        assert group.order == 2
+             "group": "trivial"})
+        assert antipodal is False
 
     def test_integral_floats_accepted(self):
-        F, data, opts, group = parse_config(
+        F, data, opts, antipodal = parse_config(
             {"F": "gauss_power", "n": 2.0, "L_max": 8.0, "max_newton": 3.0,
              "f": {"a_poly": [LOG2], "b": [{"l": 2.0, "m": 0, "value": 1}]},
              "c": 1.0})
@@ -109,7 +117,7 @@ class TestParseConfig:
             parent = parent[key]
         parent[path[-1]] = value
         try:
-            F, data, opts, group = parse_config(doc)
+            F, data, opts, antipodal = parse_config(doc)
         except ConfigError:
             return
         assert F.n == 2 and type(F.n) is int
@@ -154,6 +162,21 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "must be strictly below" in err
 
+    def test_nonfinite_radial_polynomial_without_c_fails_cleanly(
+            self, tmp_path, capsys):
+        # the default c takes min f, whose critical points of a_poly are
+        # not sought for a non-finite polynomial
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"F": "gauss_power", "L_max": 8,
+                                    "f": {"a_poly": [0.0, 0.0, math.nan,
+                                                     1.0]}}))
+        rc = main(["solve", "--config", str(path), "--out",
+                   str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: radial polynomial has non-finite " \
+            "coefficients\n"
+
     def test_unknown_key_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"F": "mean", "f": {"a_poly": [1.0]},
@@ -176,7 +199,7 @@ class TestSolveCommand:
         ({"f": {"a_poly": [LOG2], "b": [{"l": 14, "m": 0, "value": 0.1}]}},
          "degree 14 above L_max = 12"),
         ({"F": "sigma_2", "n": 3}, "only n = 2 is supported"),
-        ({"group": {"matrices": "x"}}, "group matrices must be numeric"),
+        ({"group": {"matrices": "x"}}, TWO_GROUPS),
         # step sizes that are not finite and positive, a negative budget
         ({"dt0": 0}, '"dt0" must be finite and positive'),
         ({"dt_min": -1e-3}, '"dt_min" must be finite and positive'),
@@ -191,7 +214,7 @@ class TestSolveCommand:
         ({"f": {"a_poly": [LOG2], "b": [{"l": 2.5, "m": 0, "value": 0.1}]}},
          "f.b l must be an integer"),
         ({"f": {"a_poly": [True]}}, "f.a_poly must be numeric"),
-        ({"group": {"matrices": [1.0]}}, "group element has shape"),
+        ({"group": {"matrices": [1.0]}}, TWO_GROUPS),
         # non-finite data and tolerances
         ({"L_max": 8, "f": {"a_poly": [LOG2],
                             "b": [{"l": 2, "m": 0, "value": math.nan}]}},
@@ -211,10 +234,10 @@ class TestSolveCommand:
         ({"f": {"a_poly": [LOG2], "b": [{"l": 2, "m": 0, "value": 0.1},
                                         {"l": 2, "m": 0, "value": 0.2}]}},
          "harmonic entry (l=2, m=0) is repeated"),
-        # a repeated element would count twice in the group
+        # the element-list form is gone, whatever the elements
         ({"group": {"matrices": [np.eye(3).tolist(), (-np.eye(3)).tolist(),
                                  (-np.eye(3)).tolist()]}},
-         "element 2 repeats element 1"),
+         TWO_GROUPS),
     ])
     def test_bad_config_value_fails_cleanly(self, tmp_path, capsys,
                                             overrides, message):
@@ -259,7 +282,7 @@ class TestSolveCommand:
     def test_trivial_group_solves_and_writes_on_one_grid(self, tmp_path,
                                                          grid_shape_builds):
         cfg = write_config(tmp_path / "config.json", L_max=8,
-                           group={"matrices": [np.eye(3).tolist()]})
+                           group="trivial")
         rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "r")])
         assert rc == 0
         assert grid_shape_builds == [(8, 9, 17)]
@@ -453,6 +476,31 @@ def test_non_finite_surface_fails_cleanly(tmp_path, capsys, command, key,
     assert captured.err.count("\n") == 1
     assert "must be finite" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, L_max", [
+    ("check", "--surface", 10**9), ("solve", "--config", 10**18)])
+def test_input_too_large_for_memory_fails_cleanly(tmp_path, capsys, command,
+                                                  key, L_max):
+    # the first allocation of each asks for about 8e18 bytes (the surface's
+    # coefficient vector, the solve's Gauss-Legendre setup), beyond any
+    # address space, so it fails at once without touching memory
+    if command == "check":
+        doc = {"n": 2, "pole": [0, 0, 0, 1], "L_max": L_max,
+               "gauge_tau0": -2.3, "radial": [{"l": 0, "m": 0, "value": 2.78}]}
+    else:
+        doc = {"F": "gauss_power", "L_max": L_max, "f": {"a_poly": [LOG2]},
+               "c": 1.0}
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(doc))
+    argv = [command, key, str(src)]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "out")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: input too large for memory")
+    assert err.count("\n") == 1
 
 
 def test_cli_import_loads_no_scipy():

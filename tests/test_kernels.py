@@ -51,8 +51,8 @@ def test_selected_backend_sphere_curvature():
 def test_newton_iteration_makes_one_kernel_call_of_width_12(monkeypatch):
     from curvedual.curvature import make_curvature_function
     from curvedual.solver import (NewtonWorkspace, PrescribedData,
-                                  SymmetryGroup, initial_sphere,
-                                  invariant_projector, newton_solve)
+                                  initial_sphere, invariant_projector,
+                                  newton_solve)
 
     widths = []
     kappa_batch = _kernels.kappa_batch
@@ -67,9 +67,9 @@ def test_newton_iteration_makes_one_kernel_call_of_width_12(monkeypatch):
                           c=2.0)
     start = initial_sphere(F, 2.0, L_max=8)
     start.radial[2, 0] += 0.02
-    basis = invariant_projector(SymmetryGroup.antipodal(), build_grid(8))
+    basis = invariant_projector(True, 8)
     ws = NewtonWorkspace(build_grid(8), basis, data, F)
-    _, iters, _ = newton_solve(ws, 0.0, basis.matrix.T @ start.radial.values)
+    _, iters, _ = newton_solve(ws, 0.0, start.radial.values[basis.index])
     # the start state, one assembly of the Newton matrix, then one state
     # per iteration: its inverse is reused with Broyden updates
     assert iters == 7 and ws.refreshes == 1

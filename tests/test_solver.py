@@ -1,22 +1,23 @@
 """Tests for the symmetry-restricted Newton and continuation solver."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from curvedual import solver, spectral
 from curvedual.curvature import make_curvature_function
-from curvedual.errors import (ConfigError, DataError, GroupError, NewtonError,
+from curvedual.errors import (ConfigError, DataError, NewtonError,
                               SingularJacobianError)
 from curvedual.geometry import (HEMISPHERE_MARGIN, GraphSurface,
                                 curvature_field, sphere_surface)
 from curvedual.solver import (BarrierReport, NewtonWorkspace, PrescribedData,
-                              SolverOptions, SymmetryGroup, _gated_inverse,
-                              check_barriers, continuation, data_on_field,
-                              default_base_constant, full_basis,
-                              initial_sphere, invariant_projector,
-                              linear_system, near_kernel, newton_solve)
+                              SolverOptions, _gated_inverse, check_barriers,
+                              continuation, data_on_field,
+                              default_base_constant, initial_sphere,
+                              invariant_projector, linear_system,
+                              near_kernel, newton_solve)
 from curvedual.spectral import (HarmonicCoeffs, analyze, basis_matrix,
                                 build_grid, index_lm, lm_index, num_coeffs,
                                 synthesize, synthesize_at)
@@ -32,7 +33,7 @@ def constant_data(f_value, c):
 
 @pytest.fixture(scope="module")
 def antipodal_basis():
-    return invariant_projector(SymmetryGroup.antipodal(), build_grid(24))
+    return invariant_projector(True, 24)
 
 
 def workspace(data, basis):
@@ -40,50 +41,6 @@ def workspace(data, basis):
 
 
 # ------------------------------------------------------------- symmetry
-
-def test_antipodal_group_validates():
-    g = SymmetryGroup.antipodal()
-    g.validate()
-    assert g.order == 2
-
-
-def test_rotation_group_has_fixed_directions():
-    Rz = np.diag([-1.0, -1.0, 1.0])
-    g = SymmetryGroup("rot180", [np.eye(3), Rz])
-    with pytest.raises(GroupError, match="fixes the direction"):
-        g.validate()
-
-
-def test_group_missing_inverse_rejected():
-    c, s = np.cos(np.pi / 2), np.sin(np.pi / 2)
-    R90 = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    g = SymmetryGroup("broken", [np.eye(3), R90])
-    with pytest.raises(GroupError):
-        g.validate()
-
-
-def test_group_non_orthogonal_rejected():
-    g = SymmetryGroup("skew", [np.eye(3), np.diag([2.0, 1.0, 1.0])])
-    with pytest.raises(GroupError, match="orthogonal"):
-        g.validate()
-
-
-def test_group_missing_identity_rejected():
-    g = SymmetryGroup("noid", [-np.eye(3)])
-    with pytest.raises(GroupError, match="identity"):
-        g.validate()
-
-
-@pytest.mark.parametrize("elements, message", [
-    ([np.eye(3), -np.eye(3), -np.eye(3)], "element 2 repeats element 1"),
-    ([np.eye(3), np.eye(3) + 1e-13, -np.eye(3)],
-     "element 1 repeats element 0"),
-])
-def test_group_repeated_element_rejected(elements, message):
-    # a repeat would count as a group element twice
-    with pytest.raises(GroupError, match=message):
-        SymmetryGroup("dup", elements).validate()
-
 
 def rotation(axis, angle):
     """Rotation by ``angle`` about the unit vector ``axis`` (Rodrigues)."""
@@ -108,11 +65,17 @@ def generated_group(generators):
     return elements
 
 
+def acts_freely(elements):
+    """No element other than the identity fixes a direction."""
+    return all(np.allclose(A, np.eye(3), atol=1e-12)
+               or abs(np.linalg.det(A - np.eye(3))) >= 1e-12
+               for A in elements)
+
+
 def test_only_trivial_and_antipodal_groups_act_freely():
-    # the premise of the closed-form invariant basis: cyclic,
+    # the premise of invariant_projector's two-valued flag: cyclic,
     # rotoreflection, dihedral and reflection groups about random axes,
-    # with and without -I, pass validation exactly when they are {I} or
-    # {I, -I}
+    # with and without -I, act freely exactly when they are {I} or {I, -I}
     rng = np.random.default_rng(7)
     families = []
     for n in range(1, 7):
@@ -129,50 +92,58 @@ def test_only_trivial_and_antipodal_groups_act_freely():
         for extra in ([], [-np.eye(3)]):
             elements = generated_group(gens + extra)
             assert len(elements) <= 24
-            group = SymmetryGroup("generated", elements)
-            try:
-                group.validate()
-                accepted = True
-            except GroupError:
-                accepted = False
             antipodal = all(np.allclose(A, np.eye(3), atol=1e-12)
                             or np.allclose(A, -np.eye(3), atol=1e-12)
                             for A in elements)
-            assert accepted == antipodal, [A.round(3) for A in elements]
-            verdicts.append(accepted)
+            assert acts_freely(elements) == antipodal, \
+                [A.round(3) for A in elements]
+            verdicts.append(antipodal)
     assert len(verdicts) == 38 and sum(verdicts) == 4
 
 
 # ------------------------------------------------------------ projector
 
+def project(basis, values):
+    """The orthogonal projection onto the subspace: gather, then scatter."""
+    return basis.scatter(values[basis.index])
+
+
 def test_projector_idempotent(antipodal_basis):
-    B = antipodal_basis.matrix
-    P = B @ B.T
-    assert np.max(np.abs(P @ P - P)) <= 1e-12
+    # p has even degrees only, so this is also the gather-scatter round
+    # trip of an even-degree vector
+    v = np.random.default_rng(1).standard_normal(num_coeffs(24))
+    p = project(antipodal_basis, v)
+    assert np.array_equal(project(antipodal_basis, p), p)
 
 
 def test_projector_keeps_even_kills_odd(antipodal_basis):
-    B = antipodal_basis.matrix
-    P = B @ B.T
     K = num_coeffs(24)
     for idx in [0, lm_index(2, 1), lm_index(4, -3), lm_index(24, 10)]:
         e = np.zeros(K)
         e[idx] = 1.0
-        assert np.max(np.abs(P @ e - e)) <= 1e-12
+        assert np.array_equal(project(antipodal_basis, e), e)
     for idx in [lm_index(1, 0), lm_index(1, 1), lm_index(3, -2),
                 lm_index(23, 5)]:
         e = np.zeros(K)
         e[idx] = 1.0
-        assert np.max(np.abs(P @ e)) <= 1e-12
+        assert not project(antipodal_basis, e).any()
 
 
 def test_projector_basis_dimension_and_degrees(antipodal_basis):
     basis = antipodal_basis
     # even degrees 0..24: sum of (2l+1) over 13 degrees
-    assert basis.dim == 325
+    assert len(basis.index) == 325
     assert set(basis.degrees.tolist()) == set(range(0, 25, 2))
-    B = basis.matrix
-    assert np.max(np.abs(B.T @ B - np.eye(basis.dim))) <= 1e-12
+    assert np.all(np.diff(basis.index) > 0)  # distinct, so orthonormal
+    assert all(index_lm(i)[0] == l
+               for i, l in zip(basis.index, basis.degrees))
+
+
+def test_stray_is_largest_coefficient_outside(antipodal_basis):
+    v = np.random.default_rng(2).standard_normal(num_coeffs(24))
+    odd = [abs(v[i]) for i in range(len(v)) if index_lm(i)[0] % 2 == 1]
+    assert antipodal_basis.stray(v) == max(odd)
+    assert invariant_projector(False, 24).stray(v) == 0.0
 
 
 def rotate_angles(A, theta, phi):
@@ -185,32 +156,25 @@ def rotate_angles(A, theta, phi):
 
 
 def test_projector_matches_dense_quadrature_formula():
-    # the orbit average by quadrature, with the grid basis as a dense matrix
-    group = SymmetryGroup.antipodal()
+    # the orbit average over (I, -I) by quadrature, with the grid basis as
+    # a dense matrix, against the projector that keeps the basis indices
     for L in (8, 24):
         grid = build_grid(L)
         Yw = basis_matrix(L, grid.theta, grid.phi).T * grid.weights
         ref = sum(Yw @ basis_matrix(L, *rotate_angles(A, grid.theta,
                                                       grid.phi))
-                  for A in group.elements) / group.order
-        B = invariant_projector(group, grid).matrix
-        assert np.max(np.abs(B @ B.T - ref)) <= 1e-13, L
+                  for A in (np.eye(3), -np.eye(3))) / 2
+        index = invariant_projector(True, L).index
+        P = np.zeros_like(ref)
+        P[index, index] = 1.0
+        assert np.max(np.abs(P - ref)) <= 1e-13, L
 
 
-def test_trivial_group_gives_full_basis():
-    basis = invariant_projector(SymmetryGroup("trivial", [np.eye(3)]),
-                                build_grid(6))
-    full = full_basis(6)
-    assert np.array_equal(basis.matrix, full.matrix)
-    assert np.array_equal(basis.degrees, full.degrees)
-
-
-def test_full_basis_is_identity():
-    basis = full_basis(6)
-    assert basis.dim == num_coeffs(6)
-    assert np.array_equal(basis.matrix, np.eye(num_coeffs(6)))
+def test_trivial_basis_keeps_every_coefficient():
+    basis = invariant_projector(False, 6)
+    assert np.array_equal(basis.index, np.arange(num_coeffs(6)))
     assert basis.degrees[lm_index(3, -1)] == 3
-    assert len(basis.columns_of_degree(2)) == 5
+    assert np.count_nonzero(basis.degrees == 2) == 5
 
 
 # -------------------------------------------------------- initial sphere
@@ -279,6 +243,20 @@ def test_data_rejects_base_above_minimum(antipodal_basis):
         data.validate(antipodal_basis)
 
 
+def test_data_rejects_base_above_minimum_between_samples(antipodal_basis):
+    # a = 1e4 (r - r0)^2 has min f = 1 at r0, midway between two points of
+    # a 4097-point sample of the annulus, where exp(a) is about 1.00037
+    lo, hi = HEMISPHERE_MARGIN, np.pi / 2 - HEMISPHERE_MARGIN
+    r0 = lo + 1000.5 * (hi - lo) / 4096
+    data = PrescribedData(a_poly=[1e4 * r0 * r0, -2e4 * r0, 1e4],
+                          b=HarmonicCoeffs.zeros(2), c=1.00005)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # exp(a) overflows at both ends
+        assert data.min_f() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(DataError, match="min f = 1$"):
+        data.validate(antipodal_basis)
+
+
 def test_data_rejects_nonpositive_base(antipodal_basis):
     data = constant_data(2.0, -1.0)
     with pytest.raises(DataError, match="positive"):
@@ -342,7 +320,7 @@ def test_validate_of_degree_24_data_stays_small(antipodal_basis):
 # ---------------------------------------------------------------- newton
 
 def coeffs_of(surface, basis):
-    return basis.matrix.T @ surface.radial.values
+    return surface.radial.values[basis.index]
 
 
 def test_newton_exact_start(antipodal_basis):
@@ -366,8 +344,7 @@ def test_newton_perturbed_start_returns_to_sphere(antipodal_basis):
                                    0.0, coeffs_of(pert, antipodal_basis))
     assert state.norm <= 1e-10
     grid = build_grid(24)
-    u = synthesize(grid, HarmonicCoeffs(
-        24, antipodal_basis.matrix @ z))
+    u = synthesize(grid, HarmonicCoeffs(24, antipodal_basis.scatter(z)))
     assert np.max(np.abs(u - np.pi / 4)) <= 1e-9
 
 
@@ -435,7 +412,8 @@ def test_newton_rejects_singular_system():
     # without the symmetry restriction the degree-1 harmonics span a
     # three-dimensional kernel at the sphere
     data = constant_data(3.0, 2.0)
-    ws = NewtonWorkspace(build_grid(24), full_basis(24), data, GAUSS)
+    ws = NewtonWorkspace(build_grid(24), invariant_projector(False, 24),
+                         data, GAUSS)
     start = initial_sphere(GAUSS, 2.0, L_max=24)
     with pytest.raises(SingularJacobianError) as info:
         newton_solve(ws, 0.5, start.radial.values)
@@ -585,7 +563,7 @@ def test_jacobian_matches_directional_differences(antipodal_basis):
     a = start.radial.values.copy()
     a[lm_index(2, 0)] += 0.03
     a[lm_index(4, 2)] += 0.01
-    z = antipodal_basis.matrix.T @ a
+    z = a[antipodal_basis.index]
     J = ws.jacobian(z, 0.6)
     rng = np.random.default_rng(11)
     h = 1e-5
@@ -608,7 +586,8 @@ def test_residual_field_of_invariant_iterate_is_invariant():
     a[lm_index(2, 0)] += 0.03
     a[lm_index(4, 2)] += 0.01
     # the whole coefficient space: invariance comes from the geometry alone
-    ws = NewtonWorkspace(build_grid(24), full_basis(24), data, GAUSS)
+    ws = NewtonWorkspace(build_grid(24), invariant_projector(False, 24),
+                         data, GAUSS)
     lam = ws.state(a, 0.6).lam
     assert np.max(np.abs(lam)) > 0.01
     coeffs = analyze(build_grid(24), lam).values
@@ -659,9 +638,7 @@ def test_continuation_modulated_data(antipodal_basis):
     odd = [abs(a[i]) for i in range(len(a)) if index_lm(i)[0] % 2 == 1]
     assert max(odd) <= 1e-10
     # invariance of the full coefficient vector
-    B = antipodal_basis.matrix
-    P = B @ B.T
-    assert np.max(np.abs(P @ a - a)) <= 1e-10
+    assert antipodal_basis.stray(a) <= 1e-10
 
 
 def test_antipodal_continuation_runs_on_folded_grid(monkeypatch):
@@ -687,9 +664,8 @@ def test_antipodal_continuation_runs_on_folded_grid(monkeypatch):
 
 
 def test_trivial_group_solves_on_full_grid(grid_shape_builds):
-    trivial = SymmetryGroup("trivial", [np.eye(3)])
     report = continuation(GAUSS, constant_data(2.0, 1.0),
-                          opts=SolverOptions(L_max=8), group=trivial)
+                          opts=SolverOptions(L_max=8), antipodal=False)
     full = build_grid(8)
     assert report.converged and not report.grid.folded
     for name in ("theta", "phi", "weights"):

@@ -9,6 +9,7 @@ from curvedual.geometry import curvature_field
 from curvedual.spectral import (
     HarmonicCoeffs,
     _analysis,
+    _jet_columns,
     _ProductTables,
     _synthesis,
     analyze,
@@ -35,8 +36,8 @@ def grid24():
 
 
 def grid_basis(grid):
-    """Every basis function at the grid nodes, (N, K), by synthesis."""
-    return _synthesis(grid.ops, np.eye(num_coeffs(grid.L_max)))[0]
+    """Every basis function at the grid nodes, (N, K), from the tables."""
+    return _jet_columns(grid.ops, np.arange(num_coeffs(grid.L_max)))[0]
 
 
 def point_jets(L_max, t0, p0, a):
@@ -451,23 +452,41 @@ def test_tabulated_ops_equal_column_loop(L_max, tol):
 
 @pytest.mark.parametrize("L_max", [4, 9])
 def test_grid_jets_match_column_loop(L_max):
-    # the separable synthesis of a coefficient block against the dense
-    # column-loop matrices times the block
+    # the separable synthesis of coefficient vectors against the dense
+    # column-loop matrices times the vectors
     grid = build_grid(L_max)
     A = np.random.default_rng(L_max).standard_normal((num_coeffs(L_max), 3))
     ref = _reference_ops(L_max, grid.theta, grid.phi)
-    jets = _synthesis(grid.ops, A)
-    assert len(jets) == 6
-    for k, jet in enumerate(jets):
-        want = ref[k] @ A
-        assert jet.shape == want.shape
-        assert np.max(np.abs(jet - want)) <= 1e-13 * np.max(np.abs(want)), k
+    for a in A.T:
+        jets = _synthesis(grid.ops, a)
+        assert len(jets) == 6
+        for k, jet in enumerate(jets):
+            want = ref[k] @ a
+            assert jet.shape == want.shape
+            assert np.max(np.abs(jet - want)) <= \
+                1e-13 * np.max(np.abs(want)), k
+
+
+@pytest.mark.parametrize("build", [build_grid, build_folded_grid],
+                         ids=["full", "folded"])
+@pytest.mark.parametrize("parity", [2, 1], ids=["even", "all"])
+def test_jet_columns_equal_synthesis_of_unit_vectors(build, parity):
+    # a gathered product of table columns is the Legendre-and-longitude
+    # synthesis of a unit coefficient vector, to the last bit
+    grid = build(8)
+    K = num_coeffs(8)
+    index = np.array([i for i in range(K) if index_lm(i)[0] % parity == 0])
+    jets = _jet_columns(grid.ops, index)
+    assert jets.shape == (6, grid.n_nodes, len(index))
+    for c, i in enumerate(index):
+        assert np.array_equal(jets[:, :, c], _synthesis(grid.ops,
+                                                        np.eye(K)[i])), i
 
 
 def test_analysis_inverts_synthesis_on_blocks():
     grid = build_grid(16)
     A = np.random.default_rng(2).standard_normal((num_coeffs(16), 4))
-    values = _synthesis(grid.ops, A)[0]
+    values = np.stack([_synthesis(grid.ops, a)[0] for a in A.T], axis=1)
     back = _analysis(grid.ops, grid.weights[:, None] * values)
     assert np.max(np.abs(back - A)) <= 1e-12
     # a vector is the one-column case
