@@ -170,9 +170,21 @@ def test_projector_matches_dense_quadrature_formula():
         assert np.max(np.abs(P - ref)) <= 1e-13, L
 
 
-def test_trivial_basis_keeps_every_coefficient():
+def test_trivial_group_gives_full_basis():
+    # under {I} every coefficient through L_max is invariant
     basis = invariant_projector(False, 6)
     assert np.array_equal(basis.index, np.arange(num_coeffs(6)))
+    assert np.array_equal(basis.degrees,
+                          [index_lm(i)[0] for i in range(num_coeffs(6))])
+
+
+def test_full_basis_is_identity():
+    # scattering the columns of the identity gives the identity back
+    basis = invariant_projector(False, 6)
+    K = num_coeffs(6)
+    assert len(basis.index) == K
+    dense = np.stack([basis.scatter(e) for e in np.eye(K)], axis=1)
+    assert np.array_equal(dense, np.eye(K))
     assert basis.degrees[lm_index(3, -1)] == 3
     assert np.count_nonzero(basis.degrees == 2) == 5
 
