@@ -17,7 +17,8 @@ from .errors import DataError
 from .geometry import (CurvatureField, GraphSurface, curvature_field,
                        rho_from_r, stereographic_project)
 from .polar import DualSamples
-from .spectral import HarmonicCoeffs, build_grid, lm_index, synthesize_at
+from .spectral import (HarmonicCoeffs, build_grid, lm_index, num_coeffs,
+                       synthesize_at)
 
 
 def format_float(x: float) -> str:
@@ -133,6 +134,12 @@ def surface_from_dict(doc: dict) -> GraphSurface:
         raise DataError(
             "surface needs n = 2, L_max >= 4 and a unit pole, got "
             f"n = {n}, L_max = {L_max}, pole = {pole.tolist()}")
+    # numpy cannot describe a float array this long; a shorter one that
+    # does not fit in memory fails at allocation, which the CLI reports
+    if num_coeffs(L_max) > np.iinfo(np.intp).max // 8:
+        raise DataError(f"surface L_max = {L_max} is too large: "
+                        f"{num_coeffs(L_max)} coefficients exceed the "
+                        "largest array")
     coeffs = HarmonicCoeffs.zeros(L_max)
     seen = set()
     for entry in entries:

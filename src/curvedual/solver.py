@@ -29,17 +29,21 @@ so the iterates are that grid's, to rounding, at half the nodes of every
 state, assembly and projection.  The trivial group runs on the full grid.
 
 The residual at a node depends only on the radial jet (r, r_t, r_p,
-r_tt, r_tp, r_pp) at that node, so a state is one product of the stacked
-synthesis matrices with the coefficients, and the Newton matrix factors
-through six per-node partial derivatives.  These are central finite
-differences on the jets, evaluated in one batch through the curvature
-kernel, and the matrix follows from them by one contraction with the
-stacked synthesis matrices.  The matrix is rarely assembled: Newton
-steps apply an approximate inverse held across iterations and homotopy
-steps and corrected by Broyden updates, and the matrix is assembled and
-inverted again only when the residual stops contracting fast enough.
-The LU inverse also bounds the condition number; singular values are
-computed only when that bound cannot clear the matrix.
+r_tt, r_tp, r_pp) at that node.  A state is one factored synthesis of
+the jets from the 1-D basis tables and its residual vector one factored
+analysis, so neither touches a points x coefficients matrix.  The Newton
+matrix factors through six per-node partial derivatives.  These are
+central finite differences on the jets, evaluated in one batch through
+the curvature kernel, and the matrix follows from them by one
+contraction with the stacked synthesis matrices of the basis.  The
+matrix is rarely assembled: Newton steps apply an approximate inverse
+held across iterations and homotopy steps and corrected by Broyden
+updates, and the matrix is assembled and inverted again only when the
+residual stops contracting fast enough.  The updates are kept as vector
+pairs beside the assembled inverse, so an iteration costs matrix-vector
+products, never a new matrix.  The LU inverse also bounds the condition
+number; singular values are computed only when that bound cannot clear
+the matrix.
 """
 
 from __future__ import annotations
@@ -277,16 +281,20 @@ class _State:
 
 
 class NewtonWorkspace:
-    """Precomputed matrices for residual and Jacobian evaluation.
+    """Tables, matrices and the held inverse for Newton work on one grid.
 
-    Radial synthesis restricted to the invariant basis is six dense
-    matrices, one per chart derivative, stacked in one (6, N, M) array;
-    residual projection is one more.
-    All Newton work is matrix products against these, and one workspace
-    serves every Newton solve of a continuation run.  So does the
-    approximate inverse Newton matrix ``inverse`` (None until the first
-    assembly, and after a failed solve); ``refreshes`` counts the
-    assemblies that produced it.
+    A state synthesizes the six radial jets from the grid's 1-D basis
+    tables, and its residual vector is the tables' analysis of the
+    weighted residual, gathered to the invariant basis.  Only the
+    Jacobian assembly uses dense matrices: the jets of every basis
+    function, stacked in one (6, N, M) array ``synth``, and the weighted
+    projection ``project``.  One workspace serves every Newton solve of a
+    continuation run.  So does the approximate inverse Newton matrix: the
+    assembled inverse ``inverse`` (None until the first assembly, and
+    after a failed solve) plus the "good" Broyden corrections made since,
+    kept as vector pairs (u_j, v_j) so that X = inverse + sum_j u_j v_j^T
+    is applied by :meth:`apply_inverse` and never formed.  Assigning
+    ``inverse`` drops the pairs; ``refreshes`` counts the assemblies.
     """
 
     def __init__(self, grid: QuadratureGrid, basis: InvariantBasis,
@@ -300,8 +308,41 @@ class NewtonWorkspace:
         self.exp_b = np.exp(spectral.synthesize_product(data.b, *grid.axes))
         self.data = data
         self.F = F
-        self.inverse: np.ndarray | None = None
+        # rows [:_pairs] of _U and _V are the pairs (u_j, v_j)
+        self._U = np.empty((0, len(basis.index)))
+        self._V = np.empty((0, len(basis.index)))
+        self.inverse = None
         self.refreshes = 0
+
+    @property
+    def inverse(self) -> np.ndarray | None:
+        """The assembled inverse the Broyden pairs correct, or None."""
+        return self._inverse
+
+    @inverse.setter
+    def inverse(self, X: np.ndarray | None) -> None:
+        self._inverse = X
+        self._pairs = 0
+
+    def apply_inverse(self, r: np.ndarray) -> np.ndarray:
+        """X r = inverse r + sum_j u_j (v_j . r)."""
+        k = self._pairs
+        return self._inverse @ r + self._U[:k].T @ (self._V[:k] @ r)
+
+    def broyden_update(self, s: np.ndarray, Xy: np.ndarray) -> None:
+        """X <- X + (s - X y)(s^T X) / (s^T X y), appended as one pair.
+
+        ``Xy`` is X y for the step s and the change y of the residual
+        vector; the pair is u = (s - X y) / (s^T X y), v = X^T s.
+        """
+        k = self._pairs
+        if k == len(self._U):
+            grow = np.empty((max(2 * k, 8), self._U.shape[1]))
+            self._U = np.concatenate([self._U, grow])
+            self._V = np.concatenate([self._V, grow])
+        self._V[k] = s @ self._inverse + (self._U[:k] @ s) @ self._V[:k]
+        self._U[k] = (s - Xy) / (s @ Xy)
+        self._pairs = k + 1
 
     def _lambda_of_jets(self, jets, t: float):
         """Residual fields and principal curvatures, each (N, nb).
@@ -321,8 +362,8 @@ class NewtonWorkspace:
         return lam, K1, K2
 
     def _jets(self, z: np.ndarray) -> np.ndarray:
-        """The six radial jet fields of ``z``, (6, N), in one product."""
-        return (self.synth.reshape(-1, len(z)) @ z).reshape(6, -1)
+        """The six radial jet fields of ``z``, (6, N)."""
+        return spectral._synthesis(self.grid.ops, self.basis.scatter(z))
 
     def state(self, z: np.ndarray, t: float) -> _State:
         jets = self._jets(z)[:, :, None]
@@ -333,7 +374,9 @@ class NewtonWorkspace:
                       r_min=float(jets[0].min()), r_max=float(jets[0].max()))
 
     def residual_vector(self, state: _State) -> np.ndarray:
-        return self.project @ state.lam
+        """The residual field projected onto the invariant basis."""
+        weighted = self.grid.weights * state.lam
+        return spectral._analysis(self.grid.ops, weighted)[self.basis.index]
 
     def jacobian(self, z: np.ndarray, t: float) -> np.ndarray:
         """Newton matrix of the projected residual with respect to z.
@@ -452,17 +495,17 @@ def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
     not finite, as F gives on a non-convex iterate, raises NewtonError
     before any linear algebra.
 
-    Each step applies ``ws.inverse``, an approximate inverse Newton
-    matrix kept across iterations and across solves, and is followed by
-    the "good" Broyden update X <- X + (s - X y)(s^T X) / (s^T X y) for
-    the step s and the change y of the projected residual (the
-    quasi-Newton corrector QNERR of Deuflhard, *Newton Methods for
-    Nonlinear Problems*, 2004, ch. 2).  The matrix is assembled and
-    inverted again (a refresh) when none is held, when the contraction
-    ||r_new|| / ||r|| of the projected residual exceeds ``_THETA_MAX``,
-    when s^T X y is negligible, and when a reused inverse fails its first
-    line-search trial; that refresh takes the place of the first
-    halving.  A failed solve leaves ``ws.inverse`` at None.
+    Each step applies the approximate inverse Newton matrix X of ``ws``,
+    kept across iterations and across solves, and is followed by the
+    "good" Broyden update X <- X + (s - X y)(s^T X) / (s^T X y) for the
+    step s and the change y of the projected residual, stored as one
+    vector pair (the quasi-Newton corrector QNERR of Deuflhard, *Newton
+    Methods for Nonlinear Problems*, 2004, ch. 2).  The matrix is
+    assembled and inverted again (a refresh) when none is held, when the
+    contraction ||r_new|| / ||r|| of the projected residual exceeds
+    ``_THETA_MAX``, when s^T X y is negligible, and when a reused inverse
+    fails its first line-search trial; that refresh takes the place of
+    the first halving.  A failed solve leaves ``ws.inverse`` at None.
 
     Returns
     -------
@@ -502,11 +545,11 @@ def _quasi_newton(ws: NewtonWorkspace, t: float, z: np.ndarray,
                 f"residual {state.norm:.3e} at t = {t:g}")
         accepted = None
         if ws.inverse is not None:  # a reused inverse gets its full step
-            accepted = _line_search(ws, t, z, -(ws.inverse @ r), state,
+            accepted = _line_search(ws, t, z, -ws.apply_inverse(r), state,
                                     opts, 0)
         if accepted is None:
             ws.refresh(z, t)
-            accepted = _line_search(ws, t, z, -(ws.inverse @ r), state,
+            accepted = _line_search(ws, t, z, -ws.apply_inverse(r), state,
                                     opts, opts.max_halvings)
         if accepted is None:
             raise NewtonError(
@@ -514,15 +557,14 @@ def _quasi_newton(ws: NewtonWorkspace, t: float, z: np.ndarray,
                 f"at t = {t:g}; residual {state.norm:.3e}")
         z_new, state = accepted
         r_new = ws.residual_vector(state)
-        s, X = z_new - z, ws.inverse
-        Xy = X @ (r_new - r)
-        sXy = s @ Xy
+        s = z_new - z
+        Xy = ws.apply_inverse(r_new - r)
         if (np.linalg.norm(r_new) > _THETA_MAX * np.linalg.norm(r)
-                or abs(sXy) <= _BROYDEN_RCOND * np.linalg.norm(s)
+                or abs(s @ Xy) <= _BROYDEN_RCOND * np.linalg.norm(s)
                 * np.linalg.norm(Xy)):
             ws.inverse = None  # refreshed where the next step needs it
         else:
-            X += np.outer(s - Xy, (s @ X) / sXy)
+            ws.broyden_update(s, Xy)
         z, r = z_new, r_new
 
 

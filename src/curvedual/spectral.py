@@ -7,8 +7,9 @@ basis function separates into a colatitude factor (an associated Legendre
 function) times a longitude factor (cos or sin of m phi), as in Driscoll &
 Healy, "Computing Fourier transforms and convolutions on the 2-sphere"
 (1994).  A grid is represented only by these 1-D factor tables: synthesis
-of values and chart derivatives is a Legendre sum per order and one product
-in longitude, analysis its transpose (Schaeffer, 2013).  Only
+of values and chart derivatives is one product of each colatitude table
+with the coefficients laid out by order, then one product in longitude
+per jet; analysis is its transpose (Schaeffer, 2013).  Only
 ``basis_matrix``, at scattered points, and ``_jet_columns``, the jets of
 chosen basis functions as outer products of table columns, form a points x
 coefficients matrix.
@@ -112,8 +113,8 @@ class _ProductTables:
     Each is the transposed view of a degree-major (K, n_theta) array, so
     that a gather of basis columns reads contiguous rows.  ``lon``:
     sin(|m| phi) for m < 0, else cos(m phi), per signed order -L..L, and
-    two phi-derivatives, (n_phi, 2L+1).  ``groups[o]``: the columns of
-    order o - L.
+    two phi-derivatives, (n_phi, 2L+1).  ``orders``: the signed order m of
+    each coefficient.
     """
 
     def __init__(self, L_max: int, theta: np.ndarray, phi: np.ndarray,
@@ -144,7 +145,6 @@ class _ProductTables:
                  for neg, pos in ((sin, cos), (j * cos, -j * sin)))
         s = np.arange(-L_max, L_max + 1)
         self.lon = [f, df, -(s * s) * f]
-        self.groups = [np.flatnonzero(m == o) for o in s]
 
 
 # (colatitude, longitude) table of u, u_t, u_p, u_tt, u_tp, u_pp
@@ -154,19 +154,19 @@ _JET_TABLES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 def _synthesis(tables: _ProductTables, a: np.ndarray) -> np.ndarray:
     """[u] or [u, u_t, u_p, u_tt, u_tp, u_pp] of coefficients ``a``, (K,).
 
-    A Legendre sum per order, then a longitude product per jet written
-    into one (1 or 6, N) array; point q = i_theta * n_phi + j_phi.  The
-    trailing axis of length 1 keeps one matrix-vector product per row:
-    a single matrix product would round differently and move the outputs.
+    ``a`` is scattered into the (K, 2L+1) order matrix Z whose row i holds
+    a_i in column L + m_i; G_k = colat_k @ Z is then the Legendre sum of
+    every order at once, and each jet is one longitude product G_k @
+    lon_j^T, written into one (1 or 6, N) array; point q = i_theta * n_phi
+    + j_phi.
     """
-    G = np.empty((len(tables.colat), len(tables.Y), len(tables.groups), 1))
-    for o, g in enumerate(tables.groups):
-        for k, T in enumerate(tables.colat):
-            G[k, :, o, 0] = T[:, g] @ a[g]
-    jets = _JET_TABLES[:6 if len(tables.colat) > 1 else 1]
-    out = np.empty((len(jets), len(tables.Y), len(tables.lon[0]), 1))
+    Z = np.zeros((len(a), 2 * tables.L_max + 1))
+    Z[np.arange(len(a)), tables.L_max + tables.orders] = a
+    G = [T @ Z for T in tables.colat]
+    jets = _JET_TABLES[:6 if len(G) > 1 else 1]
+    out = np.empty((len(jets), len(tables.Y), len(tables.lon[0])))
     for i, (k, j) in enumerate(jets):
-        np.matmul(tables.lon[j], G[k], out=out[i])
+        np.matmul(G[k], tables.lon[j].T, out=out[i])
     return out.reshape(len(jets), -1)
 
 
@@ -186,13 +186,17 @@ def _jet_columns(tables: _ProductTables, index: np.ndarray) -> np.ndarray:
 
 
 def _analysis(tables: _ProductTables, W: np.ndarray) -> np.ndarray:
-    """Transpose of the value synthesis, applied to weighted values ``W``."""
+    """Transpose of the value synthesis, applied to weighted values ``W``.
+
+    ``W`` is (N,) or an (N, c) block.  One longitude product per row
+    gives every order's sum; each coefficient then contracts the Legendre
+    column with its own order's sums.
+    """
     H = np.matmul(tables.lon[0].T,
                   W.reshape(len(tables.Y), -1, W.size // len(W)))
-    out = np.empty((tables.Y.shape[1],) + W.shape[1:])
-    for o, g in enumerate(tables.groups):
-        out.reshape(len(out), -1)[g] = tables.Y[:, g].T @ H[:, o]
-    return out
+    out = np.einsum("ik,ikc->kc", tables.Y,
+                    H[:, tables.L_max + tables.orders])
+    return out.reshape((tables.Y.shape[1],) + W.shape[1:])
 
 
 @dataclass

@@ -503,6 +503,24 @@ def test_input_too_large_for_memory_fails_cleanly(tmp_path, capsys, command,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["dual", "check", "export-obj"])
+def test_surface_degree_past_any_array_fails_cleanly(tmp_path, capsys,
+                                                     command):
+    # 1e36 coefficients: numpy refuses the shape itself, before allocating
+    doc = {"n": 2, "pole": [0, 0, 0, 1], "L_max": 10**18, "gauge_tau0": -2.3,
+           "radial": [{"l": 0, "m": 0, "value": 2.78}]}
+    src = tmp_path / "surface.json"
+    src.write_text(json.dumps(doc))
+    argv = [command, "--surface", str(src)]
+    if command != "check":
+        argv += ["--out", str(tmp_path / "out")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: surface L_max = {10**18} is too large")
+    assert err.count("\n") == 1
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the one runtime dependency; scipy is a test-only oracle
     src = str(Path(cli.__file__).resolve().parents[1])

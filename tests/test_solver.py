@@ -521,6 +521,33 @@ def test_weak_contraction_forces_refresh(antipodal_basis, factor,
         assert np.array_equal(log[2][1], log[1][1])
 
 
+def test_broyden_pairs_apply_the_explicitly_updated_inverse(
+        antipodal_basis):
+    ws = workspace(constant_data(2.0, 2.0), antipodal_basis)
+    M = len(antipodal_basis.index)
+    rng = np.random.default_rng(5)
+    X = np.eye(M) + rng.standard_normal((M, M)) / (4.0 * np.sqrt(M))
+    ws.inverse = X.copy()
+    # residual changes y = J s of a nearby matrix, as along a Newton path
+    J = np.linalg.inv(X) + rng.standard_normal((M, M)) / (20.0 * np.sqrt(M))
+    probes = rng.standard_normal((4, M))
+    for update in range(1, 11):  # past the first growth of the pair store
+        s = rng.standard_normal(M)
+        y = J @ s
+        Xy = X @ y
+        ws.broyden_update(s, ws.apply_inverse(y))
+        X += np.outer(s - Xy, (s @ X) / (s @ Xy))
+        if update in (5, 10):
+            for r in probes:
+                assert np.max(np.abs(ws.apply_inverse(r) - X @ r)) <= \
+                    1e-12 * np.max(np.abs(X @ r)), update
+    # an assignment drops the pairs: the held matrix is applied alone
+    ws.inverse = X
+    assert np.array_equal(ws.apply_inverse(probes[0]), X @ probes[0])
+    ws.inverse = None
+    assert ws.inverse is None
+
+
 @pytest.mark.parametrize("options, message", [
     ({"max_newton": 1}, "no convergence"),
     ({"kappa_floor": 2.0}, "line search failed"),

@@ -22,6 +22,7 @@ from curvedual.spectral import (
     num_coeffs,
     synthesize,
     synthesize_at,
+    synthesize_product,
 )
 
 
@@ -481,6 +482,46 @@ def test_jet_columns_equal_synthesis_of_unit_vectors(build, parity):
     for c, i in enumerate(index):
         assert np.array_equal(jets[:, :, c], _synthesis(grid.ops,
                                                         np.eye(K)[i])), i
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+# largest relative error seen: 1.1e-15 (L 24, folded, analysis)
+@pytest.mark.parametrize("build", [build_grid, build_folded_grid],
+                         ids=["full", "folded"])
+@pytest.mark.parametrize("L_max", [4, 9, 16, 24, 32])
+def test_factored_transforms_equal_dense_products(build, L_max):
+    # the two table products of a synthesis, and the analysis, against
+    # basis_matrix and the stacked jet columns times the coefficients
+    grid = build(L_max)
+    K = num_coeffs(L_max)
+    rng = np.random.default_rng(L_max)
+    a = rng.standard_normal(K)
+    B = basis_matrix(L_max, grid.theta, grid.phi)
+    jets = _synthesis(grid.ops, a)
+    assert relative_error(jets[0], B @ a) <= 1e-13
+    # summed over blocks of columns, to keep the dense stack small
+    want = sum(_jet_columns(grid.ops, cols) @ a[cols]
+               for cols in np.array_split(np.arange(K), -(-K // 128)))
+    for k in range(6):
+        assert relative_error(jets[k], want[k]) <= 1e-13, k
+    W = rng.standard_normal((grid.n_nodes, 3)) * grid.weights[:, None]
+    assert relative_error(_analysis(grid.ops, W), B.T @ W) <= 1e-13
+    assert relative_error(_analysis(grid.ops, W[:, 1]), B.T @ W[:, 1]) \
+        <= 1e-13
+
+
+@pytest.mark.parametrize("L_max", [4, 16, 32])
+def test_product_synthesis_with_poles_equals_basis_matrix(L_max):
+    rng = np.random.default_rng(L_max)
+    a = HarmonicCoeffs(L_max, rng.standard_normal(num_coeffs(L_max)))
+    theta = np.concatenate([[0.0], np.linspace(0.1, 3.0, 7), [np.pi]])
+    phi = rng.uniform(-1.0, 7.0, 11)
+    T, P = np.meshgrid(theta, phi, indexing="ij")
+    want = basis_matrix(L_max, T.ravel(), P.ravel()) @ a.values
+    assert relative_error(synthesize_product(a, theta, phi), want) <= 1e-13
 
 
 def test_analysis_inverts_synthesis_on_blocks():
