@@ -100,12 +100,12 @@ def parse_config(doc: dict):
     if "F" not in doc or "f" not in doc:
         raise ConfigError("config requires the keys \"F\" and \"f\"")
 
-    # the grid and the surfaces are 2-dimensional
+    # the grid, the surfaces and the curvature functions are 2-dimensional
     n = _numeric(int, doc.get("n", 2), '"n"')
     if n != 2:
         raise ConfigError(f"only n = 2 is supported, got n = {n}")
     try:
-        F = make_curvature_function(str(doc["F"]), n)
+        F = make_curvature_function(str(doc["F"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -131,12 +131,18 @@ def parse_config(doc: dict):
 
     antipodal = _antipodal_from_config(doc.get("group"))
 
+    try:
+        data = PrescribedData(a_poly=a_poly, b=b, c=1.0)  # c is set below
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
     if "c" in doc:
-        c = _numeric(float, doc["c"], '"c"')
+        data.c = _numeric(float, doc["c"], '"c"')
     else:
-        c = default_base_constant(
-            PrescribedData(a_poly=a_poly, b=b, c=1.0).min_f())
-    data = PrescribedData(a_poly=a_poly, b=b, c=c)
+        fmin = data.min_f()
+        if np.isinf(fmin):  # finite data overflowed; NaN data is named later
+            raise ConfigError(
+                'min f is not finite, so "c" has no default; set "c"')
+        data.c = default_base_constant(fmin)
     return F, data, opts, antipodal
 
 

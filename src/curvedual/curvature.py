@@ -1,21 +1,24 @@
-"""Curvature functions: symmetric, monotone, degree-one homogeneous maps.
+"""Curvature functions of two principal curvatures.
 
-The catalog functions are normalized to take the value n at the unit
-vector (1, ..., 1), so on a geodesic sphere of radius r they all equal
-n cot r.  The ``inverse_of`` construction is the un-rescaled dual
+The surfaces are two-dimensional, so every function here takes the pair
+(kappa_1, kappa_2).  The catalog functions are symmetric, monotone and
+degree-one homogeneous, normalized to take the value 2 at the unit
+vector (1, 1), so on a geodesic sphere of radius r they all equal
+2 cot r.  The normalized elementary-symmetric roots are sigma_1 =
+kappa_1 + kappa_2, the mean, and sigma_2 = 2 sqrt(kappa_1 kappa_2), the
+Gauss power.  The ``inverse_of`` construction is the un-rescaled dual
 
-    F~(kappa) = 1 / F(1/kappa_1, ..., 1/kappa_n),
+    F~(kappa) = 1 / F(1/kappa_1, 1/kappa_2),
 
 which is what makes curvature transfer under polar duality exact:
 if F = f on a surface then F~ = 1/f on its polar dual.  Inverse functions
-therefore take the value 1/n at the unit vector; rescaling them to n
+therefore take the value 1/2 at the unit vector; rescaling them to 2
 would break the transfer identity, so they are left alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
@@ -28,15 +31,15 @@ __all__ = [
 
 
 class CurvatureFunction:
-    """Symmetric function of the principal curvatures.
+    """Symmetric function of the two principal curvatures.
 
     Subclasses implement ``value``, ``gradient`` and ``hessian`` on arrays
-    of shape (..., n) over the positive cone.  All three are vectorized
+    of shape (..., 2) over the positive cone.  All three are vectorized
     over leading axes.
     """
 
     name: str
-    n: int
+    n = 2  # number of principal curvatures
 
     def value(self, kappa: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -57,7 +60,8 @@ class CurvatureFunction:
 
 @dataclass
 class _Mean(CurvatureFunction):
-    n: int
+    """Sum of the curvatures, sigma_1."""
+
     name: str = "mean"
 
     def value(self, kappa):
@@ -70,77 +74,10 @@ class _Mean(CurvatureFunction):
         return np.zeros(kappa.shape + (self.n,))
 
 
-def _elementary_symmetric(kappa: np.ndarray, k_max: int) -> np.ndarray:
-    """e_0..e_k_max of the last axis; output shape (..., k_max + 1)."""
-    n = kappa.shape[-1]
-    es = np.zeros(kappa.shape[:-1] + (k_max + 1,))
-    es[..., 0] = 1.0
-    for i in range(n):
-        top = min(k_max, i + 1)
-        for j in range(top, 0, -1):
-            es[..., j] += es[..., j - 1] * kappa[..., i]
-    return es
-
-
-def _exclude(kappa: np.ndarray, drop: tuple[int, ...]) -> np.ndarray:
-    keep = [i for i in range(kappa.shape[-1]) if i not in drop]
-    return kappa[..., keep]
-
-
-@dataclass
-class _SigmaK(CurvatureFunction):
-    """Normalized k-th root of the k-th elementary symmetric polynomial."""
-
-    n: int
-    k: int
-    name: str = field(init=False)
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"sigma order k={self.k} outside 1..{self.n}")
-        self.name = f"sigma_{self.k}"
-        self._scale = comb(self.n, self.k)
-
-    def value(self, kappa):
-        E = _elementary_symmetric(kappa, self.k)[..., self.k]
-        return self.n * (E / self._scale) ** (1.0 / self.k)
-
-    def gradient(self, kappa):
-        F = self.value(kappa)
-        E = _elementary_symmetric(kappa, self.k)[..., self.k]
-        grad = np.empty_like(kappa)
-        for i in range(self.n):
-            Ei = _elementary_symmetric(_exclude(kappa, (i,)), self.k - 1)[..., self.k - 1]
-            grad[..., i] = F * Ei / (self.k * E)
-        return grad
-
-    def hessian(self, kappa):
-        F = self.value(kappa)
-        E = _elementary_symmetric(kappa, self.k)[..., self.k]
-        Ei = np.empty_like(kappa)
-        for i in range(self.n):
-            Ei[..., i] = _elementary_symmetric(
-                _exclude(kappa, (i,)), self.k - 1)[..., self.k - 1]
-        H = np.empty(kappa.shape + (self.n,))
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j:
-                    Eij = np.zeros_like(E)
-                elif self.k >= 2:
-                    Eij = _elementary_symmetric(
-                        _exclude(kappa, (i, j)), self.k - 2)[..., self.k - 2]
-                else:
-                    Eij = np.zeros_like(E)
-                H[..., i, j] = (F / (self.k * E)) * (
-                    Eij + (1.0 / self.k - 1.0) * Ei[..., i] * Ei[..., j] / E)
-        return H
-
-
 @dataclass
 class _GaussPower(CurvatureFunction):
-    """n-th root of the product of the curvatures, scaled to n at unity."""
+    """Root of the product of the curvatures scaled to 2 at unity, sigma_2."""
 
-    n: int
     name: str = "gauss_power"
 
     def value(self, kappa):
@@ -161,9 +98,8 @@ class _GaussPower(CurvatureFunction):
 
 @dataclass
 class _NormA(CurvatureFunction):
-    """Euclidean norm of the curvature vector, scaled to n at unity."""
+    """Euclidean norm of the curvature vector, scaled to 2 at unity."""
 
-    n: int
     name: str = "norm_A"
 
     def value(self, kappa):
@@ -187,7 +123,6 @@ class _InverseFunction(CurvatureFunction):
 
     def __init__(self, base: CurvatureFunction):
         self.base = base
-        self.n = base.n
         self.name = f"inverse_of({base.name})"
 
     def inverse(self) -> CurvatureFunction:
@@ -217,28 +152,26 @@ class _InverseFunction(CurvatureFunction):
         return H
 
 
-def make_curvature_function(name: str, n: int = 2) -> CurvatureFunction:
+_CATALOG = {
+    "mean": _Mean, "sigma_1": _Mean,
+    "gauss_power": _GaussPower, "sigma_2": _GaussPower,
+    "norm_A": _NormA,
+}
+
+
+def make_curvature_function(name: str) -> CurvatureFunction:
     """Build a curvature function from its catalog name.
 
-    Supported names: ``mean``, ``sigma_k`` for 1 <= k <= n (e.g.
-    ``sigma_2``), ``gauss_power``, ``norm_A``, and ``inverse_of(<name>)``.
+    Supported names: ``mean``, ``gauss_power``, ``norm_A``, ``sigma_1``
+    and ``sigma_2`` (the mean and the Gauss power under the names of the
+    normalized elementary-symmetric roots), and ``inverse_of(<name>)``.
     """
     name = name.strip()
     if name.startswith("inverse_of(") and name.endswith(")"):
-        return make_curvature_function(name[len("inverse_of("):-1], n).inverse()
-    if name == "mean":
-        return _Mean(n=n)
-    if name == "gauss_power":
-        return _GaussPower(n=n)
-    if name == "norm_A":
-        return _NormA(n=n)
-    if name.startswith("sigma_"):
-        try:
-            k = int(name[len("sigma_"):])
-        except ValueError:
-            raise ValueError(f"unknown curvature function {name!r}") from None
-        return _SigmaK(n=n, k=k)
-    raise ValueError(f"unknown curvature function {name!r}")
+        return make_curvature_function(name[len("inverse_of("):-1]).inverse()
+    if name not in _CATALOG:
+        raise ValueError(f"unknown curvature function {name!r}")
+    return _CATALOG[name](name=name)
 
 
 @dataclass

@@ -65,7 +65,8 @@ def frame_for_pole(pole: np.ndarray) -> np.ndarray:
         raise ValueError("pole must be a 4-vector")
     nrm = np.linalg.norm(pole)
     if abs(nrm - 1.0) > 1e-12:
-        raise ValueError(f"pole must be a unit vector, |pole| = {nrm!r}")
+        raise ValueError(
+            f"pole must be a unit vector, |pole| = {float(nrm)!r}")
     e = np.zeros(4)
     e[3] = 1.0
     c = pole @ e
@@ -117,7 +118,8 @@ def sphere_surface(radius: float, L_max: int = 24,
                    pole: np.ndarray | None = None) -> GraphSurface:
     """Geodesic sphere r = const as a :class:`GraphSurface`."""
     if not 0.0 < radius < np.pi / 2:
-        raise DomainError(f"geodesic sphere radius {radius!r} outside (0, pi/2)")
+        raise DomainError(
+            f"geodesic sphere radius {float(radius)!r} outside (0, pi/2)")
     coeffs = HarmonicCoeffs.zeros(L_max)
     coeffs[0, 0] = radius * np.sqrt(4.0 * np.pi)
     if pole is None:

@@ -70,6 +70,7 @@ _KERNEL_RCOND = 1e-8
 # update), assembles the Newton matrix again
 _THETA_MAX = 0.25
 _BROYDEN_RCOND = 1e-8
+_MAX_HALVINGS = 20  # line-search halvings after a fresh assembly
 
 
 # ------------------------------------------------------------- symmetry
@@ -139,6 +140,10 @@ class PrescribedData:
 
     def __post_init__(self):
         self.a_poly = np.atleast_1d(np.asarray(self.a_poly, dtype=float))
+        if self.a_poly.ndim != 1 or self.a_poly.size == 0:
+            raise DataError(
+                "a_poly must be a nonempty 1-D list of coefficients, got "
+                f"shape {self.a_poly.shape}")
         self.c = float(self.c)
 
     def radial_factor(self, r: np.ndarray) -> np.ndarray:
@@ -219,7 +224,6 @@ class SolverOptions:
     dt_min: float = 1e-4
     dt_max: float = 0.25
     max_newton: int = 25
-    max_halvings: int = 20
 
     def validate(self) -> None:
         """Raise ConfigError for a truncation no grid takes and for step
@@ -248,9 +252,6 @@ class SolverOptions:
                 '"kappa_floor" and "kappa_ceil" must satisfy 0 < '
                 f'"kappa_floor" < "kappa_ceil" < inf, got '
                 f"{self.kappa_floor!r} and {self.kappa_ceil!r}")
-        if self.max_halvings < 0:
-            raise ConfigError(
-                f'"max_halvings" must be nonnegative, got {self.max_halvings}')
 
 
 def initial_sphere(F: CurvatureFunction, c: float, L_max: int = 24,
@@ -264,7 +265,11 @@ def initial_sphere(F: CurvatureFunction, c: float, L_max: int = 24,
     if c <= 0.0:
         raise DataError(f"base constant must be positive, got {c!r}")
     f_unit = float(F(np.ones(F.n)))
-    radius = np.arctan2(f_unit, c)
+    radius = float(np.arctan2(f_unit, c))
+    if not 0.0 < radius < np.pi / 2:  # c below what a double resolves
+        raise DataError(
+            f"base constant c = {c:.6g} gives a start sphere of radius "
+            f"{radius!r}, outside (0, pi/2)")
     return sphere_surface(radius, L_max=L_max, pole=pole)
 
 
@@ -491,7 +496,7 @@ def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
     nothing is built here.  Convergence is measured by the infinity norm
     of the residual over the grid nodes.  A step is accepted only if the
     residual decreases and the iterate stays strictly convex, with
-    halving up to ``opts.max_halvings``.  A starting residual that is
+    halving up to ``_MAX_HALVINGS`` times.  A starting residual that is
     not finite, as F gives on a non-convex iterate, raises NewtonError
     before any linear algebra.
 
@@ -550,10 +555,10 @@ def _quasi_newton(ws: NewtonWorkspace, t: float, z: np.ndarray,
         if accepted is None:
             ws.refresh(z, t)
             accepted = _line_search(ws, t, z, -ws.apply_inverse(r), state,
-                                    opts, opts.max_halvings)
+                                    opts, _MAX_HALVINGS)
         if accepted is None:
             raise NewtonError(
-                f"line search failed after {opts.max_halvings} halvings "
+                f"line search failed after {_MAX_HALVINGS} halvings "
                 f"at t = {t:g}; residual {state.norm:.3e}")
         z_new, state = accepted
         r_new = ws.residual_vector(state)

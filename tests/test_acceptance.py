@@ -27,7 +27,7 @@ from curvedual.spectral import (HarmonicCoeffs, analyze, build_grid,
 from curvedual.validation import steiner_point, stereographic_residual
 from curvedual import geometry
 
-GAUSS = make_curvature_function("gauss_power", 2)
+GAUSS = make_curvature_function("gauss_power")
 SQRT_4PI = math.sqrt(4.0 * math.pi)
 RADII = (np.pi / 6, np.pi / 4, np.pi / 3)
 

@@ -177,6 +177,18 @@ class TestSolveCommand:
         assert err == "error: radial polynomial has non-finite " \
             "coefficients\n"
 
+    def test_overflowing_data_without_c_fails_cleanly(self, tmp_path,
+                                                      capsys):
+        # f overflows on finite coefficients, so 0.9 min f is no default
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"F": "gauss_power", "L_max": 8,
+                                    "f": {"a_poly": [1e308, 1e308]}}))
+        rc = main(["solve", "--config", str(path), "--out",
+                   str(tmp_path / "r")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            'error: min f is not finite, so "c" has no default; set "c"\n'
+
     def test_unknown_key_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"F": "mean", "f": {"a_poly": [1.0]},
@@ -238,6 +250,12 @@ class TestSolveCommand:
         ({"group": {"matrices": [np.eye(3).tolist(), (-np.eye(3)).tolist(),
                                  (-np.eye(3)).tolist()]}},
          TWO_GROUPS),
+        # the radial polynomial is a nonempty list of numbers
+        ({"f": {"a_poly": []}}, "a_poly must be a nonempty 1-D list"),
+        ({"f": {"a_poly": [[0.7]]}}, "a_poly must be a nonempty 1-D list"),
+        # a start sphere at the hemisphere boundary; the error names c
+        ({"c": 1e-300}, "c = 1e-300 gives a start sphere of radius "
+                        "1.5707963267948966, outside (0, pi/2)"),
     ])
     def test_bad_config_value_fails_cleanly(self, tmp_path, capsys,
                                             overrides, message):
@@ -382,6 +400,23 @@ class TestCheckCommand:
         assert rc == 0
         assert (out / "residuals.csv").exists()
         assert grid_table_builds == [8]
+
+    def test_nested_radial_polynomial_fails_cleanly(self, tmp_path, capsys):
+        # read as a 2-D coefficient array it gave a wrong residual and
+        # then a traceback while writing residuals.csv
+        src = tmp_path / "surface.json"
+        write_surface(src, sphere_surface(np.pi / 4, L_max=8))
+        cfg = write_config(tmp_path / "config.json",
+                           f={"a_poly": [[LOG2, 0.1]]})
+        out = tmp_path / "check"
+        rc = main(["check", "--surface", str(src), "--config", cfg,
+                   "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a_poly must be a nonempty 1-D " \
+            "list of coefficients, got shape (1, 2)\n"
+        assert not out.exists()
 
     def test_off_center_surface_fails(self, tmp_path, capsys):
         # an odd-degree term moves the enclosed center off the origin,

@@ -28,8 +28,6 @@ def test_normalization_at_unit_vector():
     for name in ("mean", "gauss_power", "norm_A", "sigma_1", "sigma_2"):
         F = make_curvature_function(name)
         assert F(np.ones(2)) == pytest.approx(2.0, rel=1e-14), name
-    F3 = make_curvature_function("gauss_power", n=3)
-    assert F3(np.ones(3)) == pytest.approx(3.0, rel=1e-14)
 
 
 def test_inverse_of_mean_raw_value():
@@ -43,8 +41,10 @@ def test_inverse_of_mean_raw_value():
 def test_unknown_name_rejected():
     with pytest.raises(ValueError):
         make_curvature_function("scalar_curvature")
-    with pytest.raises(ValueError):
-        make_curvature_function("sigma_5", n=2)
+    # only two principal curvatures: sigma_1 and sigma_2 are the orders
+    for name in ("sigma_0", "sigma_3", "sigma_5"):
+        with pytest.raises(ValueError, match="unknown curvature function"):
+            make_curvature_function(name)
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,11 +142,26 @@ def test_inverse_involution():
         assert FF is F  # the wrapper unwraps instead of stacking
 
 
-def test_sigma_k_three_dimensional_gradient():
-    F = make_curvature_function("sigma_2", n=3)
-    kappa = np.array([1.0, 2.0, 3.0])
-    fd = _fd_gradient(F, kappa)
-    assert np.max(np.abs(F.gradient(kappa) - fd)) <= 1e-6
+@pytest.mark.parametrize("sigma, alias", [("sigma_1", "mean"),
+                                          ("sigma_2", "gauss_power")])
+def test_sigma_roots_are_the_mean_and_the_gauss_power(sigma, alias):
+    # with two curvatures sigma_1 = kappa_1 + kappa_2 and
+    # sigma_2 = 2 sqrt(kappa_1 kappa_2)
+    rng = np.random.default_rng(6)
+    kappa = 10.0 ** rng.uniform(-2, 2, size=(1000, 2))
+    F, G = make_curvature_function(sigma), make_curvature_function(alias)
+    assert F.name == sigma and G.name == alias
+    assert F.inverse().name == f"inverse_of({sigma})"
+    assert np.array_equal(F(kappa), G(kappa))
+    assert np.array_equal(F.gradient(kappa), G.gradient(kappa))
+    assert np.array_equal(F.hessian(kappa), G.hessian(kappa))
+
+
+def test_catalog_takes_no_dimension():
+    # a dimension other than 2 used to build a function of three
+    # curvatures that the two-dimensional solver then silently misused
+    with pytest.raises(TypeError):
+        make_curvature_function("gauss_power", n=3)
 
 
 # ---------------------------------------------------- weighted curvatures

@@ -85,6 +85,14 @@ def test_check_annulus_rejects_nan():
         check_annulus(np.array([0.5, np.nan, 0.6]))
 
 
+def test_domain_messages_print_plain_floats():
+    with pytest.raises(DomainError,
+                       match=r"radius 2\.0 outside \(0, pi/2\)$"):
+        sphere_surface(np.float64(2.0))
+    with pytest.raises(ValueError, match=r"\|pole\| = 2\.0$"):
+        frame_for_pole(np.array([0.0, 0.0, 0.0, 2.0]))
+
+
 def test_frame_for_pole_orthogonal():
     for pole in [np.array([0.0, 0.0, 0.0, 1.0]),
                  np.array([1.0, 0.0, 0.0, 0.0]),

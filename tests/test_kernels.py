@@ -62,7 +62,7 @@ def test_newton_iteration_makes_one_kernel_call_of_width_12(monkeypatch):
         return kappa_batch(theta, phi, R, *rest)
 
     monkeypatch.setattr(_kernels, "kappa_batch", recording)
-    F = make_curvature_function("gauss_power", 2)
+    F = make_curvature_function("gauss_power")
     data = PrescribedData(a_poly=[np.log(2.0)], b=HarmonicCoeffs.zeros(2),
                           c=2.0)
     start = initial_sphere(F, 2.0, L_max=8)

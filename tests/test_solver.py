@@ -22,7 +22,7 @@ from curvedual.spectral import (HarmonicCoeffs, analyze, basis_matrix,
                                 build_grid, index_lm, lm_index, num_coeffs,
                                 synthesize, synthesize_at)
 
-GAUSS = make_curvature_function("gauss_power", 2)
+GAUSS = make_curvature_function("gauss_power")
 SQRT_4PI = np.sqrt(4.0 * np.pi)
 
 
@@ -746,7 +746,6 @@ def test_continuation_rejects_bad_base_constant():
     ({"kappa_ceil": 0.0}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
     ({"kappa_ceil": np.inf}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
     ({"kappa_ceil": np.nan}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
-    ({"max_halvings": -1}, '"max_halvings" must be nonnegative'),
 ])
 def test_continuation_rejects_bad_step_options(options, message):
     with pytest.raises(ConfigError, match=message):
@@ -769,7 +768,7 @@ def test_continuation_rejects_bad_truncation(monkeypatch, L_max, message):
 
 def test_continuation_warns_for_inadmissible_function():
     data = constant_data(2.0, 1.0)
-    mean = make_curvature_function("mean", 2)
+    mean = make_curvature_function("mean")
     with pytest.warns(UserWarning, match="admissibility"):
         report = continuation(mean, data, opts=SolverOptions(L_max=8))
     assert report.converged

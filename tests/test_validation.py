@@ -15,7 +15,7 @@ from curvedual.validation import (DiagnosticsReport, enclosing_balls,
                                   full_report, steiner_point,
                                   stereographic_residual)
 
-GAUSS = make_curvature_function("gauss_power", 2)
+GAUSS = make_curvature_function("gauss_power")
 
 
 def sampled(surface):
