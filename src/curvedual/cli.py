@@ -142,6 +142,9 @@ def parse_config(doc: dict):
         if np.isinf(fmin):  # finite data overflowed; NaN data is named later
             raise ConfigError(
                 'min f is not finite, so "c" has no default; set "c"')
+        if fmin <= 0.0:  # f underflowed: no c lies in (0, min f)
+            raise ConfigError(
+                f'min f is {fmin!r}, not positive, so "c" has no default')
         data.c = default_base_constant(fmin)
     return F, data, opts, antipodal
 

@@ -48,6 +48,7 @@ the matrix.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 
@@ -62,6 +63,8 @@ from .geometry import (HEMISPHERE_MARGIN, CurvatureField, GraphSurface,
                        check_annulus, curvature_field, sphere_surface)
 from .spectral import HarmonicCoeffs, QuadratureGrid, build_grid, num_coeffs
 
+log = logging.getLogger(__name__)
+
 _SOLVE_RCOND = 1e-12
 _JET_STEP = 1e-6  # central-difference step on each radial jet component
 _KERNEL_RCOND = 1e-8
@@ -71,6 +74,13 @@ _KERNEL_RCOND = 1e-8
 _THETA_MAX = 0.25
 _BROYDEN_RCOND = 1e-8
 _MAX_HALVINGS = 20  # line-search halvings after a fresh assembly
+# homotopy step control: a try whose first contraction exceeds
+# _THETA_REJECT is rejected and dt shrinks by sqrt(_THETA_MAX / theta)
+# within _SHRINK; an accepted step doubles dt, except right after a
+# rejected or failed try
+_THETA_REJECT = 0.5
+_SHRINK = (0.1, 0.5)
+_GROWTH = 2.0
 
 
 # ------------------------------------------------------------- symmetry
@@ -220,9 +230,9 @@ class SolverOptions:
     tol: float = 1e-10
     kappa_floor: float = 1e-4
     kappa_ceil: float = 1e4
-    dt0: float = 0.1
+    dt0: float = 1.0  # caps the first step; the first try goes to t = 1
     dt_min: float = 1e-4
-    dt_max: float = 0.25
+    dt_max: float = 1.0  # caps every step
     max_newton: int = 25
 
     def validate(self) -> None:
@@ -299,7 +309,8 @@ class NewtonWorkspace:
     after a failed solve) plus the "good" Broyden corrections made since,
     kept as vector pairs (u_j, v_j) so that X = inverse + sum_j u_j v_j^T
     is applied by :meth:`apply_inverse` and never formed.  Assigning
-    ``inverse`` drops the pairs; ``refreshes`` counts the assemblies.
+    ``inverse`` drops the pairs; ``refreshes`` counts the assemblies and
+    ``iterations`` the accepted Newton steps, across every solve.
     """
 
     def __init__(self, grid: QuadratureGrid, basis: InvariantBasis,
@@ -318,6 +329,7 @@ class NewtonWorkspace:
         self._V = np.empty((0, len(basis.index)))
         self.inverse = None
         self.refreshes = 0
+        self.iterations = 0
 
     @property
     def inverse(self) -> np.ndarray | None:
@@ -486,8 +498,18 @@ def _line_search(ws: NewtonWorkspace, t: float, z: np.ndarray,
     return None
 
 
+class _StepRejected(NewtonError):
+    """A homotopy try whose first contraction ``theta`` is too weak."""
+
+    def __init__(self, theta: float, bound: float, t: float):
+        super().__init__(f"first Newton contraction {theta:.3g} exceeds "
+                         f"{bound:g} at t = {t:g}")
+        self.theta = theta
+
+
 def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
-                 opts: SolverOptions | None = None):
+                 opts: SolverOptions | None = None,
+                 reject_above: float = np.inf):
     """Damped quasi-Newton iteration at fixed homotopy parameter t.
 
     The unknown ``z`` is the radial coefficient vector in the invariant
@@ -510,7 +532,11 @@ def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
     contraction ||r_new|| / ||r|| of the projected residual exceeds
     ``_THETA_MAX``, when s^T X y is negligible, and when a reused inverse
     fails its first line-search trial; that refresh takes the place of
-    the first halving.  A failed solve leaves ``ws.inverse`` at None.
+    the first halving.  When the contraction of the first step exceeds
+    ``reject_above`` and the new iterate is not yet converged, the solve
+    stops there with a NewtonError subclass carrying it as ``theta``, the
+    signal continuation shrinks its step by.  A failed solve leaves
+    ``ws.inverse`` at None.
 
     Returns
     -------
@@ -525,14 +551,14 @@ def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
     """
     opts = opts or SolverOptions()
     try:
-        return _quasi_newton(ws, t, z, opts)
+        return _quasi_newton(ws, t, z, opts, reject_above)
     except (NewtonError, SingularJacobianError, DomainError):
         ws.inverse = None  # an inverse that led to a failure is not reused
         raise
 
 
 def _quasi_newton(ws: NewtonWorkspace, t: float, z: np.ndarray,
-                  opts: SolverOptions):
+                  opts: SolverOptions, reject_above: float):
     state = ws.state(z, t)
     if not np.isfinite(state.norm):
         # e.g. F of a non-convex start; a NaN matrix would only fail
@@ -561,10 +587,14 @@ def _quasi_newton(ws: NewtonWorkspace, t: float, z: np.ndarray,
                 f"line search failed after {_MAX_HALVINGS} halvings "
                 f"at t = {t:g}; residual {state.norm:.3e}")
         z_new, state = accepted
+        ws.iterations += 1
         r_new = ws.residual_vector(state)
+        theta = np.linalg.norm(r_new) / np.linalg.norm(r)
+        if iteration == 0 and theta > reject_above and state.norm > opts.tol:
+            raise _StepRejected(theta, reject_above, t)
         s = z_new - z
         Xy = ws.apply_inverse(r_new - r)
-        if (np.linalg.norm(r_new) > _THETA_MAX * np.linalg.norm(r)
+        if (theta > _THETA_MAX
                 or abs(s @ Xy) <= _BROYDEN_RCOND * np.linalg.norm(s)
                 * np.linalg.norm(Xy)):
             ws.inverse = None  # refreshed where the next step needs it
@@ -625,28 +655,54 @@ def _step_record(t, iterations, state: _State) -> ContinuationStep:
                             r_max=state.r_max)
 
 
+def _logged_try(ws: NewtonWorkspace, t: float, z: np.ndarray,
+                opts: SolverOptions, reject_above: float = np.inf):
+    """``newton_solve`` at t, logged at DEBUG with its outcome and work."""
+    iterations, refreshes = ws.iterations, ws.refreshes
+    outcome = "accepted"
+    try:
+        return newton_solve(ws, t, z, opts, reject_above)
+    except _StepRejected as exc:
+        outcome = f"rejected (theta0 {exc.theta:.3g})"
+        raise
+    except (NewtonError, SingularJacobianError, DomainError) as exc:
+        outcome = f"failed ({exc})"
+        raise
+    finally:
+        log.debug("homotopy try t = %.6g: %s; %d iterations, %d refreshes",
+                  t, outcome, ws.iterations - iterations,
+                  ws.refreshes - refreshes)
+
+
 def continuation(F: CurvatureFunction, data: PrescribedData,
                  opts: SolverOptions | None = None,
                  antipodal: bool = True,
                  start: GraphSurface | None = None) -> ContinuationReport:
     """Follow the homotopy from the geodesic sphere to the full problem.
 
-    Adaptive stepping in t: start with ``opts.dt0``; halve on Newton
-    failure down to ``opts.dt_min``; grow by 1.5 up to ``opts.dt_max``
-    after a solve that assembled the Newton matrix at most once (the
-    quasi-Newton iteration count says little about the step's
-    difficulty, its refreshes do).  Newton at t_try starts
-    from the secant predictor z + (t_try - t) / (t - t_prev) (z - z_prev)
-    through the last two accepted points (from z itself on the first
-    step after t = 0), rebuilt for every tried t_try.  Every accepted
-    step logs residual, curvature bounds and radial bounds.  The run either
-    reaches t = 1 at full tolerance or reports the failure point with
-    the last good surface.  The iterate is held as its coefficients in
-    the invariant basis throughout; the start surface must carry the
-    run truncation and lie in that basis's span (tolerance 1e-8).  The
-    run grid, returned as the report's ``grid``, is the folded grid when
-    ``antipodal`` (the group {I, -I}) and ``build_grid(opts.L_max)``
-    otherwise (the trivial group).
+    The step in t is controlled by Newton's own contraction (the adaptive
+    path following of Deuflhard, *Newton Methods for Nonlinear Problems*,
+    2004, ch. 5).  The first try after t = 0 goes ``opts.dt0`` ahead, to
+    t = 1 by default.  A try is rejected after its first Newton step when
+    the contraction theta = ||r_1|| / ||r_0|| of the projected residual
+    exceeds ``_THETA_REJECT``; dt then shrinks by sqrt(_THETA_MAX / theta)
+    clamped to ``_SHRINK``, the factor theta predicts.  Any other Newton
+    failure halves dt.  The run fails once dt drops below ``opts.dt_min``.
+    An accepted step doubles dt up to ``opts.dt_max``, except right after
+    a rejected or failed try.  Newton at t_try starts from the secant
+    predictor z + (t_try - t) / (t - t_prev) (z - z_prev) through the
+    last two accepted points (from z itself on the first step after
+    t = 0), rebuilt for every tried t_try.  The t = 0 solve is never
+    rejected: there is no step to shrink.  Every accepted step records
+    residual, curvature bounds and radial bounds; every try, the t = 0
+    solve included, is logged at DEBUG with its outcome, Newton steps and
+    assemblies.  The run either reaches t = 1 at full tolerance or
+    reports the failure point with the last good surface.  The iterate is
+    held as its coefficients in the invariant basis throughout; the start
+    surface must carry the run truncation and lie in that basis's span
+    (tolerance 1e-8).  The run grid, returned as the report's ``grid``,
+    is the folded grid when ``antipodal`` (the group {I, -I}) and
+    ``build_grid(opts.L_max)`` otherwise (the trivial group).
     """
     opts = opts or SolverOptions()
     opts.validate()
@@ -678,7 +734,7 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
     z = surface.radial.values[basis.index]
     steps: list[ContinuationStep] = []
     try:
-        z, iters, state = newton_solve(ws, 0.0, z, opts)
+        z, iters, state = _logged_try(ws, 0.0, z, opts)
     except (NewtonError, SingularJacobianError, DomainError) as exc:
         return ContinuationReport(steps=steps, final_surface=surface,
                                   grid=grid, status="failed",
@@ -686,28 +742,35 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
     steps.append(_step_record(0.0, iters, state))
 
     t, t_prev, z_prev = 0.0, None, None
-    dt = opts.dt0
+    dt, grow = opts.dt0, True
     status, message = "converged", ""
     while t < 1.0:
         t_try = min(1.0, t + dt)
         # secant predictor through the last two accepted points
         z_start = z if z_prev is None else \
             z + (t_try - t) / (t - t_prev) * (z - z_prev)
-        refreshes = ws.refreshes
         try:
-            z_try, iters, state = newton_solve(ws, t_try, z_start, opts)
+            z_try, iters, state = _logged_try(ws, t_try, z_start, opts,
+                                              _THETA_REJECT)
+        except _StepRejected as exc:
+            dt *= np.clip(np.sqrt(_THETA_MAX / exc.theta), *_SHRINK)
+            failure = exc
         except (NewtonError, SingularJacobianError, DomainError) as exc:
             dt *= 0.5
-            if dt < opts.dt_min:
-                status = "failed"
-                message = f"step size underflow at t = {t_try:g}: {exc}"
-                break
+            failure = exc
+        else:
+            z_prev, t_prev = z, t
+            z, t = z_try, t_try
+            steps.append(_step_record(t, iters, state))
+            if grow:
+                dt = min(dt * _GROWTH, opts.dt_max)
+            grow = True
             continue
-        z_prev, t_prev = z, t
-        z, t = z_try, t_try
-        steps.append(_step_record(t, iters, state))
-        if ws.refreshes - refreshes <= 1:
-            dt = min(dt * 1.5, opts.dt_max)
+        grow = False
+        if dt < opts.dt_min:
+            status = "failed"
+            message = f"step size underflow at t = {t_try:g}: {failure}"
+            break
     final = GraphSurface(n=surface.n, pole=surface.pole.copy(),
                          radial=HarmonicCoeffs(opts.L_max, basis.scatter(z)),
                          gauge_tau0=surface.gauge_tau0)

@@ -538,6 +538,28 @@ def test_input_too_large_for_memory_fails_cleanly(tmp_path, capsys, command,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "dual", "check"])
+def test_underflowing_data_without_c_names_min_f(tmp_path, capsys, command):
+    # f is 0 in double precision, so 0.9 min f would be a c of 0 that the
+    # user never set
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"F": "gauss_power", "L_max": 8,
+                               "f": {"a_poly": [-1e308]}}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg)]
+    if command != "solve":
+        src = tmp_path / "surface.json"
+        write_surface(src, sphere_surface(np.pi / 4, L_max=8))
+        argv += ["--surface", str(src)]
+    rc = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == \
+        'error: min f is 0.0, not positive, so "c" has no default\n'
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["dual", "check", "export-obj"])
 def test_surface_degree_past_any_array_fails_cleanly(tmp_path, capsys,
                                                      command):

@@ -718,9 +718,103 @@ def test_continuation_builds_operators_once(grid_table_builds):
     # step record, and handed out with the report
     report = continuation(GAUSS, constant_data(2.0, 1.0),
                           opts=SolverOptions(L_max=8))
-    assert report.converged and len(report.steps) == 7
+    assert report.converged and len(report.steps) == 2
     assert grid_table_builds == [8]
     assert report.grid.L_max == 8
+
+
+def test_canonical_solve_reaches_one_in_a_single_try():
+    report = continuation(GAUSS, modulated_data())
+    capped = continuation(GAUSS, modulated_data(),
+                          SolverOptions(dt0=0.1, dt_max=0.25))
+    assert report.converged and capped.converged
+    assert [(s.t, s.iterations) for s in report.steps] == [(0.0, 0),
+                                                          (1.0, 12)]
+    assert report.steps[-1].residual <= 1e-10
+    diff = report.final_surface.radial.values - \
+        capped.final_surface.radial.values
+    assert np.max(np.abs(diff)) <= 1e-12
+
+
+def test_step_caps_bound_every_accepted_step():
+    report = continuation(GAUSS, modulated_data(),
+                          SolverOptions(dt0=0.1, dt_max=0.25))
+    ts = [s.t for s in report.steps]
+    assert report.converged and ts[:2] == [0.0, 0.1] and ts[-1] == 1.0
+    # t + dt rounds, so a capped step may read an ulp above dt_max
+    assert all(0.0 < b - a <= 0.25 + 1e-15 for a, b in zip(ts, ts[1:]))
+
+
+def counted_tries(monkeypatch):
+    """The t of every ``newton_solve`` call continuation makes, in order."""
+    tries, solve = [], solver.newton_solve
+
+    def counted(ws, t, *args, **kwargs):
+        tries.append(t)
+        return solve(ws, t, *args, **kwargs)
+    monkeypatch.setattr(solver, "newton_solve", counted)
+    return tries
+
+
+def test_weak_first_contraction_rejects_the_try(monkeypatch):
+    # the canonical t = 1 try contracts by 0.33 in its first step
+    monkeypatch.setattr(solver, "_THETA_REJECT", 0.3)
+    tries = counted_tries(monkeypatch)
+    report = continuation(GAUSS, modulated_data())
+    assert report.converged and report.steps[-1].t == 1.0
+    assert report.steps[-1].residual <= 1e-10
+    assert len(tries) > 2 and tries[:3] == [0.0, 1.0, 0.5]
+
+
+def test_every_homotopy_try_is_logged(monkeypatch, caplog):
+    monkeypatch.setattr(solver, "_THETA_REJECT", 0.3)
+    with caplog.at_level("DEBUG", logger="curvedual.solver"):
+        report = continuation(GAUSS, modulated_data())
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "curvedual.solver"]
+    assert lines[:3] == [
+        "homotopy try t = 0: accepted; 0 iterations, 0 refreshes",
+        "homotopy try t = 1: rejected (theta0 0.328); 1 iterations, "
+        "1 refreshes",
+        "homotopy try t = 0.5: accepted; 6 iterations, 2 refreshes"]
+    assert len(lines) == len(report.steps) + sum(
+        "rejected" in line or "failed" in line for line in lines)
+    assert "theta0" not in repr(report.as_dict())
+
+
+def test_start_solve_is_never_rejected(monkeypatch):
+    # every try on the path is rejected, the t = 0 solve from a perturbed
+    # start is not
+    monkeypatch.setattr(solver, "_THETA_REJECT", 0.0)
+    start = initial_sphere(GAUSS, 1.0)
+    start.radial[2, 0] += 0.05
+    report = continuation(GAUSS, constant_data(2.0, 1.0), start=start)
+    assert [s.t for s in report.steps] == [0.0]
+    assert report.steps[0].iterations > 0
+    assert report.message.startswith("step size underflow at t = ")
+    assert "first Newton contraction" in report.message
+
+
+def free_draw(L_max):
+    """Norm 0.2 on degrees 2 and 4 from one seeded normal draw."""
+    rng = np.random.default_rng([0, 3, 0])
+    index = [lm_index(l, m) for l in (2, 4) for m in range(-l, l + 1)]
+    v = rng.standard_normal(len(index))
+    b = HarmonicCoeffs.zeros(L_max)
+    b.values[index] = 0.2 * v / np.linalg.norm(v)
+    return PrescribedData(a_poly=[np.log(2.0)], b=b, c=1.0)
+
+
+def test_unresolved_free_draw_fails_where_the_fixed_schedule_did(
+        monkeypatch):
+    # L_max 16 cannot resolve the solution to tol past t ~ 0.003; the
+    # big first step must still back off that far before giving up
+    tries = counted_tries(monkeypatch)
+    report = continuation(GAUSS, free_draw(16), SolverOptions(L_max=16))
+    assert report.status == "failed"
+    assert report.message.startswith("step size underflow at t = ")
+    assert report.steps[-1].t >= 0.003
+    assert tries[1] == 1.0
 
 
 def test_continuation_rejects_bad_base_constant():
