@@ -74,13 +74,6 @@ _KERNEL_RCOND = 1e-8
 _THETA_MAX = 0.25
 _BROYDEN_RCOND = 1e-8
 _MAX_HALVINGS = 20  # line-search halvings after a fresh assembly
-# homotopy step control: a try whose first contraction exceeds
-# _THETA_REJECT is rejected and dt shrinks by sqrt(_THETA_MAX / theta)
-# within _SHRINK; an accepted step doubles dt, except right after a
-# rejected or failed try
-_THETA_REJECT = 0.5
-_SHRINK = (0.1, 0.5)
-_GROWTH = 2.0
 
 
 # ------------------------------------------------------------- symmetry
@@ -498,18 +491,8 @@ def _line_search(ws: NewtonWorkspace, t: float, z: np.ndarray,
     return None
 
 
-class _StepRejected(NewtonError):
-    """A homotopy try whose first contraction ``theta`` is too weak."""
-
-    def __init__(self, theta: float, bound: float, t: float):
-        super().__init__(f"first Newton contraction {theta:.3g} exceeds "
-                         f"{bound:g} at t = {t:g}")
-        self.theta = theta
-
-
 def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
-                 opts: SolverOptions | None = None,
-                 reject_above: float = np.inf):
+                 opts: SolverOptions | None = None):
     """Damped quasi-Newton iteration at fixed homotopy parameter t.
 
     The unknown ``z`` is the radial coefficient vector in the invariant
@@ -532,11 +515,7 @@ def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
     contraction ||r_new|| / ||r|| of the projected residual exceeds
     ``_THETA_MAX``, when s^T X y is negligible, and when a reused inverse
     fails its first line-search trial; that refresh takes the place of
-    the first halving.  When the contraction of the first step exceeds
-    ``reject_above`` and the new iterate is not yet converged, the solve
-    stops there with a NewtonError subclass carrying it as ``theta``, the
-    signal continuation shrinks its step by.  A failed solve leaves
-    ``ws.inverse`` at None.
+    the first halving.  A failed solve leaves ``ws.inverse`` at None.
 
     Returns
     -------
@@ -551,14 +530,14 @@ def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
     """
     opts = opts or SolverOptions()
     try:
-        return _quasi_newton(ws, t, z, opts, reject_above)
+        return _quasi_newton(ws, t, z, opts)
     except (NewtonError, SingularJacobianError, DomainError):
         ws.inverse = None  # an inverse that led to a failure is not reused
         raise
 
 
 def _quasi_newton(ws: NewtonWorkspace, t: float, z: np.ndarray,
-                  opts: SolverOptions, reject_above: float):
+                  opts: SolverOptions):
     state = ws.state(z, t)
     if not np.isfinite(state.norm):
         # e.g. F of a non-convex start; a NaN matrix would only fail
@@ -589,12 +568,9 @@ def _quasi_newton(ws: NewtonWorkspace, t: float, z: np.ndarray,
         z_new, state = accepted
         ws.iterations += 1
         r_new = ws.residual_vector(state)
-        theta = np.linalg.norm(r_new) / np.linalg.norm(r)
-        if iteration == 0 and theta > reject_above and state.norm > opts.tol:
-            raise _StepRejected(theta, reject_above, t)
         s = z_new - z
         Xy = ws.apply_inverse(r_new - r)
-        if (theta > _THETA_MAX
+        if (np.linalg.norm(r_new) > _THETA_MAX * np.linalg.norm(r)
                 or abs(s @ Xy) <= _BROYDEN_RCOND * np.linalg.norm(s)
                 * np.linalg.norm(Xy)):
             ws.inverse = None  # refreshed where the next step needs it
@@ -656,15 +632,14 @@ def _step_record(t, iterations, state: _State) -> ContinuationStep:
 
 
 def _logged_try(ws: NewtonWorkspace, t: float, z: np.ndarray,
-                opts: SolverOptions, reject_above: float = np.inf):
+                opts: SolverOptions):
     """``newton_solve`` at t, logged at DEBUG with its outcome and work."""
     iterations, refreshes = ws.iterations, ws.refreshes
-    outcome = "accepted"
+    outcome = "aborted"  # by an exception continuation does not handle
     try:
-        return newton_solve(ws, t, z, opts, reject_above)
-    except _StepRejected as exc:
-        outcome = f"rejected (theta0 {exc.theta:.3g})"
-        raise
+        result = newton_solve(ws, t, z, opts)
+        outcome = "accepted"
+        return result
     except (NewtonError, SingularJacobianError, DomainError) as exc:
         outcome = f"failed ({exc})"
         raise
@@ -680,22 +655,18 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
                  start: GraphSurface | None = None) -> ContinuationReport:
     """Follow the homotopy from the geodesic sphere to the full problem.
 
-    The step in t is controlled by Newton's own contraction (the adaptive
-    path following of Deuflhard, *Newton Methods for Nonlinear Problems*,
-    2004, ch. 5).  The first try after t = 0 goes ``opts.dt0`` ahead, to
-    t = 1 by default.  A try is rejected after its first Newton step when
-    the contraction theta = ||r_1|| / ||r_0|| of the projected residual
-    exceeds ``_THETA_REJECT``; dt then shrinks by sqrt(_THETA_MAX / theta)
-    clamped to ``_SHRINK``, the factor theta predicts.  Any other Newton
-    failure halves dt.  The run fails once dt drops below ``opts.dt_min``.
-    An accepted step doubles dt up to ``opts.dt_max``, except right after
-    a rejected or failed try.  Newton at t_try starts from the secant
-    predictor z + (t_try - t) / (t - t_prev) (z - z_prev) through the
-    last two accepted points (from z itself on the first step after
-    t = 0), rebuilt for every tried t_try.  The t = 0 solve is never
-    rejected: there is no step to shrink.  Every accepted step records
-    residual, curvature bounds and radial bounds; every try, the t = 0
-    solve included, is logged at DEBUG with its outcome, Newton steps and
+    Adaptive stepping in t: the first try after t = 0 goes ``opts.dt0``
+    ahead, to t = 1 by default, since a mild problem converges in one
+    step from the sphere.  A Newton failure halves the step that failed;
+    the run fails once that half drops below ``opts.dt_min``.  An
+    accepted step doubles dt up to ``opts.dt_max``, except right after a
+    failed try, when the next step keeps the length that just succeeded.
+    Newton at t_try starts from the secant predictor
+    z + (t_try - t) / (t - t_prev) (z - z_prev) through the last two
+    accepted points (from z itself on the first step after t = 0),
+    rebuilt for every tried t_try.  Every accepted step records residual,
+    curvature bounds and radial bounds; every try, the t = 0 solve
+    included, is logged at DEBUG with its outcome, Newton steps and
     assemblies.  The run either reaches t = 1 at full tolerance or
     reports the failure point with the last good surface.  The iterate is
     held as its coefficients in the invariant basis throughout; the start
@@ -750,27 +721,20 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
         z_start = z if z_prev is None else \
             z + (t_try - t) / (t - t_prev) * (z - z_prev)
         try:
-            z_try, iters, state = _logged_try(ws, t_try, z_start, opts,
-                                              _THETA_REJECT)
-        except _StepRejected as exc:
-            dt *= np.clip(np.sqrt(_THETA_MAX / exc.theta), *_SHRINK)
-            failure = exc
+            z_try, iters, state = _logged_try(ws, t_try, z_start, opts)
         except (NewtonError, SingularJacobianError, DomainError) as exc:
-            dt *= 0.5
-            failure = exc
-        else:
-            z_prev, t_prev = z, t
-            z, t = z_try, t_try
-            steps.append(_step_record(t, iters, state))
-            if grow:
-                dt = min(dt * _GROWTH, opts.dt_max)
-            grow = True
+            dt, grow = 0.5 * (t_try - t), False
+            if dt < opts.dt_min:
+                status = "failed"
+                message = f"step size underflow at t = {t_try:g}: {exc}"
+                break
             continue
-        grow = False
-        if dt < opts.dt_min:
-            status = "failed"
-            message = f"step size underflow at t = {t_try:g}: {failure}"
-            break
+        z_prev, t_prev = z, t
+        z, t = z_try, t_try
+        steps.append(_step_record(t, iters, state))
+        if grow:
+            dt = min(2.0 * dt, opts.dt_max)
+        grow = True
     final = GraphSurface(n=surface.n, pole=surface.pole.copy(),
                          radial=HarmonicCoeffs(opts.L_max, basis.scatter(z)),
                          gauge_tau0=surface.gauge_tau0)

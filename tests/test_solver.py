@@ -756,43 +756,40 @@ def counted_tries(monkeypatch):
     return tries
 
 
-def test_weak_first_contraction_rejects_the_try(monkeypatch):
-    # the canonical t = 1 try contracts by 0.33 in its first step
-    monkeypatch.setattr(solver, "_THETA_REJECT", 0.3)
-    tries = counted_tries(monkeypatch)
-    report = continuation(GAUSS, modulated_data())
-    assert report.converged and report.steps[-1].t == 1.0
-    assert report.steps[-1].residual <= 1e-10
-    assert len(tries) > 2 and tries[:3] == [0.0, 1.0, 0.5]
+def test_failure_halves_the_step_that_failed(monkeypatch):
+    # every try past t = 0.9 fails.  From t = 0.75 a doubled dt of 1 is
+    # clipped to t = 1; its failure must shorten the next try rather than
+    # repeat t = 1.  A step accepted right after a failure is not
+    # doubled: 0.890625 is followed by 0.90625, not 0.921875
+    tries, solve = [], solver.newton_solve
 
-
-def test_every_homotopy_try_is_logged(monkeypatch, caplog):
-    monkeypatch.setattr(solver, "_THETA_REJECT", 0.3)
-    with caplog.at_level("DEBUG", logger="curvedual.solver"):
-        report = continuation(GAUSS, modulated_data())
-    lines = [r.getMessage() for r in caplog.records
-             if r.name == "curvedual.solver"]
-    assert lines[:3] == [
-        "homotopy try t = 0: accepted; 0 iterations, 0 refreshes",
-        "homotopy try t = 1: rejected (theta0 0.328); 1 iterations, "
-        "1 refreshes",
-        "homotopy try t = 0.5: accepted; 6 iterations, 2 refreshes"]
-    assert len(lines) == len(report.steps) + sum(
-        "rejected" in line or "failed" in line for line in lines)
-    assert "theta0" not in repr(report.as_dict())
-
-
-def test_start_solve_is_never_rejected(monkeypatch):
-    # every try on the path is rejected, the t = 0 solve from a perturbed
-    # start is not
-    monkeypatch.setattr(solver, "_THETA_REJECT", 0.0)
-    start = initial_sphere(GAUSS, 1.0)
-    start.radial[2, 0] += 0.05
-    report = continuation(GAUSS, constant_data(2.0, 1.0), start=start)
-    assert [s.t for s in report.steps] == [0.0]
-    assert report.steps[0].iterations > 0
+    def failing_late(ws, t, *args, **kwargs):
+        tries.append(t)
+        if t > 0.9:
+            raise NewtonError("refused")
+        return solve(ws, t, *args, **kwargs)
+    monkeypatch.setattr(solver, "newton_solve", failing_late)
+    report = continuation(GAUSS, constant_data(2.0, 1.0),
+                          SolverOptions(L_max=8, dt0=0.25))
+    assert tries[:10] == [0.0, 0.25, 0.75, 1.0, 0.875, 1.0, 0.9375,
+                          0.90625, 0.890625, 0.90625]
+    assert all(a != b for a, b in zip(tries, tries[1:]))
+    assert len(tries) == 20
     assert report.message.startswith("step size underflow at t = ")
-    assert "first Newton contraction" in report.message
+    assert 0.875 <= report.steps[-1].t <= 0.9
+
+
+def test_try_raising_a_foreign_error_is_logged_as_aborted(monkeypatch,
+                                                          caplog):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("boom")
+    monkeypatch.setattr(solver, "newton_solve", broken)
+    with caplog.at_level("DEBUG", logger="curvedual.solver"), \
+            pytest.raises(np.linalg.LinAlgError):
+        continuation(GAUSS, constant_data(2.0, 1.0),
+                     opts=SolverOptions(L_max=8))
+    assert [r.getMessage() for r in caplog.records] == [
+        "homotopy try t = 0: aborted; 0 iterations, 0 refreshes"]
 
 
 def free_draw(L_max):
@@ -806,15 +803,28 @@ def free_draw(L_max):
 
 
 def test_unresolved_free_draw_fails_where_the_fixed_schedule_did(
-        monkeypatch):
+        monkeypatch, caplog):
     # L_max 16 cannot resolve the solution to tol past t ~ 0.003; the
-    # big first step must still back off that far before giving up
+    # big first step must still back off that far before giving up, and
+    # every try, failed or accepted, is logged
     tries = counted_tries(monkeypatch)
-    report = continuation(GAUSS, free_draw(16), SolverOptions(L_max=16))
+    with caplog.at_level("DEBUG", logger="curvedual.solver"):
+        report = continuation(GAUSS, free_draw(16), SolverOptions(L_max=16))
     assert report.status == "failed"
     assert report.message.startswith("step size underflow at t = ")
     assert report.steps[-1].t >= 0.003
     assert tries[1] == 1.0
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "curvedual.solver"]
+    assert len(lines) == len(tries)
+    assert lines[0] == "homotopy try t = 0: accepted; 0 iterations, " \
+        "0 refreshes"
+    assert lines[1].startswith("homotopy try t = 1: failed (line search "
+                               "failed after 20 halvings at t = 1; ")
+    assert sum(": accepted;" in line for line in lines) == \
+        len(report.steps)
+    assert report.message.split(": ", 1)[1] in lines[-1]
+    assert "homotopy try" not in repr(report.as_dict())
 
 
 def test_continuation_rejects_bad_base_constant():
