@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io as formats
 from .curvature import make_curvature_function
-from .errors import ConfigError, CurveDualError, DataError
+from .errors import ConfigError, CurveDualError, DataError, ResolutionError
 from .geometry import curvature_field
 from .polar import dual_surface, fit_residual, gauss_map, transfer_problem
 from .solver import (PrescribedData, SolverOptions, continuation,
@@ -317,6 +317,9 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
+    except ResolutionError as exc:  # the dual fit failed numerically
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (CurveDualError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

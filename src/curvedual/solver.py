@@ -34,8 +34,10 @@ the jets from the 1-D basis tables and its residual vector one factored
 analysis, so neither touches a points x coefficients matrix.  The Newton
 matrix factors through six per-node partial derivatives.  These are
 central finite differences on the jets, evaluated in one batch through
-the curvature kernel, and the matrix follows from them by one
-contraction with the stacked synthesis matrices of the basis.  The
+the curvature kernel.  Each jet of a basis function is a colatitude
+table column times a longitude table column, so the matrix is assembled
+one colatitude row of nodes at a time from the gathered table columns
+and then projected; no jets of the whole basis are formed.  The
 matrix is rarely assembled: Newton steps apply an approximate inverse
 held across iterations and homotopy steps and corrected by Broyden
 updates, and the matrix is assembled and inverted again only when the
@@ -293,11 +295,13 @@ class NewtonWorkspace:
 
     A state synthesizes the six radial jets from the grid's 1-D basis
     tables, and its residual vector is the tables' analysis of the
-    weighted residual, gathered to the invariant basis.  Only the
-    Jacobian assembly uses dense matrices: the jets of every basis
-    function, stacked in one (6, N, M) array ``synth``, and the weighted
-    projection ``project``.  One workspace serves every Newton solve of a
-    continuation run.  So does the approximate inverse Newton matrix: the
+    weighted residual, gathered to the invariant basis.  The Jacobian
+    assembly reads the table columns of the kept basis functions,
+    gathered once: ``_colat`` (n_theta, 4, M) and ``_lon`` (2, n_phi, M).
+    Its only dense matrices are the weighted projection ``project``
+    (M, N) and the (N, M) block it projects, built one colatitude row at
+    a time.  One workspace serves every Newton solve of a continuation
+    run.  So does the approximate inverse Newton matrix: the
     assembled inverse ``inverse`` (None until the first assembly, and
     after a failed solve) plus the "good" Broyden corrections made since,
     kept as vector pairs (u_j, v_j) so that X = inverse + sum_j u_j v_j^T
@@ -312,8 +316,18 @@ class NewtonWorkspace:
             raise ValueError("basis truncation does not match grid")
         self.grid = grid
         self.basis = basis
-        self.synth = spectral._jet_columns(grid.ops, basis.index)
-        self.project = self.synth[0].T * grid.weights
+        ops = grid.ops
+        m = ops.orders[basis.index]
+        # the kept columns of the tables: the colatitude factors of u, u_t,
+        # u_tt and u_pp, (n_theta, 4, M), and the longitude factors of u and
+        # u_p, (2, n_phi, M); u_pp takes u's longitude factor, as
+        # d^2/dphi^2 of cos or sin(m phi) is -m^2 times itself
+        colat = [T[:, basis.index] for T in ops.colat]
+        self._colat = np.stack(colat + [-(m * m) * colat[0]], axis=1)
+        self._lon = np.stack([T[:, ops.L_max + m] for T in ops.lon[:2]])
+        values = colat[0][:, None] * self._lon[0]  # (n_theta, n_phi, M)
+        values *= grid.weights.reshape(grid.n_theta, -1, 1)
+        self.project = values.reshape(grid.n_nodes, -1).T
         self.exp_b = np.exp(spectral.synthesize_product(data.b, *grid.axes))
         self.data = data
         self.F = F
@@ -392,9 +406,16 @@ class NewtonWorkspace:
         """Newton matrix of the projected residual with respect to z.
 
         The residual at node q depends only on the jet at q, so
-        J = project @ sum_k diag(d lambda / d jet_k) @ synth_k.  Each
-        partial is a central difference on one jet component; the twelve
-        perturbed copies of the jets share one kernel call.
+        J = project @ E with E = sum_k diag(d_k) S_k, d_k the partial of
+        the residual in jet k and S_k the (N, M) jet k of the kept basis
+        functions.  Each partial is a central difference on one jet
+        component; the twelve perturbed copies of the jets share one
+        kernel call.  S_k at node (i, j) is a colatitude factor at row i
+        times a longitude factor at column j, and the six jets take only
+        two longitude factors, so the n_phi rows of E at colatitude i are
+        two products of the partials of a factor's jets with their
+        colatitude factors, (n_phi, 4) @ (4, M) and (n_phi, 2) @ (2, M),
+        each times its longitude factor.  S_k itself is never formed.
         """
         jets = np.repeat(self._jets(z)[:, :, None], 12, axis=2)  # (6, N, 12)
         for k in range(6):
@@ -402,7 +423,14 @@ class NewtonWorkspace:
             jets[k, :, 2 * k + 1] -= _JET_STEP
         lam = self._lambda_of_jets(jets, t)[0]
         d = (lam[:, 0::2] - lam[:, 1::2]) / (2.0 * _JET_STEP)  # (N, 6)
-        return self.project @ np.einsum("nk,knm->nm", d, self.synth)
+        # by longitude factor: u, u_t, u_tt, u_pp | u_p, u_tp
+        d = d[:, [0, 1, 3, 5, 2, 4]].reshape(self.grid.n_theta, -1, 6)
+        lon = self._lon
+        E = np.empty(d.shape[:2] + lon.shape[2:])
+        for E_i, d_i, colat_i in zip(E, d, self._colat):
+            np.multiply(d_i[:, :4] @ colat_i, lon[0], out=E_i)
+            E_i += (d_i[:, 4:] @ colat_i[:2]) * lon[1]
+        return self.project @ E.reshape(self.grid.n_nodes, -1)
 
     def refresh(self, z: np.ndarray, t: float) -> None:
         """Assemble the Newton matrix at (z, t) and hold its gated inverse."""

@@ -10,9 +10,8 @@ Healy, "Computing Fourier transforms and convolutions on the 2-sphere"
 of values and chart derivatives is one product of each colatitude table
 with the coefficients laid out by order, then one product in longitude
 per jet; analysis is its transpose (Schaeffer, 2013).  Only
-``basis_matrix``, at scattered points, and ``_jet_columns``, the jets of
-chosen basis functions as outer products of table columns, form a points x
-coefficients matrix.
+``basis_matrix``, at scattered points, forms a points x coefficients
+matrix.
 The Legendre tables are computed degree-major, one contiguous row per basis
 function, so each step of the recurrence reads and writes whole rows; they
 are exposed as (colatitudes x coefficients) transposed views.
@@ -168,21 +167,6 @@ def _synthesis(tables: _ProductTables, a: np.ndarray) -> np.ndarray:
     for i, (k, j) in enumerate(jets):
         np.matmul(G[k], tables.lon[j].T, out=out[i])
     return out.reshape(len(jets), -1)
-
-
-def _jet_columns(tables: _ProductTables, index: np.ndarray) -> np.ndarray:
-    """The six jets of the basis functions ``index``, (6, N, len(index)).
-
-    Each basis function is a colatitude factor times a longitude factor,
-    so its jets at the product nodes are outer products of gathered table
-    columns; no sum is formed.
-    """
-    cols = tables.L_max + tables.orders[index]
-    out = np.empty((6, len(tables.Y), len(tables.lon[0]), len(index)))
-    for i, (k, j) in enumerate(_JET_TABLES):
-        np.multiply(tables.colat[k][:, None, index],
-                    tables.lon[j][None, :, cols], out=out[i])
-    return out.reshape(6, -1, len(index))
 
 
 def _analysis(tables: _ProductTables, W: np.ndarray) -> np.ndarray:

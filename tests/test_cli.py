@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvedual import HarmonicCoeffs, build_grid, sphere_surface, synthesize
-from curvedual import cli
+from curvedual import cli, polar
 from curvedual.cli import main, parse_config
-from curvedual.errors import ConfigError
+from curvedual.errors import ConfigError, ResolutionError
 from curvedual.geometry import GraphSurface
 from curvedual.io import read_surface, write_surface
 
@@ -371,6 +371,25 @@ class TestDualCommand:
                    str(tmp_path / "dual")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("message", [
+        "dual graph fit is ill conditioned (condition number 2e+08); "
+        "raise the sampling grid density",
+        "dual samples are not finite; the source surface cannot be fitted"])
+    def test_numerical_fit_failure_exits_2(self, tmp_path, capsys,
+                                           monkeypatch, message):
+        def failing_fit(*args, **kwargs):
+            raise ResolutionError(message)
+
+        monkeypatch.setattr(polar, "dual_as_graph", failing_fit)
+        src = tmp_path / "surface.json"
+        write_surface(src, sphere_surface(np.pi / 4, L_max=12))
+        rc = main(["dual", "--surface", str(src), "--out",
+                   str(tmp_path / "dual")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err
 
 
 class TestCheckCommand:

@@ -8,8 +8,8 @@ from curvedual import sphere_surface
 from curvedual.geometry import curvature_field
 from curvedual.spectral import (
     HarmonicCoeffs,
+    _JET_TABLES,
     _analysis,
-    _jet_columns,
     _ProductTables,
     _synthesis,
     analyze,
@@ -34,6 +34,21 @@ def grid8():
 @pytest.fixture(scope="module")
 def grid24():
     return build_grid(24)
+
+
+def _jet_columns(tables, index):
+    """The six jets of the basis functions ``index``, (6, N, len(index)).
+
+    Each basis function is a colatitude factor times a longitude factor,
+    so its jets at the product nodes are outer products of gathered table
+    columns; no sum is formed.  The reference for ``_synthesis``.
+    """
+    cols = tables.L_max + tables.orders[index]
+    out = np.empty((6, len(tables.Y), len(tables.lon[0]), len(index)))
+    for i, (k, j) in enumerate(_JET_TABLES):
+        np.multiply(tables.colat[k][:, None, index],
+                    tables.lon[j][None, :, cols], out=out[i])
+    return out.reshape(6, -1, len(index))
 
 
 def grid_basis(grid):
