@@ -1,8 +1,9 @@
 """Command-line front end: solve, dualize, check, and export surfaces.
 
 Exit codes follow a scripting contract: 0 for success, 1 for usage or
-input errors, 2 for a numerical failure (continuation stopped short or
-diagnostics out of tolerance) whose reports are still written.
+input errors, 2 for a numerical failure: continuation stopped short or
+diagnostics out of tolerance, whose reports are still written, or a dual
+fit that is ill conditioned or has non-finite samples.
 """
 
 from __future__ import annotations

@@ -14,18 +14,17 @@ Refitting through least squares is needed only to produce a standalone
 :class:`~curvedual.geometry.GraphSurface`.  The fit weights each sample
 by its area on the dual chart sphere, which the Weingarten relation gives
 from data the curvature field already holds, so its normal matrix is a
-quadrature of the identity Gram matrix of the orthonormal basis.  A
-Frobenius-norm certificate that this matrix is near the identity lets
-conjugate gradients solve it without any factorization; fits it cannot
-certify fall back to the normal equations behind a shifted Cholesky
-certificate (Higham, *Accuracy and Stability of Numerical Algorithms*,
-2nd ed., Thm 10.3), and then to an SVD solve (see :func:`dual_as_graph`).
+quadrature of the identity Gram matrix of the orthonormal basis.  Two
+certificates bound its condition number: a Frobenius-norm distance from
+the identity, and failing that a shifted Cholesky factor (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 10.3).
+Conjugate gradients solve every fit that one of them clears; the rest
+are solved by SVD (see :func:`dual_as_graph`).
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +42,12 @@ _CONDITION_LIMIT = 1e8
 _SV_CUTOFF = 1e-12
 # relative diagonal shift whose Cholesky factor certifies kappa_2(B) < 1e3
 _CHOLESKY_SHIFT = 2e-6
-# largest certified ||A - I||_F that the fit solves by conjugate
-# gradients: kappa_2(A) <= 9 and rho = 1/2 there
+# largest ||A - I||_F that certifies the fit: kappa_2(A) <= 9 there
 _FROBENIUS_MAX = 0.8
 # relative residual at which conjugate gradients stops
 _CG_TOL = 1e-14
-# relative residual at which the CG refinement of an LU solve stops
+# relative residual at which the refinement of a Cholesky-certified fit
+# stops
 _REFINE_TOL = 1e-4
 
 
@@ -61,10 +60,10 @@ class DualSamples:
     coordinates; ``eta_theta``, ``eta_phi`` and ``r_star`` locate that
     point in the graph chart about ``pole``, which is the antipode of the
     source pole.  ``kappa_dual`` holds the dual principal curvatures in
-    ascending order.  ``weights``, present only when :func:`gauss_map` is
-    asked for them, is each sample's area on the dual chart sphere: the
-    source quadrature weight times the area ratio of the Gauss map read
-    in that chart, so it sums to 4 pi up to quadrature error.
+    ascending order.  ``weights`` is each sample's area on the dual chart
+    sphere: the source quadrature weight times the area ratio of the
+    Gauss map read in that chart, so it sums to 4 pi up to quadrature
+    error.
     """
 
     theta: np.ndarray       # (N,)
@@ -75,14 +74,14 @@ class DualSamples:
     r_star: np.ndarray      # (N,)
     kappa_dual: np.ndarray  # (N, 2)
     pole: np.ndarray        # (4,) pole of the dual graph chart
-    weights: np.ndarray | None = None  # (N,) dual-sphere area per sample
+    weights: np.ndarray     # (N,) dual-sphere area per sample
 
     @property
     def n_nodes(self) -> int:
         return len(self.theta)
 
 
-def gauss_map(field: CurvatureField, weights: bool = False) -> DualSamples:
+def gauss_map(field: CurvatureField) -> DualSamples:
     """Map a strictly convex surface to its polar dual, node by node.
 
     The dual point at each node is the outward unit normal.  Dual
@@ -91,20 +90,17 @@ def gauss_map(field: CurvatureField, weights: bool = False) -> DualSamples:
     shared second fundamental form; they come out as the reciprocals of
     the source curvatures with the order reversed.
 
-    With ``weights``, each sample also gets its area on the dual chart
-    sphere, w_q J_q, where w_q is the source quadrature weight and
+    Each sample also gets its area on the dual chart sphere, w_q J_q,
+    where w_q is the source quadrature weight and
     J = |u_theta x u_phi| / sin(theta) the area ratio of the chart
     direction u of the dual point.  The chart derivatives of u come from
     the Weingarten relation d_i x_dual = S^k_i x_k, with S the source
-    shape operator, so the weights cost no differentiation.  Only the
-    dual fit needs them.
+    shape operator, so the weights cost no differentiation.
 
     Parameters
     ----------
     field : CurvatureField
         Sampled source surface; must be strictly convex.
-    weights : bool
-        Also compute ``DualSamples.weights``.
 
     Returns
     -------
@@ -116,11 +112,7 @@ def gauss_map(field: CurvatureField, weights: bool = False) -> DualSamples:
         If any principal curvature is nonpositive, in which case the
         normal map is not injective and the dual is undefined.
     """
-    if field.kappa_min <= 0.0:
-        raise ConvexityError(
-            f"dual surface requires strict convexity: min principal "
-            f"curvature {field.kappa_min:.6g}")
-    x_dual = field.normal
+    x_dual = _dual_points(field)
     pole_dual = -field.surface.pole
     Q = frame_for_pole(pole_dual)
     std = x_dual @ Q  # rows are Q^T x_dual, chart components about pole_dual
@@ -138,22 +130,32 @@ def gauss_map(field: CurvatureField, weights: bool = False) -> DualSamples:
         shape_dual[..., 0, 0], shape_dual[..., 0, 1],
         shape_dual[..., 1, 0], shape_dual[..., 1, 1])
 
-    area = None
-    if weights:
-        # u = a / |a| with a the equatorial part of Q^T x_dual, so
-        # |u_theta x u_phi| = |det(a, a_theta, a_phi)| / |a|^3
-        S = field.shape_operator
-        a_t, a_p = ((S[:, 0, i, None] * field.x_theta
-                     + S[:, 1, i, None] * field.x_phi) @ Q[:, :3]
-                    for i in (0, 1))
-        vol = np.einsum("ni,ni->n", std[:, :3], np.cross(a_t, a_p))
-        area = field.grid.weights * np.abs(vol) / (
-            equatorial**3 * np.sin(field.grid.theta))
+    # u = a / |a| with a the equatorial part of Q^T x_dual, so
+    # |u_theta x u_phi| = |det(a, a_theta, a_phi)| / |a|^3
+    S = field.shape_operator
+    a_t, a_p = ((S[:, 0, i, None] * field.x_theta
+                 + S[:, 1, i, None] * field.x_phi) @ Q[:, :3]
+                for i in (0, 1))
+    vol = np.einsum("ni,ni->n", std[:, :3], np.cross(a_t, a_p))
+    area = field.grid.weights * np.abs(vol) / (
+        equatorial**3 * np.sin(field.grid.theta))
 
     return DualSamples(theta=field.grid.theta, phi=field.grid.phi,
                        x_dual=x_dual, eta_theta=eta_theta, eta_phi=eta_phi,
                        r_star=r_star, kappa_dual=kappa_dual, pole=pole_dual,
                        weights=area)
+
+
+def _dual_points(field: CurvatureField) -> np.ndarray:
+    """The dual points, which are the outward unit normals of ``field``.
+
+    Raises ConvexityError unless the field is strictly convex.
+    """
+    if field.kappa_min <= 0.0:
+        raise ConvexityError(
+            f"dual surface requires strict convexity: min principal "
+            f"curvature {field.kappa_min:.6g}")
+    return field.normal
 
 
 def dual_as_graph(samples: DualSamples, L_max: int) -> GraphSurface:
@@ -168,55 +170,58 @@ def dual_as_graph(samples: DualSamples, L_max: int) -> GraphSurface:
     quadrature of the coefficient integrals (Driscoll & Healy 1994).  The
     solve stays an exact least-squares solve of the weighted rows.
 
-    Three tiers, the first that applies:
+    Two paths:
 
-    * **Near identity.**  With eta an upper bound on ||A - I||_F that
-      includes the rounding of forming A, every eigenvalue of A lies in
-      [1 - eta, 1 + eta].  When eta <= 0.8, kappa_2(A) <= (1 + eta) /
-      (1 - eta) <= 9, and conjugate gradients from the quadrature
-      coefficients solve A c = B^T W r_star within a step cap that this
-      bound implies (Golub & Van Loan, *Matrix Computations*, 4th ed.,
-      section 11.3).  No factorization is formed.
-    * **Normal equations.**  With s = ||A||_1 >= lambda_max(A) and the
-      shift mu = 2e-6 s, the fit takes the normal equations when the
-      Cholesky factorization of A - mu I completes with a finite
-      diagonal.  By the backward-error bound of Cholesky factorization
-      (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-      Thm 10.3; Demmel 1989) that factor is exact for A - mu I + E with
-      ||E||_2 <= n(n+1) u s, u the unit roundoff, so lambda_min(A) >
-      1e-6 lambda_max(A) whenever n(n+1) u < 1e-6 (n below about 9e4):
-      the weighted basis has kappa_2 < 1e3.  The normal equations alone
-      reach the least-squares solution with relative error about
-      eps * kappa^2 <= 1e-10 (Golub & Van Loan, section 5.3); one step of
-      iterative refinement with the least-squares residual
-      B^T W (r_star - B c) takes it to about 1e-14 on the squeezed test
-      fits (Bjorck, *Numerical Methods for Least Squares Problems*,
-      1996).  The correction is needed to a few digits only, so it is
-      found by conjugate gradients on A, stopped at relative residual
-      1e-4 or after n steps (11 and 28 steps on the acceptance 03 and
-      squeezed test fits), and the tier does one LU factorization.  An
-      early stop is safe: each CG iterate from zero has a smaller A-norm
-      error than no correction.  The test is sufficient, not necessary:
-      it can fail once kappa_2 exceeds about sqrt(lambda_max / mu) <= 707.
-    * **SVD.**  Otherwise the weighted rows are solved by SVD, discarding
-      the degrees of freedom whose singular values fall below 1e-12 of
-      the largest; the dual directions cluster where the source
-      curvature is large, and the cutoff keeps the fit stable there.
+    * **Certified: conjugate gradients.**  When a certificate bounds the
+      condition number of A, conjugate gradients from the quadrature
+      coefficients solve A c = B^T W r_star to relative residual 1e-14,
+      within n steps (Golub & Van Loan, *Matrix Computations*, 4th ed.,
+      section 11.3).  The certificates, the first that applies:
+
+      - *Frobenius.*  With eta an upper bound on ||A - I||_F that
+        includes the rounding of forming A, every eigenvalue of A lies
+        in [1 - eta, 1 + eta].  When eta <= 0.8, kappa_2(A) <=
+        (1 + eta) / (1 - eta) <= 9, so each step cuts the CG error bound
+        by at least half.  Every fit of the seed-0 benchmark ``dual``
+        inputs is cleared here, in 1 to 5 steps.
+      - *Shifted Cholesky.*  With s = ||A||_1 >= lambda_max(A) and the
+        shift mu = 2e-6 s, the Cholesky factorization of A - mu I
+        completes with a finite diagonal.  By the backward-error bound of
+        Cholesky factorization (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, 2nd ed., Thm 10.3; Demmel 1989) that
+        factor is exact for A - mu I + E with ||E||_2 <= n(n+1) u s, u the
+        unit roundoff, so lambda_min(A) > 1e-6 lambda_max(A) whenever
+        n(n+1) u < 1e-6 (n below about 9e4): the weighted basis has
+        kappa_2 < 1e3.  The normal equations alone reach the
+        least-squares solution with relative error about
+        eps * kappa^2 <= 1e-10 (Golub & Van Loan, section 5.3); one step
+        of iterative refinement with the least-squares residual
+        B^T W (r_star - B c) takes it to about 1e-14 on the squeezed test
+        fits (Bjorck, *Numerical Methods for Least Squares Problems*,
+        1996).  The correction is needed to a few digits only, so its CG
+        stops at relative residual 1e-4; an early stop is safe, since
+        each CG iterate from zero has a smaller A-norm error than no
+        correction.  The first legs of the canonical solve output and of
+        acceptance 03 are cleared here and take 3 and 14 steps.  The test
+        is sufficient, not necessary: it can fail once kappa_2 exceeds
+        about sqrt(lambda_max / mu) <= 707.
+
+    * **SVD.**  A fit that no certificate clears, or whose CG misses its
+      tolerance, is solved by SVD of the weighted rows, discarding the
+      degrees of freedom whose singular values fall below 1e-12 of the
+      largest; the dual directions cluster where the source curvature is
+      large, and the cutoff keeps the fit stable there.
+
+    The path taken is logged at DEBUG on this module's logger.
 
     Raises
     ------
-    ValueError
-        If the samples carry no weights (``gauss_map(..., weights=True)``
-        computes them).
     ResolutionError
         If any sample or weight is not finite, before any factorization,
         or if the condition number of the weighted fit, measured by the
-        SVD on the last tier, exceeds 1e8.  The caller should raise the
-        source grid density.
+        SVD, exceeds 1e8.  The caller should raise the source grid
+        density.
     """
-    if samples.weights is None:
-        raise ValueError("the dual fit needs sample weights; use "
-                         "gauss_map(field, weights=True)")
     if not all(np.isfinite(v).all() for v in (samples.eta_theta,
                                               samples.eta_phi,
                                               samples.r_star,
@@ -229,29 +234,35 @@ def dual_as_graph(samples: DualSamples, L_max: int) -> GraphSurface:
     rhs = root * samples.r_star
     A = B.T @ B  # numpy sends this form to syrk
     quadrature = B.T @ rhs
+    n = A.shape[0]
     eta = _distance_from_identity(A, samples.n_nodes)
-    coeffs = None
-    if eta <= _FROBENIUS_MAX:
-        coeffs, steps = _conjugate_gradients(A, quadrature, eta)
-        method = f"CG, ||A - I||_F <= {eta:.3g}, {steps} steps"
-    if coeffs is None:
-        if _certifies_normal_equations(A):
-            coeffs = np.linalg.solve(A, quadrature)
-            # one step of refinement with the least-squares residual;
-            # the correction needs few digits, so CG on A finds it
-            # without a second factorization
+    frobenius = eta <= _FROBENIUS_MAX
+    converged = False
+    if frobenius or _certifies_normal_equations(A):
+        method = f"||A - I||_F <= {eta:.3g}" if frobenius else \
+            "shifted Cholesky"
+        coeffs, steps, converged = _cg_steps(A, quadrature, quadrature.copy(),
+                                             _CG_TOL, n)
+        method += f", CG steps {steps}" + ("" if converged else
+                                            " short of tolerance")
+        if converged and not frobenius:
+            # one step of refinement with the least-squares residual
             residual = B.T @ (rhs - B @ coeffs)
-            coeffs += _cg_steps(A, residual, np.zeros_like(residual),
-                                _REFINE_TOL, A.shape[0])[0]
-            method = "normal equations, condition < 1e3"
-        else:
-            coeffs, _, _, sv = np.linalg.lstsq(B, rhs, rcond=_SV_CUTOFF)
-            cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
-            if cond > _CONDITION_LIMIT:
-                raise ResolutionError(
-                    f"dual graph fit is ill conditioned (condition number "
-                    f"{cond:.3g}); raise the sampling grid density")
-            method = f"SVD, condition {cond:.3g}"
+            correction, steps, _ = _cg_steps(A, residual,
+                                             np.zeros_like(residual),
+                                             _REFINE_TOL, n)
+            coeffs += correction
+            method += f", refinement steps {steps}"
+    else:
+        method = "no certificate"
+    if not converged:
+        coeffs, _, _, sv = np.linalg.lstsq(B, rhs, rcond=_SV_CUTOFF)
+        cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
+        if cond > _CONDITION_LIMIT:
+            raise ResolutionError(
+                f"dual graph fit is ill conditioned (condition number "
+                f"{cond:.3g}); raise the sampling grid density")
+        method += f"; SVD, condition {cond:.3g}"
     log.debug("dual graph fit: %d samples, L_max=%d, %s",
               samples.n_nodes, L_max, method)
     return GraphSurface(n=2, pole=samples.pole.copy(),
@@ -281,26 +292,6 @@ def _gamma(n: int) -> float:
     """Higham's gamma_n = n u / (1 - n u), u the unit roundoff."""
     nu = n * np.finfo(float).eps / 2.0
     return nu / (1.0 - nu)
-
-
-def _conjugate_gradients(A: np.ndarray, b: np.ndarray, eta: float
-                         ) -> tuple[np.ndarray | None, int]:
-    """Solve A c = b from c = b, given ||A - I||_2 <= eta < 1.
-
-    The spectrum lies in [1 - eta, 1 + eta], so kappa = (1 + eta) /
-    (1 - eta) and the residual after k steps is at most
-    2 sqrt(kappa) rho^k ||b - A b||, rho = (sqrt(kappa) - 1) /
-    (sqrt(kappa) + 1) = eta / (1 + sqrt(1 - eta^2)), with
-    ||b - A b|| <= eta ||b||.  The step cap is the k at which that bound
-    reaches the stopping tolerance.  Returns the solution and the steps
-    taken, or None if the cap is reached first.
-    """
-    kappa = (1.0 + eta) / (1.0 - eta)
-    rate = eta / (1.0 + math.sqrt(1.0 - eta * eta))
-    cap = max(1, math.ceil(math.log(_CG_TOL / (2.0 * math.sqrt(kappa) * eta))
-                           / math.log(rate)))
-    c, steps, converged = _cg_steps(A, b, b.copy(), _CG_TOL, cap)
-    return (c if converged else None), steps
 
 
 def _cg_steps(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float,
@@ -380,7 +371,7 @@ def dual_surface(surface: GraphSurface, L_max: int | None = None,
     grid = build_grid(sample_L)
     field = curvature_field(surface.padded_to(sample_L), grid,
                             require_convex=True)
-    return dual_as_graph(gauss_map(field, weights=True), L_max=L_max)
+    return dual_as_graph(gauss_map(field), L_max=L_max)
 
 
 @dataclass
@@ -419,15 +410,14 @@ def support_test(field: CurvatureField, sample_count: int,
     seed : int
         Seed for the pair sampler; fixed default for reproducible runs.
     """
-    samples = gauss_map(field)
-
+    x_dual = _dual_points(field)
     rng = np.random.default_rng(seed)
     N = field.grid.n_nodes
     i = rng.integers(0, N, size=sample_count)
     j = rng.integers(0, N - 1, size=sample_count)
     j[j >= i] += 1  # distinct partner for every pair
-    off_diag = np.sum(field.x[i] * samples.x_dual[j], axis=1)
-    diag = np.abs(np.sum(field.x * samples.x_dual, axis=1))
+    off_diag = np.sum(field.x[i] * x_dual[j], axis=1)
+    diag = np.abs(np.sum(field.x * x_dual, axis=1))
     return SupportReport(pair_count=int(sample_count),
                          max_off_diagonal=float(off_diag.max()),
                          max_diagonal_abs=float(diag.max()))

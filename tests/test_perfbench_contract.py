@@ -65,7 +65,7 @@ def test_dual_input_zero_fits_are_near_identity(tmp_path, monkeypatch,
         source = source or legs[-1][1]
         field = curvature_field(source.padded_to(sample_L),
                                 build_grid(sample_L), require_convex=True)
-        samples = polar.gauss_map(field, weights=True)
+        samples = polar.gauss_map(field)
         root = np.sqrt(samples.weights)
         B = basis_matrix(L_max, samples.eta_theta, samples.eta_phi)
         expect = np.linalg.lstsq(root[:, None] * B, root * samples.r_star,

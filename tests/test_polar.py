@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ import pytest
 from curvedual.curvature import make_curvature_function
 from curvedual.errors import ConvexityError, DataError, ResolutionError
 from curvedual.geometry import curvature_field, sphere_surface
+from curvedual.solver import PrescribedData, continuation
 from curvedual import polar
-from curvedual.polar import (DualSamples, _conjugate_gradients,
-                             dual_as_graph, dual_surface, fit_residual,
-                             gauss_map, support_test, transfer_problem)
+from curvedual.polar import (DualSamples, dual_as_graph, dual_surface,
+                             fit_residual, gauss_map, support_test,
+                             transfer_problem)
 from curvedual.spectral import HarmonicCoeffs, analyze, basis_matrix, \
     build_grid, chart_jets
 from curvedual import geometry
@@ -86,7 +88,7 @@ def test_gauss_map_rejects_nonconvex():
 def test_dual_graph_of_sphere():
     grid = build_grid(16)
     field = curvature_field(sphere_surface(np.pi / 6, L_max=16), grid)
-    dual = dual_as_graph(gauss_map(field, weights=True), L_max=16)
+    dual = dual_as_graph(gauss_map(field), L_max=16)
     values = dual.radial.values
     a00 = values[0]
     assert abs(a00 - (np.pi / 3) * np.sqrt(4 * np.pi)) <= 1e-9
@@ -98,7 +100,7 @@ def test_dual_graph_of_sphere():
 def test_ball_polarity(radius):
     grid = build_grid(12)
     field = curvature_field(sphere_surface(radius, L_max=12), grid)
-    dual = dual_as_graph(gauss_map(field, weights=True), L_max=12)
+    dual = dual_as_graph(gauss_map(field), L_max=12)
     expect = (np.pi / 2 - radius) * np.sqrt(4 * np.pi)
     assert abs(dual.radial.values[0] - expect) <= 1e-9
     assert np.max(np.abs(dual.radial.values[1:])) <= 1e-9
@@ -110,7 +112,7 @@ def test_inclusion_reversal_for_balls():
     radii = []
     for r in (np.pi / 6, np.pi / 4):
         field = curvature_field(sphere_surface(r, L_max=8), grid)
-        dual = dual_as_graph(gauss_map(field, weights=True), L_max=8)
+        dual = dual_as_graph(gauss_map(field), L_max=8)
         radii.append(dual.radial.values[0] / np.sqrt(4 * np.pi))
     assert radii[0] > radii[1]
 
@@ -131,8 +133,7 @@ def test_double_dual_returns_source():
 def test_dual_fit_residual_small():
     surf = perturbed_surface()
     grid = build_grid(36)
-    samples = gauss_map(curvature_field(surf.padded_to(36), grid),
-                        weights=True)
+    samples = gauss_map(curvature_field(surf.padded_to(36), grid))
     dual = dual_as_graph(samples, L_max=32)
     assert fit_residual(samples, dual) <= 1e-6
 
@@ -157,24 +158,20 @@ def test_ball_weights_equal_grid_weights(radius):
     # its chart direction is the source direction mirrored: J = 1
     grid = build_grid(16)
     samples = gauss_map(curvature_field(sphere_surface(radius, L_max=16),
-                                        grid), weights=True)
+                                        grid))
     assert np.max(np.abs(samples.weights / grid.weights - 1.0)) <= 2e-15
 
 
-def test_weights_only_on_request():
+def test_weights_sum_to_sphere_area():
     field = curvature_field(perturbed_surface(), build_grid(24))
-    samples = gauss_map(field)
-    assert samples.weights is None
-    with pytest.raises(ValueError, match="needs sample weights"):
-        dual_as_graph(samples, L_max=24)
-    weights = gauss_map(field, weights=True).weights
+    weights = gauss_map(field).weights
     assert abs(weights.sum() / (4.0 * np.pi) - 1.0) <= 1e-14
 
 
 def test_degenerate_samples_rejected():
     grid = build_grid(8)
     field = curvature_field(sphere_surface(np.pi / 4, L_max=8), grid)
-    s = gauss_map(field, weights=True)
+    s = gauss_map(field)
     rep = np.zeros(60, dtype=int)  # every sample at the same direction
     collapsed = DualSamples(theta=s.theta[rep], phi=s.phi[rep],
                             x_dual=s.x_dual[rep],
@@ -196,8 +193,7 @@ def test_nonfinite_samples_rejected(monkeypatch, name):
     # NaN input makes LAPACK's least squares print DLASCL errors and raise
     # a bare LinAlgError; the fit must stop before any factorization
     grid = build_grid(8)
-    s = gauss_map(curvature_field(sphere_surface(np.pi / 4, L_max=8), grid),
-                  weights=True)
+    s = gauss_map(curvature_field(sphere_surface(np.pi / 4, L_max=8), grid))
     values = getattr(s, name).copy()
     values[17] = np.nan
     for solver in ("cholesky", "eigvalsh", "lstsq", "solve"):
@@ -218,8 +214,7 @@ def _squeezed_sphere_samples(factor):
     # scaling eta_theta pulls the dual directions toward the chart pole,
     # which raises the condition number of the fit; the weights stay
     grid = build_grid(8)
-    s = gauss_map(curvature_field(sphere_surface(np.pi / 4, L_max=8), grid),
-                  weights=True)
+    s = gauss_map(curvature_field(sphere_surface(np.pi / 4, L_max=8), grid))
     return dataclasses.replace(s, eta_theta=factor * s.eta_theta)
 
 
@@ -227,7 +222,7 @@ def _squeezed_sphere_samples(factor):
 def bumpy_samples():
     # acceptance 03's first leg: the L 24 bumpy surface sampled at L 36
     return gauss_map(curvature_field(perturbed_surface().padded_to(36),
-                                     build_grid(36)), weights=True)
+                                     build_grid(36)))
 
 
 def test_well_conditioned_fit_uses_normal_equations(monkeypatch,
@@ -243,40 +238,81 @@ def test_well_conditioned_fit_uses_normal_equations(monkeypatch,
     assert np.max(np.abs(coeffs - expect)) <= 1e-12
 
 
-def test_acceptance_03_first_leg_takes_cholesky_tier(monkeypatch,
-                                                    bumpy_samples):
-    # ||A - I||_F is 3.4 at sample_L 36 while the spectral deviation is
-    # 0.94: the Frobenius bound cannot certify it, the shifted Cholesky
-    # factor can, and the normal equations are solved by one LU, then
-    # refined by conjugate gradients without a second factorization
-    solves = []
-    solve = np.linalg.solve
+@pytest.fixture(scope="module")
+def solve_output_samples():
+    # the first leg of the canonical solve output's dual: acceptance 06's
+    # modulated gauss_power problem solved at L 24, sampled at L 36
+    b = HarmonicCoeffs.zeros(2)
+    b[2, 0] = 0.4 / np.sqrt(6.0)
+    b[2, 2] = 0.2 / np.sqrt(6.0)
+    b[2, -1] = -0.2 / np.sqrt(6.0)
+    data = PrescribedData(a_poly=[np.log(2.0)], b=b, c=1.0)
+    surface = continuation(make_curvature_function("gauss_power"),
+                           data).final_surface
+    return gauss_map(curvature_field(surface.padded_to(36), build_grid(36)))
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("LU or SVD solve on a certified fit")
+
+
+@pytest.mark.parametrize("leg", ["bumpy_samples", "solve_output_samples"])
+def test_first_leg_fit_is_cholesky_certified_cg(monkeypatch, request, leg):
+    # ||A - I||_F is 3.4 (acceptance 03) and 1.46 (solve output): the
+    # Frobenius bound cannot certify these fits, the shifted Cholesky
+    # factor can, and conjugate gradients solve them with no LU or SVD
+    samples = request.getfixturevalue(leg)
+    root = np.sqrt(samples.weights)
+    B = root[:, None] * basis_matrix(32, samples.eta_theta, samples.eta_phi)
+    A = B.T @ B
+    expect = np.linalg.lstsq(B, root * samples.r_star, rcond=None)[0]
+    assert np.linalg.norm(A - np.eye(len(A))) > polar._FROBENIUS_MAX
+    assert polar._certifies_normal_equations(A)
+    for name in ("solve", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, _no_solve)
+    coeffs = dual_as_graph(samples, L_max=32).radial.values
+    assert np.max(np.abs(coeffs - expect)) <= 1e-12
+
+
+def test_cg_short_of_tolerance_falls_through_to_svd(monkeypatch, caplog):
+    # a Frobenius-certified fit whose conjugate gradients cannot reach
+    # the tolerance within n steps is solved by the SVD, once
+    samples = gauss_map(curvature_field(perturbed_surface(L_max=8),
+                                        build_grid(8)))
+    expect = _svd_fit(samples, 6)
+    calls = []
+    lstsq = np.linalg.lstsq
 
     def counted(*args, **kwargs):
-        solves.append(args)
-        return solve(*args, **kwargs)
+        calls.append(args)
+        return lstsq(*args, **kwargs)
 
-    def no_svd(*args, **kwargs):
-        raise AssertionError("SVD solve on a certified fit")
+    monkeypatch.setattr(polar, "_CG_TOL", 1e-300)
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    with caplog.at_level("DEBUG", logger="curvedual.polar"):
+        coeffs = dual_as_graph(samples, L_max=6).radial.values
+    assert len(calls) == 1
+    assert np.array_equal(coeffs, expect)
+    assert re.search(r"\|\|A - I\|\|_F <= \S+, CG steps 49 short of "
+                     r"tolerance; SVD, condition \S+$", caplog.text)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
-    monkeypatch.setattr(np.linalg, "lstsq", no_svd)
-    dual_as_graph(bumpy_samples, L_max=32)
-    assert len(solves) == 1
 
-
-def test_cg_step_cap_falls_through_to_cholesky_tier(monkeypatch):
-    # a spectrum wider than the claimed bound cannot meet the cap
-    A = np.diag(np.linspace(0.05, 1.95, 50))
-    assert _conjugate_gradients(A, np.ones(50), 0.1)[0] is None
-    # and a fit whose CG stops at the cap is solved by the next tier
-    samples = gauss_map(curvature_field(sphere_surface(np.pi / 4, L_max=8),
-                                        build_grid(8)), weights=True)
-    expect = _svd_fit(samples, 6)
-    monkeypatch.setattr(polar, "_conjugate_gradients",
-                        lambda A, b, eta: (None, 1))
-    coeffs = dual_as_graph(samples, L_max=6).radial.values
-    assert np.max(np.abs(coeffs - expect)) <= 1e-12
+def test_dual_fit_logs_its_path(caplog):
+    fits = [(_squeezed_sphere_samples(1.0),
+             r"\|\|A - I\|\|_F <= \S+, CG steps \d+$"),
+            (_squeezed_sphere_samples(0.7),
+             r"shifted Cholesky, CG steps \d+, refinement steps \d+$"),
+            (_squeezed_sphere_samples(0.5),
+             r"no certificate; SVD, condition 5\.97e\+04$")]
+    with caplog.at_level("DEBUG", logger="curvedual.polar"):
+        for samples, _ in fits:
+            dual_as_graph(samples, L_max=6)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "curvedual.polar"]
+    assert len(lines) == len(fits)
+    for line, (_, pattern) in zip(lines, fits):
+        assert line.startswith("dual graph fit: 153 samples, L_max=6, ")
+        assert re.search(pattern, line), line
 
 
 def test_ill_conditioned_fit_falls_back_to_svd():
