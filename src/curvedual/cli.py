@@ -24,8 +24,7 @@ from .solver import (PrescribedData, SolverOptions, continuation,
 from .spectral import HarmonicCoeffs, build_grid
 from .validation import full_report
 
-_CONFIG_KEYS = {"F", "n", "L_max", "group", "f", "c", "tol", "kappa_floor",
-                "kappa_ceil", "dt0", "dt_min", "dt_max", "max_newton"}
+_CONFIG_KEYS = {"F", "L_max", "group", "f", "c", "tol"}
 _F_KEYS = {"a_poly", "b"}
 
 # tolerances a surface must meet for `check` to exit 0
@@ -34,16 +33,6 @@ CHECK_LIMITS = {
     "stereographic_residual": 1e-6,
     "residual_max_abs": 1e-8,
 }
-
-
-def _load_json(path):
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def _numeric(kind, value, name: str):
@@ -101,10 +90,6 @@ def parse_config(doc: dict):
     if "F" not in doc or "f" not in doc:
         raise ConfigError("config requires the keys \"F\" and \"f\"")
 
-    # the grid, the surfaces and the curvature functions are 2-dimensional
-    n = _numeric(int, doc.get("n", 2), '"n"')
-    if n != 2:
-        raise ConfigError(f"only n = 2 is supported, got n = {n}")
     try:
         F = make_curvature_function(str(doc["F"]))
     except ValueError as exc:
@@ -112,12 +97,8 @@ def parse_config(doc: dict):
 
     opts = SolverOptions(
         L_max=_numeric(int, doc.get("L_max", 24), '"L_max"'))
-    for key in ("tol", "kappa_floor", "kappa_ceil", "dt0", "dt_min",
-                "dt_max"):
-        if key in doc:
-            setattr(opts, key, _numeric(float, doc[key], f'"{key}"'))
-    opts.max_newton = _numeric(int, doc.get("max_newton", opts.max_newton),
-                               '"max_newton"')
+    if "tol" in doc:
+        opts.tol = _numeric(float, doc["tol"], '"tol"')
     opts.validate()
 
     fspec = doc["f"]
@@ -151,7 +132,7 @@ def parse_config(doc: dict):
 
 
 def cmd_solve(args) -> int:
-    F, data, opts, antipodal = parse_config(_load_json(args.config))
+    F, data, opts, antipodal = parse_config(formats.read_json(args.config))
     os.makedirs(args.out, exist_ok=True)
 
     report = continuation(F, data, opts=opts, antipodal=antipodal)
@@ -180,7 +161,7 @@ def cmd_solve(args) -> int:
 def cmd_dual(args) -> int:
     # a bad config fails before the two fits run
     config = None if args.config is None else \
-        parse_config(_load_json(args.config))
+        parse_config(formats.read_json(args.config))
     surface = formats.read_surface(args.surface)
     os.makedirs(args.out, exist_ok=True)
     grid = build_grid(surface.L_max)
@@ -248,7 +229,7 @@ def cmd_check(args) -> int:
     surface = formats.read_surface(args.surface)
     F = f = None
     if args.config is not None:
-        F, f, _, _ = parse_config(_load_json(args.config))
+        F, f, _, _ = parse_config(formats.read_json(args.config))
     fld = curvature_field(surface, build_grid(surface.L_max))
     report = full_report(fld, F=F, f=f, seed=args.seed)
     doc = report.as_dict()

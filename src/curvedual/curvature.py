@@ -39,7 +39,6 @@ class CurvatureFunction:
     """
 
     name: str
-    n = 2  # number of principal curvatures
 
     def value(self, kappa: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -71,7 +70,7 @@ class _Mean(CurvatureFunction):
         return np.ones_like(kappa)
 
     def hessian(self, kappa):
-        return np.zeros(kappa.shape + (self.n,))
+        return np.zeros(kappa.shape + (2,))
 
 
 @dataclass
@@ -81,18 +80,18 @@ class _GaussPower(CurvatureFunction):
     name: str = "gauss_power"
 
     def value(self, kappa):
-        return self.n * np.exp(np.mean(np.log(kappa), axis=-1))
+        return 2.0 * np.exp(np.mean(np.log(kappa), axis=-1))
 
     def gradient(self, kappa):
         F = self.value(kappa)
-        return F[..., None] / (self.n * kappa)
+        return F[..., None] / (2.0 * kappa)
 
     def hessian(self, kappa):
         F = self.value(kappa)
         outer = np.einsum("...i,...j->...ij", 1.0 / kappa, 1.0 / kappa)
-        H = (F[..., None, None] / self.n**2) * outer
-        idx = np.arange(self.n)
-        H[..., idx, idx] -= F[..., None] / (self.n * kappa**2)
+        H = (F[..., None, None] / 4.0) * outer
+        idx = np.arange(2)
+        H[..., idx, idx] -= F[..., None] / (2.0 * kappa**2)
         return H
 
 
@@ -103,18 +102,18 @@ class _NormA(CurvatureFunction):
     name: str = "norm_A"
 
     def value(self, kappa):
-        return np.sqrt(self.n) * np.linalg.norm(kappa, axis=-1)
+        return np.sqrt(2.0) * np.linalg.norm(kappa, axis=-1)
 
     def gradient(self, kappa):
         nrm = np.linalg.norm(kappa, axis=-1, keepdims=True)
-        return np.sqrt(self.n) * kappa / nrm
+        return np.sqrt(2.0) * kappa / nrm
 
     def hessian(self, kappa):
         nrm = np.linalg.norm(kappa, axis=-1)
         outer = np.einsum("...i,...j->...ij", kappa, kappa)
-        H = -np.sqrt(self.n) * outer / nrm[..., None, None] ** 3
-        idx = np.arange(self.n)
-        H[..., idx, idx] += np.sqrt(self.n) / nrm[..., None]
+        H = -np.sqrt(2.0) * outer / nrm[..., None, None] ** 3
+        idx = np.arange(2)
+        H[..., idx, idx] += np.sqrt(2.0) / nrm[..., None]
         return H
 
 
@@ -147,7 +146,7 @@ class _InverseFunction(CurvatureFunction):
         y2 = y**2
         outer_g = np.einsum("...i,...j->...ij", Gv * y2, Gv * y2)
         H = 2.0 * outer_g / Fv**3 - Hv * np.einsum("...i,...j->...ij", y2, y2) / Fv**2
-        idx = np.arange(self.n)
+        idx = np.arange(2)
         H[..., idx, idx] -= 2.0 * Gv * y**3 / Fv[..., 0] ** 2
         return H
 
@@ -179,7 +178,6 @@ class ClassKReport:
     """Outcome of the structural checks for inverse-solvable functions."""
 
     name: str
-    n: int
     n_samples: int
     monotone: bool
     weight_ordering: bool
@@ -194,7 +192,7 @@ class ClassKReport:
 
     def as_dict(self) -> dict:
         return {
-            "name": self.name, "n": self.n, "n_samples": self.n_samples,
+            "name": self.name, "n_samples": self.n_samples,
             "monotone": self.monotone, "weight_ordering": self.weight_ordering,
             "boundary_vanish": self.boundary_vanish,
             "concave_if_deg1": self.concave_if_deg1,
@@ -214,10 +212,10 @@ def class_K_check(F: CurvatureFunction, n_samples: int = 10_000,
       check: strictly decreasing and dropping at least a factor of 100);
     * concave_if_deg1: the eigenvalues of the Hessian stay below 1e-10.
 
-    Samples are log-uniform over [1e-2, 1e2]^n with a fixed seed.
+    Samples are log-uniform over [1e-2, 1e2]^2 with a fixed seed.
     """
     rng = np.random.default_rng(seed)
-    kappa = 10.0 ** rng.uniform(-2, 2, size=(n_samples, F.n))
+    kappa = 10.0 ** rng.uniform(-2, 2, size=(n_samples, 2))
     failures: dict = {}
 
     grad = F.gradient(kappa)
@@ -228,20 +226,17 @@ def class_K_check(F: CurvatureFunction, n_samples: int = 10_000,
 
     weighted = grad * kappa
     ok = True
-    for i in range(F.n):
-        for j in range(F.n):
-            if i == j:
-                continue
-            # wherever kappa_j <= kappa_i the weight F_j kappa_j must majorize
-            mask = kappa[:, j] <= kappa[:, i]
-            viol = weighted[mask, i] > weighted[mask, j] + 1e-12
-            if np.any(viol):
-                ok = False
-                k_bad = kappa[mask][viol][0]
-                failures.setdefault("weight_ordering", {"kappa": k_bad.tolist()})
+    for i, j in ((0, 1), (1, 0)):
+        # wherever kappa_j <= kappa_i the weight F_j kappa_j must majorize
+        mask = kappa[:, j] <= kappa[:, i]
+        viol = weighted[mask, i] > weighted[mask, j] + 1e-12
+        if np.any(viol):
+            ok = False
+            k_bad = kappa[mask][viol][0]
+            failures.setdefault("weight_ordering", {"kappa": k_bad.tolist()})
     weight_ordering = ok
 
-    base = np.array([1.0] * F.n)
+    base = np.ones(2)
     eps_ladder = [1e-3, 1e-6, 1e-9]
     vals = []
     for eps in eps_ladder:
@@ -262,7 +257,7 @@ def class_K_check(F: CurvatureFunction, n_samples: int = 10_000,
         failures["concave_if_deg1"] = {
             "kappa": kappa[bad].tolist(), "max_eig": float(np.max(eigs))}
 
-    return ClassKReport(name=F.name, n=F.n, n_samples=n_samples,
+    return ClassKReport(name=F.name, n_samples=n_samples,
                         monotone=monotone, weight_ordering=weight_ordering,
                         boundary_vanish=boundary_vanish,
                         concave_if_deg1=concave, failures=failures)

@@ -91,6 +91,23 @@ def json_number(kind, value, name: str):
     return out
 
 
+def read_json(path):
+    """The JSON document in the file at ``path``.
+
+    A file that is not UTF-8 text, not JSON, nested deeper than the
+    parser recurses, or holding an integer too long to convert raises
+    DataError; a file that cannot be opened raises OSError.
+    """
+    import json
+
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"invalid JSON in {path}: {exc}") from exc
+
+
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_canonical(obj) + "\n")
@@ -187,14 +204,7 @@ def write_surface(path, surface: GraphSurface) -> None:
 
 
 def read_surface(path) -> GraphSurface:
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid JSON in {path}: {exc}") from exc
-    return surface_from_dict(doc)
+    return surface_from_dict(read_json(path))
 
 
 # ------------------------------------------------------------------- csv

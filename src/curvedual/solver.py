@@ -76,6 +76,10 @@ _KERNEL_RCOND = 1e-8
 _THETA_MAX = 0.25
 _BROYDEN_RCOND = 1e-8
 _MAX_HALVINGS = 20  # line-search halvings after a fresh assembly
+_MAX_NEWTON = 25  # Newton steps one solve may take
+# a line-search trial must keep every principal curvature in this band
+_KAPPA_FLOOR, _KAPPA_CEIL = 1e-4, 1e4
+_DT_MIN = 1e-4  # a run fails once a halved homotopy step is shorter
 
 
 # ------------------------------------------------------------- symmetry
@@ -219,63 +223,48 @@ def default_base_constant(data_min: float) -> float:
 
 @dataclass
 class SolverOptions:
-    """Tolerances and step-control constants for Newton and continuation."""
+    """The truncation degree of a run and its node residual tolerance.
+
+    Everything else about a run is fixed: the homotopy step rule of
+    :func:`continuation`, the Newton step budget ``_MAX_NEWTON``, the
+    line search's curvature band [``_KAPPA_FLOOR``, ``_KAPPA_CEIL``] and
+    halvings ``_MAX_HALVINGS``, and the shortest step ``_DT_MIN``.
+    """
 
     L_max: int = 24
     tol: float = 1e-10
-    kappa_floor: float = 1e-4
-    kappa_ceil: float = 1e4
-    dt0: float = 1.0  # caps the first step; the first try goes to t = 1
-    dt_min: float = 1e-4
-    dt_max: float = 1.0  # caps every step
-    max_newton: int = 25
 
     def validate(self) -> None:
-        """Raise ConfigError for a truncation no grid takes and for step
-        controls that stall or fake a run."""
+        """Raise ConfigError for a truncation no grid takes and for a
+        tolerance that fakes a run."""
         if not isinstance(self.L_max, (int, np.integer)):
             raise ConfigError(
                 f'"L_max" must be an integer, got {self.L_max!r}')
         if self.L_max < 4:
             raise ConfigError(f"L_max must be at least 4, got {self.L_max}")
-        # zero, negative or NaN steps never advance t; an infinite or NaN
-        # tolerance accepts every iterate
-        for key in ("dt0", "dt_min", "dt_max"):
-            if not 0.0 < getattr(self, key) < np.inf:
-                raise ConfigError(f'"{key}" must be finite and positive, got '
-                                  f"{getattr(self, key)!r}")
+        # an infinite or NaN tolerance accepts every iterate
         if not 0.0 <= self.tol < np.inf:
             raise ConfigError(
                 f'"tol" must be finite and nonnegative, got {self.tol!r}')
-        if self.max_newton < 0:
-            raise ConfigError(
-                f'"max_newton" must be nonnegative, got {self.max_newton}')
-        # a nonpositive floor lets a non-convex iterate through the line
-        # search; an empty band rejects every trial as a numerical failure
-        if not 0.0 < self.kappa_floor < self.kappa_ceil < np.inf:
-            raise ConfigError(
-                '"kappa_floor" and "kappa_ceil" must satisfy 0 < '
-                f'"kappa_floor" < "kappa_ceil" < inf, got '
-                f"{self.kappa_floor!r} and {self.kappa_ceil!r}")
 
 
-def initial_sphere(F: CurvatureFunction, c: float, L_max: int = 24,
-                   pole: np.ndarray | None = None) -> GraphSurface:
-    """Geodesic sphere solving F = c exactly.
+def initial_sphere(F: CurvatureFunction, c: float,
+                   L_max: int = 24) -> GraphSurface:
+    """Geodesic sphere solving F = c exactly, about the default pole.
 
-    On a sphere of radius r every principal curvature is cot r, so by
-    degree-one homogeneity F = cot r * F(1, ..., 1); the radius solving
+    On a sphere of radius r both principal curvatures are cot r, so by
+    degree-one homogeneity F = cot r * F(1, 1); the radius solving
     F = c follows from inverting the cotangent.
     """
     if c <= 0.0:
         raise DataError(f"base constant must be positive, got {c!r}")
-    f_unit = float(F(np.ones(F.n)))
+    f_unit = float(F(np.ones(2)))
     radius = float(np.arctan2(f_unit, c))
     if not 0.0 < radius < np.pi / 2:  # c below what a double resolves
         raise DataError(
             f"base constant c = {c:.6g} gives a start sphere of radius "
             f"{radius!r}, outside (0, pi/2)")
-    return sphere_surface(radius, L_max=L_max, pole=pole)
+    return sphere_surface(radius, L_max=L_max)
 
 
 @dataclass
@@ -468,14 +457,14 @@ def _gated_inverse(J: np.ndarray) -> np.ndarray:
     return X
 
 
-def near_kernel(J: np.ndarray, rcond: float = _KERNEL_RCOND):
+def near_kernel(J: np.ndarray):
     """Dimension and directions of the near-null space of a Jacobian.
 
     Returns (dim, rows) where rows holds the right singular vectors with
-    singular value below ``rcond`` times the largest.
+    singular value below ``_KERNEL_RCOND`` (1e-8) times the largest.
     """
     _, s, Vt = np.linalg.svd(J)
-    mask = s < rcond * s[0]
+    mask = s < _KERNEL_RCOND * s[0]
     return int(np.sum(mask)), Vt[mask]
 
 
@@ -496,12 +485,11 @@ def linear_system(F: CurvatureFunction, data: PrescribedData, t: float,
 
 
 def _line_search(ws: NewtonWorkspace, t: float, z: np.ndarray,
-                 delta: np.ndarray, state: _State, opts: SolverOptions,
-                 halvings: int):
+                 delta: np.ndarray, state: _State, halvings: int):
     """First of z + delta, z + delta / 2, ... that lowers the residual.
 
-    A trial must also keep the curvature within [kappa_floor,
-    kappa_ceil] and the radius in the hemisphere annulus.  Returns
+    A trial must also keep the curvature within [_KAPPA_FLOOR,
+    _KAPPA_CEIL] and the radius in the hemisphere annulus.  Returns
     (z_try, trial state), or None after ``halvings`` halvings.
     """
     scale = 1.0
@@ -512,8 +500,8 @@ def _line_search(ws: NewtonWorkspace, t: float, z: np.ndarray,
         except DomainError:
             trial = None
         if (trial is not None and trial.norm < state.norm
-                and trial.kappa_min >= opts.kappa_floor
-                and trial.kappa_max <= opts.kappa_ceil):
+                and trial.kappa_min >= _KAPPA_FLOOR
+                and trial.kappa_max <= _KAPPA_CEIL):
             return z_try, trial
         scale *= 0.5
     return None
@@ -527,11 +515,12 @@ def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
     basis of ``ws``; the residual is collocated at its quadrature nodes
     and projected back onto that basis.  ``ws`` holds every operator, so
     nothing is built here.  Convergence is measured by the infinity norm
-    of the residual over the grid nodes.  A step is accepted only if the
-    residual decreases and the iterate stays strictly convex, with
-    halving up to ``_MAX_HALVINGS`` times.  A starting residual that is
-    not finite, as F gives on a non-convex iterate, raises NewtonError
-    before any linear algebra.
+    of the residual over the grid nodes, against ``opts.tol``, within
+    ``_MAX_NEWTON`` steps.  A step is accepted only if the residual
+    decreases and the iterate stays strictly convex, with halving up to
+    ``_MAX_HALVINGS`` times.  A starting residual that is not finite, as
+    F gives on a non-convex iterate, raises NewtonError before any linear
+    algebra.
 
     Each step applies the approximate inverse Newton matrix X of ``ws``,
     kept across iterations and across solves, and is followed by the
@@ -574,21 +563,20 @@ def _quasi_newton(ws: NewtonWorkspace, t: float, z: np.ndarray,
             f"residual is not finite at t = {t:g}; kappa_min "
             f"{state.kappa_min:.6g}")
     r = ws.residual_vector(state)
-    for iteration in range(opts.max_newton + 1):
+    for iteration in range(_MAX_NEWTON + 1):
         if state.norm <= opts.tol:
             return z, iteration, state
-        if iteration == opts.max_newton:
+        if iteration == _MAX_NEWTON:
             raise NewtonError(
-                f"no convergence within {opts.max_newton} Newton steps; "
+                f"no convergence within {_MAX_NEWTON} Newton steps; "
                 f"residual {state.norm:.3e} at t = {t:g}")
         accepted = None
         if ws.inverse is not None:  # a reused inverse gets its full step
-            accepted = _line_search(ws, t, z, -ws.apply_inverse(r), state,
-                                    opts, 0)
+            accepted = _line_search(ws, t, z, -ws.apply_inverse(r), state, 0)
         if accepted is None:
             ws.refresh(z, t)
             accepted = _line_search(ws, t, z, -ws.apply_inverse(r), state,
-                                    opts, _MAX_HALVINGS)
+                                    _MAX_HALVINGS)
         if accepted is None:
             raise NewtonError(
                 f"line search failed after {_MAX_HALVINGS} halvings "
@@ -683,12 +671,12 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
                  start: GraphSurface | None = None) -> ContinuationReport:
     """Follow the homotopy from the geodesic sphere to the full problem.
 
-    Adaptive stepping in t: the first try after t = 0 goes ``opts.dt0``
-    ahead, to t = 1 by default, since a mild problem converges in one
-    step from the sphere.  A Newton failure halves the step that failed;
-    the run fails once that half drops below ``opts.dt_min``.  An
-    accepted step doubles dt up to ``opts.dt_max``, except right after a
-    failed try, when the next step keeps the length that just succeeded.
+    Adaptive stepping in t: the first try after t = 0 goes to t = 1,
+    since a mild problem converges in one step from the sphere.  A Newton
+    failure halves the step that failed; the run fails once that half
+    drops below ``_DT_MIN``.  An accepted step doubles dt, except right
+    after a failed try, when the next step keeps the length that just
+    succeeded; every try is clipped to t = 1.
     Newton at t_try starts from the secant predictor
     z + (t_try - t) / (t - t_prev) (z - z_prev) through the last two
     accepted points (from z itself on the first step after t = 0),
@@ -741,7 +729,7 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
     steps.append(_step_record(0.0, iters, state))
 
     t, t_prev, z_prev = 0.0, None, None
-    dt, grow = opts.dt0, True
+    dt, grow = 1.0, True
     status, message = "converged", ""
     while t < 1.0:
         t_try = min(1.0, t + dt)
@@ -752,7 +740,7 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
             z_try, iters, state = _logged_try(ws, t_try, z_start, opts)
         except (NewtonError, SingularJacobianError, DomainError) as exc:
             dt, grow = 0.5 * (t_try - t), False
-            if dt < opts.dt_min:
+            if dt < _DT_MIN:
                 status = "failed"
                 message = f"step size underflow at t = {t_try:g}: {exc}"
                 break
@@ -761,7 +749,7 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
         z, t = z_try, t_try
         steps.append(_step_record(t, iters, state))
         if grow:
-            dt = min(2.0 * dt, opts.dt_max)
+            dt *= 2.0
         grow = True
     final = GraphSurface(n=surface.n, pole=surface.pole.copy(),
                          radial=HarmonicCoeffs(opts.L_max, basis.scatter(z)),

@@ -119,7 +119,6 @@ class DiagnosticsReport:
 
 
 def full_report(field: CurvatureField, F=None, f=None,
-                support_samples: int = 2000,
                 seed: int = 0) -> DiagnosticsReport:
     """Run every diagnostic on one sampled surface.
 
@@ -132,10 +131,8 @@ def full_report(field: CurvatureField, F=None, f=None,
         Curvature function and prescribed data (PrescribedData, scalar,
         or per-node array).  When both are given the report includes the
         statistics of the equation residual F(kappa) - f.
-    support_samples : int
-        Node pairs drawn for the polarity support check.
     seed : int
-        Seed for the support pair sampling.
+        Seed for the 2000 node pairs of the polarity support check.
     """
     convex = bool(field.kappa_min > 0.0)
     st = stereographic_project(field)
@@ -144,7 +141,7 @@ def full_report(field: CurvatureField, F=None, f=None,
     if convex:
         stereo = stereographic_residual(field, st)
         support_margin = support_test(
-            field, sample_count=support_samples, seed=seed).max_off_diagonal
+            field, sample_count=2000, seed=seed).max_off_diagonal
     else:
         stereo = float("nan")
         support_margin = float("nan")

@@ -24,10 +24,9 @@ TWO_GROUPS = 'group must be "antipodal" or "trivial"'
 
 
 # every key set, and "c" given so that parsing never samples min f
-FUZZ_BASE = {"F": "gauss_power", "n": 2, "L_max": 12, "group": "antipodal",
+FUZZ_BASE = {"F": "gauss_power", "L_max": 12, "group": "antipodal",
              "f": {"a_poly": [LOG2], "b": [{"l": 2, "m": 0, "value": 0.1}]},
-             "c": 1.0, "tol": 1e-10, "kappa_floor": 1e-4, "kappa_ceil": 1e4,
-             "dt0": 0.1, "dt_min": 1e-4, "dt_max": 0.25, "max_newton": 25}
+             "c": 1.0, "tol": 1e-10}
 FUZZ_PATHS = ([(key,) for key in sorted(FUZZ_BASE)]
               + [("f", "a_poly"), ("f", "b"), ("f", "b", 0),
                  ("f", "b", 0, "l"), ("f", "b", 0, "m"),
@@ -53,8 +52,8 @@ class TestParseConfig:
     def test_defaults(self):
         F, data, opts, antipodal = parse_config(
             {"F": "gauss_power", "f": {"a_poly": [LOG2]}, "c": 1.0})
-        assert F.name == "gauss_power" and F.n == 2
-        assert opts.L_max == 24
+        assert F.name == "gauss_power"
+        assert (opts.L_max, opts.tol) == (24, 1e-10)
         assert antipodal is True
 
     def test_default_base_constant_below_min(self):
@@ -100,12 +99,10 @@ class TestParseConfig:
 
     def test_integral_floats_accepted(self):
         F, data, opts, antipodal = parse_config(
-            {"F": "gauss_power", "n": 2.0, "L_max": 8.0, "max_newton": 3.0,
+            {"F": "gauss_power", "L_max": 8.0,
              "f": {"a_poly": [LOG2], "b": [{"l": 2.0, "m": 0, "value": 1}]},
              "c": 1.0})
-        assert F.n == 2 and type(F.n) is int
-        assert (opts.L_max, opts.max_newton) == (8, 3)
-        assert type(opts.L_max) is int and type(opts.max_newton) is int
+        assert opts.L_max == 8 and type(opts.L_max) is int
         assert data.b[2, 0] == 1.0
 
     @settings(max_examples=400, deadline=None)
@@ -120,14 +117,8 @@ class TestParseConfig:
             F, data, opts, antipodal = parse_config(doc)
         except ConfigError:
             return
-        assert F.n == 2 and type(F.n) is int
         assert type(opts.L_max) is int and opts.L_max >= 4
-        assert type(opts.max_newton) is int and opts.max_newton >= 0
-        for key in ("dt0", "dt_min", "dt_max"):
-            assert 0.0 < getattr(opts, key) < math.inf
-        for key in ("tol", "kappa_floor", "kappa_ceil"):
-            assert type(getattr(opts, key)) is float
-        assert 0.0 < opts.kappa_floor < opts.kappa_ceil < math.inf
+        assert type(opts.tol) is float and 0.0 <= opts.tol < math.inf
         assert type(data.c) is float
 
 
@@ -205,23 +196,25 @@ class TestSolveCommand:
         ({"tol": None}, '"tol" must be numeric'),
         ({"L_max": "a"}, '"L_max" must be numeric'),
         ({"c": "z"}, '"c" must be numeric'),
-        ({"n": "x"}, '"n" must be numeric'),
+        # a retired setting is an unknown key, whatever its value
+        ({"n": "x"}, "unknown config keys: ['n']"),
         ({"f": {"a_poly": "q"}}, "f.a_poly must be numeric"),
         # L_max is 12; one even degree above the truncation
         ({"f": {"a_poly": [LOG2], "b": [{"l": 14, "m": 0, "value": 0.1}]}},
          "degree 14 above L_max = 12"),
-        ({"F": "sigma_2", "n": 3}, "only n = 2 is supported"),
+        ({"F": "sigma_2", "n": 3}, "unknown config keys: ['n']"),
         ({"group": {"matrices": "x"}}, TWO_GROUPS),
-        # step sizes that are not finite and positive, a negative budget
-        ({"dt0": 0}, '"dt0" must be finite and positive'),
-        ({"dt_min": -1e-3}, '"dt_min" must be finite and positive'),
-        ({"dt_max": 0.0}, '"dt_max" must be finite and positive'),
-        ({"dt0": math.inf}, '"dt0" must be finite and positive'),
-        ({"max_newton": -1}, '"max_newton" must be nonnegative'),
+        # the step rule and the Newton budget are fixed, not settings
+        ({"dt0": 0}, "unknown config keys: ['dt0']"),
+        ({"dt_min": -1e-3}, "unknown config keys: ['dt_min']"),
+        ({"dt_max": 0.0}, "unknown config keys: ['dt_max']"),
+        ({"dt0": 0.25, "dt_max": 0.5},
+         "unknown config keys: ['dt0', 'dt_max']"),
+        ({"max_newton": 25}, "unknown config keys: ['max_newton']"),
         # nothing is truncated or parsed from a string
         ({"L_max": 12.7}, '"L_max" must be an integer'),
-        ({"n": 2.9}, '"n" must be an integer'),
-        ({"max_newton": True}, '"max_newton" must be numeric'),
+        ({"n": 2}, "unknown config keys: ['n']"),
+        ({"max_newton": True}, "unknown config keys: ['max_newton']"),
         ({"tol": "1e-3"}, '"tol" must be numeric'),
         ({"f": {"a_poly": [LOG2], "b": [{"l": 2.5, "m": 0, "value": 0.1}]}},
          "f.b l must be an integer"),
@@ -235,13 +228,14 @@ class TestSolveCommand:
         ({"tol": math.inf}, '"tol" must be finite and nonnegative'),
         ({"tol": math.nan}, '"tol" must be finite and nonnegative'),
         ({"tol": -1}, '"tol" must be finite and nonnegative'),
-        # a curvature band that admits non-convex iterates or none at all
-        ({"kappa_floor": -1}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
-        ({"kappa_floor": 0}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
-        ({"kappa_floor": 1e300}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
-        ({"kappa_ceil": 0}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
-        ({"kappa_ceil": math.inf}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
-        ({"kappa_floor": math.nan}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
+        # the line search's curvature band is fixed, not a setting
+        ({"kappa_floor": 1e-4}, "unknown config keys: ['kappa_floor']"),
+        ({"kappa_floor": 0}, "unknown config keys: ['kappa_floor']"),
+        ({"kappa_floor": 1e-4, "kappa_ceil": 1e4},
+         "unknown config keys: ['kappa_ceil', 'kappa_floor']"),
+        ({"kappa_ceil": 1e4}, "unknown config keys: ['kappa_ceil']"),
+        ({"kappa_ceil": math.inf}, "unknown config keys: ['kappa_ceil']"),
+        ({"kappa_floor": math.nan}, "unknown config keys: ['kappa_floor']"),
         # a repeated pair would overwrite the first value
         ({"f": {"a_poly": [LOG2], "b": [{"l": 2, "m": 0, "value": 0.1},
                                         {"l": 2, "m": 0, "value": 0.2}]}},
@@ -267,14 +261,15 @@ class TestSolveCommand:
         assert err.count("\n") == 1
 
     def test_failure_at_t0_reports_and_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "config.json", L_max=8, tol=0,
-                           max_newton=0)
+        # no iterate meets tol = 0: the start sphere's line search fails
+        cfg = write_config(tmp_path / "config.json", L_max=8, tol=0)
         out = tmp_path / "r"
         rc = main(["solve", "--config", cfg, "--out", str(out)])
         assert rc == 2
         captured = capsys.readouterr()
         assert "status: failed" in captured.out
-        assert "t = 0 solve failed" in captured.err
+        assert "t = 0 solve failed: line search failed after 20 halvings " \
+            "at t = 0" in captured.err
         report = json.loads((out / "continuation_report.json").read_text())
         assert report["status"] == "failed" and report["steps"] == []
         for name in ("solution_surface.json", "solution_nodes.csv"):
@@ -529,6 +524,34 @@ def test_non_finite_surface_fails_cleanly(tmp_path, capsys, command, key,
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "must be finite" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",  # not UTF-8
+    b"[" * 100000,  # nested deeper than the JSON parser recurses
+    b"1" * 5000,  # an integer past Python's digit limit for int()
+], ids=["non-utf-8", "deep-nesting", "long-integer"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", "BAD", "--out", "OUT"],
+    ["dual", "--surface", "BAD", "--out", "OUT"],
+    ["dual", "--surface", "GOOD", "--config", "BAD", "--out", "OUT"],
+    ["check", "--surface", "BAD"],
+    ["check", "--surface", "GOOD", "--config", "BAD"],
+    ["export-obj", "--surface", "BAD", "--out", "OUT"],
+], ids=["solve-config", "dual-surface", "dual-config", "check-surface",
+        "check-config", "export-obj-surface"])
+def test_unreadable_json_fails_cleanly(tmp_path, capsys, argv, content):
+    bad, good, out = tmp_path / "bad.json", tmp_path / "good.json", \
+        tmp_path / "out"
+    bad.write_bytes(content)
+    write_surface(good, sphere_surface(np.pi / 4, L_max=8))
+    paths = {"BAD": str(bad), "GOOD": str(good), "OUT": str(out)}
+    rc = main([paths.get(arg, arg) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: invalid JSON in {bad}: ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

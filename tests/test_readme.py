@@ -1,7 +1,9 @@
-"""The README's Python quick start runs as written."""
+"""The README's quick start runs and its config keys match the parser."""
 
 import re
 from pathlib import Path
+
+from curvedual import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +14,11 @@ def test_quick_start_runs():
     blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md quick start", "exec"), {})
+
+
+def test_config_keys_match_the_parser():
+    text = README.read_text(encoding="utf-8")
+    listing = text.split("The config keys are:\n\n", 1)[1].split("\n\n", 1)[0]
+    keys = re.findall(r"^- `([^`]+)`", listing, flags=re.M)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == cli._CONFIG_KEYS

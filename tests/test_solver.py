@@ -373,7 +373,8 @@ def test_newton_rejects_start_outside_subspace():
         continuation(GAUSS, data, start=bad)
 
 
-def test_newton_iteration_budget_enforced(antipodal_basis):
+def test_newton_iteration_budget_enforced(antipodal_basis, monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_NEWTON", 1)
     data = constant_data(2.0, 2.0)
     start = initial_sphere(GAUSS, 2.0)
     a = start.radial.values.copy()
@@ -381,14 +382,14 @@ def test_newton_iteration_budget_enforced(antipodal_basis):
     pert = GraphSurface(n=2, pole=start.pole.copy(),
                         radial=HarmonicCoeffs(24, a),
                         gauge_tau0=start.gauge_tau0)
-    with pytest.raises(NewtonError, match="no convergence"):
+    with pytest.raises(NewtonError, match="no convergence within 1 "):
         newton_solve(workspace(data, antipodal_basis), 0.0,
-                     coeffs_of(pert, antipodal_basis),
-                     SolverOptions(max_newton=1))
+                     coeffs_of(pert, antipodal_basis))
 
 
-def test_newton_curvature_floor_blocks_steps(antipodal_basis):
+def test_newton_curvature_floor_blocks_steps(antipodal_basis, monkeypatch):
     # the pi/4 sphere has kappa = 1; a floor above that rejects every trial
+    monkeypatch.setattr(solver, "_KAPPA_FLOOR", 2.0)
     data = constant_data(2.0, 2.0)
     start = initial_sphere(GAUSS, 2.0)
     a = start.radial.values.copy()
@@ -398,8 +399,7 @@ def test_newton_curvature_floor_blocks_steps(antipodal_basis):
                         gauge_tau0=start.gauge_tau0)
     with pytest.raises(NewtonError, match="line search"):
         newton_solve(workspace(data, antipodal_basis), 0.0,
-                     coeffs_of(pert, antipodal_basis),
-                     SolverOptions(kappa_floor=2.0))
+                     coeffs_of(pert, antipodal_basis))
 
 
 def test_newton_solve_builds_no_operators(antipodal_basis,
@@ -550,16 +550,18 @@ def test_broyden_pairs_apply_the_explicitly_updated_inverse(
 
 
 @pytest.mark.parametrize("options, message", [
-    ({"max_newton": 1}, "no convergence"),
-    ({"kappa_floor": 2.0}, "line search failed"),
+    ({"_MAX_NEWTON": 1}, "no convergence"),
+    ({"_KAPPA_FLOOR": 2.0}, "line search failed"),
 ])
-def test_failed_newton_solve_drops_inverse(antipodal_basis, options,
-                                           message):
+def test_failed_newton_solve_drops_inverse(antipodal_basis, monkeypatch,
+                                           options, message):
+    for name, value in options.items():
+        monkeypatch.setattr(solver, name, value)
     ws = workspace(constant_data(2.0, 2.0), antipodal_basis)
     z0 = perturbed_start(antipodal_basis)
     ws.refresh(z0, 0.0)
     with pytest.raises(NewtonError, match=message):
-        newton_solve(ws, 0.0, z0, SolverOptions(**options))
+        newton_solve(ws, 0.0, z0)
     assert ws.inverse is None
 
 
@@ -779,26 +781,27 @@ def test_continuation_builds_operators_once(grid_table_builds):
     assert report.grid.L_max == 8
 
 
-def test_canonical_solve_reaches_one_in_a_single_try():
+def test_canonical_solve_reaches_one_in_a_single_try(monkeypatch):
     report = continuation(GAUSS, modulated_data())
-    capped = continuation(GAUSS, modulated_data(),
-                          SolverOptions(dt0=0.1, dt_max=0.25))
-    assert report.converged and capped.converged
+    # the same problem with its first try at t = 1 refused reaches t = 1
+    # through t = 0.5, and the two paths end at the same surface
+    tries, solve = [], solver.newton_solve
+
+    def refuse_first_try_at_one(ws, t, *args, **kwargs):
+        tries.append(t)
+        if tries == [0.0, 1.0]:
+            raise NewtonError("refused")
+        return solve(ws, t, *args, **kwargs)
+    monkeypatch.setattr(solver, "newton_solve", refuse_first_try_at_one)
+    detour = continuation(GAUSS, modulated_data())
+    assert report.converged and detour.converged
     assert [(s.t, s.iterations) for s in report.steps] == [(0.0, 0),
                                                           (1.0, 12)]
     assert report.steps[-1].residual <= 1e-10
+    assert tries == [0.0, 1.0, 0.5, 1.0]
     diff = report.final_surface.radial.values - \
-        capped.final_surface.radial.values
+        detour.final_surface.radial.values
     assert np.max(np.abs(diff)) <= 1e-12
-
-
-def test_step_caps_bound_every_accepted_step():
-    report = continuation(GAUSS, modulated_data(),
-                          SolverOptions(dt0=0.1, dt_max=0.25))
-    ts = [s.t for s in report.steps]
-    assert report.converged and ts[:2] == [0.0, 0.1] and ts[-1] == 1.0
-    # t + dt rounds, so a capped step may read an ulp above dt_max
-    assert all(0.0 < b - a <= 0.25 + 1e-15 for a, b in zip(ts, ts[1:]))
 
 
 def counted_tries(monkeypatch):
@@ -813,24 +816,25 @@ def counted_tries(monkeypatch):
 
 
 def test_failure_halves_the_step_that_failed(monkeypatch):
-    # every try past t = 0.9 fails.  From t = 0.75 a doubled dt of 1 is
-    # clipped to t = 1; its failure must shorten the next try rather than
-    # repeat t = 1.  A step accepted right after a failure is not
-    # doubled: 0.890625 is followed by 0.90625, not 0.921875
+    # every try past t = 0.9 fails, and so does the first try at 0.5.  A
+    # failure halves the step that failed.  A step accepted right after a
+    # failure is not doubled: 0.25 is followed by 0.5, and 0.890625 by
+    # 0.90625, not 0.921875.  The accepted step after it doubles: 0.5 is
+    # followed by 1
     tries, solve = [], solver.newton_solve
 
     def failing_late(ws, t, *args, **kwargs):
         tries.append(t)
-        if t > 0.9:
+        if t > 0.9 or tries == [0.0, 1.0, 0.5]:
             raise NewtonError("refused")
         return solve(ws, t, *args, **kwargs)
     monkeypatch.setattr(solver, "newton_solve", failing_late)
     report = continuation(GAUSS, constant_data(2.0, 1.0),
-                          SolverOptions(L_max=8, dt0=0.25))
-    assert tries[:10] == [0.0, 0.25, 0.75, 1.0, 0.875, 1.0, 0.9375,
-                          0.90625, 0.890625, 0.90625]
+                          SolverOptions(L_max=8))
+    assert tries[:14] == [0.0, 1.0, 0.5, 0.25, 0.5, 1.0, 0.75, 1.0, 0.875,
+                          1.0, 0.9375, 0.90625, 0.890625, 0.90625]
     assert all(a != b for a, b in zip(tries, tries[1:]))
-    assert len(tries) == 20
+    assert len(tries) == 24
     assert report.message.startswith("step size underflow at t = ")
     assert 0.875 <= report.steps[-1].t <= 0.9
 
@@ -890,22 +894,10 @@ def test_continuation_rejects_bad_base_constant():
 
 
 @pytest.mark.parametrize("options, message", [
-    # a zero first step never advances t, so the run would not return
-    ({"dt0": 0.0}, '"dt0" must be finite and positive'),
-    ({"dt_min": np.nan}, '"dt_min" must be finite and positive'),
     # an infinite tolerance would accept every iterate unsolved
     ({"tol": np.inf}, '"tol" must be finite and nonnegative'),
     ({"tol": np.nan}, '"tol" must be finite and nonnegative'),
     ({"tol": -1.0}, '"tol" must be finite and nonnegative'),
-    ({"max_newton": -1}, '"max_newton" must be nonnegative'),
-    # a nonpositive floor passes non-convex iterates; an empty band fails
-    # every line search as if the numerics had
-    ({"kappa_floor": -1.0}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
-    ({"kappa_floor": np.nan}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
-    ({"kappa_floor": 1e300}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
-    ({"kappa_ceil": 0.0}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
-    ({"kappa_ceil": np.inf}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
-    ({"kappa_ceil": np.nan}, '0 < "kappa_floor" < "kappa_ceil" < inf'),
 ])
 def test_continuation_rejects_bad_step_options(options, message):
     with pytest.raises(ConfigError, match=message):
