@@ -37,19 +37,25 @@ central finite differences on the jets, evaluated in one batch through
 the curvature kernel.  Each jet of a basis function is a colatitude
 table column times a longitude table column, so the matrix is assembled
 one colatitude row of nodes at a time from the gathered table columns
-and then projected; no jets of the whole basis are formed.  The
-matrix is rarely assembled: Newton steps apply an approximate inverse
-held across iterations and homotopy steps and corrected by Broyden
-updates, and the matrix is assembled and inverted again only when the
-residual stops contracting fast enough.  The updates are kept as vector
-pairs beside the assembled inverse, so an iteration costs matrix-vector
-products, never a new matrix.  The LU inverse also bounds the condition
-number; singular values are computed only when that bound cannot clear
-the matrix.
+and then projected; no jets of the whole basis are formed.
+
+The matrix is rarely assembled.  Newton steps apply an approximate
+inverse held across iterations and homotopy steps and corrected by
+Broyden updates, kept as vector pairs beside a base inverse, so an
+iteration costs matrix-vector products, never a new matrix.  A refresh
+of the base first takes the inverse of a diagonal: at a geodesic sphere
+the Newton matrix is diagonal by degree, with entries A l(l+1) + C, and
+two zonal probes at the current iterate give A and C without any M x M
+matrix.  The matrix is assembled and inverted by LU only when a fresh
+diagonal's first step contracts the residual by less than half, or when
+the diagonal has an entry that vanishes or is not finite.  The LU
+inverse also bounds the condition number; singular values are computed
+only when that bound cannot clear the matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import warnings
 from dataclasses import dataclass
@@ -71,11 +77,14 @@ _SOLVE_RCOND = 1e-12
 _JET_STEP = 1e-6  # central-difference step on each radial jet component
 _KERNEL_RCOND = 1e-8
 # quasi-Newton refresh rules: a projected-residual contraction worse than
-# _THETA_MAX, or |s^T X y| <= _BROYDEN_RCOND |s| |X y| (a near-singular
-# update), assembles the Newton matrix again
+# _THETA_MAX on an assembled base or _THETA_DIAGONAL on a degree-diagonal
+# one, or |s^T X y| <= _BROYDEN_RCOND |s| |X y| (a near-singular update),
+# drops the base; a fresh diagonal base's first step worse than
+# _THETA_DIAGONAL assembles the Newton matrix at the next refresh
 _THETA_MAX = 0.25
+_THETA_DIAGONAL = 0.5
 _BROYDEN_RCOND = 1e-8
-_MAX_HALVINGS = 20  # line-search halvings after a fresh assembly
+_MAX_HALVINGS = 20  # line-search halvings after a refresh
 _MAX_NEWTON = 25  # Newton steps one solve may take
 # a line-search trial must keep every principal curvature in this band
 _KAPPA_FLOOR, _KAPPA_CEIL = 1e-4, 1e4
@@ -280,23 +289,29 @@ class _State:
 
 
 class NewtonWorkspace:
-    """Tables, matrices and the held inverse for Newton work on one grid.
+    """Tables, the held inverse and its refreshes for Newton work on one grid.
 
     A state synthesizes the six radial jets from the grid's 1-D basis
     tables, and its residual vector is the tables' analysis of the
-    weighted residual, gathered to the invariant basis.  The Jacobian
-    assembly reads the table columns of the kept basis functions,
-    gathered once: ``_colat`` (n_theta, 4, M) and ``_lon`` (2, n_phi, M).
-    Its only dense matrices are the weighted projection ``project``
-    (M, N) and the (N, M) block it projects, built one colatitude row at
-    a time.  One workspace serves every Newton solve of a continuation
-    run.  So does the approximate inverse Newton matrix: the
-    assembled inverse ``inverse`` (None until the first assembly, and
-    after a failed solve) plus the "good" Broyden corrections made since,
-    kept as vector pairs (u_j, v_j) so that X = inverse + sum_j u_j v_j^T
-    is applied by :meth:`apply_inverse` and never formed.  Assigning
-    ``inverse`` drops the pairs; ``refreshes`` counts the assemblies and
-    ``iterations`` the accepted Newton steps, across every solve.
+    weighted residual, gathered to the invariant basis.  One workspace
+    serves every Newton solve of a continuation run.  So does the
+    approximate inverse Newton matrix: a base ``inverse`` (None until the
+    first refresh, and after a failed solve) plus the "good" Broyden
+    corrections made since, kept as vector pairs (u_j, v_j) so that
+    X = inverse + sum_j u_j v_j^T is applied by :meth:`apply_inverse` and
+    never formed.  The base is either a vector, the inverse of the
+    degree-diagonal model of the Newton matrix (:meth:`degree_diagonal`),
+    or the gated inverse of the assembled matrix.  Assigning ``inverse``
+    drops the pairs; ``diagonal_refreshes`` and ``assemblies`` count the
+    refreshes that held each kind of base, and ``iterations`` the accepted
+    Newton steps, across every solve.
+
+    The assembly reads the table columns of the kept basis functions,
+    colatitude (n_theta, 4, M) and longitude (2, n_phi, M), and the
+    weighted projection ``project`` (M, N), its only dense matrix besides
+    the (N, M) block it projects.  They are gathered on the first
+    assembly (``_assembly_tables``), so a run that never assembles never
+    builds them.
     """
 
     def __init__(self, grid: QuadratureGrid, basis: InvariantBasis,
@@ -304,19 +319,8 @@ class NewtonWorkspace:
         if basis.L_max != grid.L_max:
             raise ValueError("basis truncation does not match grid")
         self.grid = grid
+        self.ops = grid.ops  # the 1-D tables of every state, built here
         self.basis = basis
-        ops = grid.ops
-        m = ops.orders[basis.index]
-        # the kept columns of the tables: the colatitude factors of u, u_t,
-        # u_tt and u_pp, (n_theta, 4, M), and the longitude factors of u and
-        # u_p, (2, n_phi, M); u_pp takes u's longitude factor, as
-        # d^2/dphi^2 of cos or sin(m phi) is -m^2 times itself
-        colat = [T[:, basis.index] for T in ops.colat]
-        self._colat = np.stack(colat + [-(m * m) * colat[0]], axis=1)
-        self._lon = np.stack([T[:, ops.L_max + m] for T in ops.lon[:2]])
-        values = colat[0][:, None] * self._lon[0]  # (n_theta, n_phi, M)
-        values *= grid.weights.reshape(grid.n_theta, -1, 1)
-        self.project = values.reshape(grid.n_nodes, -1).T
         self.exp_b = np.exp(spectral.synthesize_product(data.b, *grid.axes))
         self.data = data
         self.F = F
@@ -324,12 +328,40 @@ class NewtonWorkspace:
         self._U = np.empty((0, len(basis.index)))
         self._V = np.empty((0, len(basis.index)))
         self.inverse = None
-        self.refreshes = 0
+        self.diagonal_refreshes = 0
+        self.assemblies = 0
         self.iterations = 0
+
+    @functools.cached_property
+    def _assembly_tables(self):
+        """The kept columns of the tables and the weighted projection.
+
+        The colatitude factors of u, u_t, u_tt and u_pp, (n_theta, 4, M),
+        the longitude factors of u and u_p, (2, n_phi, M), and ``project``;
+        u_pp takes u's longitude factor, as d^2/dphi^2 of cos or sin(m phi)
+        is -m^2 times itself.
+        """
+        ops, index, grid = self.ops, self.basis.index, self.grid
+        m = ops.orders[index]
+        colat = [T[:, index] for T in ops.colat]
+        lon = np.stack([T[:, ops.L_max + m] for T in ops.lon[:2]])
+        values = colat[0][:, None] * lon[0]  # (n_theta, n_phi, M)
+        values *= grid.weights.reshape(grid.n_theta, -1, 1)
+        project = values.reshape(grid.n_nodes, -1).T
+        return np.stack(colat + [-(m * m) * colat[0]], axis=1), lon, project
+
+    @property
+    def project(self) -> np.ndarray:
+        """The weighted projection (M, N) onto the invariant basis."""
+        return self._assembly_tables[2]
 
     @property
     def inverse(self) -> np.ndarray | None:
-        """The assembled inverse the Broyden pairs correct, or None."""
+        """The base the Broyden pairs correct, or None.
+
+        A vector is the inverse of a diagonal matrix, a matrix the inverse
+        of the assembled Newton matrix.
+        """
         return self._inverse
 
     @inverse.setter
@@ -337,10 +369,16 @@ class NewtonWorkspace:
         self._inverse = X
         self._pairs = 0
 
+    @property
+    def diagonal(self) -> bool:
+        """Whether the held base is a degree-diagonal inverse."""
+        return self._inverse is not None and self._inverse.ndim == 1
+
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:
         """X r = inverse r + sum_j u_j (v_j . r)."""
-        k = self._pairs
-        return self._inverse @ r + self._U[:k].T @ (self._V[:k] @ r)
+        X, k = self._inverse, self._pairs
+        return (X * r if X.ndim == 1 else X @ r) \
+            + self._U[:k].T @ (self._V[:k] @ r)
 
     def broyden_update(self, s: np.ndarray, Xy: np.ndarray) -> None:
         """X <- X + (s - X y)(s^T X) / (s^T X y), appended as one pair.
@@ -353,7 +391,9 @@ class NewtonWorkspace:
             grow = np.empty((max(2 * k, 8), self._U.shape[1]))
             self._U = np.concatenate([self._U, grow])
             self._V = np.concatenate([self._V, grow])
-        self._V[k] = s @ self._inverse + (self._U[:k] @ s) @ self._V[:k]
+        X = self._inverse
+        self._V[k] = (s * X if X.ndim == 1 else s @ X) \
+            + (self._U[:k] @ s) @ self._V[:k]
         self._U[k] = (s - Xy) / (s @ Xy)
         self._pairs = k + 1
 
@@ -376,7 +416,7 @@ class NewtonWorkspace:
 
     def _jets(self, z: np.ndarray) -> np.ndarray:
         """The six radial jet fields of ``z``, (6, N)."""
-        return spectral._synthesis(self.grid.ops, self.basis.scatter(z))
+        return spectral._synthesis(self.ops, self.basis.scatter(z))
 
     def state(self, z: np.ndarray, t: float) -> _State:
         jets = self._jets(z)[:, :, None]
@@ -389,7 +429,7 @@ class NewtonWorkspace:
     def residual_vector(self, state: _State) -> np.ndarray:
         """The residual field projected onto the invariant basis."""
         weighted = self.grid.weights * state.lam
-        return spectral._analysis(self.grid.ops, weighted)[self.basis.index]
+        return spectral._analysis(self.ops, weighted)[self.basis.index]
 
     def jacobian(self, z: np.ndarray, t: float) -> np.ndarray:
         """Newton matrix of the projected residual with respect to z.
@@ -414,17 +454,62 @@ class NewtonWorkspace:
         d = (lam[:, 0::2] - lam[:, 1::2]) / (2.0 * _JET_STEP)  # (N, 6)
         # by longitude factor: u, u_t, u_tt, u_pp | u_p, u_tp
         d = d[:, [0, 1, 3, 5, 2, 4]].reshape(self.grid.n_theta, -1, 6)
-        lon = self._lon
+        colat, lon, project = self._assembly_tables
         E = np.empty(d.shape[:2] + lon.shape[2:])
-        for E_i, d_i, colat_i in zip(E, d, self._colat):
+        for E_i, d_i, colat_i in zip(E, d, colat):
             np.multiply(d_i[:, :4] @ colat_i, lon[0], out=E_i)
             E_i += (d_i[:, 4:] @ colat_i[:2]) * lon[1]
-        return self.project @ E.reshape(self.grid.n_nodes, -1)
+        return project @ E.reshape(self.grid.n_nodes, -1)
 
-    def refresh(self, z: np.ndarray, t: float) -> None:
-        """Assemble the Newton matrix at (z, t) and hold its gated inverse."""
+    def degree_diagonal(self, z: np.ndarray, t: float) -> np.ndarray:
+        """The model d_l = A l(l+1) + C of the Newton matrix's diagonal.
+
+        One entry per kept coefficient, by its degree l.  At a geodesic
+        sphere the Newton matrix is diagonal by degree with these entries.
+        A and C fit the diagonal entries of the zonal basis functions of
+        degrees 0 and 2 at (z, t): each is the central difference, by
+        ``_JET_STEP`` in its own coefficient, of the residual's projection
+        onto that function, from two width-1 kernel calls.  No (N, M) or
+        M x M array is formed.
+        """
+        jets = self._jets(z)
+        d = []
+        for e in self._zonal_jets:
+            lam = [self._lambda_of_jets((jets + h * e)[:, :, None], t)[0]
+                   for h in (_JET_STEP, -_JET_STEP)]
+            d.append((self.grid.weights * e[0]) @ (lam[0] - lam[1])[:, 0]
+                     / (2.0 * _JET_STEP))
+        l = self.basis.degrees
+        return (d[1] - d[0]) / 6.0 * (l * (l + 1)) + d[0]
+
+    @functools.cached_property
+    def _zonal_jets(self) -> list:
+        """The six jets of the zonal basis functions of degrees 0 and 2."""
+        units = np.zeros((2, num_coeffs(self.grid.L_max)))
+        units[0, 0] = units[1, spectral.lm_index(2, 0)] = 1.0
+        return [spectral._synthesis(self.ops, a) for a in units]
+
+    def refresh(self, z: np.ndarray, t: float,
+                assemble: bool = False) -> None:
+        """Hold a new base at (z, t) and drop the Broyden pairs.
+
+        The base is the inverse of :meth:`degree_diagonal`, unless
+        ``assemble`` is set or an entry of that diagonal is not finite or
+        is at most ``_KERNEL_RCOND`` times the largest in magnitude (as
+        degree 1 is at a sphere without the symmetry restriction).  Then
+        the Newton matrix is assembled and its gated inverse held, which
+        raises SingularJacobianError on a singular matrix.
+        """
+        if not assemble:
+            d = self.degree_diagonal(z, t)
+            size = np.abs(d)
+            if np.all(np.isfinite(d)) and \
+                    size.min() > _KERNEL_RCOND * size.max():
+                self.inverse = 1.0 / d
+                self.diagonal_refreshes += 1
+                return
         self.inverse = _gated_inverse(self.jacobian(z, t))
-        self.refreshes += 1
+        self.assemblies += 1
 
 
 def _gated_inverse(J: np.ndarray) -> np.ndarray:
@@ -527,12 +612,17 @@ def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
     "good" Broyden update X <- X + (s - X y)(s^T X) / (s^T X y) for the
     step s and the change y of the projected residual, stored as one
     vector pair (the quasi-Newton corrector QNERR of Deuflhard, *Newton
-    Methods for Nonlinear Problems*, 2004, ch. 2).  The matrix is
-    assembled and inverted again (a refresh) when none is held, when the
-    contraction ||r_new|| / ||r|| of the projected residual exceeds
-    ``_THETA_MAX``, when s^T X y is negligible, and when a reused inverse
-    fails its first line-search trial; that refresh takes the place of
-    the first halving.  A failed solve leaves ``ws.inverse`` at None.
+    Methods for Nonlinear Problems*, 2004, ch. 2).  The base of X is
+    refreshed when none is held, when the contraction
+    theta = ||r_new|| / ||r|| of the projected residual exceeds the base's
+    bound (``_THETA_DIAGONAL`` = 1/2 for a degree-diagonal base, QNERR's
+    convergence condition, and ``_THETA_MAX`` for an assembled one), when
+    s^T X y is negligible, and when a held base fails its first
+    line-search trial; that refresh takes the place of the first halving.
+    A refresh takes the degree diagonal (:meth:`NewtonWorkspace.refresh`)
+    unless the previous refresh of this solve was a diagonal one whose
+    first step had theta above 1/2; then it assembles the matrix.  A
+    failed solve leaves ``ws.inverse`` at None.
 
     Returns
     -------
@@ -563,6 +653,7 @@ def _quasi_newton(ws: NewtonWorkspace, t: float, z: np.ndarray,
             f"residual is not finite at t = {t:g}; kappa_min "
             f"{state.kappa_min:.6g}")
     r = ws.residual_vector(state)
+    assemble = False  # set when a fresh diagonal base's step contracts weakly
     for iteration in range(_MAX_NEWTON + 1):
         if state.norm <= opts.tol:
             return z, iteration, state
@@ -571,10 +662,12 @@ def _quasi_newton(ws: NewtonWorkspace, t: float, z: np.ndarray,
                 f"no convergence within {_MAX_NEWTON} Newton steps; "
                 f"residual {state.norm:.3e} at t = {t:g}")
         accepted = None
-        if ws.inverse is not None:  # a reused inverse gets its full step
+        if ws.inverse is not None:  # a held base gets its full step
             accepted = _line_search(ws, t, z, -ws.apply_inverse(r), state, 0)
-        if accepted is None:
-            ws.refresh(z, t)
+        fresh = accepted is None
+        if fresh:
+            ws.refresh(z, t, assemble)
+            assemble = False
             accepted = _line_search(ws, t, z, -ws.apply_inverse(r), state,
                                     _MAX_HALVINGS)
         if accepted is None:
@@ -586,7 +679,10 @@ def _quasi_newton(ws: NewtonWorkspace, t: float, z: np.ndarray,
         r_new = ws.residual_vector(state)
         s = z_new - z
         Xy = ws.apply_inverse(r_new - r)
-        if (np.linalg.norm(r_new) > _THETA_MAX * np.linalg.norm(r)
+        theta = np.linalg.norm(r_new) / np.linalg.norm(r)
+        if fresh and ws.diagonal and theta > _THETA_DIAGONAL:
+            assemble = True  # the diagonal does not contract here
+        if (theta > (_THETA_DIAGONAL if ws.diagonal else _THETA_MAX)
                 or abs(s @ Xy) <= _BROYDEN_RCOND * np.linalg.norm(s)
                 * np.linalg.norm(Xy)):
             ws.inverse = None  # refreshed where the next step needs it
@@ -650,7 +746,7 @@ def _step_record(t, iterations, state: _State) -> ContinuationStep:
 def _logged_try(ws: NewtonWorkspace, t: float, z: np.ndarray,
                 opts: SolverOptions):
     """``newton_solve`` at t, logged at DEBUG with its outcome and work."""
-    iterations, refreshes = ws.iterations, ws.refreshes
+    before = ws.iterations, ws.diagonal_refreshes, ws.assemblies
     outcome = "aborted"  # by an exception continuation does not handle
     try:
         result = newton_solve(ws, t, z, opts)
@@ -660,9 +756,10 @@ def _logged_try(ws: NewtonWorkspace, t: float, z: np.ndarray,
         outcome = f"failed ({exc})"
         raise
     finally:
-        log.debug("homotopy try t = %.6g: %s; %d iterations, %d refreshes",
-                  t, outcome, ws.iterations - iterations,
-                  ws.refreshes - refreshes)
+        log.debug("homotopy try t = %.6g: %s; %d iterations, %d diagonal "
+                  "refreshes, %d assemblies", t, outcome,
+                  ws.iterations - before[0], ws.diagonal_refreshes - before[1],
+                  ws.assemblies - before[2])
 
 
 def continuation(F: CurvatureFunction, data: PrescribedData,
@@ -682,8 +779,8 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
     accepted points (from z itself on the first step after t = 0),
     rebuilt for every tried t_try.  Every accepted step records residual,
     curvature bounds and radial bounds; every try, the t = 0 solve
-    included, is logged at DEBUG with its outcome, Newton steps and
-    assemblies.  The run either reaches t = 1 at full tolerance or
+    included, is logged at DEBUG with its outcome, Newton steps,
+    degree-diagonal refreshes and assemblies.  The run either reaches t = 1 at full tolerance or
     reports the failure point with the last good surface.  The iterate is
     held as its coefficients in the invariant basis throughout; the start
     surface must carry the run truncation and lie in that basis's span

@@ -48,7 +48,7 @@ def test_selected_backend_sphere_curvature():
     assert np.max(np.abs(k2 - 1 / np.tan(r0))) <= 1e-12
 
 
-def test_newton_iteration_makes_one_kernel_call_of_width_12(monkeypatch):
+def test_newton_solve_kernel_calls_by_width(monkeypatch):
     from curvedual.curvature import make_curvature_function
     from curvedual.solver import (NewtonWorkspace, PrescribedData,
                                   initial_sphere, invariant_projector,
@@ -69,8 +69,14 @@ def test_newton_iteration_makes_one_kernel_call_of_width_12(monkeypatch):
     start.radial[2, 0] += 0.02
     basis = invariant_projector(True, 8)
     ws = NewtonWorkspace(build_grid(8), basis, data, F)
-    _, iters, _ = newton_solve(ws, 0.0, start.radial.values[basis.index])
-    # the start state, one assembly of the Newton matrix, then one state
-    # per iteration: its inverse is reused with Broyden updates
-    assert iters == 7 and ws.refreshes == 1
-    assert widths == [1, 12] + [1] * iters
+    z = start.radial.values[basis.index]
+    _, iters, _ = newton_solve(ws, 0.0, z)
+    # the start state, the four probes of one degree-diagonal refresh, then
+    # one state per iteration: the diagonal is reused with Broyden updates
+    assert iters == 5
+    assert (ws.diagonal_refreshes, ws.assemblies) == (1, 0)
+    assert widths == [1] + [1] * 4 + [1] * iters
+    # an assembly is one kernel call of width 12
+    widths.clear()
+    ws.refresh(z, 0.0, assemble=True)
+    assert widths == [12] and ws.assemblies == 1

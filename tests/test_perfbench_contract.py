@@ -46,7 +46,7 @@ def test_workload_input_zero_passes_its_check(tmp_path, capsys, perfbench,
         steps = json.loads(
             (out / "continuation_report.json").read_text())["steps"]
         assert len(steps) == 2
-        assert sum(s["iterations"] for s in steps) == 12
+        assert sum(s["iterations"] for s in steps) == 13
         assert steps[-1]["residual"] <= 1e-10
     args = run.parse_args(["--workload", workload, "--seed", "0"])
     assert run.context_line(args, 1).startswith("context: backend=")

@@ -1,7 +1,11 @@
 """Tests for the symmetry-restricted Newton and continuation solver."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -473,8 +477,8 @@ def recorded(ws):
     log = []
     state, refresh = ws.state, ws.refresh
     ws.state = lambda z, t: log.append(("state", z.copy())) or state(z, t)
-    ws.refresh = lambda z, t: (log.append(("refresh", z.copy()))
-                               or refresh(z, t))
+    ws.refresh = lambda z, t, *args: (log.append(("refresh", z.copy()))
+                                      or refresh(z, t, *args))
     return log
 
 
@@ -490,6 +494,7 @@ def test_stale_inverse_failing_first_trial_refreshes_instead_of_halving(
     z0 = perturbed_start(antipodal_basis)
     r0 = ws.residual_vector(ws.state(z0, 0.0))
     X0 = np.linalg.inv(ws.jacobian(z0, 0.0))
+    D0 = 1.0 / ws.degree_diagonal(z0, 0.0)
     ws.inverse = -X0  # a held inverse whose full step raises the residual
     log = recorded(ws)
     _, _, state = newton_solve(ws, 0.0, z0)
@@ -498,8 +503,10 @@ def test_stale_inverse_failing_first_trial_refreshes_instead_of_halving(
                                              "state"]
     assert np.array_equal(log[1][1], z0 + X0 @ r0)
     assert np.array_equal(log[2][1], z0)
-    # the refreshed inverse takes its full step: no halving
-    assert np.array_equal(log[3][1], z0 - X0 @ r0)
+    # the refresh holds the degree diagonal, whose full step is taken: no
+    # halving
+    assert np.array_equal(log[3][1], z0 - D0 * r0)
+    assert (ws.diagonal_refreshes, ws.assemblies) == (1, 0)
 
 
 @pytest.mark.parametrize("factor, refreshed", [
@@ -520,6 +527,87 @@ def test_weak_contraction_forces_refresh(antipodal_basis, factor,
     assert (log[2][0] == "refresh") is refreshed
     if refreshed:
         assert np.array_equal(log[2][1], log[1][1])
+
+
+@pytest.mark.parametrize("factor, refreshed", [
+    (0.4, True),   # the residual contracts by about 0.6 > 0.5
+    (0.7, False),  # by about 0.3: a Broyden update, no refresh
+])
+def test_weak_contraction_drops_a_held_diagonal(antipodal_basis, factor,
+                                                refreshed):
+    ws = workspace(constant_data(2.0, 2.0), antipodal_basis)
+    z0 = perturbed_start(antipodal_basis)
+    ws.inverse = factor / ws.degree_diagonal(z0, 0.0)
+    log = recorded(ws)
+    _, _, state = newton_solve(ws, 0.0, z0)
+    assert state.norm <= 1e-10
+    assert [kind for kind, _ in log[:2]] == ["state", "state"]
+    assert (log[2][0] == "refresh") is refreshed
+    assert ws.assemblies == 0  # a held diagonal was not a fresh one
+
+
+def refresh_kinds(ws):
+    """Log "diagonal" or "assembled" for the base each refresh holds."""
+    kinds, refresh = [], ws.refresh
+
+    def logged(z, t, assemble=False):
+        refresh(z, t, assemble)
+        kinds.append("diagonal" if ws.diagonal else "assembled")
+    ws.refresh = logged
+    return kinds
+
+
+@pytest.mark.parametrize("scale, kinds", [
+    (3.0, ["diagonal", "assembled"]),  # first step contracts by about 2/3
+    (1.5, ["diagonal"]),               # by about 1/3
+])
+def test_fresh_diagonal_contracting_weakly_is_followed_by_an_assembly(
+        antipodal_basis, monkeypatch, scale, kinds):
+    # a diagonal scaled by 3 takes a third of its Newton step, so the
+    # next refresh assembles the matrix; scaled by 1.5 it keeps contracting
+    ws = workspace(constant_data(2.0, 2.0), antipodal_basis)
+    diagonal = ws.degree_diagonal
+    monkeypatch.setattr(ws, "degree_diagonal",
+                        lambda z, t: scale * diagonal(z, t))
+    log = refresh_kinds(ws)
+    _, _, state = newton_solve(ws, 0.0, perturbed_start(antipodal_basis))
+    assert state.norm <= 1e-10
+    assert log == kinds
+    assert ws.assemblies == kinds.count("assembled")
+
+
+@pytest.mark.parametrize("entry", [0.0, 1e-9, np.nan, np.inf])
+def test_diagonal_failing_its_gate_falls_through_to_assembly(
+        antipodal_basis, monkeypatch, entry):
+    # a vanishing, negligible (below 1e-8 of the largest) or non-finite
+    # degree-4 entry: the refresh assembles the matrix and the solve
+    # converges on its gated inverse
+    ws = workspace(constant_data(2.0, 2.0), antipodal_basis)
+    diagonal = ws.degree_diagonal
+
+    def degree_4_vanishes(z, t):
+        d = diagonal(z, t)
+        d[antipodal_basis.degrees == 4] = entry * np.max(np.abs(d))
+        return d
+    monkeypatch.setattr(ws, "degree_diagonal", degree_4_vanishes)
+    log = refresh_kinds(ws)
+    _, _, state = newton_solve(ws, 0.0, perturbed_start(antipodal_basis))
+    assert state.norm <= 1e-10
+    assert log == ["assembled"]
+    assert (ws.diagonal_refreshes, ws.assemblies) == (0, 1)
+
+
+def test_degree_diagonal_matches_the_sphere_spectrum(antipodal_basis):
+    # at a sphere the Newton matrix is diagonal by degree, and the model
+    # fitted to degrees 0 and 2 gives every degree's entry
+    data = constant_data(2.0, 2.0)
+    sphere = initial_sphere(GAUSS, 2.0)
+    ws = workspace(data, antipodal_basis)
+    z = coeffs_of(sphere, antipodal_basis)
+    J = ws.jacobian(z, 0.0)
+    d = ws.degree_diagonal(z, 0.0)
+    # measured 4.5e-10, the size of J's own off-diagonal rounding
+    assert np.max(np.abs(d - np.diag(J))) <= 1e-8 * np.max(np.abs(d))
 
 
 def test_broyden_pairs_apply_the_explicitly_updated_inverse(
@@ -796,12 +884,51 @@ def test_canonical_solve_reaches_one_in_a_single_try(monkeypatch):
     detour = continuation(GAUSS, modulated_data())
     assert report.converged and detour.converged
     assert [(s.t, s.iterations) for s in report.steps] == [(0.0, 0),
-                                                          (1.0, 12)]
+                                                          (1.0, 13)]
     assert report.steps[-1].residual <= 1e-10
     assert tries == [0.0, 1.0, 0.5, 1.0]
     diff = report.final_surface.radial.values - \
         detour.final_surface.radial.values
     assert np.max(np.abs(diff)) <= 1e-12
+
+
+CANONICAL_SOLVE = """
+import logging
+import numpy as np
+from curvedual.curvature import make_curvature_function
+from curvedual.solver import PrescribedData, continuation
+from curvedual.spectral import HarmonicCoeffs
+lines = []
+handler = logging.Handler()
+handler.emit = lambda record: lines.append(record.getMessage())
+logger = logging.getLogger("curvedual.solver")
+logger.addHandler(handler)
+logger.setLevel(logging.DEBUG)
+b = HarmonicCoeffs.zeros(2)
+b[2, 0], b[2, 2], b[2, -1] = 0.4, 0.2, -0.2
+b.values /= np.sqrt(6.0)
+report = continuation(make_curvature_function("gauss_power"),
+                      PrescribedData(a_poly=[np.log(2.0)], b=b, c=1.0))
+print(lines[-1])
+print(report.final_surface.radial.values.tobytes().hex())
+"""
+
+
+def test_canonical_solve_is_independent_of_the_blas_thread_count():
+    # without an assembly the solve runs no product whose rounding depends
+    # on how OpenBLAS splits it among threads (project @ E and the LU
+    # inverse do); the problem is modulated_data's
+    src = str(Path(solver.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", CANONICAL_SOLVE],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        outputs.append(run.stdout.split("\n"))
+    assert outputs[0][0] == "homotopy try t = 1: accepted; 13 iterations, " \
+        "2 diagonal refreshes, 0 assemblies"
+    assert outputs[0] == outputs[1]
 
 
 def counted_tries(monkeypatch):
@@ -849,7 +976,8 @@ def test_try_raising_a_foreign_error_is_logged_as_aborted(monkeypatch,
         continuation(GAUSS, constant_data(2.0, 1.0),
                      opts=SolverOptions(L_max=8))
     assert [r.getMessage() for r in caplog.records] == [
-        "homotopy try t = 0: aborted; 0 iterations, 0 refreshes"]
+        "homotopy try t = 0: aborted; 0 iterations, 0 diagonal refreshes, "
+        "0 assemblies"]
 
 
 def free_draw(L_max):
@@ -878,7 +1006,7 @@ def test_unresolved_free_draw_fails_where_the_fixed_schedule_did(
              if r.name == "curvedual.solver"]
     assert len(lines) == len(tries)
     assert lines[0] == "homotopy try t = 0: accepted; 0 iterations, " \
-        "0 refreshes"
+        "0 diagonal refreshes, 0 assemblies"
     assert lines[1].startswith("homotopy try t = 1: failed (line search "
                                "failed after 20 halvings at t = 1; ")
     assert sum(": accepted;" in line for line in lines) == \

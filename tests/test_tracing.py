@@ -56,16 +56,16 @@ def test_traced_solve_op_counts_newton_work(tmp_path, monkeypatch, capsys,
     assert rc == 0
     report = json.loads((out / "continuation_report.json").read_text())
     iterations = sum(s["iterations"] for s in report["steps"])
-    assert iterations == 10
+    assert iterations == 11
     # the tracer counts width-12 kernel calls, i.e. Jacobian assemblies:
-    # one at the start of the t = 1 try and two refreshes in its 10
-    # quasi-Newton iterations
-    assert counts["solver.newton_iters"] == 3
+    # the t = 1 try's 11 quasi-Newton iterations start from two
+    # degree-diagonal refreshes and assemble nothing
+    assert counts["solver.newton_iters"] == 0
     # the t = 0 solve and the one try, which reaches t = 1
     assert counts["solver.newton_solve_calls"] == 2
-    # one start state per solve and one per iteration: every full step was
-    # accepted
-    assert counts["solver.state_evals"] == 12
+    # one start state per solve, one per iteration (every full step was
+    # accepted) and four width-1 probes per diagonal refresh: 2 + 11 + 8
+    assert counts["solver.state_evals"] == 21
     # the folded run grid and the full grid of solution_nodes.csv, each
     # built once
     assert counts["spectral.ops_builds"] == 2
