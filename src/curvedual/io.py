@@ -4,11 +4,16 @@ All floating-point output is formatted with 17 significant digits, which
 round-trips IEEE doubles exactly and makes repeated runs byte-identical.
 Report writers never include timing or host information for the same
 reason.
+
+A CSV row is the ``"%.17g"`` text of each value, ``,`` between values and
+``\\r\\n`` at the end.  The CSV writer makes that text for a whole block of
+rows in one vectorized pass, exact to the byte; values outside the
+fixed-notation window of ``%.17g`` (zeros, non-finite values, |x| below
+1e-4 or from 1e16 up) take ``"%.17g" %`` one at a time.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -208,14 +213,116 @@ def read_surface(path) -> GraphSurface:
 
 
 # ------------------------------------------------------------------- csv
+#
+# A value x whose %.17g text has decimal exponent e in -4..15 prints in
+# fixed notation from its 17 significant digits D = round(|x| 10**(16 - e)),
+# an integer in [1e16, 1e17).  10**(16 - e) is an exact double and
+# Dekker's split product gives |x| 10**(16 - e) = p + err exactly; p is
+# then an even integer, so D = p + rint(err) rounds half to even as %.17g
+# does.  log10 only guesses e: a guess off by one puts D outside
+# [1e16, 1e17), and such values take the "%.17g" % path.
+#
+# A zero digit inserted after the e + 1 integer digits (or appended, for
+# e < 0) makes D an 18-digit integer.  Its text, with that zero turned
+# into ".", trailing zeros dropped, and "0.", "0.0", ... in front when
+# e < 0, is the %.17g text.  Each value gets a 32-byte slot of four
+# little-endian uint64 words: the sign and the "0.000" lead, the 18
+# digits from a table of 4-digit groups, and the separator.  Unused bytes
+# are NUL and are deleted at the end.
+
+_SPLITTER = 134217729.0  # 2**27 + 1
+_GROUP_START = np.array([0, 2, 6, 10, 14])[:, None]  # D's digit groups
+_BLOCK_VALUES = 4096  # values per pass; bounds the temporary arrays
+
+
+def _veltkamp(a):
+    """(hi, lo) with hi + lo == a, each with at most 26 significant bits."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _digit_tables():
+    digits = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1])) % 10
+    text = (digits + ord("0")).astype(np.uint8).view("<u4")[:, 0]
+    nonzero = (digits != 0) @ np.array([1, 2, 4, 8])
+    # per group g: the text of its 4 digits, and above bit 32 a bit per
+    # nonzero digit
+    groups = text.astype(np.uint64) | (nonzero.astype(np.uint64) << 32)
+    # per group and count of leading digits kept: the byte mask of its text
+    kept = np.clip(np.arange(19) - _GROUP_START, 0, [[2], [4], [4], [4], [4]])
+    masks = (np.uint64(1) << (8 * kept).astype(np.uint64)) - np.uint64(1)
+    pow10 = np.array([float(10 ** k) for k in range(21)])
+    return groups, masks, np.array([pow10, *_veltkamp(pow10)])
+
+
+_GROUP_TEXT, _KEEP_MASK, _POW10 = _digit_tables()
+# per e + 4: 10**(number of digits after the point), 1 when e < 0
+_FRACTION = np.array([1] * 4 + [10 ** (16 - e) for e in range(16)])
+# per min(e, 0) + 4, plus 5 if negative: the sign and lead bytes
+_HEAD = np.frombuffer(b"".join(
+    (sign + lead).ljust(8, b"\0") for sign in (b"\0", b"-")
+    for lead in (b"0.000", b"0.00", b"0.0", b"0.", b"")), "<u8")
+_SEPARATOR = np.uint64(ord(",") << 16)
+_ROW_END = np.uint64(ord("\r") << 16 | ord("\n") << 24)
+
+
+def _csv_lines(rows: np.ndarray) -> bytes:
+    """The CSV lines of ``rows``, one ``"%.17g"`` text per value."""
+    nrows, ncols = rows.shape
+    x = rows.ravel()
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e16)  # False for NaN
+    a = np.where(fixed, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    np.clip(e, -4, 15, out=e)
+    b, bh, bl = np.take(_POW10, 16 - e, axis=1)
+    p = a * b
+    ah, al = _veltkamp(a)
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    D = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    ok = fixed & (D >= 10 ** 16) & (D < 10 ** 17)
+    D[~ok] = 10 ** 16  # any valid digits; these slots are overwritten
+    D = 10 * D - 9 * (D % _FRACTION[e + 4])  # the inserted zero
+    groups = np.empty((5, x.size), np.int64)
+    hi, lo = np.divmod(D, 10 ** 8)
+    np.divmod(hi, 10 ** 8, out=(groups[0], hi))
+    groups[0] *= 100  # the first two digits, as a 4-digit group
+    np.divmod(hi, 10 ** 4, out=(groups[1], groups[2]))
+    np.divmod(lo, 10 ** 4, out=(groups[3], groups[4]))
+    text = _GROUP_TEXT[groups]
+    nonzero = np.bitwise_or.reduce(
+        (text >> np.uint64(32)) << _GROUP_START.astype(np.uint64), axis=0)
+    end = np.frexp(nonzero.astype(float))[1]  # past the last nonzero digit
+    # keep the integer digits and the digits up to the last nonzero one
+    text &= np.take(_KEEP_MASK, np.maximum(end, e + 1), axis=1)
+    slots = np.empty((nrows, ncols, 4), "<u8")
+    words = slots.reshape(-1, 4)
+    words[:, 0] = _HEAD[np.minimum(e, 0) + 4 + 5 * np.signbit(x)]
+    words[:, 1] = text[0] | text[1] << np.uint64(16) | text[2] << np.uint64(48)
+    words[:, 2] = (text[2] >> np.uint64(16) | text[3] << np.uint64(16)
+                   | text[4] << np.uint64(48))
+    words[:, 3] = text[4] >> np.uint64(16)
+    slots[:, :-1, 3] |= _SEPARATOR
+    slots[:, -1, 3] |= _ROW_END
+    dot = np.flatnonzero((e >= 0) & (end > e + 1))
+    slots.reshape(-1).view(np.uint8)[32 * dot + 9 + e[dot]] = ord(".")
+    other = np.flatnonzero(~ok)
+    if other.size:
+        texts = "".join(("%.17g" % v).ljust(26, "\0")
+                        for v in x[other].tolist())
+        words.view(np.uint8)[other, :26] = np.frombuffer(
+            texts.encode("ascii"), np.uint8).reshape(-1, 26)
+    return slots.tobytes().translate(None, b"\0")
+
 
 def _write_rows(path, header: list, columns: list) -> None:
     rows = np.stack([np.asarray(c, dtype=float) for c in columns], axis=1)
-    # the text of csv.writer with format_float, one % per row
-    fmt = ",".join(["%.17g"] * len(columns)) + "\r\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.writelines(fmt % tuple(row) for row in rows.tolist())
+    step = max(1, _BLOCK_VALUES // len(columns))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode("utf-8"))
+        for start in range(0, len(rows), step):
+            fh.write(_csv_lines(rows[start:start + step]))
 
 
 def write_field_csv(path, theta, phi, values) -> None:

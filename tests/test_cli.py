@@ -630,3 +630,33 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_ops_import_no_modules(tmp_path):
+    # a module first imported inside an op is a cost of every cold op;
+    # json (read_json) and numpy.random (class_K_check's samples) are
+    # imported on first use on purpose, so they are loaded up front
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = write_config(tmp_path / "config.json", L_max=8,
+                       f={"a_poly": [LOG2],
+                          "b": [{"l": 2, "m": 0, "value": 0.1}]})
+    run, surface = tmp_path / "run", str(tmp_path / "run" /
+                                         "solution_surface.json")
+    ops = [["solve", "--config", cfg, "--out", str(run)],
+           ["dual", "--surface", surface, "--out", str(tmp_path / "dual")],
+           ["check", "--surface", surface, "--config", cfg,
+            "--out", str(tmp_path / "check")]]
+    code = ("import json, sys, numpy.random, curvedual.cli\n"
+            "gained = []\n"
+            f"for argv in {ops!r}:\n"
+            "    before = set(sys.modules)\n"
+            "    rc = curvedual.cli.main(argv)\n"
+            "    gained.append((argv[0], rc, sorted(set(sys.modules) - before)))\n"
+            "print(gained)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == str([("solve", 0, []), ("dual", 0, []),
+                                        ("check", 0, [])])
+    assert (tmp_path / "check" / "residuals.csv").exists()

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvedual import DataError, HarmonicCoeffs, build_grid, sphere_surface
 from curvedual.geometry import GraphSurface, curvature_field
 from curvedual.io import (
+    _csv_lines,
     dumps_canonical,
     format_float,
     read_surface,
@@ -265,23 +267,66 @@ class TestCsvTables:
                            "r_star", "kt1", "kt2"]
         assert float(rows[1][4]) == pytest.approx(np.pi / 4, abs=1e-10)
 
-    def test_rows_match_csv_writer_byte_for_byte(self, tmp_path):
-        # reference: csv.writer over format_float text, one value at a time
-        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
-                   -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
-                   0.1, 1.0, -4.0, 2.2250738585072014e-308, 1e16, 1e-5]
-        rng = np.random.default_rng(12)
-        theta = np.array(special + list(rng.standard_normal(40)
-                                        * 10.0 ** rng.integers(-300, 300, 40)))
-        phi, values = theta[::-1].copy(), np.roll(theta, 7)
-        path, ref = tmp_path / "field.csv", tmp_path / "ref.csv"
-        write_field_csv(path, theta, phi, values)
-        with open(ref, "w", encoding="utf-8", newline="") as fh:
+    @staticmethod
+    def reference_csv(path, columns):
+        # csv.writer over format_float text, one value at a time
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["theta", "phi", "value"])
-            for row in zip(theta, phi, values):
+            for row in zip(*columns):
                 writer.writerow([format_float(v) for v in row])
+
+    def test_rows_match_csv_writer_byte_for_byte(self, tmp_path):
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                   -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                   0.1, 1.0, -4.0, 2.2250738585072014e-308, 1e16, 1e-5,
+                   # round up to the next power of ten at 17 digits
+                   9.9999999999999999e-5, 99999.999999999999,
+                   9.9999999999999999e15, 0.99999999999999999]
+        # both ends of the fixed-notation window and every power of ten
+        # in it, with their nextafter neighbours
+        edges = []
+        for p in [1e-4, 1e16] + [10.0 ** k for k in range(-4, 17)]:
+            below, above = p, p
+            for _ in range(3):
+                below, above = np.nextafter(below, 0), np.nextafter(above, 2 * p)
+                edges += [below, p, above]
+        rng = np.random.default_rng(12)
+        window = (rng.choice([-1.0, 1.0], 4000)
+                  * 10.0 ** rng.uniform(-4.0, 16.0, 4000))
+        # short decimals, where ties at the 17th digit are likely, and
+        # dyadic rationals, whose decimal expansions end
+        decimals = rng.integers(-10**7, 10**7, 1000) \
+            / 10.0 ** rng.integers(0, 12, 1000)
+        dyadic = rng.integers(-2**30, 2**30, 1000) \
+            / 2.0 ** rng.integers(0, 60, 1000)
+        wide = rng.standard_normal(100) * 10.0 ** rng.integers(-300, 300, 100)
+        theta = np.concatenate([special, edges, window, decimals, dyadic, wide])
+        columns = [theta, theta[::-1].copy(), np.roll(theta, 7)]
+        path, ref = tmp_path / "field.csv", tmp_path / "ref.csv"
+        write_field_csv(path, *columns)
+        self.reference_csv(ref, columns)
         assert path.read_bytes() == ref.read_bytes()
+
+    def test_special_values_raise_no_floating_point_error(self, tmp_path):
+        values = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                           -5e-324, 1e-310, 2.2250738585072014e-308])
+        columns = [values, values[::-1].copy(), -values]
+        path, ref = tmp_path / "field.csv", tmp_path / "ref.csv"
+        with np.errstate(all="raise"):
+            write_field_csv(path, *columns)
+        self.reference_csv(ref, columns)
+        assert path.read_bytes() == ref.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | st.floats(-1e16, 1e16), min_size=1,
+                    max_size=40))
+    def test_lines_match_percent_format(self, values):
+        column = np.array(values)[:, None]
+        assert _csv_lines(column) == "".join(
+            "%.17g\r\n" % v for v in values).encode()
+        assert _csv_lines(column.T) == (
+            ",".join("%.17g" % v for v in values) + "\r\n").encode()
 
 
 class TestObjExport:
