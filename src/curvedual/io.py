@@ -243,9 +243,10 @@ def _veltkamp(a):
 
 
 def _digit_tables():
-    digits = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1])) % 10
-    text = (digits + ord("0")).astype(np.uint8).view("<u4")[:, 0]
-    nonzero = (digits != 0) @ np.array([1, 2, 4, 8])
+    # row k: the k-th digit of the groups 0..9999
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+    text = np.ascontiguousarray((digits + ord("0")).T).view("<u4")[:, 0]
+    nonzero = np.array([1, 2, 4, 8]) @ (digits != 0)
     # per group g: the text of its 4 digits, and above bit 32 a bit per
     # nonzero digit
     groups = text.astype(np.uint64) | (nonzero.astype(np.uint64) << 32)
