@@ -231,7 +231,7 @@ def read_surface(path) -> GraphSurface:
 # are NUL and are deleted at the end.
 
 _SPLITTER = 134217729.0  # 2**27 + 1
-_GROUP_START = np.array([0, 2, 6, 10, 14])[:, None]  # D's digit groups
+_GROUP_START = np.array([0, 2, 6, 10, 14])[:, None]  # first digit of each group
 _BLOCK_VALUES = 4096  # values per pass; bounds the temporary arrays
 
 
