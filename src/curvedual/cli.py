@@ -140,9 +140,9 @@ def cmd_solve(args) -> int:
                           report.final_surface)
     formats.write_json(os.path.join(args.out, "continuation_report.json"),
                        report.as_dict())
-    # the node dump is on the full grid even where the run grid is folded
-    grid = build_grid(opts.L_max) if report.grid.folded else report.grid
-    fld = curvature_field(report.final_surface, grid)
+    # the node dump is on the full grid even where the run grid is folded;
+    # with the trivial group it is the run grid, shared per process
+    fld = curvature_field(report.final_surface, build_grid(opts.L_max))
     formats.write_nodes_csv(os.path.join(args.out, "solution_nodes.csv"), fld)
 
     print(f"status: {report.status}")

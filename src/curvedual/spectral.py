@@ -19,6 +19,11 @@ are exposed as (colatitudes x coefficients) transposed views.
 multiplies each degree's rows in place by a longitude table, so it
 gathers nothing and returns the transposed view of a degree-major array.
 
+A grid is built once per process: :func:`build_grid` and
+:func:`build_folded_grid` hand every caller the same read-only
+:class:`QuadratureGrid`, and keep the grids of the last 8 sizes asked for,
+so the factor tables of a size in use are computed once.
+
 Conventions
 -----------
 * Basis ordering is lexicographic in (l, m) with m running -l..l, so the
@@ -37,6 +42,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,7 +119,7 @@ class _ProductTables:
     that a gather of basis columns reads contiguous rows.  ``lon``:
     sin(|m| phi) for m < 0, else cos(m phi), per signed order -L..L, and
     two phi-derivatives, (n_phi, 2L+1).  ``orders``: the signed order m of
-    each coefficient.
+    each coefficient.  Every table is read-only.
     """
 
     def __init__(self, L_max: int, theta: np.ndarray, phi: np.ndarray,
@@ -144,6 +150,8 @@ class _ProductTables:
                  for neg, pos in ((sin, cos), (j * cos, -j * sin)))
         s = np.arange(-L_max, L_max + 1)
         self.lon = [f, df, -(s * s) * f]
+        for a in (m, *self.colat, *self.lon):
+            a.flags.writeable = False
 
 
 # (colatitude, longitude) table of u, u_t, u_p, u_tt, u_tp, u_pp
@@ -225,10 +233,13 @@ class QuadratureGrid:
         return self._ops
 
 
+@lru_cache(maxsize=8)
 def _product_grid(L_max: int, n_phi: int, folded: bool) -> QuadratureGrid:
     """Gauss-Legendre rows of degree L_max + 1 times n_phi longitudes.
 
-    With ``folded``, only the rows of :func:`build_folded_grid`.
+    With ``folded``, only the rows of :func:`build_folded_grid`.  The
+    grids of the last 8 distinct arguments are kept and handed out again,
+    with their node arrays read-only.
     """
     if L_max < 4:
         raise ValueError(f"L_max must be at least 4, got {L_max}")
@@ -247,13 +258,19 @@ def _product_grid(L_max: int, n_phi: int, folded: bool) -> QuadratureGrid:
     theta = np.repeat(theta_1d, n_phi)
     phi = np.tile(phi_1d, len(theta_1d))
     weights = np.repeat(wt_1d, n_phi) * (2.0 * np.pi / n_phi)
+    for a in (theta, phi, weights):
+        a.flags.writeable = False
     return QuadratureGrid(L_max=L_max, n_theta=len(theta_1d), n_phi=n_phi,
                           theta=theta, phi=phi, weights=weights,
                           folded=folded)
 
 
 def build_grid(L_max: int) -> QuadratureGrid:
-    """Build the quadrature grid for transforms through degree ``L_max``.
+    """The quadrature grid for transforms through degree ``L_max``.
+
+    The grid is shared per process: every call with the same ``L_max``
+    returns the same object, whose node arrays and factor tables are
+    read-only, while it is among the last 8 grid sizes asked for.
 
     Parameters
     ----------
@@ -271,7 +288,9 @@ def build_folded_grid(L_max: int) -> QuadratureGrid:
     south of the equator is then a kept node, and each kept row off the
     equator carries the weight of its mirror row too.  For a field even
     under xi -> -xi the maximum over the nodes and every quadrature sum
-    of an even integrand equal those of that full grid.
+    of an even integrand equal those of that full grid.  It is shared and
+    read-only like the grids of :func:`build_grid`, and counts among the
+    last 8 sizes kept.
 
     Parameters
     ----------

@@ -5,6 +5,12 @@ import pytest
 from curvedual import spectral
 
 
+@pytest.fixture(autouse=True)
+def _cold_grid_memo():
+    """Start each test without memoized grids, as in a fresh process."""
+    spectral._product_grid.cache_clear()
+
+
 def _record_table_builds(monkeypatch, key):
     builds = []
     ops = spectral.QuadratureGrid.ops

@@ -660,3 +660,32 @@ def test_ops_import_no_modules(tmp_path):
     assert out.splitlines()[-1] == str([("solve", 0, []), ("dual", 0, []),
                                         ("check", 0, [])])
     assert (tmp_path / "check" / "residuals.csv").exists()
+
+
+def test_warm_ops_build_no_tables_and_write_the_same_bytes(
+        tmp_path, grid_shape_builds):
+    # a repeated op finds every grid of its first run in the memo, also
+    # after an op on another size, and writes the same bytes
+    f = {"a_poly": [LOG2], "b": [{"l": 2, "m": 0, "value": 0.1}]}
+    for L in (8, 12):
+        cfg = write_config(tmp_path / f"config{L}.json", L_max=L, f=f)
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / f"run{L}")]) == 0
+
+    def run(command, L, out):
+        out = tmp_path / out
+        assert main([command, "--surface",
+                     str(tmp_path / f"run{L}" / "solution_surface.json"),
+                     "--config", str(tmp_path / f"config{L}.json"),
+                     "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    check = run("check", 8, "check_a")
+    run("check", 12, "check_12")
+    dual = run("dual", 8, "dual_a")
+    grid_shape_builds.clear()
+    assert run("check", 8, "check_b") == check
+    assert run("dual", 8, "dual_b") == dual
+    assert grid_shape_builds == []
+    assert set(check) == {"check_report.json", "residuals.csv"}
+    assert "dual_surface.json" in dual

@@ -11,6 +11,7 @@ from curvedual.spectral import (
     _JET_TABLES,
     _analysis,
     _ProductTables,
+    _product_grid,
     _synthesis,
     analyze,
     basis_matrix,
@@ -108,6 +109,42 @@ def test_build_grid_rejects_small_truncation():
         build_grid(3)
     with pytest.raises(ValueError):
         build_folded_grid(3)
+
+
+def _grid_bytes(grid):
+    tables = grid.ops
+    return [a.tobytes() for a in (grid.theta, grid.phi, grid.weights,
+                                  tables.orders, *tables.colat, *tables.lon)]
+
+
+def test_grids_are_shared_per_process():
+    assert build_grid(8) is build_grid(8)
+    assert build_grid(8).ops is build_grid(8).ops
+    assert build_folded_grid(8) is build_folded_grid(8)
+    assert build_folded_grid(8) is not build_grid(8)
+
+
+def test_shared_grid_arrays_are_read_only():
+    grid = build_grid(8)
+    tables = grid.ops
+    before = _grid_bytes(grid)
+    for a in (grid.theta, grid.phi, grid.weights, tables.orders,
+              *tables.colat, *tables.lon):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        build_grid(8).weights *= 2.0
+    assert _grid_bytes(build_grid(8)) == before
+
+
+def test_grid_memo_keeps_the_last_8_sizes():
+    grids = {L_max: build_grid(L_max) for L_max in range(4, 14)}
+    assert _product_grid.cache_info().currsize == 8
+    assert all(build_grid(L_max) is grids[L_max] for L_max in range(6, 14))
+    # L 4 was evicted: it is built anew, with the same bytes
+    again = build_grid(4)
+    assert again is not grids[4]
+    assert _grid_bytes(again) == _grid_bytes(grids[4])
 
 
 @pytest.mark.parametrize("L_max, rows", [(8, 5), (9, 5), (24, 13)])
