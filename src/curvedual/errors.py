@@ -22,11 +22,7 @@ class DataError(CurveDualError):
 
 
 class SingularJacobianError(CurveDualError):
-    """Newton system is singular on the chosen coefficient subspace."""
-
-    def __init__(self, message, null_dimension=0):
-        super().__init__(message)
-        self.null_dimension = null_dimension
+    """Newton model cannot be inverted: its degree diagonal is not finite."""
 
 
 class NewtonError(CurveDualError):

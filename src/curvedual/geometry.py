@@ -252,9 +252,6 @@ class StereographicField:
     """
 
     y: np.ndarray               # (N, 3) image points, pole-frame coordinates
-    normal: np.ndarray          # (N, 3) outward Euclidean unit normal
-    g: np.ndarray               # (N, 2, 2)
-    h: np.ndarray               # (N, 2, 2)
     shape_operator: np.ndarray  # (N, 2, 2)
     gauss_curvature: np.ndarray  # (N,)
     area_jacobian: np.ndarray   # (N,) dA_image / dsigma at each node
@@ -312,10 +309,8 @@ def stereographic_project(field: CurvatureField) -> StereographicField:
     # (1 + rho^2/4)^{-2}; its log-gradient is radial
     dpsi_drho = -(rho / 2.0) / (1.0 + rho**2 / 4.0)
     conformal_term = dpsi_drho * np.einsum("ni,ni->n", w, nrm)
-    g = np.stack([np.stack([g11, g12], -1), np.stack([g12, g22], -1)], -2)
-    hh = np.stack([np.stack([h11, h12], -1), np.stack([h12, h22], -1)], -2)
     shape_op = np.stack([np.stack([s11, s12], -1), np.stack([s21, s22], -1)], -2)
-    return StereographicField(y=y, normal=nrm, g=g, h=hh,
-                              shape_operator=shape_op, gauss_curvature=gauss,
+    return StereographicField(y=y, shape_operator=shape_op,
+                              gauss_curvature=gauss,
                               area_jacobian=area_jac,
                               conformal_term=conformal_term)

@@ -13,8 +13,8 @@ symmetry group that acts freely on the sphere.  The only such group
 besides the trivial one is the antipodal group, whose invariant subspace
 is the even-degree coefficients.  Restricting to it removes the
 three-dimensional kernel of the linearization spanned by the degree-1
-harmonics, which otherwise makes the Newton system singular at every
-solution.
+harmonics, which otherwise makes the Newton system singular at the
+geodesic spheres the path starts from.
 
 With the antipodal group the solve runs on half the sphere.  For an
 invariant iterate and invariant data the residual is even,
@@ -26,7 +26,7 @@ rows north of the equator at doubled weights, the equator row once, and
 kept one.  Its node maximum of the residual and its projection onto the
 even-degree basis equal those of the full grid with the same longitudes,
 so the iterates are that grid's, to rounding, at half the nodes of every
-state, assembly and projection.  The trivial group runs on the full grid.
+state and projection.  The trivial group runs on the full grid.
 
 The residual at a node depends only on the radial jet (r, r_t, r_p,
 r_tt, r_tp, r_pp) at that node.  A state is one factored synthesis of
@@ -39,18 +39,17 @@ table column times a longitude table column, so the matrix is assembled
 one colatitude row of nodes at a time from the gathered table columns
 and then projected; no jets of the whole basis are formed.
 
-The matrix is rarely assembled.  Newton steps apply an approximate
+Newton steps never assemble that matrix.  They apply an approximate
 inverse held across iterations and homotopy steps and corrected by
 Broyden updates, kept as vector pairs beside a base inverse, so an
-iteration costs matrix-vector products, never a new matrix.  A refresh
-of the base first takes the inverse of a diagonal: at a geodesic sphere
-the Newton matrix is diagonal by degree, with entries A l(l+1) + C, and
-two zonal probes at the current iterate give A and C without any M x M
-matrix.  The matrix is assembled and inverted by LU only when a fresh
-diagonal's first step contracts the residual by less than half, or when
-the diagonal has an entry that vanishes or is not finite.  The LU
-inverse also bounds the condition number; singular values are computed
-only when that bound cannot clear the matrix.
+iteration costs matrix-vector products.  The base is the inverse of a
+diagonal: at a geodesic sphere the Newton matrix is diagonal by degree,
+with entries A l(l+1) + C, and two zonal probes at the current iterate
+give A and C without any M x M matrix.  An entry that is negligible
+beside the largest, as degree 1 is at a sphere without the symmetry
+restriction, inverts to 0, so the step leaves that near-kernel alone.
+The assembled matrix serves only :func:`linear_system`, for the
+spectrum and kernel diagnostics.
 """
 
 from __future__ import annotations
@@ -73,16 +72,12 @@ from .spectral import HarmonicCoeffs, QuadratureGrid, build_grid, num_coeffs
 
 log = logging.getLogger(__name__)
 
-_SOLVE_RCOND = 1e-12
 _JET_STEP = 1e-6  # central-difference step on each radial jet component
-_KERNEL_RCOND = 1e-8
-# quasi-Newton refresh rules: a projected-residual contraction worse than
-# _THETA_MAX on an assembled base or _THETA_DIAGONAL on a degree-diagonal
-# one, or |s^T X y| <= _BROYDEN_RCOND |s| |X y| (a near-singular update),
-# drops the base; a fresh diagonal base's first step worse than
-# _THETA_DIAGONAL assembles the Newton matrix at the next refresh
-_THETA_MAX = 0.25
-_THETA_DIAGONAL = 0.5
+_KERNEL_RCOND = 1e-8  # relative size of a near-kernel entry or singular value
+# quasi-Newton rules: a projected-residual contraction worse than
+# _THETA_MAX, or |s^T X y| <= _BROYDEN_RCOND |s| |X y| (a near-singular
+# update), drops the base
+_THETA_MAX = 0.75
 _BROYDEN_RCOND = 1e-8
 _MAX_HALVINGS = 20  # line-search halvings after a refresh
 _MAX_NEWTON = 25  # Newton steps one solve may take
@@ -235,9 +230,12 @@ class SolverOptions:
     """The truncation degree of a run and its node residual tolerance.
 
     Everything else about a run is fixed: the homotopy step rule of
-    :func:`continuation`, the Newton step budget ``_MAX_NEWTON``, the
-    line search's curvature band [``_KAPPA_FLOOR``, ``_KAPPA_CEIL``] and
-    halvings ``_MAX_HALVINGS``, and the shortest step ``_DT_MIN``.
+    :func:`continuation`, the one quasi-Newton base (the truncated
+    degree-diagonal inverse of :meth:`NewtonWorkspace.refresh`) and its
+    contraction bound ``_THETA_MAX``, the Newton step budget
+    ``_MAX_NEWTON``, the line search's curvature band [``_KAPPA_FLOOR``,
+    ``_KAPPA_CEIL``] and halvings ``_MAX_HALVINGS``, and the shortest
+    step ``_DT_MIN``.
     """
 
     L_max: int = 24
@@ -299,19 +297,18 @@ class NewtonWorkspace:
     first refresh, and after a failed solve) plus the "good" Broyden
     corrections made since, kept as vector pairs (u_j, v_j) so that
     X = inverse + sum_j u_j v_j^T is applied by :meth:`apply_inverse` and
-    never formed.  The base is either a vector, the inverse of the
-    degree-diagonal model of the Newton matrix (:meth:`degree_diagonal`),
-    or the gated inverse of the assembled matrix.  Assigning ``inverse``
-    drops the pairs; ``diagonal_refreshes`` and ``assemblies`` count the
-    refreshes that held each kind of base, and ``iterations`` the accepted
-    Newton steps, across every solve.
+    never formed.  The base is a vector, the truncated inverse of the
+    degree-diagonal model of the Newton matrix (:meth:`refresh`).
+    Assigning ``inverse`` drops the pairs; ``diagonal_refreshes`` counts
+    the refreshes and ``iterations`` the accepted Newton steps, across
+    every solve.
 
-    The assembly reads the table columns of the kept basis functions,
-    colatitude (n_theta, 4, M) and longitude (2, n_phi, M), and the
-    weighted projection ``project`` (M, N), its only dense matrix besides
-    the (N, M) block it projects.  They are gathered on the first
-    assembly (``_assembly_tables``), so a run that never assembles never
-    builds them.
+    The assembled Newton matrix (:meth:`jacobian`, for
+    :func:`linear_system`) reads the table columns of the kept basis
+    functions, colatitude (n_theta, 4, M) and longitude (2, n_phi, M), and
+    the weighted projection ``project`` (M, N), its only dense matrix
+    besides the (N, M) block it projects.  They are gathered on the first
+    assembly (``_assembly_tables``), so a Newton solve never builds them.
     """
 
     def __init__(self, grid: QuadratureGrid, basis: InvariantBasis,
@@ -329,7 +326,6 @@ class NewtonWorkspace:
         self._V = np.empty((0, len(basis.index)))
         self.inverse = None
         self.diagonal_refreshes = 0
-        self.assemblies = 0
         self.iterations = 0
 
     @functools.cached_property
@@ -357,11 +353,7 @@ class NewtonWorkspace:
 
     @property
     def inverse(self) -> np.ndarray | None:
-        """The base the Broyden pairs correct, or None.
-
-        A vector is the inverse of a diagonal matrix, a matrix the inverse
-        of the assembled Newton matrix.
-        """
+        """The base the Broyden pairs correct, as its diagonal, or None."""
         return self._inverse
 
     @inverse.setter
@@ -369,16 +361,10 @@ class NewtonWorkspace:
         self._inverse = X
         self._pairs = 0
 
-    @property
-    def diagonal(self) -> bool:
-        """Whether the held base is a degree-diagonal inverse."""
-        return self._inverse is not None and self._inverse.ndim == 1
-
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:
-        """X r = inverse r + sum_j u_j (v_j . r)."""
-        X, k = self._inverse, self._pairs
-        return (X * r if X.ndim == 1 else X @ r) \
-            + self._U[:k].T @ (self._V[:k] @ r)
+        """X r = inverse * r + sum_j u_j (v_j . r)."""
+        k = self._pairs
+        return self._inverse * r + self._U[:k].T @ (self._V[:k] @ r)
 
     def broyden_update(self, s: np.ndarray, Xy: np.ndarray) -> None:
         """X <- X + (s - X y)(s^T X) / (s^T X y), appended as one pair.
@@ -391,9 +377,7 @@ class NewtonWorkspace:
             grow = np.empty((max(2 * k, 8), self._U.shape[1]))
             self._U = np.concatenate([self._U, grow])
             self._V = np.concatenate([self._V, grow])
-        X = self._inverse
-        self._V[k] = (s * X if X.ndim == 1 else s @ X) \
-            + (self._U[:k] @ s) @ self._V[:k]
+        self._V[k] = s * self._inverse + (self._U[:k] @ s) @ self._V[:k]
         self._U[k] = (s - Xy) / (s @ Xy)
         self._pairs = k + 1
 
@@ -489,57 +473,29 @@ class NewtonWorkspace:
         units[0, 0] = units[1, spectral.lm_index(2, 0)] = 1.0
         return [spectral._synthesis(self.ops, a) for a in units]
 
-    def refresh(self, z: np.ndarray, t: float,
-                assemble: bool = False) -> None:
-        """Hold a new base at (z, t) and drop the Broyden pairs.
+    def refresh(self, z: np.ndarray, t: float) -> int:
+        """Hold the truncated inverse of the degree diagonal at (z, t).
 
-        The base is the inverse of :meth:`degree_diagonal`, unless
-        ``assemble`` is set or an entry of that diagonal is not finite or
-        is at most ``_KERNEL_RCOND`` times the largest in magnitude (as
-        degree 1 is at a sphere without the symmetry restriction).  Then
-        the Newton matrix is assembled and its gated inverse held, which
-        raises SingularJacobianError on a singular matrix.
+        The Broyden pairs are dropped.  An entry of :meth:`degree_diagonal`
+        at most ``_KERNEL_RCOND`` times the largest in magnitude, as
+        degree 1 is at a sphere without the symmetry restriction, inverts
+        to 0; every other entry d to 1 / d.  Returns the number of entries
+        left out that way.
+
+        Raises
+        ------
+        SingularJacobianError
+            If an entry of the diagonal is not finite.
         """
-        if not assemble:
-            d = self.degree_diagonal(z, t)
-            size = np.abs(d)
-            if np.all(np.isfinite(d)) and \
-                    size.min() > _KERNEL_RCOND * size.max():
-                self.inverse = 1.0 / d
-                self.diagonal_refreshes += 1
-                return
-        self.inverse = _gated_inverse(self.jacobian(z, t))
-        self.assemblies += 1
-
-
-def _gated_inverse(J: np.ndarray) -> np.ndarray:
-    """Inverse of the Newton matrix J, rejecting numerically singular J.
-
-    A matrix is rejected when its smallest singular value is below 1e-12
-    times its largest.  The LU inverse gives the 1-norm condition number
-    kappa_1; since kappa_2 <= M kappa_1 for an M x M matrix,
-    M kappa_1 < 1e12 proves the matrix passes without computing a
-    singular value.  Otherwise the singular values decide; an exactly
-    zero LU pivot counts as singular.
-    """
-    M = len(J)
-    try:
-        X = np.linalg.inv(J)
-    except np.linalg.LinAlgError:
-        X = None
-    if X is not None:
-        kappa1 = np.abs(J).sum(axis=0).max() * np.abs(X).sum(axis=0).max()
-        if M * kappa1 * _SOLVE_RCOND < 1.0:
-            return X
-    s = np.linalg.svd(J, compute_uv=False)
-    if X is None or s[0] == 0.0 or s[-1] < _SOLVE_RCOND * s[0]:
-        dim = int(np.sum(s < _KERNEL_RCOND * s[0])) if s[0] > 0 else len(s)
-        raise SingularJacobianError(
-            f"Newton system is numerically singular (smallest relative "
-            f"singular value {s[-1] / max(s[0], 1e-300):.3g}); the "
-            "symmetry restriction may be missing or misconfigured",
-            null_dimension=dim)
-    return X
+        d = self.degree_diagonal(z, t)
+        if not np.all(np.isfinite(d)):
+            raise SingularJacobianError(
+                f"degree-diagonal Newton model is not finite at t = {t:g}")
+        size = np.abs(d)
+        kept = size > _KERNEL_RCOND * size.max()
+        self.inverse = np.divide(1.0, d, out=np.zeros_like(d), where=kept)
+        self.diagonal_refreshes += 1
+        return len(d) - int(np.count_nonzero(kept))
 
 
 def near_kernel(J: np.ndarray):
@@ -612,17 +568,15 @@ def newton_solve(ws: NewtonWorkspace, t: float, z: np.ndarray,
     "good" Broyden update X <- X + (s - X y)(s^T X) / (s^T X y) for the
     step s and the change y of the projected residual, stored as one
     vector pair (the quasi-Newton corrector QNERR of Deuflhard, *Newton
-    Methods for Nonlinear Problems*, 2004, ch. 2).  The base of X is
-    refreshed when none is held, when the contraction
-    theta = ||r_new|| / ||r|| of the projected residual exceeds the base's
-    bound (``_THETA_DIAGONAL`` = 1/2 for a degree-diagonal base, QNERR's
-    convergence condition, and ``_THETA_MAX`` for an assembled one), when
-    s^T X y is negligible, and when a held base fails its first
-    line-search trial; that refresh takes the place of the first halving.
-    A refresh takes the degree diagonal (:meth:`NewtonWorkspace.refresh`)
-    unless the previous refresh of this solve was a diagonal one whose
-    first step had theta above 1/2; then it assembles the matrix.  A
-    failed solve leaves ``ws.inverse`` at None.
+    Methods for Nonlinear Problems*, 2004, ch. 2).  The base of X is the
+    truncated degree-diagonal inverse of :meth:`NewtonWorkspace.refresh`.
+    It is refreshed when none is held, when the contraction
+    theta = ||r_new|| / ||r|| of the projected residual exceeds
+    ``_THETA_MAX`` = 0.75, when s^T X y is negligible, and when a held
+    base fails its first line-search trial; that refresh takes the place
+    of the first halving.  A line search that fails after a refresh that
+    left diagonal entries out says how many in its NewtonError.  A failed
+    solve leaves ``ws.inverse`` at None.
 
     Returns
     -------
@@ -647,13 +601,11 @@ def _quasi_newton(ws: NewtonWorkspace, t: float, z: np.ndarray,
                   opts: SolverOptions):
     state = ws.state(z, t)
     if not np.isfinite(state.norm):
-        # e.g. F of a non-convex start; a NaN matrix would only fail
-        # later inside LAPACK
+        # e.g. F of a non-convex start
         raise NewtonError(
             f"residual is not finite at t = {t:g}; kappa_min "
             f"{state.kappa_min:.6g}")
     r = ws.residual_vector(state)
-    assemble = False  # set when a fresh diagonal base's step contracts weakly
     for iteration in range(_MAX_NEWTON + 1):
         if state.norm <= opts.tol:
             return z, iteration, state
@@ -664,27 +616,24 @@ def _quasi_newton(ws: NewtonWorkspace, t: float, z: np.ndarray,
         accepted = None
         if ws.inverse is not None:  # a held base gets its full step
             accepted = _line_search(ws, t, z, -ws.apply_inverse(r), state, 0)
-        fresh = accepted is None
-        if fresh:
-            ws.refresh(z, t, assemble)
-            assemble = False
+        if accepted is None:
+            left_out = ws.refresh(z, t)
             accepted = _line_search(ws, t, z, -ws.apply_inverse(r), state,
                                     _MAX_HALVINGS)
-        if accepted is None:
-            raise NewtonError(
-                f"line search failed after {_MAX_HALVINGS} halvings "
-                f"at t = {t:g}; residual {state.norm:.3e}")
+            if accepted is None:
+                raise NewtonError(
+                    f"line search failed after {_MAX_HALVINGS} halvings "
+                    f"at t = {t:g}; residual {state.norm:.3e}"
+                    + (f"; the base left out {left_out} near-zero "
+                       "degree-diagonal entries" if left_out else ""))
         z_new, state = accepted
         ws.iterations += 1
         r_new = ws.residual_vector(state)
         s = z_new - z
         Xy = ws.apply_inverse(r_new - r)
         theta = np.linalg.norm(r_new) / np.linalg.norm(r)
-        if fresh and ws.diagonal and theta > _THETA_DIAGONAL:
-            assemble = True  # the diagonal does not contract here
-        if (theta > (_THETA_DIAGONAL if ws.diagonal else _THETA_MAX)
-                or abs(s @ Xy) <= _BROYDEN_RCOND * np.linalg.norm(s)
-                * np.linalg.norm(Xy)):
+        if theta > _THETA_MAX or abs(s @ Xy) <= \
+                _BROYDEN_RCOND * np.linalg.norm(s) * np.linalg.norm(Xy):
             ws.inverse = None  # refreshed where the next step needs it
         else:
             ws.broyden_update(s, Xy)
@@ -746,7 +695,7 @@ def _step_record(t, iterations, state: _State) -> ContinuationStep:
 def _logged_try(ws: NewtonWorkspace, t: float, z: np.ndarray,
                 opts: SolverOptions):
     """``newton_solve`` at t, logged at DEBUG with its outcome and work."""
-    before = ws.iterations, ws.diagonal_refreshes, ws.assemblies
+    before = ws.iterations, ws.diagonal_refreshes
     outcome = "aborted"  # by an exception continuation does not handle
     try:
         result = newton_solve(ws, t, z, opts)
@@ -757,9 +706,8 @@ def _logged_try(ws: NewtonWorkspace, t: float, z: np.ndarray,
         raise
     finally:
         log.debug("homotopy try t = %.6g: %s; %d iterations, %d diagonal "
-                  "refreshes, %d assemblies", t, outcome,
-                  ws.iterations - before[0], ws.diagonal_refreshes - before[1],
-                  ws.assemblies - before[2])
+                  "refreshes", t, outcome, ws.iterations - before[0],
+                  ws.diagonal_refreshes - before[1])
 
 
 def continuation(F: CurvatureFunction, data: PrescribedData,
@@ -779,12 +727,12 @@ def continuation(F: CurvatureFunction, data: PrescribedData,
     accepted points (from z itself on the first step after t = 0),
     rebuilt for every tried t_try.  Every accepted step records residual,
     curvature bounds and radial bounds; every try, the t = 0 solve
-    included, is logged at DEBUG with its outcome, Newton steps,
-    degree-diagonal refreshes and assemblies.  The run either reaches t = 1 at full tolerance or
-    reports the failure point with the last good surface.  The iterate is
-    held as its coefficients in the invariant basis throughout; the start
-    surface must carry the run truncation and lie in that basis's span
-    (tolerance 1e-8).  The run grid, returned as the report's ``grid``,
+    included, is logged at DEBUG with its outcome, Newton steps and
+    degree-diagonal refreshes.  The run either reaches t = 1 at full
+    tolerance or reports the failure point with the last good surface.
+    The iterate is held as its coefficients in the invariant basis
+    throughout; the start surface must carry the run truncation and lie
+    in that basis's span (tolerance 1e-8).  The run grid, returned as the report's ``grid``,
     is the folded grid when ``antipodal`` (the group {I, -I}) and
     ``build_grid(opts.L_max)`` otherwise (the trivial group).
     """

@@ -300,6 +300,20 @@ class TestSolveCommand:
         assert rc == 0
         assert grid_shape_builds == [(8, 9, 17)]
 
+    def test_degree_one_data_under_trivial_group_exits_2(self, tmp_path,
+                                                          capsys):
+        # the degree-1 near-kernel is left out of every Newton step, so
+        # data with degree-1 content cannot be met from the centred sphere
+        cfg = write_config(tmp_path / "config.json", L_max=8,
+                           group="trivial",
+                           f={"a_poly": [LOG2],
+                              "b": [{"l": 1, "m": 0, "value": 0.05}]})
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line search failed after 20 halvings" in err
+        assert "the base left out 3 near-zero degree-diagonal entries" in err
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path / "config.json")
         out_a, out_b = tmp_path / "a", tmp_path / "b"

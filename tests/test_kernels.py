@@ -74,9 +74,9 @@ def test_newton_solve_kernel_calls_by_width(monkeypatch):
     # the start state, the four probes of one degree-diagonal refresh, then
     # one state per iteration: the diagonal is reused with Broyden updates
     assert iters == 5
-    assert (ws.diagonal_refreshes, ws.assemblies) == (1, 0)
+    assert ws.diagonal_refreshes == 1
     assert widths == [1] + [1] * 4 + [1] * iters
-    # an assembly is one kernel call of width 12
+    # the only width-12 call: the assembled matrix of linear_system
     widths.clear()
-    ws.refresh(z, 0.0, assemble=True)
-    assert widths == [12] and ws.assemblies == 1
+    ws.jacobian(z, 0.0)
+    assert widths == [12]

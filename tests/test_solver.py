@@ -17,7 +17,7 @@ from curvedual.errors import (ConfigError, DataError, NewtonError,
 from curvedual.geometry import (HEMISPHERE_MARGIN, GraphSurface,
                                 curvature_field, sphere_surface)
 from curvedual.solver import (BarrierReport, NewtonWorkspace, PrescribedData,
-                              SolverOptions, _gated_inverse, check_barriers,
+                              SolverOptions, check_barriers,
                               continuation, data_on_field,
                               default_base_constant, initial_sphere,
                               invariant_projector, linear_system,
@@ -425,51 +425,40 @@ def test_newton_truncation_mismatch_rejected():
         continuation(GAUSS, data, start=start)
 
 
-def test_newton_rejects_singular_system():
+@pytest.mark.parametrize("L_max", [16, 24])
+def test_trivial_group_leaves_the_degree_one_kernel_at_zero(monkeypatch,
+                                                            L_max):
     # without the symmetry restriction the degree-1 harmonics span a
-    # three-dimensional kernel at the sphere
-    data = constant_data(3.0, 2.0)
-    ws = NewtonWorkspace(build_grid(24), invariant_projector(False, 24),
-                         data, GAUSS)
-    start = initial_sphere(GAUSS, 2.0, L_max=24)
-    with pytest.raises(SingularJacobianError) as info:
-        newton_solve(ws, 0.5, start.radial.values)
-    assert info.value.null_dimension == 3
+    # three-dimensional kernel at the sphere; the truncated inverse of the
+    # degree diagonal leaves it out, so no iterate moves a degree-1
+    # coefficient and constant data reaches the sphere
+    moved, state = [], NewtonWorkspace.state
+
+    def recording(ws, z, t):
+        moved.append(np.any(z[ws.basis.degrees == 1] != 0.0))
+        return state(ws, z, t)
+    monkeypatch.setattr(NewtonWorkspace, "state", recording)
+    report = continuation(GAUSS, constant_data(2.0, 1.0),
+                          SolverOptions(L_max=L_max), antipodal=False)
+    assert report.converged
+    assert len(moved) > 2 and not any(moved)
+    u = synthesize(build_grid(L_max), report.final_surface.radial)
+    assert np.max(np.abs(u - np.pi / 4)) <= 1e-10
 
 
-@pytest.mark.parametrize("tail, zero_column, null_dimension, svd_calls", [
-    ([], False, None, 0),              # kappa_2 = 2: the LU gate passes
-    ([], True, 1, 1),                  # exactly singular: LU raises
-    ([1e-9, 1 / 1.5e12], False, 2, 1),  # kappa_2 = 1.5e12: rejected
-    ([1e-11], False, None, 1),         # 1e12 / M < kappa_2 < 1e12: solves
-], ids=["well_conditioned", "zero_column", "kappa2_above_1e12",
-        "kappa2_between_gate_and_rule"])
-def test_newton_system_singularity_gate(monkeypatch, tail, zero_column,
-                                        null_dimension, svd_calls):
-    M = 20
-    rng = np.random.default_rng(5)
-    U = np.linalg.qr(rng.standard_normal((M, M)))[0]
-    V = np.linalg.qr(rng.standard_normal((M, M)))[0]
-    s = np.concatenate([np.linspace(1.0, 0.5, M - len(tail)), tail])
-    J = (U * s) @ V.T
-    if zero_column:
-        J[:, 3] = 0.0
-    if tail == [1e-11]:
-        # the case must lie between the gate and the singular-value rule
-        assert M * np.linalg.cond(J, 1) * 1e-12 >= 1.0
-        assert np.linalg.cond(J, 2) < 1e12
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda *a, **k: calls.append(1) or svd(*a, **k))
-    if null_dimension is None:
-        assert np.array_equal(_gated_inverse(J), np.linalg.inv(J))
-    else:
-        with pytest.raises(SingularJacobianError,
-                           match="numerically singular") as info:
-            _gated_inverse(J)
-        assert info.value.null_dimension == null_dimension
-    assert len(calls) == svd_calls
+def test_newton_path_assembles_and_factors_no_matrix(monkeypatch):
+    # a solve applies the degree-diagonal inverse and the Broyden pairs;
+    # only linear_system assembles the Newton matrix.  The data, 4 times
+    # the canonical modulation at L_max 32, once fell back to an
+    # assembled base
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called by a continuation run")
+    for name in ("inv", "svd", "solve", "lstsq", "pinv"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    monkeypatch.setattr(NewtonWorkspace, "jacobian", forbidden)
+    data = modulated_data()
+    data.b.values *= 4.0
+    assert continuation(GAUSS, data, SolverOptions(L_max=32)).converged
 
 
 def recorded(ws):
@@ -477,8 +466,8 @@ def recorded(ws):
     log = []
     state, refresh = ws.state, ws.refresh
     ws.state = lambda z, t: log.append(("state", z.copy())) or state(z, t)
-    ws.refresh = lambda z, t, *args: (log.append(("refresh", z.copy()))
-                                      or refresh(z, t, *args))
+    ws.refresh = lambda z, t: (log.append(("refresh", z.copy()))
+                               or refresh(z, t))
     return log
 
 
@@ -493,31 +482,31 @@ def test_stale_inverse_failing_first_trial_refreshes_instead_of_halving(
     ws = workspace(constant_data(2.0, 2.0), antipodal_basis)
     z0 = perturbed_start(antipodal_basis)
     r0 = ws.residual_vector(ws.state(z0, 0.0))
-    X0 = np.linalg.inv(ws.jacobian(z0, 0.0))
     D0 = 1.0 / ws.degree_diagonal(z0, 0.0)
-    ws.inverse = -X0  # a held inverse whose full step raises the residual
+    ws.inverse = -D0  # a held inverse whose full step raises the residual
     log = recorded(ws)
     _, _, state = newton_solve(ws, 0.0, z0)
     assert state.norm <= 1e-10
     assert [kind for kind, _ in log[:4]] == ["state", "state", "refresh",
                                              "state"]
-    assert np.array_equal(log[1][1], z0 + X0 @ r0)
+    assert np.array_equal(log[1][1], z0 + D0 * r0)
     assert np.array_equal(log[2][1], z0)
     # the refresh holds the degree diagonal, whose full step is taken: no
     # halving
     assert np.array_equal(log[3][1], z0 - D0 * r0)
-    assert (ws.diagonal_refreshes, ws.assemblies) == (1, 0)
+    assert ws.diagonal_refreshes == 1
 
 
 @pytest.mark.parametrize("factor, refreshed", [
-    (0.5, True),   # the residual contracts by about 0.5 > 0.25
-    (0.9, False),  # by about 0.1: a Broyden update, no assembly
+    (0.2, True),   # the residual contracts by about 0.8 > 0.75
+    (0.4, False),  # by about 0.6: a Broyden update, no refresh
+    (0.7, False),  # by about 0.3
 ])
-def test_weak_contraction_forces_refresh(antipodal_basis, factor,
-                                         refreshed):
+def test_weak_contraction_drops_a_held_diagonal(antipodal_basis, factor,
+                                                refreshed):
     ws = workspace(constant_data(2.0, 2.0), antipodal_basis)
     z0 = perturbed_start(antipodal_basis)
-    ws.inverse = factor * np.linalg.inv(ws.jacobian(z0, 0.0))
+    ws.inverse = factor / ws.degree_diagonal(z0, 0.0)
     log = recorded(ws)
     _, _, state = newton_solve(ws, 0.0, z0)
     assert state.norm <= 1e-10
@@ -529,72 +518,47 @@ def test_weak_contraction_forces_refresh(antipodal_basis, factor,
         assert np.array_equal(log[2][1], log[1][1])
 
 
-@pytest.mark.parametrize("factor, refreshed", [
-    (0.4, True),   # the residual contracts by about 0.6 > 0.5
-    (0.7, False),  # by about 0.3: a Broyden update, no refresh
-])
-def test_weak_contraction_drops_a_held_diagonal(antipodal_basis, factor,
-                                                refreshed):
-    ws = workspace(constant_data(2.0, 2.0), antipodal_basis)
-    z0 = perturbed_start(antipodal_basis)
-    ws.inverse = factor / ws.degree_diagonal(z0, 0.0)
-    log = recorded(ws)
-    _, _, state = newton_solve(ws, 0.0, z0)
-    assert state.norm <= 1e-10
-    assert [kind for kind, _ in log[:2]] == ["state", "state"]
-    assert (log[2][0] == "refresh") is refreshed
-    assert ws.assemblies == 0  # a held diagonal was not a fresh one
-
-
-def refresh_kinds(ws):
-    """Log "diagonal" or "assembled" for the base each refresh holds."""
-    kinds, refresh = [], ws.refresh
-
-    def logged(z, t, assemble=False):
-        refresh(z, t, assemble)
-        kinds.append("diagonal" if ws.diagonal else "assembled")
-    ws.refresh = logged
-    return kinds
-
-
-@pytest.mark.parametrize("scale, kinds", [
-    (3.0, ["diagonal", "assembled"]),  # first step contracts by about 2/3
-    (1.5, ["diagonal"]),               # by about 1/3
-])
-def test_fresh_diagonal_contracting_weakly_is_followed_by_an_assembly(
-        antipodal_basis, monkeypatch, scale, kinds):
-    # a diagonal scaled by 3 takes a third of its Newton step, so the
-    # next refresh assembles the matrix; scaled by 1.5 it keeps contracting
-    ws = workspace(constant_data(2.0, 2.0), antipodal_basis)
-    diagonal = ws.degree_diagonal
-    monkeypatch.setattr(ws, "degree_diagonal",
-                        lambda z, t: scale * diagonal(z, t))
-    log = refresh_kinds(ws)
-    _, _, state = newton_solve(ws, 0.0, perturbed_start(antipodal_basis))
-    assert state.norm <= 1e-10
-    assert log == kinds
-    assert ws.assemblies == kinds.count("assembled")
-
-
-@pytest.mark.parametrize("entry", [0.0, 1e-9, np.nan, np.inf])
-def test_diagonal_failing_its_gate_falls_through_to_assembly(
-        antipodal_basis, monkeypatch, entry):
-    # a vanishing, negligible (below 1e-8 of the largest) or non-finite
-    # degree-4 entry: the refresh assembles the matrix and the solve
-    # converges on its gated inverse
-    ws = workspace(constant_data(2.0, 2.0), antipodal_basis)
-    diagonal = ws.degree_diagonal
+def degree_4_entry(ws, monkeypatch, entry):
+    """Set the degree-4 entries of ``ws``'s degree diagonal to ``entry``
+    times its largest entry, and log the base each refresh holds."""
+    diagonal, refresh, bases = ws.degree_diagonal, ws.refresh, []
 
     def degree_4_vanishes(z, t):
         d = diagonal(z, t)
-        d[antipodal_basis.degrees == 4] = entry * np.max(np.abs(d))
+        d[ws.basis.degrees == 4] = entry * np.max(np.abs(d))
         return d
+
+    def logged(z, t):
+        left_out = refresh(z, t)
+        bases.append(ws.inverse.copy())
+        return left_out
     monkeypatch.setattr(ws, "degree_diagonal", degree_4_vanishes)
-    log = refresh_kinds(ws)
+    monkeypatch.setattr(ws, "refresh", logged)
+    return bases
+
+
+@pytest.mark.parametrize("entry", [0.0, 1e-9])
+def test_negligible_diagonal_entry_inverts_to_zero(antipodal_basis,
+                                                   monkeypatch, entry):
+    # a vanishing or negligible (below 1e-8 of the largest) degree-4
+    # entry: the base takes no degree-4 step, and the solve converges
+    ws = workspace(constant_data(2.0, 2.0), antipodal_basis)
+    bases = degree_4_entry(ws, monkeypatch, entry)
     _, _, state = newton_solve(ws, 0.0, perturbed_start(antipodal_basis))
     assert state.norm <= 1e-10
-    assert log == ["assembled"]
-    assert (ws.diagonal_refreshes, ws.assemblies) == (0, 1)
+    four = antipodal_basis.degrees == 4
+    assert len(bases) == 1
+    assert np.all(bases[0][four] == 0.0) and np.all(bases[0][~four] != 0.0)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_non_finite_diagonal_entry_raises(antipodal_basis, monkeypatch,
+                                          entry):
+    ws = workspace(constant_data(2.0, 2.0), antipodal_basis)
+    degree_4_entry(ws, monkeypatch, entry)
+    with pytest.raises(SingularJacobianError, match="not finite at t = 0"):
+        newton_solve(ws, 0.0, perturbed_start(antipodal_basis))
+    assert ws.inverse is None
 
 
 def test_degree_diagonal_matches_the_sphere_spectrum(antipodal_basis):
@@ -615,10 +579,11 @@ def test_broyden_pairs_apply_the_explicitly_updated_inverse(
     ws = workspace(constant_data(2.0, 2.0), antipodal_basis)
     M = len(antipodal_basis.index)
     rng = np.random.default_rng(5)
-    X = np.eye(M) + rng.standard_normal((M, M)) / (4.0 * np.sqrt(M))
-    ws.inverse = X.copy()
+    x = rng.uniform(0.75, 1.25, M)
+    ws.inverse = x.copy()
+    X = np.diag(x)
     # residual changes y = J s of a nearby matrix, as along a Newton path
-    J = np.linalg.inv(X) + rng.standard_normal((M, M)) / (20.0 * np.sqrt(M))
+    J = np.diag(1.0 / x) + rng.standard_normal((M, M)) / (20.0 * np.sqrt(M))
     probes = rng.standard_normal((4, M))
     for update in range(1, 11):  # past the first growth of the pair store
         s = rng.standard_normal(M)
@@ -630,9 +595,9 @@ def test_broyden_pairs_apply_the_explicitly_updated_inverse(
             for r in probes:
                 assert np.max(np.abs(ws.apply_inverse(r) - X @ r)) <= \
                     1e-12 * np.max(np.abs(X @ r)), update
-    # an assignment drops the pairs: the held matrix is applied alone
-    ws.inverse = X
-    assert np.array_equal(ws.apply_inverse(probes[0]), X @ probes[0])
+    # an assignment drops the pairs: the held diagonal is applied alone
+    ws.inverse = x
+    assert np.array_equal(ws.apply_inverse(probes[0]), x * probes[0])
     ws.inverse = None
     assert ws.inverse is None
 
@@ -892,11 +857,11 @@ def test_canonical_solve_reaches_one_in_a_single_try(monkeypatch):
     assert np.max(np.abs(diff)) <= 1e-12
 
 
-CANONICAL_SOLVE = """
+CANONICAL_SOLVES = """
 import logging
 import numpy as np
 from curvedual.curvature import make_curvature_function
-from curvedual.solver import PrescribedData, continuation
+from curvedual.solver import PrescribedData, SolverOptions, continuation
 from curvedual.spectral import HarmonicCoeffs
 lines = []
 handler = logging.Handler()
@@ -904,30 +869,36 @@ handler.emit = lambda record: lines.append(record.getMessage())
 logger = logging.getLogger("curvedual.solver")
 logger.addHandler(handler)
 logger.setLevel(logging.DEBUG)
-b = HarmonicCoeffs.zeros(2)
-b[2, 0], b[2, 2], b[2, -1] = 0.4, 0.2, -0.2
-b.values /= np.sqrt(6.0)
-report = continuation(make_curvature_function("gauss_power"),
-                      PrescribedData(a_poly=[np.log(2.0)], b=b, c=1.0))
-print(lines[-1])
-print(report.final_surface.radial.values.tobytes().hex())
+for F, scale, L_max in (("gauss_power", 1, 24), ("mean", 4, 32)):
+    b = HarmonicCoeffs.zeros(2)
+    b[2, 0], b[2, 2], b[2, -1] = 0.4, 0.2, -0.2
+    b.values *= scale / np.sqrt(6.0)
+    report = continuation(make_curvature_function(F),
+                          PrescribedData(a_poly=[np.log(2.0)], b=b, c=1.0),
+                          SolverOptions(L_max=L_max))
+    print(lines[-1])
+    print(report.final_surface.radial.values.tobytes().hex())
 """
 
 
 def test_canonical_solve_is_independent_of_the_blas_thread_count():
-    # without an assembly the solve runs no product whose rounding depends
-    # on how OpenBLAS splits it among threads (project @ E and the LU
-    # inverse do); the problem is modulated_data's
+    # the Newton path runs no product whose rounding depends on how
+    # OpenBLAS splits it among threads, as project @ E and the LU inverse
+    # of an assembled base did.  The problems are modulated_data's and its
+    # modulation taken 4 times under the mean at L_max 32, which once
+    # assembled that base
     src = str(Path(solver.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        run = subprocess.run([sys.executable, "-c", CANONICAL_SOLVE],
+        run = subprocess.run([sys.executable, "-c", CANONICAL_SOLVES],
                              env=env, capture_output=True, text=True,
                              check=True)
         outputs.append(run.stdout.split("\n"))
     assert outputs[0][0] == "homotopy try t = 1: accepted; 13 iterations, " \
-        "2 diagonal refreshes, 0 assemblies"
+        "2 diagonal refreshes"
+    assert outputs[0][2] == "homotopy try t = 1: accepted; 18 iterations, " \
+        "3 diagonal refreshes"
     assert outputs[0] == outputs[1]
 
 
@@ -976,8 +947,7 @@ def test_try_raising_a_foreign_error_is_logged_as_aborted(monkeypatch,
         continuation(GAUSS, constant_data(2.0, 1.0),
                      opts=SolverOptions(L_max=8))
     assert [r.getMessage() for r in caplog.records] == [
-        "homotopy try t = 0: aborted; 0 iterations, 0 diagonal refreshes, "
-        "0 assemblies"]
+        "homotopy try t = 0: aborted; 0 iterations, 0 diagonal refreshes"]
 
 
 def free_draw(L_max):
@@ -1006,7 +976,7 @@ def test_unresolved_free_draw_fails_where_the_fixed_schedule_did(
              if r.name == "curvedual.solver"]
     assert len(lines) == len(tries)
     assert lines[0] == "homotopy try t = 0: accepted; 0 iterations, " \
-        "0 diagonal refreshes, 0 assemblies"
+        "0 diagonal refreshes"
     assert lines[1].startswith("homotopy try t = 1: failed (line search "
                                "failed after 20 halvings at t = 1; ")
     assert sum(": accepted;" in line for line in lines) == \

@@ -57,9 +57,9 @@ def test_traced_solve_op_counts_newton_work(tmp_path, monkeypatch, capsys,
     report = json.loads((out / "continuation_report.json").read_text())
     iterations = sum(s["iterations"] for s in report["steps"])
     assert iterations == 11
-    # the tracer counts width-12 kernel calls, i.e. Jacobian assemblies:
-    # the t = 1 try's 11 quasi-Newton iterations start from two
-    # degree-diagonal refreshes and assemble nothing
+    # the tracer counts width-12 kernel calls, i.e. Jacobian assemblies,
+    # which only linear_system makes: the t = 1 try's 11 quasi-Newton
+    # iterations start from two degree-diagonal refreshes
     assert counts["solver.newton_iters"] == 0
     # the t = 0 solve and the one try, which reaches t = 1
     assert counts["solver.newton_solve_calls"] == 2
