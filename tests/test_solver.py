@@ -518,6 +518,28 @@ def test_weak_contraction_drops_a_held_diagonal(antipodal_basis, factor,
         assert np.array_equal(log[2][1], log[1][1])
 
 
+@pytest.mark.parametrize("factor, refreshed", [
+    (0.9, False),  # the residual contracts by about 0.1: a Broyden update
+])
+def test_weak_contraction_forces_refresh(antipodal_basis, factor,
+                                         refreshed):
+    ws = workspace(constant_data(2.0, 2.0), antipodal_basis)
+    z0 = perturbed_start(antipodal_basis)
+    base = factor / ws.degree_diagonal(z0, 0.0)
+    ws.inverse = base
+    updates, update = [], ws.broyden_update
+    ws.broyden_update = lambda s, Xy: (updates.append(s.copy())
+                                       or update(s, Xy))
+    log = recorded(ws)
+    _, _, state = newton_solve(ws, 0.0, z0)
+    assert state.norm <= 1e-10
+    assert [kind for kind, _ in log[:2]] == ["state", "state"]
+    assert (log[2][0] == "refresh") is refreshed
+    if not refreshed:
+        # the first step's update is appended as a pair to the held base
+        assert np.array_equal(updates[0], log[1][1] - z0)
+
+
 def degree_4_entry(ws, monkeypatch, entry):
     """Set the degree-4 entries of ``ws``'s degree diagonal to ``entry``
     times its largest entry, and log the base each refresh holds."""
