@@ -5,11 +5,18 @@ Everything is vectorized numpy over arbitrary leading axes.  The solver's
 :func:`fundamental_forms` (the full geometric record of a surface) share
 one closed-form routine of the radial 2-jet.
 
+:func:`fundamental_forms` reads the node trigonometry and chart frame
+from a :class:`NodeGeometry`, which :func:`_frame_fields` builds and each
+:class:`~curvedual.spectral.QuadratureGrid` holds once, read-only, as its
+``nodes``.  :func:`kappa_batch` takes the colatitudes themselves.
+
 All angles are chart coordinates (theta, phi) on the parameter sphere; the
 radial inputs are the chart partial derivatives of the radial function.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +50,25 @@ def inv2(a: np.ndarray) -> np.ndarray:
     return out / det[..., None, None]
 
 
-def _frame_fields(theta, phi):
-    """Direction field and chart derivatives, each shaped (..., 3)."""
+class NodeGeometry(NamedTuple):
+    """Colatitude trigonometry and chart frame fields at each node.
+
+    ``w`` is the unit direction of the node on the parameter sphere and
+    ``w_theta``, ``w_phi``, ``w_theta_phi``, ``w_phi_phi`` its chart
+    derivatives, each shaped (..., 3).
+    """
+
+    sin_theta: np.ndarray
+    cos_theta: np.ndarray
+    w: np.ndarray
+    w_theta: np.ndarray
+    w_phi: np.ndarray
+    w_theta_phi: np.ndarray
+    w_phi_phi: np.ndarray
+
+
+def _frame_fields(theta, phi) -> NodeGeometry:
+    """sin and cos of ``theta``, the direction field and its derivatives."""
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
     zero = np.zeros_like(st)
@@ -53,10 +77,10 @@ def _frame_fields(theta, phi):
     wp = np.stack([-st * sp, st * cp, zero], axis=-1)
     wtp = np.stack([-ct * sp, ct * cp, zero], axis=-1)
     wpp = np.stack([-st * cp, -st * sp, zero], axis=-1)
-    return w, wt, wp, wtp, wpp
+    return NodeGeometry(st, ct, w, wt, wp, wtp, wpp)
 
 
-def _graph_forms(theta, r, rt, rp, rtt, rtp, rpp):
+def _graph_forms(st, ct, r, rt, rp, rtt, rtp, rpp):
     """Fundamental forms of a radial graph from the 2-jet of r at each node.
 
     In the warped chart dr^2 + sin^2 r sigma of S^3, sigma the round
@@ -67,12 +91,12 @@ def _graph_forms(theta, r, rt, rp, rtt, rtp, rpp):
 
     with r_;ij the covariant Hessian of sigma and
     v^2 = 1 + sigma^ij r_i r_j / sin^2 r; h is taken against the outward
-    normal.  Inputs broadcast together.  Returns v, the metric components
+    normal.  ``st`` and ``ct`` are sin theta and cos theta of the nodes;
+    inputs broadcast together.  Returns v, the metric components
     (g11, g12, g22), the second-form components (h11, h12, h22), the shape
     operator components (s11, s12, s21, s22) and the principal curvatures,
     ascending on a trailing axis.
     """
-    st, ct = np.sin(theta), np.cos(theta)
     sr, cr = np.sin(r), np.cos(r)
     st2, sr2 = st * st, sr * sr
     v = np.sqrt(1.0 + (rt * rt + rp * rp / st2) / sr2)
@@ -92,8 +116,12 @@ def _graph_forms(theta, r, rt, rp, rtt, rtp, rpp):
     return v, (g11, g12, g22), (h11, h12, h22), (s11, s12, s21, s22), kappa
 
 
-def fundamental_forms(theta, phi, r, rt, rp, rtt, rtp, rpp):
+def fundamental_forms(nodes: NodeGeometry, r, rt, rp, rtt, rtp, rpp):
     """Full geometric data at each node.
+
+    ``nodes`` is the node geometry of the sampling grid
+    (:attr:`curvedual.spectral.QuadratureGrid.nodes`); the radial 2-jet
+    broadcasts against its (N,) arrays.
 
     Returns a dict with the embedding x = (sin r w, cos r) in R^4 (pole on
     the fourth axis), its chart tangents, the outward unit normal, metric,
@@ -102,13 +130,14 @@ def fundamental_forms(theta, phi, r, rt, rp, rtt, rtp, rpp):
     along the radial direction d/dr is 1/v > 0, so it points outward.
     """
     v, (g11, g12, g22), (h11, h12, h22), (s11, s12, s21, s22), kappa = \
-        _graph_forms(theta, r, rt, rp, rtt, rtp, rpp)
-    w, wt, wp, _, _ = _frame_fields(theta, phi)
+        _graph_forms(nodes.sin_theta, nodes.cos_theta, r, rt, rp, rtt, rtp,
+                     rpp)
+    w, wt, wp = nodes.w, nodes.w_theta, nodes.w_phi
     sr = np.sin(r)[..., None]
     cr = np.cos(r)[..., None]
     rt_ = np.asarray(rt)[..., None]
     rp_ = np.asarray(rp)[..., None]
-    st2 = np.sin(theta)[..., None] ** 2
+    st2 = nodes.sin_theta[..., None] ** 2
 
     def four(vec3, last):
         return np.concatenate([vec3, last], axis=-1)
@@ -134,5 +163,7 @@ def kappa_batch(theta, phi, R, RT, RP, RTT, RTP, RPP):
     Returns (kappa_min, kappa_max) arrays of shape (N, nb).  The chart
     formulas do not involve ``phi``.
     """
-    kap = _graph_forms(theta[:, None], R, RT, RP, RTT, RTP, RPP)[-1]
+    theta = theta[:, None]
+    kap = _graph_forms(np.sin(theta), np.cos(theta), R, RT, RP, RTT, RTP,
+                       RPP)[-1]
     return kap[..., 0], kap[..., 1]

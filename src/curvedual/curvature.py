@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import eig2_ascending
+
 __all__ = [
     "CurvatureFunction",
     "make_curvature_function",
@@ -250,7 +252,9 @@ def class_K_check(F: CurvatureFunction, n_samples: int = 10_000,
         failures["boundary_vanish"] = {"values": vals}
 
     hess = F.hessian(kappa)
-    eigs = np.linalg.eigvalsh(0.5 * (hess + np.swapaxes(hess, -1, -2)))
+    sym = 0.5 * (hess + np.swapaxes(hess, -1, -2))
+    eigs = eig2_ascending(sym[:, 0, 0], sym[:, 0, 1], sym[:, 1, 0],
+                          sym[:, 1, 1])
     concave = bool(np.max(eigs) <= 1e-10)
     if not concave:
         bad = int(np.argmax(eigs.max(axis=-1)))

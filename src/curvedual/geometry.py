@@ -14,6 +14,7 @@ dr^2 + sin^2 r sigma (see :mod:`curvedual._kernels`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,23 +60,41 @@ def frame_for_pole(pole: np.ndarray) -> np.ndarray:
     The equatorial frame of the pole is Q e1, Q e2, Q e3.  Graph charts,
     stereographic projections, and polar duals all derive their frames
     through this single rule, so round trips are consistent.
+
+    Q is shared and read-only: every call with the same pole bytes returns
+    the same array while that pole is among the last 8 asked for.  The
+    pole's shape and unit length are checked on every call.
     """
     pole = np.asarray(pole, dtype=float)
     if pole.shape != (4,):
         raise ValueError("pole must be a 4-vector")
     nrm = np.linalg.norm(pole)
-    if abs(nrm - 1.0) > 1e-12:
+    # written as "not within" so that a NaN pole fails too
+    if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(
             f"pole must be a unit vector, |pole| = {float(nrm)!r}")
+    return _pole_frame(pole.tobytes())
+
+
+@lru_cache(maxsize=8)
+def _pole_frame(key: bytes) -> np.ndarray:
+    """The frame of the pole whose float64 bytes are ``key``, read-only.
+
+    Keyed by bytes, so a pole with a -0.0 component keeps its own frame.
+    """
+    pole = np.frombuffer(key)
     e = np.zeros(4)
     e[3] = 1.0
     c = pole @ e
     if c < -1.0 + 1e-12:
         # antipodal special case: rotate by pi in the (e3, e4) plane
-        return np.diag([1.0, 1.0, -1.0, -1.0])
-    # rotation mapping e to pole inside their common plane
-    s = e + pole
-    return np.eye(4) - np.outer(s, s) / (1.0 + c) + 2.0 * np.outer(pole, e)
+        Q = np.diag([1.0, 1.0, -1.0, -1.0])
+    else:
+        # rotation mapping e to pole inside their common plane
+        s = e + pole
+        Q = np.eye(4) - np.outer(s, s) / (1.0 + c) + 2.0 * np.outer(pole, e)
+    Q.flags.writeable = False
+    return Q
 
 
 @dataclass
@@ -155,7 +174,7 @@ def offset_sphere_surface(radius: float, tilt: float,
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
     grid = spectral.build_grid(L_max)
-    s = _kernels._frame_fields(grid.theta, grid.phi)[0] @ d
+    s = grid.nodes.w @ d
     amp = np.sqrt(1.0 - np.sin(tilt) ** 2 * (1.0 - s**2))
     delta = np.arctan2(np.sin(tilt) * s, np.cos(tilt))
     r = delta + np.arccos(np.cos(radius) / amp)
@@ -220,8 +239,7 @@ def curvature_field(surface: GraphSurface, grid: QuadratureGrid,
     """
     r, rt, rp, rtt, rtp, rpp = spectral.chart_jets(grid, surface.radial)
     check_annulus(r)
-    out = _kernels.fundamental_forms(grid.theta, grid.phi, r, rt, rp,
-                                     rtt, rtp, rpp)
+    out = _kernels.fundamental_forms(grid.nodes, r, rt, rp, rtt, rtp, rpp)
     Q = frame_for_pole(surface.pole)
     field = CurvatureField(
         surface=surface, grid=grid, r=r, r_theta=rt, r_phi=rp,
@@ -278,7 +296,9 @@ def stereographic_project(field: CurvatureField) -> StereographicField:
     rho_tp = 0.5 * rho * rho_p * rt + drho * rtp
     rho_pp = 0.5 * rho * rho_p * rp + drho * rpp
 
-    w, wt, wp, wtp, wpp = _kernels._frame_fields(grid.theta, grid.phi)
+    nodes = grid.nodes
+    w, wt, wp = nodes.w, nodes.w_theta, nodes.w_phi
+    wtp, wpp = nodes.w_theta_phi, nodes.w_phi_phi
     y = rho[:, None] * w
     yt = rho_t[:, None] * w + rho[:, None] * wt
     yp = rho_p[:, None] * w + rho[:, None] * wp
@@ -304,7 +324,7 @@ def stereographic_project(field: CurvatureField) -> StereographicField:
     s22 = (g11 * h22 - g12 * h12) / detg
     deth = h11 * h22 - h12**2
     gauss = deth / detg
-    area_jac = np.sqrt(detg) / np.sin(grid.theta)
+    area_jac = np.sqrt(detg) / nodes.sin_theta
     # conformal factor of the round metric over flat space is
     # (1 + rho^2/4)^{-2}; its log-gradient is radial
     dpsi_drho = -(rho / 2.0) / (1.0 + rho**2 / 4.0)

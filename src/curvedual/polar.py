@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,7 +139,7 @@ def gauss_map(field: CurvatureField) -> DualSamples:
                 for i in (0, 1))
     vol = np.einsum("ni,ni->n", std[:, :3], np.cross(a_t, a_p))
     area = field.grid.weights * np.abs(vol) / (
-        equatorial**3 * np.sin(field.grid.theta))
+        equatorial**3 * field.grid.nodes.sin_theta)
 
     return DualSamples(theta=field.grid.theta, phi=field.grid.phi,
                        x_dual=x_dual, eta_theta=eta_theta, eta_phi=eta_phi,
@@ -409,18 +410,33 @@ def support_test(field: CurvatureField, sample_count: int,
         Number of random off-diagonal node pairs.
     seed : int
         Seed for the pair sampler; fixed default for reproducible runs.
+        The pairs of one node count, sample count and seed are drawn once
+        per process and shared.
     """
     x_dual = _dual_points(field)
-    rng = np.random.default_rng(seed)
-    N = field.grid.n_nodes
-    i = rng.integers(0, N, size=sample_count)
-    j = rng.integers(0, N - 1, size=sample_count)
-    j[j >= i] += 1  # distinct partner for every pair
+    i, j = _support_pairs(field.grid.n_nodes, sample_count, seed)
     off_diag = np.sum(field.x[i] * x_dual[j], axis=1)
     diag = np.abs(np.sum(field.x * x_dual, axis=1))
     return SupportReport(pair_count=int(sample_count),
                          max_off_diagonal=float(off_diag.max()),
                          max_diagonal_abs=float(diag.max()))
+
+
+@lru_cache(maxsize=8)
+def _support_pairs(n_nodes: int, sample_count: int,
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded node pairs (i, j), i != j, as shared read-only arrays.
+
+    The pairs of the last 8 distinct arguments are kept and handed out
+    again.
+    """
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, n_nodes, size=sample_count)
+    j = rng.integers(0, n_nodes - 1, size=sample_count)
+    j[j >= i] += 1  # distinct partner for every pair
+    for a in (i, j):
+        a.flags.writeable = False
+    return i, j
 
 
 def transfer_problem(F: CurvatureFunction, f_values: np.ndarray

@@ -22,7 +22,9 @@ gathers nothing and returns the transposed view of a degree-major array.
 A grid is built once per process: :func:`build_grid` and
 :func:`build_folded_grid` hand every caller the same read-only
 :class:`QuadratureGrid`, and keep the grids of the last 8 sizes asked for,
-so the factor tables of a size in use are computed once.
+so the factor tables of a size in use are computed once, and so is its
+node geometry (``QuadratureGrid.nodes``: sin and cos of each colatitude
+and the chart frame fields that the curvature kernels read).
 
 Conventions
 -----------
@@ -45,6 +47,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+from . import _kernels
 
 __all__ = [
     "QuadratureGrid",
@@ -215,6 +219,8 @@ class QuadratureGrid:
     folded: bool = False
     _ops: _ProductTables | None = field(default=None, repr=False,
                                         compare=False)
+    _nodes: _kernels.NodeGeometry | None = field(default=None, repr=False,
+                                                 compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -231,6 +237,20 @@ class QuadratureGrid:
         if self._ops is None:
             self._ops = _ProductTables(self.L_max, *self.axes)
         return self._ops
+
+    @property
+    def nodes(self) -> _kernels.NodeGeometry:
+        """sin theta, cos theta and chart frame fields at the nodes.
+
+        Built on first use by :func:`curvedual._kernels._frame_fields`;
+        every array is read-only.
+        """
+        if self._nodes is None:
+            nodes = _kernels._frame_fields(self.theta, self.phi)
+            for a in nodes:
+                a.flags.writeable = False
+            self._nodes = nodes
+        return self._nodes
 
 
 @lru_cache(maxsize=8)
@@ -269,8 +289,9 @@ def build_grid(L_max: int) -> QuadratureGrid:
     """The quadrature grid for transforms through degree ``L_max``.
 
     The grid is shared per process: every call with the same ``L_max``
-    returns the same object, whose node arrays and factor tables are
-    read-only, while it is among the last 8 grid sizes asked for.
+    returns the same object, whose node arrays, node geometry and factor
+    tables are read-only, while it is among the last 8 grid sizes asked
+    for.
 
     Parameters
     ----------

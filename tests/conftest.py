@@ -2,13 +2,16 @@
 
 import pytest
 
-from curvedual import spectral
+from curvedual import geometry, polar, spectral
 
 
 @pytest.fixture(autouse=True)
 def _cold_grid_memo():
-    """Start each test without memoized grids, as in a fresh process."""
+    """Start each test without memoized grids, pole frames or support
+    pairs, as in a fresh process."""
     spectral._product_grid.cache_clear()
+    geometry._pole_frame.cache_clear()
+    polar._support_pairs.cache_clear()
 
 
 def _record_table_builds(monkeypatch, key):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvedual import HarmonicCoeffs, build_grid, sphere_surface, synthesize
-from curvedual import cli, polar
+from curvedual import _kernels, cli, geometry, polar
 from curvedual.cli import main, parse_config
 from curvedual.errors import ConfigError, ResolutionError
 from curvedual.geometry import GraphSurface
@@ -428,6 +428,37 @@ class TestCheckCommand:
         assert rc == 0
         assert (out / "residuals.csv").exists()
         assert grid_table_builds == [8]
+
+    def test_second_check_reuses_node_geometry_and_pairs(
+            self, tmp_path, capsys, monkeypatch):
+        # node geometry, pole frames and support pairs are built by the
+        # first check of an L_max and shared by every later one
+        calls = []
+        frame_fields = _kernels._frame_fields
+        default_rng = np.random.default_rng
+
+        def spy(name, fn):
+            def recording(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return recording
+
+        monkeypatch.setattr(_kernels, "_frame_fields",
+                            spy("_frame_fields", frame_fields))
+        monkeypatch.setattr(np.random, "default_rng",
+                            spy("default_rng", default_rng))
+        src = tmp_path / "surface.json"
+        write_surface(src, sphere_surface(np.pi / 4, L_max=8))
+        argv = ["check", "--surface", str(src), "--out", str(tmp_path / "c")]
+        assert main(argv) == 0
+        assert calls == ["_frame_fields", "default_rng"]
+        first = capsys.readouterr().out
+        misses = geometry._pole_frame.cache_info().misses
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == []
+        assert geometry._pole_frame.cache_info().misses == misses
+        assert capsys.readouterr().out == first
 
     def test_nested_radial_polynomial_fails_cleanly(self, tmp_path, capsys):
         # read as a 2-D coefficient array it gave a wrong residual and

@@ -210,6 +210,28 @@ def test_class_K_norm_A_not_concave():
     assert not rep.concave_if_deg1
 
 
+# (monotone, weight_ordering, boundary_vanish, concave_if_deg1)
+CLASS_K_VERDICTS = {
+    "mean": (True, False, False, True),
+    "gauss_power": (True, True, True, True),
+    "norm_A": (True, False, False, False),
+    "inverse_of(mean)": (True, True, True, True),
+    "inverse_of(gauss_power)": (True, True, True, True),
+    "inverse_of(norm_A)": (True, True, True, True),
+}
+
+
+@pytest.mark.parametrize("n_samples", [2000, 10_000])
+@pytest.mark.parametrize("name", sorted(CLASS_K_VERDICTS))
+def test_class_K_verdicts_per_catalog_name(name, n_samples):
+    # the Hessian eigenvalues come from the closed-form 2 x 2 helper;
+    # gauss_power sits on the concavity boundary, with a zero eigenvalue
+    rep = class_K_check(make_curvature_function(name), n_samples=n_samples,
+                        seed=0)
+    assert (rep.monotone, rep.weight_ordering, rep.boundary_vanish,
+            rep.concave_if_deg1) == CLASS_K_VERDICTS[name]
+
+
 def test_weighted_curvature_bound_for_admissible_functions():
     # F = sum_i F_i kappa_i <= n F_1 kappa_1 with kappa_1 the smallest,
     # valid exactly when the weight ordering holds

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvedual import spectral
+from curvedual import geometry, spectral
 from curvedual.errors import DomainError
 from curvedual.geometry import (
     CurvatureField,
@@ -101,6 +101,84 @@ def test_frame_for_pole_orthogonal():
         Q = frame_for_pole(pole)
         assert np.max(np.abs(Q.T @ Q - np.eye(4))) <= 1e-12
         assert np.max(np.abs(Q @ np.array([0, 0, 0, 1.0]) - pole)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_nan_pole_is_refused(k):
+    pole = np.array([0.0, 0.0, 0.0, 1.0])
+    pole[k] = np.nan
+    with pytest.raises(ValueError, match=r"\|pole\| = nan$"):
+        frame_for_pole(pole)
+    with pytest.raises(ValueError, match=r"\|pole\| = nan$"):
+        GraphSurface(n=2, pole=pole, radial=HarmonicCoeffs.zeros(4),
+                     gauge_tau0=default_gauge_tau0())
+    assert geometry._pole_frame.cache_info().currsize == 0
+
+
+def test_pole_frames_are_shared_and_read_only():
+    pole = np.array([0.5, 0.5, 0.5, 0.5])
+    Q = frame_for_pole(pole)
+    assert frame_for_pole(pole.copy()) is Q
+    assert frame_for_pole(list(pole)) is Q
+    with pytest.raises(ValueError, match="read-only"):
+        Q[0, 0] = 0.0
+    # a pole with -0.0 components keeps a frame of its own
+    plus = frame_for_pole(np.array([0.0, 0.0, 0.0, 1.0]))
+    minus = frame_for_pole(np.array([-0.0, 0.0, -0.0, 1.0]))
+    assert minus is not plus
+    assert geometry._pole_frame.cache_info().currsize == 3
+
+
+def test_pole_frame_memo_keeps_the_last_8_poles():
+    poles = [np.array([np.sin(a), 0.0, 0.0, np.cos(a)])
+             for a in np.linspace(0.0, 1.0, 10)]
+    frames = [frame_for_pole(p) for p in poles]
+    assert geometry._pole_frame.cache_info().currsize == 8
+    assert all(frame_for_pole(p) is Q for p, Q in zip(poles[2:], frames[2:]))
+    # the first pole was evicted: its frame is built anew, with the same
+    # bytes
+    again = frame_for_pole(poles[0])
+    assert again is not frames[0]
+    assert again.tobytes() == frames[0].tobytes()
+
+
+SHARED_POLES = [(0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, -1.0),
+                (-0.0, 0.0, -0.0, 1.0), (-0.0, -0.0, -0.0, -1.0)]
+
+
+def _sampled_arrays(build, pole):
+    c = HarmonicCoeffs.zeros(12)
+    c[0, 0] = (np.pi / 4) * np.sqrt(4 * np.pi)
+    c[2, 0] = 0.05
+    c[4, 2] = 0.02
+    surface = GraphSurface(n=2, pole=np.array(pole), radial=c,
+                           gauge_tau0=default_gauge_tau0())
+    field = curvature_field(surface, build(12))
+    st = stereographic_project(field)
+    return [frame_for_pole(surface.pole), field.x, field.x_theta,
+            field.x_phi, field.normal, field.g, field.h,
+            field.shape_operator, field.kappa, st.y, st.shape_operator,
+            st.gauss_curvature, st.area_jacobian, st.conformal_term]
+
+
+def test_shared_geometry_matches_a_fresh_process():
+    # each case first alone, as in a fresh process, then all of them again
+    # on the grids, node geometry and pole frames that they share
+    cases = [(build, pole)
+             for build in (build_grid, spectral.build_folded_grid)
+             for pole in SHARED_POLES]
+    fresh = []
+    for case in cases:
+        spectral._product_grid.cache_clear()
+        geometry._pole_frame.cache_clear()
+        fresh.append(_sampled_arrays(*case))
+    for case, arrays in zip(cases, fresh):
+        shared = _sampled_arrays(*case)
+        assert all(np.array_equal(a, b) and a.tobytes() == b.tobytes()
+                   for a, b in zip(shared, arrays))
+    # both signs of zero, on both grids of L 12, are held side by side
+    assert geometry._pole_frame.cache_info().currsize == 4
+    assert spectral._product_grid.cache_info().currsize == 2
 
 
 # ------------------------------------------------------------ curvature

@@ -31,7 +31,8 @@ def test_backend_name_reported():
 def test_numpy_path_matches_full_pipeline():
     grid, fields = _fields()
     k1, k2 = _kernels.kappa_batch(grid.theta, grid.phi, *fields)
-    out = _kernels.fundamental_forms(grid.theta[:, None], grid.phi[:, None], *fields)
+    nodes = _kernels._frame_fields(grid.theta[:, None], grid.phi[:, None])
+    out = _kernels.fundamental_forms(nodes, *fields)
     assert np.max(np.abs(k1 - out["kappa"][..., 0])) == 0.0
     assert np.max(np.abs(k2 - out["kappa"][..., 1])) == 0.0
 

@@ -13,7 +13,7 @@ from curvedual.polar import (DualSamples, dual_as_graph, dual_surface,
                              fit_residual, gauss_map, support_test,
                              transfer_problem)
 from curvedual.spectral import HarmonicCoeffs, analyze, basis_matrix, \
-    build_grid, chart_jets
+    build_folded_grid, build_grid, chart_jets
 from curvedual import geometry
 
 E4 = np.array([0.0, 0.0, 0.0, 1.0])
@@ -413,6 +413,48 @@ def test_support_report_deterministic():
     b = support_test(field, 500, seed=3)
     assert a.max_off_diagonal == b.max_off_diagonal
     assert a.as_dict() == b.as_dict()
+
+
+@pytest.mark.parametrize("build", [build_grid, build_folded_grid])
+@pytest.mark.parametrize("pole", [E4, -E4, np.array([0.0, 0.0, 0.0, -1.0])])
+def test_support_report_matches_a_fresh_draw(build, pole):
+    surface = perturbed_surface(16)
+    surface.pole = pole.copy()
+    field = curvature_field(surface, build(16))
+    rep = support_test(field, 2000, seed=7)
+    # the pairs as drawn without the memo
+    rng = np.random.default_rng(7)
+    N = field.grid.n_nodes
+    i = rng.integers(0, N, size=2000)
+    j = rng.integers(0, N - 1, size=2000)
+    j[j >= i] += 1
+    assert np.array_equal(polar._support_pairs(N, 2000, 7), (i, j))
+    off_diag = np.sum(field.x[i] * field.normal[j], axis=1)
+    diag = np.abs(np.sum(field.x * field.normal, axis=1))
+    assert rep.max_off_diagonal == float(off_diag.max())
+    assert rep.max_diagonal_abs == float(diag.max())
+
+
+def test_support_pairs_are_shared_and_read_only():
+    i, j = polar._support_pairs(100, 50, 3)
+    assert all(a is b for a, b in zip(polar._support_pairs(100, 50, 3),
+                                      (i, j)))
+    for a in (i, j):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    assert polar._support_pairs(100, 50, 4)[0] is not i
+    assert polar._support_pairs(101, 50, 3)[0] is not i
+
+
+def test_support_pair_memo_keeps_the_last_8_seeds():
+    pairs = {seed: polar._support_pairs(100, 50, seed) for seed in range(10)}
+    assert polar._support_pairs.cache_info().currsize == 8
+    assert all(polar._support_pairs(100, 50, seed) is pairs[seed]
+               for seed in range(2, 10))
+    # seed 0 was evicted: its pairs are drawn anew, the same ones
+    again = polar._support_pairs(100, 50, 0)
+    assert again is not pairs[0]
+    assert np.array_equal(again, pairs[0])
 
 
 def test_support_report_rejects_nonconvex_field():

@@ -114,12 +114,14 @@ def test_build_grid_rejects_small_truncation():
 def _grid_bytes(grid):
     tables = grid.ops
     return [a.tobytes() for a in (grid.theta, grid.phi, grid.weights,
-                                  tables.orders, *tables.colat, *tables.lon)]
+                                  tables.orders, *tables.colat, *tables.lon,
+                                  *grid.nodes)]
 
 
 def test_grids_are_shared_per_process():
     assert build_grid(8) is build_grid(8)
     assert build_grid(8).ops is build_grid(8).ops
+    assert build_grid(8).nodes is build_grid(8).nodes
     assert build_folded_grid(8) is build_folded_grid(8)
     assert build_folded_grid(8) is not build_grid(8)
 
@@ -129,12 +131,29 @@ def test_shared_grid_arrays_are_read_only():
     tables = grid.ops
     before = _grid_bytes(grid)
     for a in (grid.theta, grid.phi, grid.weights, tables.orders,
-              *tables.colat, *tables.lon):
+              *tables.colat, *tables.lon, *grid.nodes):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
     with pytest.raises(ValueError, match="read-only"):
         build_grid(8).weights *= 2.0
     assert _grid_bytes(build_grid(8)) == before
+
+
+@pytest.mark.parametrize("build", [build_grid, build_folded_grid])
+def test_node_geometry_is_the_frame_of_the_nodes(build):
+    grid = build(9)
+    st, ct = np.sin(grid.theta), np.cos(grid.theta)
+    sp, cp = np.sin(grid.phi), np.cos(grid.phi)
+    zero = np.zeros_like(st)
+    expected = [st, ct,
+                np.stack([st * cp, st * sp, ct], axis=-1),
+                np.stack([ct * cp, ct * sp, -st], axis=-1),
+                np.stack([-st * sp, st * cp, zero], axis=-1),
+                np.stack([-ct * sp, ct * cp, zero], axis=-1),
+                np.stack([-st * cp, -st * sp, zero], axis=-1)]
+    assert len(grid.nodes) == len(expected)
+    for got, want in zip(grid.nodes, expected):
+        assert np.array_equal(got, want)
 
 
 def test_grid_memo_keeps_the_last_8_sizes():
