@@ -14,7 +14,9 @@ Refitting through least squares is needed only to produce a standalone
 :class:`~curvedual.geometry.GraphSurface`.  The fit weights each sample
 by its area on the dual chart sphere, which the Weingarten relation gives
 from data the curvature field already holds, so its normal matrix is a
-quadrature of the identity Gram matrix of the orthonormal basis.  Two
+quadrature of the identity Gram matrix of the orthonormal basis; the
+square roots of the weights scale the basis rows as
+:func:`~curvedual.spectral.basis_matrix` builds them.  Two
 certificates bound its condition number: a Frobenius-norm distance from
 the identity, and failing that a shifted Cholesky factor (Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 10.3).
@@ -165,7 +167,9 @@ def dual_as_graph(samples: DualSamples, L_max: int) -> GraphSurface:
     A weighted least-squares spherical-harmonic fit of ``r_star`` over the
     scattered dual directions: with B the basis matrix (n columns) and W
     the diagonal of ``samples.weights``, the rows of B and ``r_star`` are
-    scaled by sqrt(W).  The weights are the samples' areas on the dual
+    scaled by sqrt(W); B comes weighted from
+    :func:`~curvedual.spectral.basis_matrix`, which folds sqrt(W) into its
+    longitude rows, so no pass over B scales it afterwards.  The weights are the samples' areas on the dual
     chart sphere, so A = B^T W B is a quadrature of the Gram matrix of an
     orthonormal basis and close to the identity, and B^T W r_star is the
     quadrature of the coefficient integrals (Driscoll & Healy 1994).  The
@@ -230,8 +234,8 @@ def dual_as_graph(samples: DualSamples, L_max: int) -> GraphSurface:
         raise ResolutionError("dual samples are not finite; the source "
                               "surface cannot be fitted")
     root = np.sqrt(samples.weights)
-    B = spectral.basis_matrix(L_max, samples.eta_theta, samples.eta_phi)
-    B *= root[:, None]
+    B = spectral.basis_matrix(L_max, samples.eta_theta, samples.eta_phi,
+                              root)
     rhs = root * samples.r_star
     A = B.T @ B  # numpy sends this form to syrk
     quadrature = B.T @ rhs

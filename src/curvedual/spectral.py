@@ -15,9 +15,14 @@ matrix.
 The Legendre tables are computed degree-major, one contiguous row per basis
 function, so each step of the recurrence reads and writes whole rows; they
 are exposed as (colatitudes x coefficients) transposed views.
-``basis_matrix`` runs the same recurrence straight at its points and
-multiplies each degree's rows in place by a longitude table, so it
-gathers nothing and returns the transposed view of a degree-major array.
+Both the product tables and ``basis_matrix`` take their longitude factors
+from one routine, :func:`_longitude_rows`, which turns each block of eight
+orders into the next with the angle-addition formulas instead of calling
+libm at the rounded argument m phi.  ``basis_matrix`` runs the same
+Legendre recurrence straight at its points and multiplies each degree's
+rows in place by that longitude table, whose columns carry optional
+per-point row weights, so it gathers nothing, makes no second pass for the
+weights, and returns the transposed view of a degree-major array.
 
 A grid is built once per process: :func:`build_grid` and
 :func:`build_folded_grid` hand every caller the same read-only
@@ -114,6 +119,34 @@ def _legendre(L_max: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
     return P
 
 
+def _longitude_rows(L_max: int, phi: np.ndarray) -> np.ndarray:
+    """The longitude factor of every signed order, (2L+1, len(phi)).
+
+    Row L + m holds sin(|m| phi) for m < 0, else cos(m phi).  Only the
+    orders b < 8 and the step 8 phi go through libm; each further block of
+    eight orders is the block before it turned by 8 phi with the
+    angle-addition formulas,
+
+        cos((k + 8) phi) = cos(k phi) cos(8 phi) - sin(k phi) sin(8 phi),
+        sin((k + 8) phi) = sin(k phi) cos(8 phi) + cos(k phi) sin(8 phi),
+
+    so no order reads libm at the rounded argument m phi, whose error
+    grows with m.  Each point's rows depend on its own phi alone.
+    """
+    n = L_max + 1
+    cos, sin = np.empty((2, n, len(phi)))
+    b = np.arange(min(n, 8))[:, None] * phi
+    cos[:8], sin[:8] = np.cos(b), np.sin(b)
+    if n > 8:
+        c8, s8 = np.cos(8.0 * phi), np.sin(8.0 * phi)
+        for k in range(8, n, 8):
+            # the last block may be short
+            c, s = cos[k - 8:min(k, n - 8)], sin[k - 8:min(k, n - 8)]
+            cos[k:k + 8] = c * c8 - s * s8
+            sin[k:k + 8] = s * c8 + c * s8
+    return np.concatenate([sin[:0:-1], cos])
+
+
 class _ProductTables:
     """Basis factor tables on the product of colatitudes x longitudes.
 
@@ -121,9 +154,10 @@ class _ProductTables:
     ``derivatives`` its theta-derivatives (unsafe at the exact poles).
     Each is the transposed view of a degree-major (K, n_theta) array, so
     that a gather of basis columns reads contiguous rows.  ``lon``:
-    sin(|m| phi) for m < 0, else cos(m phi), per signed order -L..L, and
-    two phi-derivatives, (n_phi, 2L+1).  ``orders``: the signed order m of
-    each coefficient.  Every table is read-only.
+    sin(|m| phi) for m < 0, else cos(m phi), per signed order -L..L, from
+    :func:`_longitude_rows`, and its two phi-derivatives, (n_phi, 2L+1).
+    ``orders``: the signed order m of each coefficient.  Every table is
+    read-only.
     """
 
     def __init__(self, L_max: int, theta: np.ndarray, phi: np.ndarray,
@@ -148,12 +182,13 @@ class _ProductTables:
             # the associated Legendre ODE gives the second derivative
             self.colat += [dpl.T, (-ct / st * dpl
                                    - (l * (l + 1) - am * am / st**2) * P).T]
-        j = np.arange(L_max + 1)
-        cos, sin = np.cos(np.outer(phi, j)), np.sin(np.outer(phi, j))
-        f, df = (np.concatenate([neg[:, :0:-1], pos], axis=1)
-                 for neg, pos in ((sin, cos), (j * cos, -j * sin)))
+        # a C-ordered copy keeps the layout the transforms' BLAS calls see
+        f = np.ascontiguousarray(_longitude_rows(L_max, phi).T)
+        # d/dphi takes cos(m phi) to -m sin(m phi) and sin(m phi) to
+        # m cos(m phi): column L + m of the derivative is -m times column
+        # L - m of f
         s = np.arange(-L_max, L_max + 1)
-        self.lon = [f, df, -(s * s) * f]
+        self.lon = [f, -s * f[:, ::-1], -(s * s) * f]
         for a in (m, *self.colat, *self.lon):
             a.flags.writeable = False
 
@@ -368,23 +403,36 @@ class HarmonicCoeffs:
         return self.values[l * l:(l + 1) * (l + 1)]
 
 
-def basis_matrix(L_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def basis_matrix(L_max: int, theta: np.ndarray, phi: np.ndarray,
+                 weights: np.ndarray | None = None) -> np.ndarray:
     """Evaluate all basis functions at arbitrary points.
 
-    Returns the (len(theta), num_coeffs) evaluation matrix.  Points may lie
-    anywhere on the sphere including the poles (where only m = 0 columns
-    are nonzero).  The Legendre rows are evaluated straight at the points,
-    degree-major, and each degree's block is multiplied in place by the
-    rows of orders -l..l of a (2L+1, points) longitude table; the result
-    is the transposed view of that (num_coeffs, points) array.
+    Returns the (len(theta), num_coeffs) evaluation matrix, with row q
+    scaled by ``weights[q]`` when weights are given.  ``theta``, ``phi``
+    and ``weights`` are 1-D arrays of one length; anything else raises
+    ValueError.  Points may lie anywhere on the sphere including the
+    poles (where only m = 0 columns are nonzero).  The Legendre rows are
+    evaluated straight at the points, degree-major, and each degree's
+    block is multiplied in place by the rows of orders -l..l of the
+    (2L+1, points) longitude table of :func:`_longitude_rows`, which
+    carries the weights; the result is the transposed view of that
+    (num_coeffs, points) array.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if theta.ndim != 1 or phi.shape != theta.shape:
+        raise ValueError(f"theta and phi must be 1-D arrays of one length, "
+                         f"got shapes {theta.shape} and {phi.shape}")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != theta.shape:
+            raise ValueError(f"expected weights of shape {theta.shape}, got "
+                             f"shape {weights.shape}")
     ct = np.cos(theta)
     P = _legendre(L_max, ct, np.sqrt((1.0 - ct) * (1.0 + ct)))
-    # row L + m: sin(|m| phi) for m < 0, else cos(m phi)
-    j = np.arange(L_max + 1)[:, None]
-    lon = np.concatenate([np.sin(j[:0:-1] * phi), np.cos(j * phi)])
+    lon = _longitude_rows(L_max, phi)
+    if weights is not None:
+        lon *= weights
     for l in range(L_max + 1):
         P[l * l:(l + 1) * (l + 1)] *= lon[L_max - l:L_max + l + 1]
     return P.T

@@ -203,11 +203,11 @@ def test_nonfinite_samples_rejected(monkeypatch, name):
 
 
 def _svd_fit(samples, L_max):
-    # the weighted rows sqrt(w) B against sqrt(w) r_star
+    # the weighted rows sqrt(w) B against sqrt(w) r_star, built as the
+    # fit builds them
     root = np.sqrt(samples.weights)
-    B = basis_matrix(L_max, samples.eta_theta, samples.eta_phi)
-    return np.linalg.lstsq(root[:, None] * B, root * samples.r_star,
-                           rcond=1e-12)[0]
+    B = basis_matrix(L_max, samples.eta_theta, samples.eta_phi, root)
+    return np.linalg.lstsq(B, root * samples.r_star, rcond=1e-12)[0]
 
 
 def _squeezed_sphere_samples(factor):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from curvedual.spectral import (
     HarmonicCoeffs,
     _JET_TABLES,
     _analysis,
+    _longitude_rows,
     _ProductTables,
     _product_grid,
     _synthesis,
@@ -432,15 +434,21 @@ def test_grid_ops_rows_match_single_point_ops():
         assert np.array_equal(B[q:q + 1], single), q
 
 
+def _fit_size_points():
+    # both poles and the dual fit's 2701 scattered points
+    rng = np.random.default_rng(13)
+    theta = np.concatenate([[0.0, np.pi],
+                            np.arccos(rng.uniform(-1.0, 1.0, 2701))])
+    phi = np.concatenate([[0.4, 2.5], rng.uniform(0.0, 2.0 * np.pi, 2701)])
+    return theta, phi
+
+
 def test_basis_matrix_matches_product_tables():
     # the dual fit's size: 2701 scattered points at L 32, 23.5 MB per
     # points x coefficients array, plus both poles; the degree-major
     # product holds the result and two small tables, never a gather
     L = 32
-    rng = np.random.default_rng(13)
-    theta = np.concatenate([[0.0, np.pi],
-                            np.arccos(rng.uniform(-1.0, 1.0, 2701))])
-    phi = np.concatenate([[0.4, 2.5], rng.uniform(0.0, 2.0 * np.pi, 2701)])
+    theta, phi = _fit_size_points()
     tracemalloc.start()
     try:
         B = basis_matrix(L, theta, phi)
@@ -452,6 +460,70 @@ def test_basis_matrix_matches_product_tables():
     ref = tables.Y * tables.lon[0][:, L + tables.orders]
     assert np.array_equal(B, ref)
     assert peak <= 30e6, peak
+
+
+def test_weighted_basis_matrix_scales_rows():
+    # the weights enter through the longitude rows, so each entry is
+    # P (lon w) where the scaled rows read (P lon) w: two roundings apart;
+    # at the poles the non-zonal entries must stay exact zeros
+    theta, phi = _fit_size_points()
+    w = np.random.default_rng(14).uniform(0.0, 2.0, len(theta))
+    got = basis_matrix(32, theta, phi, w)
+    want = basis_matrix(32, theta, phi)
+    want *= w[:, None]
+    err = np.abs(got - want)
+    assert np.all(err <= 4 * np.finfo(float).eps * np.abs(want))
+
+
+@pytest.mark.parametrize("theta, phi", [
+    (np.full((3, 2), 0.5), np.full((3, 2), 0.5)),
+    (np.full(3, 0.5), np.full(1, 0.5)),
+    (np.full(3, 0.5), np.full(4, 0.5)),
+    (np.float64(0.5), np.float64(0.5)),
+], ids=["2-D", "length-1 phi", "unequal lengths", "0-D"])
+def test_mismatched_angle_arrays_are_refused(theta, phi):
+    message = re.escape(f"got shapes {np.shape(theta)} and {np.shape(phi)}")
+    with pytest.raises(ValueError, match=message):
+        basis_matrix(4, theta, phi)
+    with pytest.raises(ValueError, match=message):
+        synthesize_at(HarmonicCoeffs.zeros(4), theta, phi)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 1), ()],
+                         ids=["short", "2-D", "0-D"])
+def test_weights_of_another_shape_are_refused(shape):
+    angles = np.full(3, 0.5)
+    message = re.escape(f"expected weights of shape (3,), got shape {shape}")
+    with pytest.raises(ValueError, match=message):
+        basis_matrix(4, angles, angles, np.ones(shape))
+
+
+# largest error seen against 80-bit long double: 4.4e-15 up to L 96,
+# where libm at the rounded arguments m phi is 1.4e-14 off at L 32 and
+# 5.7e-14 at L 96
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("L_max", [4, 9, 32, 72, 96])
+def test_longitude_rows_match_extended_precision(L_max):
+    phi = np.random.default_rng(L_max).uniform(-1.0, 7.0, 2000)
+    m = np.arange(-L_max, L_max + 1)[:, None]
+    x = np.abs(m) * phi.astype(np.longdouble)
+    want = np.where(m < 0, np.sin(x), np.cos(x))
+    got = _longitude_rows(L_max, phi)
+    assert got.shape == (2 * L_max + 1, len(phi))
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("build", [build_grid, build_folded_grid],
+                         ids=["full", "folded"])
+def test_longitude_derivative_tables_are_identities(build):
+    # d/dphi cos(m phi) = -m sin(m phi), d/dphi sin(m phi) = m cos(m phi)
+    tables = build(9).ops
+    f, df, d2f = tables.lon
+    m = np.arange(-9, 10)
+    assert np.array_equal(df, -m * f[:, ::-1])
+    assert np.array_equal(d2f, -(m * m) * f)
+    assert np.array_equal(f, _longitude_rows(9, build(9).axes[1]).T)
 
 
 def test_basis_matrix_at_poles_is_zonal_closed_form():
