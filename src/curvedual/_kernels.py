@@ -8,7 +8,8 @@ one closed-form routine of the radial 2-jet.
 :func:`fundamental_forms` reads the node trigonometry and chart frame
 from a :class:`NodeGeometry`, which :func:`_frame_fields` builds and each
 :class:`~curvedual.spectral.QuadratureGrid` holds once, read-only, as its
-``nodes``.  :func:`kappa_batch` takes the colatitudes themselves.
+``nodes``.  :func:`kappa_batch` takes that geometry's sin and cos of the
+colatitudes.
 
 All angles are chart coordinates (theta, phi) on the parameter sphere; the
 radial inputs are the chart partial derivatives of the radial function.
@@ -156,14 +157,13 @@ def fundamental_forms(nodes: NodeGeometry, r, rt, rp, rtt, rtp, rpp):
     }
 
 
-def kappa_batch(theta, phi, R, RT, RP, RTT, RTP, RPP):
+def kappa_batch(sin_theta, cos_theta, R, RT, RP, RTT, RTP, RPP):
     """Principal curvatures for a batch of radial fields.
 
-    ``theta``/``phi`` have shape (N,); the six field arrays (N, nb).
-    Returns (kappa_min, kappa_max) arrays of shape (N, nb).  The chart
-    formulas do not involve ``phi``.
+    ``sin_theta``/``cos_theta`` are those of the node colatitudes, shape
+    (N,), as :class:`NodeGeometry` holds them; the six field arrays are
+    (N, nb).  Returns (kappa_min, kappa_max) arrays of shape (N, nb).
     """
-    theta = theta[:, None]
-    kap = _graph_forms(np.sin(theta), np.cos(theta), R, RT, RP, RTT, RTP,
-                       RPP)[-1]
+    kap = _graph_forms(sin_theta[:, None], cos_theta[:, None], R, RT, RP,
+                       RTT, RTP, RPP)[-1]
     return kap[..., 0], kap[..., 1]

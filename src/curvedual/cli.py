@@ -3,7 +3,7 @@
 Exit codes follow a scripting contract: 0 for success, 1 for usage or
 input errors, 2 for a numerical failure: continuation stopped short or
 diagnostics out of tolerance, whose reports are still written, or a dual
-fit that is ill conditioned or has non-finite samples.
+fit with no certificate after one resample or with non-finite samples.
 """
 
 from __future__ import annotations

@@ -389,7 +389,8 @@ class NewtonWorkspace:
         """
         R, RT, RP, RTT, RTP, RPP = jets
         check_annulus(R)
-        K1, K2 = _kernels.kappa_batch(self.grid.theta, self.grid.phi,
+        nodes = self.grid.nodes
+        K1, K2 = _kernels.kappa_batch(nodes.sin_theta, nodes.cos_theta,
                                       R, RT, RP, RTT, RTP, RPP)
         kappa = np.stack([K1, K2], axis=-1)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):

@@ -400,6 +400,22 @@ class TestDualCommand:
         assert err == f"error: {message}\n"
         assert "Traceback" not in err
 
+    def test_fit_uncertified_after_resample_exits_2(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # no certificate clears any fit: the first leg fails at its
+        # sample_L 24 and at the one resample (J = 1 on a ball, so 28)
+        monkeypatch.setattr(polar, "_FROBENIUS_MAX", -1.0)
+        monkeypatch.setattr(polar, "_certifies_normal_equations",
+                            lambda A: False)
+        src = tmp_path / "surface.json"
+        write_surface(src, sphere_surface(np.pi / 4, L_max=12))
+        rc = main(["dual", "--surface", str(src), "--out",
+                   str(tmp_path / "dual")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: dual graph fit at L_max 20 has no certificate at "
+            "sample_L 24, nor after one resample at sample_L 28\n")
+
 
 class TestCheckCommand:
     def test_solved_surface_passes(self, tmp_path, capsys):

@@ -30,7 +30,8 @@ def test_backend_name_reported():
 
 def test_numpy_path_matches_full_pipeline():
     grid, fields = _fields()
-    k1, k2 = _kernels.kappa_batch(grid.theta, grid.phi, *fields)
+    k1, k2 = _kernels.kappa_batch(grid.nodes.sin_theta,
+                                  grid.nodes.cos_theta, *fields)
     nodes = _kernels._frame_fields(grid.theta[:, None], grid.phi[:, None])
     out = _kernels.fundamental_forms(nodes, *fields)
     assert np.max(np.abs(k1 - out["kappa"][..., 0])) == 0.0
@@ -43,7 +44,8 @@ def test_selected_backend_sphere_curvature():
     N = grid.n_nodes
     const = np.full((N, 1), r0)
     zero = np.zeros((N, 1))
-    k1, k2 = _kernels.kappa_batch(grid.theta, grid.phi, const, zero, zero,
+    k1, k2 = _kernels.kappa_batch(grid.nodes.sin_theta,
+                                  grid.nodes.cos_theta, const, zero, zero,
                                   zero, zero, zero)
     assert np.max(np.abs(k1 - 1 / np.tan(r0))) <= 1e-12
     assert np.max(np.abs(k2 - 1 / np.tan(r0))) <= 1e-12
@@ -58,9 +60,9 @@ def test_newton_solve_kernel_calls_by_width(monkeypatch):
     widths = []
     kappa_batch = _kernels.kappa_batch
 
-    def recording(theta, phi, R, *rest):
+    def recording(sin_theta, cos_theta, R, *rest):
         widths.append(R.shape[1])
-        return kappa_batch(theta, phi, R, *rest)
+        return kappa_batch(sin_theta, cos_theta, R, *rest)
 
     monkeypatch.setattr(_kernels, "kappa_batch", recording)
     F = make_curvature_function("gauss_power")

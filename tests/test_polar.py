@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from curvedual.curvature import make_curvature_function
 from curvedual.errors import ConvexityError, DataError, ResolutionError
 from curvedual.geometry import curvature_field, sphere_surface
-from curvedual.solver import PrescribedData, continuation
+from curvedual.solver import PrescribedData, SolverOptions, continuation
 from curvedual import polar
 from curvedual.polar import (DualSamples, dual_as_graph, dual_surface,
                              fit_residual, gauss_map, support_test,
@@ -28,6 +29,16 @@ def perturbed_surface(L_max=24):
     c[4, 0] = amp
     c[4, 2] = amp
     c[4, -2] = amp
+    return geometry.GraphSurface(n=2, pole=E4.copy(), radial=c,
+                                 gauge_tau0=geometry.default_gauge_tau0())
+
+
+def _strong_degree_2_surface():
+    # the first dual fit of this L 8 surface at sample_L 20 has no
+    # certificate; the resample at 37 clears the Frobenius bound
+    c = HarmonicCoeffs.zeros(8)
+    c[0, 0] = (np.pi / 4) * np.sqrt(4 * np.pi)
+    c[2, 0] = 0.22
     return geometry.GraphSurface(n=2, pole=E4.copy(), radial=c,
                                  gauge_tau0=geometry.default_gauge_tau0())
 
@@ -238,18 +249,33 @@ def test_well_conditioned_fit_uses_normal_equations(monkeypatch,
     assert np.max(np.abs(coeffs - expect)) <= 1e-12
 
 
-@pytest.fixture(scope="module")
-def solve_output_samples():
-    # the first leg of the canonical solve output's dual: acceptance 06's
-    # modulated gauss_power problem solved at L 24, sampled at L 36
+def _modulated_solve(name, scale, L_max=24):
+    # acceptance 06's modulated problem with its b times ``scale``
     b = HarmonicCoeffs.zeros(2)
     b[2, 0] = 0.4 / np.sqrt(6.0)
     b[2, 2] = 0.2 / np.sqrt(6.0)
     b[2, -1] = -0.2 / np.sqrt(6.0)
-    data = PrescribedData(a_poly=[np.log(2.0)], b=b, c=1.0)
-    surface = continuation(make_curvature_function("gauss_power"),
-                           data).final_surface
-    return gauss_map(curvature_field(surface.padded_to(36), build_grid(36)))
+    data = PrescribedData(a_poly=[np.log(2.0)],
+                          b=HarmonicCoeffs(2, scale * b.values), c=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the mean's admissibility warning
+        report = continuation(make_curvature_function(name), data,
+                              SolverOptions(L_max=L_max))
+    assert report.converged
+    return report.final_surface
+
+
+@pytest.fixture(scope="module")
+def solve_output():
+    # the canonical solve output: acceptance 06's problem solved at L 24
+    return _modulated_solve("gauss_power", 1.0)
+
+
+@pytest.fixture(scope="module")
+def solve_output_samples(solve_output):
+    # the first leg of the canonical solve output's dual, sampled at L 36
+    return gauss_map(curvature_field(solve_output.padded_to(36),
+                                     build_grid(36)))
 
 
 def _no_solve(*args, **kwargs):
@@ -274,27 +300,95 @@ def test_first_leg_fit_is_cholesky_certified_cg(monkeypatch, request, leg):
     assert np.max(np.abs(coeffs - expect)) <= 1e-12
 
 
-def test_cg_short_of_tolerance_falls_through_to_svd(monkeypatch, caplog):
+def _forbid_svd(monkeypatch):
+    # the fit has no SVD, LU or pseudo-inverse path left to fall back on
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD or LU solve in a dual fit")
+
+    for name in ("lstsq", "svd", "pinv", "solve"):
+        monkeypatch.setattr(np.linalg, name, no_svd)
+
+
+def _record_densities(monkeypatch, change=lambda samples: samples):
+    # the sample_L of every sampling in dual_surface, in order
+    densities = []
+    take = polar._samples
+
+    def spy(surface, sample_L):
+        densities.append(sample_L)
+        return change(take(surface, sample_L))
+
+    monkeypatch.setattr(polar, "_samples", spy)
+    return densities
+
+
+@pytest.fixture
+def bumpy_surface():
+    return perturbed_surface()
+
+
+@pytest.mark.parametrize("source", ["solve_output", "bumpy_surface"])
+def test_first_legs_are_not_resampled(monkeypatch, request, source):
+    # both first legs are certified at the requested density, so the
+    # samples are taken once and the fit runs the Cholesky-certified path
+    surface = request.getfixturevalue(source)
+    densities = _record_densities(monkeypatch)
+    dual_surface(surface, L_max=32, sample_L=36)
+    assert densities == [36]
+
+
+def test_uncertified_fit_is_resampled_once(monkeypatch):
+    # the dual of 3x the canonical modulation under the mean, solved at
+    # L 24: at sample_L 36 no certificate clears the fit, so it is
+    # resampled at ceil(36 sqrt(J_max)) = 59, where the refit clears the
+    # Frobenius bound
+    surface = _modulated_solve("mean", 3.0)
+    lstsq = np.linalg.lstsq
+    densities = _record_densities(monkeypatch)
+    _forbid_svd(monkeypatch)
+    dual = dual_surface(surface, L_max=32, sample_L=36)
+    assert densities == [36, 59]
+    # the least-squares solution at the resampled density
+    samples = polar._samples(surface, 59)
+    root = np.sqrt(samples.weights)
+    B = basis_matrix(32, samples.eta_theta, samples.eta_phi, root)
+    expect = lstsq(B, root * samples.r_star, rcond=None)[0]
+    assert np.max(np.abs(dual.radial.values - expect)) <= 1e-12
+
+
+def test_second_uncertified_fit_names_both_densities(monkeypatch):
+    monkeypatch.setattr(polar, "_FROBENIUS_MAX", -1.0)
+    monkeypatch.setattr(polar, "_certifies_normal_equations",
+                        lambda A: False)
+    message = (r"^dual graph fit at L_max 16 has no certificate at "
+               r"sample_L 20, nor after one resample at sample_L 37$")
+    with pytest.raises(ResolutionError, match=message) as info:
+        dual_surface(_strong_degree_2_surface(), L_max=16, sample_L=20)
+    assert type(info.value) is ResolutionError
+
+
+def test_nonfinite_samples_are_not_resampled(monkeypatch):
+    densities = _record_densities(
+        monkeypatch, lambda s: dataclasses.replace(
+            s, r_star=np.full_like(s.r_star, np.nan)))
+    with pytest.raises(ResolutionError, match="not finite"):
+        dual_surface(sphere_surface(np.pi / 4, L_max=8))
+    assert densities == [20]
+
+
+def test_cg_short_of_tolerance_raises(monkeypatch, caplog):
     # a Frobenius-certified fit whose conjugate gradients cannot reach
-    # the tolerance within n steps is solved by the SVD, once
+    # the tolerance within n steps is uncertified: it raises, with no SVD
     samples = gauss_map(curvature_field(perturbed_surface(L_max=8),
                                         build_grid(8)))
-    expect = _svd_fit(samples, 6)
-    calls = []
-    lstsq = np.linalg.lstsq
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return lstsq(*args, **kwargs)
-
     monkeypatch.setattr(polar, "_CG_TOL", 1e-300)
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
-    with caplog.at_level("DEBUG", logger="curvedual.polar"):
-        coeffs = dual_as_graph(samples, L_max=6).radial.values
-    assert len(calls) == 1
-    assert np.array_equal(coeffs, expect)
+    _forbid_svd(monkeypatch)
+    with caplog.at_level("DEBUG", logger="curvedual.polar"), \
+            pytest.raises(polar._UncertifiedFit,
+                          match=r"CG steps 49 short of tolerance$"):
+        dual_as_graph(samples, L_max=6)
     assert re.search(r"\|\|A - I\|\|_F <= \S+, CG steps 49 short of "
-                     r"tolerance; SVD, condition \S+$", caplog.text)
+                     r"tolerance$", caplog.text)
 
 
 def test_dual_fit_logs_its_path(caplog):
@@ -302,41 +396,41 @@ def test_dual_fit_logs_its_path(caplog):
              r"\|\|A - I\|\|_F <= \S+, CG steps \d+$"),
             (_squeezed_sphere_samples(0.7),
              r"shifted Cholesky, CG steps \d+, refinement steps \d+$"),
-            (_squeezed_sphere_samples(0.5),
-             r"no certificate; SVD, condition 5\.97e\+04$")]
+            (_squeezed_sphere_samples(0.5), r"no certificate$")]
     with caplog.at_level("DEBUG", logger="curvedual.polar"):
-        for samples, _ in fits:
+        for samples, _ in fits[:2]:
             dual_as_graph(samples, L_max=6)
+        with pytest.raises(ResolutionError, match="no certificate$"):
+            dual_as_graph(fits[2][0], L_max=6)
+        # an uncertified fit is resampled once, and the refit is logged
+        dual_surface(_strong_degree_2_surface(), L_max=16, sample_L=20)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "curvedual.polar"]
-    assert len(lines) == len(fits)
+    assert len(lines) == len(fits) + 3
     for line, (_, pattern) in zip(lines, fits):
         assert line.startswith("dual graph fit: 153 samples, L_max=6, ")
         assert re.search(pattern, line), line
+    assert lines[3] == "dual graph fit: 861 samples, L_max=16, no certificate"
+    assert lines[4] == ("dual graph fit uncertified at sample_L=20; "
+                        "resampling at sample_L=37")
+    assert re.fullmatch(r"dual graph fit: 2850 samples, L_max=16, "
+                        r"\|\|A - I\|\|_F <= \S+, CG steps \d+", lines[5])
 
 
-def test_ill_conditioned_fit_falls_back_to_svd():
+def test_ill_conditioned_fit_raises(monkeypatch):
     samples = _squeezed_sphere_samples(0.5)  # condition number 6.0e4
-    coeffs = dual_as_graph(samples, L_max=6).radial.values
-    assert np.array_equal(coeffs, _svd_fit(samples, 6))
+    _forbid_svd(monkeypatch)
+    with pytest.raises(polar._UncertifiedFit, match="no certificate"):
+        dual_as_graph(samples, L_max=6)
 
 
 def test_fit_above_1e3_never_takes_normal_equations(monkeypatch):
     # kappa_2 = 1.07e3: the unshifted Gram matrix has a Cholesky factor,
     # so only the shift keeps this fit off the normal equations
     samples = _squeezed_sphere_samples(0.65)
-    expect = _svd_fit(samples, 6)
-    calls = []
-    lstsq = np.linalg.lstsq
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
-    coeffs = dual_as_graph(samples, L_max=6).radial.values
-    assert len(calls) == 1
-    assert np.array_equal(coeffs, expect)
+    _forbid_svd(monkeypatch)
+    with pytest.raises(polar._UncertifiedFit, match="no certificate"):
+        dual_as_graph(samples, L_max=6)
 
 
 def test_fit_below_certified_bound_uses_normal_equations(monkeypatch):
@@ -353,10 +447,13 @@ def test_fit_below_certified_bound_uses_normal_equations(monkeypatch):
     assert np.max(np.abs(coeffs - expect)) <= 1e-10
 
 
-def test_fit_above_condition_limit_rejected():
-    samples = _squeezed_sphere_samples(0.2)  # condition number 1.6e10
-    message = r"ill conditioned \(condition number 1\.55e\+10\)"
-    with pytest.raises(ResolutionError, match=message):
+def test_fit_above_condition_limit_rejected(monkeypatch):
+    # condition number 1.6e10, far past what either certificate clears
+    samples = _squeezed_sphere_samples(0.2)
+    _forbid_svd(monkeypatch)
+    message = (r"^dual graph fit at L_max 6 is uncertified at 153 samples: "
+               r"no certificate$")
+    with pytest.raises(polar._UncertifiedFit, match=message):
         dual_as_graph(samples, L_max=6)
 
 
