@@ -1,4 +1,4 @@
-"""Command-line front end: solve, dualize, check, and export surfaces.
+"""Command-line front end: solve, dualize and check surfaces.
 
 Exit codes follow a scripting contract: 0 for success, 1 for usage or
 input errors, 2 for a numerical failure: continuation stopped short or
@@ -239,23 +239,23 @@ def cmd_check(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         formats.write_json(os.path.join(args.out, "check_report.json"), doc)
-        if F is not None:
-            resid = F(fld.kappa) - data_on_field(f, fld)
+        if report.residual is not None:
             formats.write_field_csv(
                 os.path.join(args.out, "residuals.csv"),
-                fld.grid.theta, fld.grid.phi, resid)
+                fld.grid.theta, fld.grid.phi, report.residual)
     return 0 if passed else 2
 
 
-def cmd_export_obj(args) -> int:
-    surface = formats.read_surface(args.surface)
-    formats.write_obj(args.out, surface)
-    print(f"wrote {args.out}")
-    return 0
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on usage errors; ``add_subparsers`` reuses this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curvedual",
         description="Prescribed-curvature solver and polar-duality tools "
                     "for convex graphs over the sphere.")
@@ -282,11 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--seed", type=int, default=0,
                     help="seed for the support-pair sampling")
     pc.set_defaults(func=cmd_check)
-
-    pe = sub.add_parser("export-obj", help="write a stereographic mesh")
-    pe.add_argument("--surface", required=True, help="surface JSON path")
-    pe.add_argument("--out", required=True, help="output OBJ path")
-    pe.set_defaults(func=cmd_export_obj)
     return parser
 
 

@@ -1,4 +1,4 @@
-"""File formats: surface JSON, report JSON, node CSVs, and mesh export.
+"""File formats: surface JSON, report JSON and node CSVs.
 
 All floating-point output is formatted with 17 significant digits, which
 round-trips IEEE doubles exactly and makes repeated runs byte-identical.
@@ -19,11 +19,9 @@ import math
 import numpy as np
 
 from .errors import DataError
-from .geometry import (CurvatureField, GraphSurface, curvature_field,
-                       rho_from_r, stereographic_project)
+from .geometry import CurvatureField, GraphSurface
 from .polar import DualSamples
-from .spectral import (HarmonicCoeffs, build_grid, lm_index, num_coeffs,
-                       synthesize_at)
+from .spectral import HarmonicCoeffs, lm_index, num_coeffs
 
 
 def format_float(x: float) -> str:
@@ -349,47 +347,3 @@ def write_dual_samples_csv(path, samples: DualSamples) -> None:
                 [samples.theta, samples.phi, samples.eta_theta,
                  samples.eta_phi, samples.r_star,
                  samples.kappa_dual[:, 0], samples.kappa_dual[:, 1]])
-
-
-# -------------------------------------------------------------- obj mesh
-
-def write_obj(path, surface: GraphSurface) -> None:
-    """Triangle mesh of the stereographic image for external viewers.
-
-    The lat-long quadrature grid provides the vertex rows; quads are
-    split into triangles, the seam wraps in longitude, and the two polar
-    gaps are closed with fans around explicit pole vertices.
-    """
-    grid = build_grid(surface.L_max)
-    st = stereographic_project(curvature_field(surface, grid))
-    nt, nphi = grid.n_theta, grid.n_phi
-    y = st.y.reshape(nt, nphi, 3)
-
-    pole_dirs = np.array([0.0, np.pi])
-    r_poles = synthesize_at(surface.radial, pole_dirs, np.zeros(2))
-    north = np.array([0.0, 0.0, rho_from_r(r_poles[0])])
-    south = np.array([0.0, 0.0, -rho_from_r(r_poles[1])])
-
-    lines = []
-    for i in range(nt):
-        for j in range(nphi):
-            lines.append("v " + " ".join(format_float(v) for v in y[i, j]))
-    lines.append("v " + " ".join(format_float(v) for v in north))
-    lines.append("v " + " ".join(format_float(v) for v in south))
-
-    def vid(i, j):
-        return i * nphi + (j % nphi) + 1
-
-    north_id = nt * nphi + 1
-    south_id = nt * nphi + 2
-    for i in range(nt - 1):
-        for j in range(nphi):
-            a, b = vid(i, j), vid(i, j + 1)
-            c, d = vid(i + 1, j), vid(i + 1, j + 1)
-            lines.append(f"f {a} {c} {b}")
-            lines.append(f"f {b} {c} {d}")
-    for j in range(nphi):
-        lines.append(f"f {north_id} {vid(0, j)} {vid(0, j + 1)}")
-        lines.append(f"f {south_id} {vid(nt - 1, j + 1)} {vid(nt - 1, j)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -84,7 +84,8 @@ class DiagnosticsReport:
     ``support_margin`` is the largest off-diagonal support inner product
     between the surface and its dual; strict convexity makes it
     negative.  ``stereographic_residual`` and ``support_margin`` are NaN
-    for non-convex input, where neither check is defined.
+    for non-convex input, where neither check is defined.  ``residual``
+    is the node residual F(kappa) - f behind ``residual_stats``.
     """
 
     steiner_point: np.ndarray
@@ -95,6 +96,7 @@ class DiagnosticsReport:
     stereographic_residual: float
     support_margin: float
     residual_stats: dict | None = None
+    residual: np.ndarray | None = None
 
     @property
     def curvature_within_brackets(self) -> bool:
@@ -129,8 +131,8 @@ def full_report(field: CurvatureField, F=None, f=None,
         full grid: :func:`steiner_point` refuses a folded one.
     F, f : optional
         Curvature function and prescribed data (PrescribedData, scalar,
-        or per-node array).  When both are given the report includes the
-        statistics of the equation residual F(kappa) - f.
+        or per-node array).  When both are given the report holds the
+        equation residual F(kappa) - f at the nodes and its statistics.
     seed : int
         Seed for the 2000 node pairs of the polarity support check.
     """
@@ -146,7 +148,7 @@ def full_report(field: CurvatureField, F=None, f=None,
         stereo = float("nan")
         support_margin = float("nan")
 
-    stats = None
+    resid = stats = None
     if F is not None and f is not None:
         resid = F(field.kappa) - data_on_field(f, field)
         stats = {"max_abs": float(np.max(np.abs(resid))),
@@ -160,4 +162,5 @@ def full_report(field: CurvatureField, F=None, f=None,
         convex=convex,
         stereographic_residual=stereo,
         support_margin=support_margin,
-        residual_stats=stats)
+        residual_stats=stats,
+        residual=resid)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvedual import HarmonicCoeffs, build_grid, sphere_surface, synthesize
-from curvedual import _kernels, cli, geometry, polar
+from curvedual import _kernels, cli, geometry, polar, validation
 from curvedual.cli import main, parse_config
 from curvedual.errors import ConfigError, ResolutionError
 from curvedual.geometry import GraphSurface
@@ -476,6 +476,29 @@ class TestCheckCommand:
         assert geometry._pole_frame.cache_info().misses == misses
         assert capsys.readouterr().out == first
 
+    def test_check_evaluates_the_residual_once(self, tmp_path, capsys,
+                                               monkeypatch):
+        # the report keeps the node residual behind residual_stats, and
+        # residuals.csv is written from it
+        calls = []
+        data_on_field = validation.data_on_field
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return data_on_field(*args, **kwargs)
+
+        monkeypatch.setattr(validation, "data_on_field", counting)
+        monkeypatch.setattr(cli, "data_on_field", counting)
+        src = tmp_path / "surface.json"
+        write_surface(src, sphere_surface(np.pi / 4, L_max=8))
+        cfg = write_config(tmp_path / "config.json")
+        out = tmp_path / "check"
+        rc = main(["check", "--surface", str(src), "--config", cfg,
+                   "--out", str(out)])
+        assert rc == 0
+        assert len(calls) == 1
+        assert (out / "residuals.csv").exists()
+
     def test_nested_radial_polynomial_fails_cleanly(self, tmp_path, capsys):
         # read as a 2-D coefficient array it gave a wrong residual and
         # then a traceback while writing residuals.csv
@@ -543,24 +566,7 @@ class TestCheckCommand:
         assert err.count("\n") == 1
 
 
-class TestExportObj:
-    def test_writes_mesh(self, tmp_path):
-        src = tmp_path / "surface.json"
-        write_surface(src, sphere_surface(np.pi / 4, L_max=8))
-        dst = tmp_path / "mesh.obj"
-        rc = main(["export-obj", "--surface", str(src), "--out", str(dst)])
-        assert rc == 0
-        text = dst.read_text()
-        assert text.count("\nf ") + text.startswith("f ") > 0
-        assert "v " in text
-
-    def test_missing_file_fails_cleanly(self, tmp_path, capsys):
-        rc = main(["export-obj", "--surface", str(tmp_path / "nope.json"),
-                   "--out", str(tmp_path / "mesh.obj")])
-        assert rc == 1
-
-
-@pytest.mark.parametrize("command", ["dual", "check", "export-obj"])
+@pytest.mark.parametrize("command", ["dual", "check"])
 @pytest.mark.parametrize("key, value", [
     ("value", math.nan), ("value", math.inf), ("gauge_tau0", math.nan)])
 def test_non_finite_surface_fails_cleanly(tmp_path, capsys, command, key,
@@ -599,9 +605,8 @@ def test_non_finite_surface_fails_cleanly(tmp_path, capsys, command, key,
     ["dual", "--surface", "GOOD", "--config", "BAD", "--out", "OUT"],
     ["check", "--surface", "BAD"],
     ["check", "--surface", "GOOD", "--config", "BAD"],
-    ["export-obj", "--surface", "BAD", "--out", "OUT"],
 ], ids=["solve-config", "dual-surface", "dual-config", "check-surface",
-        "check-config", "export-obj-surface"])
+        "check-config"])
 def test_unreadable_json_fails_cleanly(tmp_path, capsys, argv, content):
     bad, good, out = tmp_path / "bad.json", tmp_path / "good.json", \
         tmp_path / "out"
@@ -663,7 +668,7 @@ def test_underflowing_data_without_c_names_min_f(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["dual", "check", "export-obj"])
+@pytest.mark.parametrize("command", ["dual", "check"])
 def test_surface_degree_past_any_array_fails_cleanly(tmp_path, capsys,
                                                      command):
     # 1e36 coefficients: numpy refuses the shape itself, before allocating
@@ -679,6 +684,30 @@ def test_surface_degree_past_any_array_fails_cleanly(tmp_path, capsys,
     assert rc == 1
     assert err.startswith(f"error: surface L_max = {10**18} is too large")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["bogus"],
+    ["check", "--surface", "x.json", "--seed", "abc"],
+    ["export-obj", "--surface", "S", "--out", "O"],
+], ids=["missing-options", "unknown-command", "non-integer-seed",
+        "export-obj"])
+def test_usage_error_exits_1(capsys, argv):
+    # argparse exits 2 on its own, the code kept for numerical failure
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err.startswith("usage: curvedual")
+    assert ": error: " in err.splitlines()[-1]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: curvedual")
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,4 +1,4 @@
-"""Serialization tests: canonical JSON, surface files, CSV tables, OBJ export."""
+"""Serialization tests: canonical JSON, surface files, CSV tables."""
 
 import csv
 import math
@@ -18,7 +18,6 @@ from curvedual.io import (
     surface_to_dict,
     write_field_csv,
     write_nodes_csv,
-    write_obj,
     write_surface,
 )
 from curvedual.polar import gauss_map
@@ -327,43 +326,3 @@ class TestCsvTables:
             "%.17g\r\n" % v for v in values).encode()
         assert _csv_lines(column.T) == (
             ",".join("%.17g" % v for v in values) + "\r\n").encode()
-
-
-class TestObjExport:
-    def test_sphere_vertices_on_image_sphere(self, tmp_path):
-        radius = np.pi / 4
-        surface = sphere_surface(radius, L_max=8)
-        path = tmp_path / "sphere.obj"
-        write_obj(path, surface)
-        verts = []
-        faces = []
-        for line in path.read_text().splitlines():
-            if line.startswith("v "):
-                verts.append([float(t) for t in line.split()[1:]])
-            elif line.startswith("f "):
-                faces.append([int(t) for t in line.split()[1:]])
-        verts = np.asarray(verts)
-        grid = build_grid(8)
-        assert verts.shape == (grid.n_nodes + 2, 3)
-        # stereographic image of a centered geodesic sphere: radius 2 tan(r/2)
-        image_radius = 2.0 * math.tan(radius / 2.0)
-        assert np.max(np.abs(np.linalg.norm(verts, axis=1) - image_radius)) < 1e-9
-
-    def test_faces_are_triangles_with_valid_ids(self, tmp_path):
-        surface = sphere_surface(np.pi / 3, L_max=6)
-        path = tmp_path / "mesh.obj"
-        write_obj(path, surface)
-        n_verts = 0
-        faces = []
-        for line in path.read_text().splitlines():
-            if line.startswith("v "):
-                n_verts += 1
-            elif line.startswith("f "):
-                faces.append([int(t) for t in line.split()[1:]])
-        grid = build_grid(6)
-        assert all(len(f) == 3 for f in faces)
-        ids = np.asarray(faces)
-        assert ids.min() >= 1 and ids.max() <= n_verts
-        # strip quads split in two plus one fan per pole
-        expected = 2 * (grid.n_theta - 1) * grid.n_phi + 2 * grid.n_phi
-        assert len(faces) == expected

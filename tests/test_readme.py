@@ -1,5 +1,7 @@
-"""The README's quick start runs and its config keys match the parser."""
+"""The README's quick start runs; its commands and config keys are the
+parser's."""
 
+import argparse
 import re
 from pathlib import Path
 
@@ -22,3 +24,12 @@ def test_config_keys_match_the_parser():
     keys = re.findall(r"^- `([^`]+)`", listing, flags=re.M)
     assert len(keys) == len(set(keys))
     assert set(keys) == cli._CONFIG_KEYS
+
+
+def test_commands_match_the_parser():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    headings = re.findall(r"^### (.+)$", section, flags=re.M)
+    commands = next(action.choices for action in cli._PARSER._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert headings == list(commands)
