@@ -3,7 +3,7 @@
 Exit codes follow a scripting contract: 0 for success, 1 for usage or
 input errors, 2 for a numerical failure: continuation stopped short or
 diagnostics out of tolerance, whose reports are still written, or a dual
-fit with no certificate after one resample or with non-finite samples.
+whose support points do not converge.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    # a bad config fails before the two fits run
+    # a bad config fails before either dual is built
     config = None if args.config is None else \
         parse_config(formats.read_json(args.config))
     surface = formats.read_surface(args.surface)
@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except ResolutionError as exc:  # the dual fit failed numerically
+    except ResolutionError as exc:  # the dual failed numerically
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CurveDualError, OSError) as exc:

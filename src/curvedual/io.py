@@ -119,16 +119,26 @@ def write_json(path, obj) -> None:
 # --------------------------------------------------------------- surface
 
 def surface_to_dict(surface: GraphSurface) -> dict:
-    values = surface.radial.values
-    idx = np.flatnonzero(values != 0.0)
-    l = np.floor(np.sqrt(idx)).astype(int)  # exact: idx is far below 2**52
-    radial = [{"l": a, "m": b, "value": v} for a, b, v in
-              zip(l.tolist(), (idx - l * l - l).tolist(), values[idx].tolist())]
+    doc = _surface_head(surface)
+    l, m, values = _radial_entries(surface.radial)
+    doc["radial"] = [{"l": a, "m": b, "value": v} for a, b, v in
+                     zip(l.tolist(), m.tolist(), values.tolist())]
+    return doc
+
+
+def _surface_head(surface: GraphSurface) -> dict:
+    """Every key of a surface document but ``radial``, which comes last."""
     return {"n": surface.n,
             "pole": [float(v) for v in surface.pole],
             "L_max": surface.L_max,
-            "gauge_tau0": float(surface.gauge_tau0),
-            "radial": radial}
+            "gauge_tau0": float(surface.gauge_tau0)}
+
+
+def _radial_entries(radial: HarmonicCoeffs):
+    """Degrees, orders and values of the nonzero coefficients, in order."""
+    idx = np.flatnonzero(radial.values != 0.0)
+    l = np.floor(np.sqrt(idx)).astype(int)  # exact: idx is far below 2**52
+    return l, idx - l * l - l, radial.values[idx]
 
 
 def surface_from_dict(doc: dict) -> GraphSurface:
@@ -183,25 +193,26 @@ def surface_from_dict(doc: dict) -> GraphSurface:
     return GraphSurface(n=n, pole=pole, radial=coeffs, gauge_tau0=gauge_tau0)
 
 
-# one radial entry as dumps_canonical lays it out inside a surface document
-_RADIAL_ENTRY = '    {\n      "l": %d,\n      "m": %d,\n      "value": %s\n    }'
-
-
 def write_surface(path, surface: GraphSurface) -> None:
     """Write the text of ``write_json(path, surface_to_dict(surface))``.
 
-    The radial list, most of the file, takes one ``%`` format per entry
-    instead of a pass of the generic emitter over each entry's dict.
+    The radial list, most of the file, is laid out without the generic
+    emitter and without a dict per entry: one f-string per entry, with
+    ``"%.17g" %`` for the value (non-finite values take the quoted text of
+    :func:`_scalar`, as the generic emitter gives them).  The vectorized
+    :func:`_csv_lines` pass does not pay here: the coefficients of a
+    smooth surface decay below its fixed-notation window, so it formats
+    most of them one at a time anyway (1051 of an L 32 dual's 1089).
     """
-    doc = surface_to_dict(surface)
-    entries = doc.pop("radial")
-    texts = []
-    for e in entries:
-        v = e["value"]
-        texts.append(_RADIAL_ENTRY % (e["l"], e["m"], "%.17g" % v
-                                      if math.isfinite(v) else _scalar(v)))
-    radial = "[\n" + ",\n".join(texts) + "\n  ]" if texts else "[]"
-    head = dumps_canonical(doc)[:-2]  # up to the closing "\n}"
+    l, m, values = _radial_entries(surface.radial)
+    radial = "[]"
+    if len(values):
+        radial = "[\n" + ",\n".join(
+            f'    {{\n      "l": {a},\n      "m": {b},\n      "value": '
+            f'{"%.17g" % v if math.isfinite(v) else _scalar(v)}\n    }}'
+            for a, b, v in zip(l.tolist(), m.tolist(), values.tolist())
+        ) + "\n  ]"
+    head = dumps_canonical(_surface_head(surface))[:-2]  # up to "\n}"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{head},\n  "radial": {radial}\n}}\n')
 

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvedual import HarmonicCoeffs, build_grid, sphere_surface, synthesize
-from curvedual import _kernels, cli, geometry, polar, validation
+from curvedual import _kernels, cli, geometry, polar, spectral, validation
 from curvedual.cli import main, parse_config
 from curvedual.errors import ConfigError, ResolutionError
 from curvedual.geometry import GraphSurface
@@ -400,21 +401,39 @@ class TestDualCommand:
         assert err == f"error: {message}\n"
         assert "Traceback" not in err
 
-    def test_fit_uncertified_after_resample_exits_2(self, tmp_path, capsys,
-                                                    monkeypatch):
-        # no certificate clears any fit: the first leg fails at its
-        # sample_L 24 and at the one resample (J = 1 on a ball, so 28)
-        monkeypatch.setattr(polar, "_FROBENIUS_MAX", -1.0)
-        monkeypatch.setattr(polar, "_certifies_normal_equations",
-                            lambda A: False)
+    def test_dual_op_factors_nothing(self, tmp_path, monkeypatch):
+        # a warm op, with every factorization and the points x coefficients
+        # basis matrix made to raise; the first op builds its grids, whose
+        # Gauss-Legendre nodes are companion-matrix eigenvalues
+        def refused(*args, **kwargs):
+            raise AssertionError("factorization or basis matrix in a dual op")
+
+        surface = sphere_surface(np.pi / 4, L_max=12)
+        surface.radial[2, 0] = 0.05
+        surface.radial[3, 1] = 0.01
+        src = tmp_path / "surface.json"
+        write_surface(src, surface)
+        argv = ["dual", "--surface", str(src), "--out", str(tmp_path / "dual")]
+        assert main(argv) == 0
+        for name in ("cholesky", "eig", "eigh", "eigvals", "eigvalsh", "inv",
+                     "lstsq", "pinv", "qr", "solve", "svd"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        monkeypatch.setattr(spectral, "basis_matrix", refused)
+        assert main(argv) == 0
+
+    def test_support_points_not_converging_exits_2(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # one Newton step from the coarse start leaves the support points
+        # of the first leg short of the step tolerance
+        monkeypatch.setattr(polar, "_NEWTON_STEPS", 1)
         src = tmp_path / "surface.json"
         write_surface(src, sphere_surface(np.pi / 4, L_max=12))
         rc = main(["dual", "--surface", str(src), "--out",
                    str(tmp_path / "dual")])
         assert rc == 2
-        assert capsys.readouterr().err == (
-            "error: dual graph fit at L_max 20 has no certificate at "
-            "sample_L 24, nor after one resample at sample_L 28\n")
+        assert re.fullmatch(r"error: support points of \d+ dual directions "
+                            r"did not converge in 1 Newton steps\n",
+                            capsys.readouterr().err)
 
 
 class TestCheckCommand:

@@ -93,7 +93,7 @@ class TestSurfaceFiles:
         assert back.L_max == surface.L_max
         assert back.n == surface.n
 
-    @pytest.mark.parametrize("L_max", [4, 8])
+    @pytest.mark.parametrize("L_max", [4, 8, 32])
     def test_writer_matches_generic_emitter(self, tmp_path, L_max):
         # the per-entry format against dumps_canonical, on the extreme
         # doubles, the non-finite texts and a surface with no entries

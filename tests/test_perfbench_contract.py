@@ -10,12 +10,15 @@ benchmark modules are imported as they are and only run here.
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from curvedual import cli, io, polar
+from curvedual import cli, geometry, io, polar
 from curvedual.geometry import curvature_field
 from curvedual.spectral import basis_matrix, build_grid
 
@@ -52,10 +55,44 @@ def test_workload_input_zero_passes_its_check(tmp_path, capsys, perfbench,
     assert run.context_line(args, 1).startswith("context: backend=")
 
 
+# one dual op in a fresh process, printing the hash of each output file
+DUAL_OP = """
+import hashlib, sys
+from pathlib import Path
+from curvedual import cli
+assert cli.main(["dual", "--surface", sys.argv[1], "--out", sys.argv[2]]) == 0
+for path in sorted(Path(sys.argv[2]).iterdir()):
+    print(path.name, hashlib.sha256(path.read_bytes()).hexdigest())
+"""
+
+
+def test_dual_input_zero_is_independent_of_the_blas_thread_count(tmp_path,
+                                                                  perfbench):
+    # the support-function inversion runs no product whose rounding
+    # depends on how OpenBLAS splits it among threads, as the Gram matrix
+    # and the basis_matrix products of the least-squares fit did
+    workloads, _ = perfbench
+    spec = workloads.generate("dual", 0, str(tmp_path / "in"))[0]
+    surface = spec["argv"][spec["argv"].index("--surface") + 1]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", DUAL_OP, surface,
+                              str(tmp_path / f"out{threads}")], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    # the op's two printed lines, then its three files
+    assert outputs[0].count("\n") == 5
+    assert outputs[0] == outputs[1]
+
+
 def test_dual_input_zero_fits_are_near_identity(tmp_path, monkeypatch,
                                                 perfbench):
-    # both legs of the benchmark's dual op certify ||A - I||_F <= 0.8 and
-    # are solved by conjugate gradients alone: no Cholesky, LU or SVD
+    # both legs of the benchmark's dual op, each against the weighted
+    # least-squares fit of its source's Gauss-map samples at the same
+    # sample_L; the support-function inversion factors nothing.  Seen:
+    # 3.5e-12 on the first leg and 1.7e-13 on the second
     workloads, _ = perfbench
     spec = workloads.generate("dual", 0, str(tmp_path))[0]
     surface = io.read_surface(spec["argv"][spec["argv"].index("--surface")
@@ -66,17 +103,36 @@ def test_dual_input_zero_fits_are_near_identity(tmp_path, monkeypatch,
         field = curvature_field(source.padded_to(sample_L),
                                 build_grid(sample_L), require_convex=True)
         samples = polar.gauss_map(field)
-        root = np.sqrt(samples.weights)
+        root = np.sqrt(_dual_sphere_areas(field, samples))
         B = basis_matrix(L_max, samples.eta_theta, samples.eta_phi)
         expect = np.linalg.lstsq(root[:, None] * B, root * samples.r_star,
                                  rcond=None)[0]
         with monkeypatch.context() as patch:
-            for name in ("cholesky", "solve", "lstsq"):
+            for name in ("cholesky", "solve", "lstsq", "svd", "qr", "eigh"):
                 patch.setattr(np.linalg, name, _no_factorization)
-            legs.append((expect, polar.dual_as_graph(samples, L_max)))
-    for expect, fitted in legs:
-        assert np.max(np.abs(fitted.radial.values - expect)) <= 1e-12
+            legs.append((expect, polar.dual_as_graph(source, L_max,
+                                                     sample_L)))
+    errors = [np.max(np.abs(fitted.radial.values - expect))
+              for expect, fitted in legs]
+    assert errors[0] <= 1e-11 and errors[1] <= 1e-12, errors
+
+
+def _dual_sphere_areas(field, samples):
+    """Each sample's area on the dual chart sphere: w_q |det| / |a|^3.
+
+    u = a / |a|, with a the equatorial part of the dual point in the dual
+    pole's frame, is the chart direction of the sample; the Weingarten
+    relation d_i x_dual = S^k_i x_k gives a's chart derivatives.
+    """
+    Q = geometry.frame_for_pole(samples.pole)
+    a = samples.x_dual @ Q[:, :3]
+    S = field.shape_operator
+    a_t, a_p = ((S[:, 0, i, None] * field.x_theta
+                 + S[:, 1, i, None] * field.x_phi) @ Q[:, :3] for i in (0, 1))
+    vol = np.einsum("ni,ni->n", a, np.cross(a_t, a_p))
+    return field.grid.weights * np.abs(vol) / (
+        np.linalg.norm(a, axis=1) ** 3 * field.grid.nodes.sin_theta)
 
 
 def _no_factorization(*args, **kwargs):
-    raise AssertionError("factorization in a near-identity dual fit")
+    raise AssertionError("factorization in the support-function inversion")

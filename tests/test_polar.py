@@ -1,6 +1,4 @@
-import dataclasses
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +7,11 @@ from curvedual.curvature import make_curvature_function
 from curvedual.errors import ConvexityError, DataError, ResolutionError
 from curvedual.geometry import curvature_field, sphere_surface
 from curvedual.solver import PrescribedData, SolverOptions, continuation
-from curvedual import polar
-from curvedual.polar import (DualSamples, dual_as_graph, dual_surface,
-                             fit_residual, gauss_map, support_test,
-                             transfer_problem)
-from curvedual.spectral import HarmonicCoeffs, analyze, basis_matrix, \
-    build_folded_grid, build_grid, chart_jets
+from curvedual import _kernels, polar
+from curvedual.polar import (dual_as_graph, dual_surface, fit_residual,
+                             gauss_map, support_test, transfer_problem)
+from curvedual.spectral import HarmonicCoeffs, analyze, build_folded_grid, \
+    build_grid, chart_jets, jets_at, synthesize_at
 from curvedual import geometry
 
 E4 = np.array([0.0, 0.0, 0.0, 1.0])
@@ -29,16 +26,6 @@ def perturbed_surface(L_max=24):
     c[4, 0] = amp
     c[4, 2] = amp
     c[4, -2] = amp
-    return geometry.GraphSurface(n=2, pole=E4.copy(), radial=c,
-                                 gauge_tau0=geometry.default_gauge_tau0())
-
-
-def _strong_degree_2_surface():
-    # the first dual fit of this L 8 surface at sample_L 20 has no
-    # certificate; the resample at 37 clears the Frobenius bound
-    c = HarmonicCoeffs.zeros(8)
-    c[0, 0] = (np.pi / 4) * np.sqrt(4 * np.pi)
-    c[2, 0] = 0.22
     return geometry.GraphSurface(n=2, pole=E4.copy(), radial=c,
                                  gauge_tau0=geometry.default_gauge_tau0())
 
@@ -97,9 +84,8 @@ def test_gauss_map_rejects_nonconvex():
 
 
 def test_dual_graph_of_sphere():
-    grid = build_grid(16)
-    field = curvature_field(sphere_surface(np.pi / 6, L_max=16), grid)
-    dual = dual_as_graph(gauss_map(field), L_max=16)
+    dual = dual_as_graph(sphere_surface(np.pi / 6, L_max=16), L_max=16,
+                         sample_L=20)
     values = dual.radial.values
     a00 = values[0]
     assert abs(a00 - (np.pi / 3) * np.sqrt(4 * np.pi)) <= 1e-9
@@ -109,9 +95,8 @@ def test_dual_graph_of_sphere():
 
 @pytest.mark.parametrize("radius", [np.pi / 6, np.pi / 4, np.pi / 3])
 def test_ball_polarity(radius):
-    grid = build_grid(12)
-    field = curvature_field(sphere_surface(radius, L_max=12), grid)
-    dual = dual_as_graph(gauss_map(field), L_max=12)
+    dual = dual_as_graph(sphere_surface(radius, L_max=12), L_max=12,
+                         sample_L=16)
     expect = (np.pi / 2 - radius) * np.sqrt(4 * np.pi)
     assert abs(dual.radial.values[0] - expect) <= 1e-9
     assert np.max(np.abs(dual.radial.values[1:])) <= 1e-9
@@ -119,11 +104,9 @@ def test_ball_polarity(radius):
 
 def test_inclusion_reversal_for_balls():
     # smaller ball has the larger polar ball
-    grid = build_grid(8)
     radii = []
     for r in (np.pi / 6, np.pi / 4):
-        field = curvature_field(sphere_surface(r, L_max=8), grid)
-        dual = dual_as_graph(gauss_map(field), L_max=8)
+        dual = dual_as_graph(sphere_surface(r, L_max=8), L_max=8, sample_L=12)
         radii.append(dual.radial.values[0] / np.sqrt(4 * np.pi))
     assert radii[0] > radii[1]
 
@@ -145,7 +128,7 @@ def test_dual_fit_residual_small():
     surf = perturbed_surface()
     grid = build_grid(36)
     samples = gauss_map(curvature_field(surf.padded_to(36), grid))
-    dual = dual_as_graph(samples, L_max=32)
+    dual = dual_as_graph(surf, L_max=32, sample_L=36)
     assert fit_residual(samples, dual) <= 1e-6
 
 
@@ -163,299 +146,107 @@ def test_dual_of_even_surface_is_even():
         assert np.max(np.abs(dual.radial.degree_slice(l))) <= 1e-9, l
 
 
-@pytest.mark.parametrize("radius", [np.pi / 6, np.pi / 4, 1.2])
-def test_ball_weights_equal_grid_weights(radius):
-    # the dual of a ball about the pole is a ball about its antipode, and
-    # its chart direction is the source direction mirrored: J = 1
-    grid = build_grid(16)
-    samples = gauss_map(curvature_field(sphere_surface(radius, L_max=16),
-                                        grid))
-    assert np.max(np.abs(samples.weights / grid.weights - 1.0)) <= 2e-15
-
-
-def test_weights_sum_to_sphere_area():
-    field = curvature_field(perturbed_surface(), build_grid(24))
-    weights = gauss_map(field).weights
-    assert abs(weights.sum() / (4.0 * np.pi) - 1.0) <= 1e-14
-
-
-def test_degenerate_samples_rejected():
-    grid = build_grid(8)
-    field = curvature_field(sphere_surface(np.pi / 4, L_max=8), grid)
-    s = gauss_map(field)
-    rep = np.zeros(60, dtype=int)  # every sample at the same direction
-    collapsed = DualSamples(theta=s.theta[rep], phi=s.phi[rep],
-                            x_dual=s.x_dual[rep],
-                            eta_theta=s.eta_theta[rep],
-                            eta_phi=s.eta_phi[rep], r_star=s.r_star[rep],
-                            kappa_dual=s.kappa_dual[rep], pole=s.pole,
-                            weights=s.weights[rep])
-    with pytest.raises(ResolutionError):
-        dual_as_graph(collapsed, L_max=4)
-
-
-def _no_lapack(*args, **kwargs):
-    raise AssertionError("LAPACK called on non-finite samples")
-
-
-@pytest.mark.parametrize("name", ["eta_theta", "eta_phi", "r_star",
-                                  "weights"])
-def test_nonfinite_samples_rejected(monkeypatch, name):
-    # NaN input makes LAPACK's least squares print DLASCL errors and raise
-    # a bare LinAlgError; the fit must stop before any factorization
-    grid = build_grid(8)
-    s = gauss_map(curvature_field(sphere_surface(np.pi / 4, L_max=8), grid))
-    values = getattr(s, name).copy()
-    values[17] = np.nan
-    for solver in ("cholesky", "eigvalsh", "lstsq", "solve"):
-        monkeypatch.setattr(np.linalg, solver, _no_lapack)
-    with pytest.raises(ResolutionError, match="not finite"):
-        dual_as_graph(dataclasses.replace(s, **{name: values}), L_max=4)
-
-
-def _svd_fit(samples, L_max):
-    # the weighted rows sqrt(w) B against sqrt(w) r_star, built as the
-    # fit builds them
-    root = np.sqrt(samples.weights)
-    B = basis_matrix(L_max, samples.eta_theta, samples.eta_phi, root)
-    return np.linalg.lstsq(B, root * samples.r_star, rcond=1e-12)[0]
-
-
-def _squeezed_sphere_samples(factor):
-    # scaling eta_theta pulls the dual directions toward the chart pole,
-    # which raises the condition number of the fit; the weights stay
-    grid = build_grid(8)
-    s = gauss_map(curvature_field(sphere_surface(np.pi / 4, L_max=8), grid))
-    return dataclasses.replace(s, eta_theta=factor * s.eta_theta)
-
-
 @pytest.fixture(scope="module")
-def bumpy_samples():
-    # acceptance 03's first leg: the L 24 bumpy surface sampled at L 36
-    return gauss_map(curvature_field(perturbed_surface().padded_to(36),
-                                     build_grid(36)))
-
-
-def test_well_conditioned_fit_uses_normal_equations(monkeypatch,
-                                                     bumpy_samples):
-    samples = bumpy_samples
-    expect = _svd_fit(samples, 32)
-
-    def no_svd(*args, **kwargs):
-        raise AssertionError("SVD solve on a well-conditioned fit")
-
-    monkeypatch.setattr(np.linalg, "lstsq", no_svd)
-    coeffs = dual_as_graph(samples, L_max=32).radial.values
-    assert np.max(np.abs(coeffs - expect)) <= 1e-12
-
-
-def _modulated_solve(name, scale, L_max=24):
-    # acceptance 06's modulated problem with its b times ``scale``
+def solve_output():
+    # the canonical solve output: acceptance 06's problem solved at L 24
     b = HarmonicCoeffs.zeros(2)
     b[2, 0] = 0.4 / np.sqrt(6.0)
     b[2, 2] = 0.2 / np.sqrt(6.0)
     b[2, -1] = -0.2 / np.sqrt(6.0)
-    data = PrescribedData(a_poly=[np.log(2.0)],
-                          b=HarmonicCoeffs(2, scale * b.values), c=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the mean's admissibility warning
-        report = continuation(make_curvature_function(name), data,
-                              SolverOptions(L_max=L_max))
+    report = continuation(make_curvature_function("gauss_power"),
+                          PrescribedData(a_poly=[np.log(2.0)], b=b, c=1.0),
+                          SolverOptions(L_max=24))
     assert report.converged
     return report.final_surface
 
 
-@pytest.fixture(scope="module")
-def solve_output():
-    # the canonical solve output: acceptance 06's problem solved at L 24
-    return _modulated_solve("gauss_power", 1.0)
+def test_support_function_of_a_ball_is_tan_of_its_radius():
+    # the gnomonic image of a ball about the pole is a Euclidean ball of
+    # radius tan r about the origin, so h(u) = tan r in every direction
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal((500, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    for radius in (np.pi / 6, 1.2):
+        h = polar._support(sphere_surface(radius, L_max=8).radial, u)
+        assert np.max(np.abs(h - np.tan(radius))) <= 4e-15 * np.tan(radius)
 
 
-@pytest.fixture(scope="module")
-def solve_output_samples(solve_output):
-    # the first leg of the canonical solve output's dual, sampled at L 36
-    return gauss_map(curvature_field(solve_output.padded_to(36),
-                                     build_grid(36)))
+def _ball_radii(radius, tilt, direction, theta, phi):
+    # the closed-form radial graph of offset_sphere_surface at any points
+    s = _kernels._frame_fields(theta, phi).w @ direction
+    amp = np.sqrt(1.0 - np.sin(tilt) ** 2 * (1.0 - s**2))
+    return np.arctan2(np.sin(tilt) * s, np.cos(tilt)) + np.arccos(
+        np.cos(radius) / amp)
 
 
-def _no_solve(*args, **kwargs):
-    raise AssertionError("LU or SVD solve on a certified fit")
+def test_dual_of_an_offset_ball_is_the_complementary_ball():
+    # the polar of the ball B(c, R) is B(-c, pi/2 - R); about the antipodal
+    # pole -c lies at the same tilt, in the direction mirrored by the
+    # antipodal chart frame.  The source is a fit of its closed form,
+    # off by 8e-14; the dual is off by 9e-14 at the nodes of grid 40
+    d = np.array([1.0, 2.0, 0.5]) / np.linalg.norm([1.0, 2.0, 0.5])
+    source = geometry.offset_sphere_surface(np.pi / 4, 0.15, d, L_max=24)
+    dual = dual_surface(source)
+    grid = build_grid(40)
+    exact = _ball_radii(np.pi / 4, 0.15, d * [-1.0, -1.0, 1.0], grid.theta,
+                        grid.phi)
+    got = synthesize_at(dual.radial, grid.theta, grid.phi)
+    assert np.max(np.abs(got - exact)) <= 1e-12
 
 
-@pytest.mark.parametrize("leg", ["bumpy_samples", "solve_output_samples"])
-def test_first_leg_fit_is_cholesky_certified_cg(monkeypatch, request, leg):
-    # ||A - I||_F is 3.4 (acceptance 03) and 1.46 (solve output): the
-    # Frobenius bound cannot certify these fits, the shifted Cholesky
-    # factor can, and conjugate gradients solve them with no LU or SVD
-    samples = request.getfixturevalue(leg)
-    root = np.sqrt(samples.weights)
-    B = root[:, None] * basis_matrix(32, samples.eta_theta, samples.eta_phi)
-    A = B.T @ B
-    expect = np.linalg.lstsq(B, root * samples.r_star, rcond=None)[0]
-    assert np.linalg.norm(A - np.eye(len(A))) > polar._FROBENIUS_MAX
-    assert polar._certifies_normal_equations(A)
-    for name in ("solve", "lstsq"):
-        monkeypatch.setattr(np.linalg, name, _no_solve)
-    coeffs = dual_as_graph(samples, L_max=32).radial.values
-    assert np.max(np.abs(coeffs - expect)) <= 1e-12
+def test_solve_output_dual_matches_exact_support_radii(solve_output):
+    # the dual point of a source point is its outward unit normal; read in
+    # the chart about the antipodal pole, it gives a direction and the
+    # exact dual radius there.  At 4000 random source points the dual
+    # graph is off by 1.3e-15
+    rng = np.random.default_rng(11)
+    theta = np.arccos(rng.uniform(-1.0, 1.0, 4000))
+    phi = rng.uniform(0.0, 2.0 * np.pi, 4000)
+    forms = _kernels.fundamental_forms(
+        _kernels._frame_fields(theta, phi),
+        *jets_at(solve_output.radial, theta, phi))
+    dual = dual_surface(solve_output)
+    std = forms["normal"] @ (geometry.frame_for_pole(solve_output.pole).T
+                             @ geometry.frame_for_pole(dual.pole))
+    planar = np.hypot(std[:, 0], std[:, 1])
+    r_star = np.arctan2(np.hypot(planar, std[:, 2]), std[:, 3])
+    got = synthesize_at(dual.radial, np.arctan2(planar, std[:, 2]),
+                        np.arctan2(std[:, 1], std[:, 0]))
+    assert np.max(np.abs(got - r_star)) <= 5e-15
 
 
-def _forbid_svd(monkeypatch):
-    # the fit has no SVD, LU or pseudo-inverse path left to fall back on
-    def no_svd(*args, **kwargs):
-        raise AssertionError("SVD or LU solve in a dual fit")
-
-    for name in ("lstsq", "svd", "pinv", "solve"):
-        monkeypatch.setattr(np.linalg, name, no_svd)
+def test_dual_graph_above_its_sample_degree_is_refused():
+    # analyze at sample_L gives no coefficients above it
+    with pytest.raises(ValueError, match="L_max 20 exceeds sample_L 16"):
+        dual_as_graph(sphere_surface(np.pi / 4, L_max=8), L_max=20,
+                      sample_L=16)
 
 
-def _record_densities(monkeypatch, change=lambda samples: samples):
-    # the sample_L of every sampling in dual_surface, in order
-    densities = []
-    take = polar._samples
-
-    def spy(surface, sample_L):
-        densities.append(sample_L)
-        return change(take(surface, sample_L))
-
-    monkeypatch.setattr(polar, "_samples", spy)
-    return densities
+def test_support_points_not_converging_raise(monkeypatch):
+    monkeypatch.setattr(polar, "_NEWTON_STEPS", 2)
+    with pytest.raises(ResolutionError, match=r"^support points of \d+ dual "
+                       r"directions did not converge in 2 Newton steps$"):
+        dual_surface(perturbed_surface(L_max=8))
 
 
-@pytest.fixture
-def bumpy_surface():
-    return perturbed_surface()
-
-
-@pytest.mark.parametrize("source", ["solve_output", "bumpy_surface"])
-def test_first_legs_are_not_resampled(monkeypatch, request, source):
-    # both first legs are certified at the requested density, so the
-    # samples are taken once and the fit runs the Cholesky-certified path
-    surface = request.getfixturevalue(source)
-    densities = _record_densities(monkeypatch)
-    dual_surface(surface, L_max=32, sample_L=36)
-    assert densities == [36]
-
-
-def test_uncertified_fit_is_resampled_once(monkeypatch):
-    # the dual of 3x the canonical modulation under the mean, solved at
-    # L 24: at sample_L 36 no certificate clears the fit, so it is
-    # resampled at ceil(36 sqrt(J_max)) = 59, where the refit clears the
-    # Frobenius bound
-    surface = _modulated_solve("mean", 3.0)
-    lstsq = np.linalg.lstsq
-    densities = _record_densities(monkeypatch)
-    _forbid_svd(monkeypatch)
-    dual = dual_surface(surface, L_max=32, sample_L=36)
-    assert densities == [36, 59]
-    # the least-squares solution at the resampled density
-    samples = polar._samples(surface, 59)
-    root = np.sqrt(samples.weights)
-    B = basis_matrix(32, samples.eta_theta, samples.eta_phi, root)
-    expect = lstsq(B, root * samples.r_star, rcond=None)[0]
-    assert np.max(np.abs(dual.radial.values - expect)) <= 1e-12
-
-
-def test_second_uncertified_fit_names_both_densities(monkeypatch):
-    monkeypatch.setattr(polar, "_FROBENIUS_MAX", -1.0)
-    monkeypatch.setattr(polar, "_certifies_normal_equations",
-                        lambda A: False)
-    message = (r"^dual graph fit at L_max 16 has no certificate at "
-               r"sample_L 20, nor after one resample at sample_L 37$")
-    with pytest.raises(ResolutionError, match=message) as info:
-        dual_surface(_strong_degree_2_surface(), L_max=16, sample_L=20)
-    assert type(info.value) is ResolutionError
-
-
-def test_nonfinite_samples_are_not_resampled(monkeypatch):
-    densities = _record_densities(
-        monkeypatch, lambda s: dataclasses.replace(
-            s, r_star=np.full_like(s.r_star, np.nan)))
-    with pytest.raises(ResolutionError, match="not finite"):
-        dual_surface(sphere_surface(np.pi / 4, L_max=8))
-    assert densities == [20]
-
-
-def test_cg_short_of_tolerance_raises(monkeypatch, caplog):
-    # a Frobenius-certified fit whose conjugate gradients cannot reach
-    # the tolerance within n steps is uncertified: it raises, with no SVD
-    samples = gauss_map(curvature_field(perturbed_surface(L_max=8),
-                                        build_grid(8)))
-    monkeypatch.setattr(polar, "_CG_TOL", 1e-300)
-    _forbid_svd(monkeypatch)
-    with caplog.at_level("DEBUG", logger="curvedual.polar"), \
-            pytest.raises(polar._UncertifiedFit,
-                          match=r"CG steps 49 short of tolerance$"):
-        dual_as_graph(samples, L_max=6)
-    assert re.search(r"\|\|A - I\|\|_F <= \S+, CG steps 49 short of "
-                     r"tolerance$", caplog.text)
+def test_support_minimum_is_refused(monkeypatch):
+    # started at the worst coarse node, Newton converges to the minimum of
+    # <y, u>, whose Hessian is positive definite
+    u = build_grid(8).nodes.w
+    monkeypatch.setattr(np, "argmax", np.argmin)
+    with pytest.raises(ResolutionError, match="not a strict maximum"):
+        polar._support(perturbed_surface(L_max=8).radial, u)
 
 
 def test_dual_fit_logs_its_path(caplog):
-    fits = [(_squeezed_sphere_samples(1.0),
-             r"\|\|A - I\|\|_F <= \S+, CG steps \d+$"),
-            (_squeezed_sphere_samples(0.7),
-             r"shifted Cholesky, CG steps \d+, refinement steps \d+$"),
-            (_squeezed_sphere_samples(0.5), r"no certificate$")]
+    # the fit logs how many Newton steps its slowest support point took
     with caplog.at_level("DEBUG", logger="curvedual.polar"):
-        for samples, _ in fits[:2]:
-            dual_as_graph(samples, L_max=6)
-        with pytest.raises(ResolutionError, match="no certificate$"):
-            dual_as_graph(fits[2][0], L_max=6)
-        # an uncertified fit is resampled once, and the refit is logged
-        dual_surface(_strong_degree_2_surface(), L_max=16, sample_L=20)
+        dual_surface(perturbed_surface(), L_max=32, sample_L=36)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "curvedual.polar"]
-    assert len(lines) == len(fits) + 3
-    for line, (_, pattern) in zip(lines, fits):
-        assert line.startswith("dual graph fit: 153 samples, L_max=6, ")
-        assert re.search(pattern, line), line
-    assert lines[3] == "dual graph fit: 861 samples, L_max=16, no certificate"
-    assert lines[4] == ("dual graph fit uncertified at sample_L=20; "
-                        "resampling at sample_L=37")
-    assert re.fullmatch(r"dual graph fit: 2850 samples, L_max=16, "
-                        r"\|\|A - I\|\|_F <= \S+, CG steps \d+", lines[5])
-
-
-def test_ill_conditioned_fit_raises(monkeypatch):
-    samples = _squeezed_sphere_samples(0.5)  # condition number 6.0e4
-    _forbid_svd(monkeypatch)
-    with pytest.raises(polar._UncertifiedFit, match="no certificate"):
-        dual_as_graph(samples, L_max=6)
-
-
-def test_fit_above_1e3_never_takes_normal_equations(monkeypatch):
-    # kappa_2 = 1.07e3: the unshifted Gram matrix has a Cholesky factor,
-    # so only the shift keeps this fit off the normal equations
-    samples = _squeezed_sphere_samples(0.65)
-    _forbid_svd(monkeypatch)
-    with pytest.raises(polar._UncertifiedFit, match="no certificate"):
-        dual_as_graph(samples, L_max=6)
-
-
-def test_fit_below_certified_bound_uses_normal_equations(monkeypatch):
-    # kappa_2 = 319, below the certified bound of about 670 at this size;
-    # ||A - I||_F is 4.6, so the fit is not near the identity either
-    samples = _squeezed_sphere_samples(0.7)
-    expect = _svd_fit(samples, 6)
-
-    def no_svd(*args, **kwargs):
-        raise AssertionError("SVD solve on a certified fit")
-
-    monkeypatch.setattr(np.linalg, "lstsq", no_svd)
-    coeffs = dual_as_graph(samples, L_max=6).radial.values
-    assert np.max(np.abs(coeffs - expect)) <= 1e-10
-
-
-def test_fit_above_condition_limit_rejected(monkeypatch):
-    # condition number 1.6e10, far past what either certificate clears
-    samples = _squeezed_sphere_samples(0.2)
-    _forbid_svd(monkeypatch)
-    message = (r"^dual graph fit at L_max 6 is uncertified at 153 samples: "
-               r"no certificate$")
-    with pytest.raises(polar._UncertifiedFit, match=message):
-        dual_as_graph(samples, L_max=6)
-
+    assert len(lines) == 1
+    assert re.fullmatch(r"support function: 2701 directions, L_max=24, "
+                        r"Newton steps [1-9]", lines[0]), lines[0]
 
 def test_second_fundamental_form_shared_with_dual():
     # <d_i x_dual, d_j x> recovers h_ij, with the dual point field

@@ -15,12 +15,14 @@ from curvedual.spectral import (
     _ProductTables,
     _product_grid,
     _synthesis,
+    _theta_series,
     analyze,
     basis_matrix,
     build_folded_grid,
     build_grid,
     chart_jets,
     index_lm,
+    jets_at,
     lm_index,
     num_coeffs,
     synthesize,
@@ -462,19 +464,6 @@ def test_basis_matrix_matches_product_tables():
     assert peak <= 30e6, peak
 
 
-def test_weighted_basis_matrix_scales_rows():
-    # the weights enter through the longitude rows, so each entry is
-    # P (lon w) where the scaled rows read (P lon) w: two roundings apart;
-    # at the poles the non-zonal entries must stay exact zeros
-    theta, phi = _fit_size_points()
-    w = np.random.default_rng(14).uniform(0.0, 2.0, len(theta))
-    got = basis_matrix(32, theta, phi, w)
-    want = basis_matrix(32, theta, phi)
-    want *= w[:, None]
-    err = np.abs(got - want)
-    assert np.all(err <= 4 * np.finfo(float).eps * np.abs(want))
-
-
 @pytest.mark.parametrize("theta, phi", [
     (np.full((3, 2), 0.5), np.full((3, 2), 0.5)),
     (np.full(3, 0.5), np.full(1, 0.5)),
@@ -489,13 +478,48 @@ def test_mismatched_angle_arrays_are_refused(theta, phi):
         synthesize_at(HarmonicCoeffs.zeros(4), theta, phi)
 
 
-@pytest.mark.parametrize("shape", [(2,), (3, 1), ()],
-                         ids=["short", "2-D", "0-D"])
-def test_weights_of_another_shape_are_refused(shape):
-    angles = np.full(3, 0.5)
-    message = re.escape(f"expected weights of shape (3,), got shape {shape}")
-    with pytest.raises(ValueError, match=message):
-        basis_matrix(4, angles, angles, np.ones(shape))
+@pytest.mark.parametrize("L_max", [4, 9, 24, 32])
+def test_jets_at_values_match_basis_matrix(L_max):
+    # |u| <= ||c|| (L+1) / sqrt(4 pi) by the addition theorem; on that
+    # scale the two paths agree within 1.3 ulps at L 24 and 32
+    rng = np.random.default_rng(21)
+    a = HarmonicCoeffs(L_max, rng.standard_normal(num_coeffs(L_max)))
+    theta, phi = _fit_size_points()
+    want = basis_matrix(L_max, theta, phi) @ a.values
+    got = jets_at(a, theta, phi, derivatives=False)
+    assert got.shape == (1, len(theta))
+    scale = np.linalg.norm(a.values) * (L_max + 1) / np.sqrt(4.0 * np.pi)
+    assert np.max(np.abs(got[0] - want)) <= 4 * np.finfo(float).eps * scale
+    assert np.array_equal(synthesize_at(a, theta, phi), got[0])
+
+
+@pytest.mark.parametrize("L_max", [4, 9, 24, 32])
+def test_jets_at_match_chart_jets_at_grid_nodes(L_max):
+    # the Gauss-Legendre nodes avoid the poles, where chart_jets' theta
+    # derivative tables divide by sin theta; largest error seen 28 ulps of
+    # a jet's largest value
+    rng = np.random.default_rng(22)
+    a = HarmonicCoeffs(L_max, rng.standard_normal(num_coeffs(L_max)))
+    grid = build_grid(L_max)
+    want = chart_jets(grid, a)
+    got = jets_at(a, grid.theta, grid.phi)
+    for k in range(6):
+        scale = np.max(np.abs(want[k]))
+        assert np.max(np.abs(got[k] - want[k])) <= \
+            64 * np.finfo(float).eps * scale, k
+
+
+def test_theta_series_tables_are_shared_and_read_only():
+    # one table per degree, handed out again while among the last 8
+    table = _theta_series(12)
+    assert _theta_series(12) is table
+    assert table.shape == (num_coeffs(12), 25)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+    assert _theta_series(13) is not table
+    # the constant's series is its value, with exact zeros elsewhere
+    assert table[0, 12] == 1.0 / np.sqrt(4.0 * np.pi)
+    assert np.count_nonzero(table[0]) == 1
 
 
 # largest error seen against 80-bit long double: 4.4e-15 up to L 96,
