@@ -51,7 +51,9 @@ class DualSamples:
     coordinates; ``eta_theta``, ``eta_phi`` and ``r_star`` locate that
     point in the graph chart about ``pole``, which is the antipode of the
     source pole.  ``kappa_dual`` holds the dual principal curvatures in
-    ascending order.
+    ascending order.  ``weights`` is each sample's area on the dual chart
+    sphere: the source quadrature weight times the area ratio of the
+    Gauss map, so the weights sum to 4 pi.
     """
 
     theta: np.ndarray       # (N,)
@@ -62,6 +64,7 @@ class DualSamples:
     r_star: np.ndarray      # (N,)
     kappa_dual: np.ndarray  # (N, 2)
     pole: np.ndarray        # (4,) pole of the dual graph chart
+    weights: np.ndarray     # (N,) dual-sphere area per sample
 
     @property
     def n_nodes(self) -> int:
@@ -76,6 +79,13 @@ def gauss_map(field: CurvatureField) -> DualSamples:
     dual shape operator, built from the dual metric h g^{-1} h and the
     shared second fundamental form; they come out as the reciprocals of
     the source curvatures with the order reversed.
+
+    Each sample also gets its area on the dual chart sphere, w_q J_q,
+    where w_q is the source quadrature weight and
+    J = |u_theta x u_phi| / sin(theta) the area ratio of the chart
+    direction u of the dual point.  The chart derivatives of u come from
+    the Weingarten relation d_i x_dual = S^k_i x_k, with S the source
+    shape operator, so the weights cost no differentiation.
 
     Parameters
     ----------
@@ -110,9 +120,20 @@ def gauss_map(field: CurvatureField) -> DualSamples:
         shape_dual[..., 0, 0], shape_dual[..., 0, 1],
         shape_dual[..., 1, 0], shape_dual[..., 1, 1])
 
+    # u = a / |a| with a the equatorial part of Q^T x_dual, so
+    # |u_theta x u_phi| = |det(a, a_theta, a_phi)| / |a|^3
+    S = field.shape_operator
+    a_t, a_p = ((S[:, 0, i, None] * field.x_theta
+                 + S[:, 1, i, None] * field.x_phi) @ Q[:, :3]
+                for i in (0, 1))
+    vol = np.einsum("ni,ni->n", std[:, :3], np.cross(a_t, a_p))
+    area = field.grid.weights * np.abs(vol) / (
+        equatorial**3 * field.grid.nodes.sin_theta)
+
     return DualSamples(theta=field.grid.theta, phi=field.grid.phi,
                        x_dual=x_dual, eta_theta=eta_theta, eta_phi=eta_phi,
-                       r_star=r_star, kappa_dual=kappa_dual, pole=pole_dual)
+                       r_star=r_star, kappa_dual=kappa_dual, pole=pole_dual,
+                       weights=area)
 
 
 def _dual_points(field: CurvatureField) -> np.ndarray:
@@ -238,7 +259,17 @@ def _support(radial: spectral.HarmonicCoeffs, u: np.ndarray) -> np.ndarray:
 
 
 def fit_residual(samples: DualSamples, surface: GraphSurface) -> float:
-    """Max mismatch between the dual graph's radii and the sampled values."""
+    """Max mismatch between the dual graph's radii and the sampled values.
+
+    Raises ResolutionError if any sample or weight is not finite, where
+    the maximum would otherwise be NaN.
+    """
+    if not all(np.isfinite(v).all() for v in (samples.eta_theta,
+                                              samples.eta_phi,
+                                              samples.r_star,
+                                              samples.weights)):
+        raise ResolutionError("dual samples are not finite; the dual graph "
+                              "cannot be compared with them")
     fitted = spectral.synthesize_at(surface.radial, samples.eta_theta,
                                     samples.eta_phi)
     return float(np.max(np.abs(fitted - samples.r_star)))

@@ -18,9 +18,11 @@ from one routine, :func:`_longitude_rows`, which turns each block of eight
 orders into the next with the angle-addition formulas instead of calling
 libm at the rounded argument m phi.  ``basis_matrix`` runs the same
 Legendre recurrence straight at its points and multiplies each degree's
-rows in place by that longitude table, so it gathers nothing and returns
-the transposed view of a degree-major array; it is the only routine that
-forms a points x coefficients matrix, and no computation uses it.
+rows in place by that longitude table, whose columns carry optional
+per-point row weights, so it gathers nothing, makes no second pass for the
+weights, and returns the transposed view of a degree-major array; it is
+the only routine that forms a points x coefficients matrix, and no
+computation uses it.
 
 At scattered points an expansion is read as a double Fourier series
 (Townsend, Wilber & Wright, SIAM J. Sci. Comput. 38, 2016): each
@@ -410,17 +412,20 @@ class HarmonicCoeffs:
         return self.values[l * l:(l + 1) * (l + 1)]
 
 
-def basis_matrix(L_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def basis_matrix(L_max: int, theta: np.ndarray, phi: np.ndarray,
+                 weights: np.ndarray | None = None) -> np.ndarray:
     """Evaluate all basis functions at arbitrary points.
 
-    Returns the (len(theta), num_coeffs) evaluation matrix.  ``theta``
-    and ``phi`` are 1-D arrays of one length; anything else raises
+    Returns the (len(theta), num_coeffs) evaluation matrix, with row q
+    scaled by ``weights[q]`` when weights are given.  ``theta``, ``phi``
+    and ``weights`` are 1-D arrays of one length; anything else raises
     ValueError.  Points may lie anywhere on the sphere including the
     poles (where only m = 0 columns are nonzero).  The Legendre rows are
     evaluated straight at the points, degree-major, and each degree's
     block is multiplied in place by the rows of orders -l..l of the
-    (2L+1, points) longitude table of :func:`_longitude_rows`; the result
-    is the transposed view of that (num_coeffs, points) array.  No
+    (2L+1, points) longitude table of :func:`_longitude_rows`, which
+    carries the weights; the result is the transposed view of that
+    (num_coeffs, points) array.  No
     computation of the package forms it; to evaluate an expansion at
     points, :func:`jets_at` needs no points x coefficients array.
     """
@@ -429,9 +434,16 @@ def basis_matrix(L_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     if theta.ndim != 1 or phi.shape != theta.shape:
         raise ValueError(f"theta and phi must be 1-D arrays of one length, "
                          f"got shapes {theta.shape} and {phi.shape}")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != theta.shape:
+            raise ValueError(f"expected weights of shape {theta.shape}, got "
+                             f"shape {weights.shape}")
     ct = np.cos(theta)
     P = _legendre(L_max, ct, np.sqrt((1.0 - ct) * (1.0 + ct)))
     lon = _longitude_rows(L_max, phi)
+    if weights is not None:
+        lon *= weights
     for l in range(L_max + 1):
         P[l * l:(l + 1) * (l + 1)] *= lon[L_max - l:L_max + l + 1]
     return P.T

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvedual import cli, geometry, io, polar
+from curvedual import cli, io, polar
 from curvedual.geometry import curvature_field
 from curvedual.spectral import basis_matrix, build_grid
 
@@ -103,10 +103,9 @@ def test_dual_input_zero_fits_are_near_identity(tmp_path, monkeypatch,
         field = curvature_field(source.padded_to(sample_L),
                                 build_grid(sample_L), require_convex=True)
         samples = polar.gauss_map(field)
-        root = np.sqrt(_dual_sphere_areas(field, samples))
-        B = basis_matrix(L_max, samples.eta_theta, samples.eta_phi)
-        expect = np.linalg.lstsq(root[:, None] * B, root * samples.r_star,
-                                 rcond=None)[0]
+        root = np.sqrt(samples.weights)
+        B = basis_matrix(L_max, samples.eta_theta, samples.eta_phi, root)
+        expect = np.linalg.lstsq(B, root * samples.r_star, rcond=None)[0]
         with monkeypatch.context() as patch:
             for name in ("cholesky", "solve", "lstsq", "svd", "qr", "eigh"):
                 patch.setattr(np.linalg, name, _no_factorization)
@@ -115,23 +114,6 @@ def test_dual_input_zero_fits_are_near_identity(tmp_path, monkeypatch,
     errors = [np.max(np.abs(fitted.radial.values - expect))
               for expect, fitted in legs]
     assert errors[0] <= 1e-11 and errors[1] <= 1e-12, errors
-
-
-def _dual_sphere_areas(field, samples):
-    """Each sample's area on the dual chart sphere: w_q |det| / |a|^3.
-
-    u = a / |a|, with a the equatorial part of the dual point in the dual
-    pole's frame, is the chart direction of the sample; the Weingarten
-    relation d_i x_dual = S^k_i x_k gives a's chart derivatives.
-    """
-    Q = geometry.frame_for_pole(samples.pole)
-    a = samples.x_dual @ Q[:, :3]
-    S = field.shape_operator
-    a_t, a_p = ((S[:, 0, i, None] * field.x_theta
-                 + S[:, 1, i, None] * field.x_phi) @ Q[:, :3] for i in (0, 1))
-    vol = np.einsum("ni,ni->n", a, np.cross(a_t, a_p))
-    return field.grid.weights * np.abs(vol) / (
-        np.linalg.norm(a, axis=1) ** 3 * field.grid.nodes.sin_theta)
 
 
 def _no_factorization(*args, **kwargs):

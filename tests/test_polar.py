@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -144,6 +145,37 @@ def test_dual_of_even_surface_is_even():
     dual = dual_surface(perturbed_surface(), L_max=32, sample_L=36)
     for l in range(1, dual.L_max + 1, 2):
         assert np.max(np.abs(dual.radial.degree_slice(l))) <= 1e-9, l
+
+
+@pytest.mark.parametrize("radius", [np.pi / 6, np.pi / 4, 1.2])
+def test_ball_weights_equal_grid_weights(radius):
+    # the dual of a ball about the pole is a ball about its antipode, and
+    # its chart direction is the source direction mirrored: J = 1
+    grid = build_grid(16)
+    samples = gauss_map(curvature_field(sphere_surface(radius, L_max=16),
+                                        grid))
+    assert np.max(np.abs(samples.weights / grid.weights - 1.0)) <= 2e-15
+
+
+def test_weights_sum_to_sphere_area():
+    field = curvature_field(perturbed_surface(), build_grid(24))
+    weights = gauss_map(field).weights
+    assert abs(weights.sum() / (4.0 * np.pi) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["eta_theta", "eta_phi", "r_star",
+                                  "weights"])
+def test_nonfinite_samples_rejected(name):
+    # a NaN would make the residual NaN, which no tolerance rejects
+    grid = build_grid(8)
+    surface = sphere_surface(np.pi / 4, L_max=8)
+    s = gauss_map(curvature_field(surface, grid))
+    values = getattr(s, name).copy()
+    values[17] = np.nan
+    dual = dual_as_graph(surface, L_max=8, sample_L=12)
+    assert fit_residual(s, dual) <= 1e-12
+    with pytest.raises(ResolutionError, match="not finite"):
+        fit_residual(dataclasses.replace(s, **{name: values}), dual)
 
 
 @pytest.fixture(scope="module")

@@ -464,6 +464,19 @@ def test_basis_matrix_matches_product_tables():
     assert peak <= 30e6, peak
 
 
+def test_weighted_basis_matrix_scales_rows():
+    # the weights enter through the longitude rows, so each entry is
+    # P (lon w) where the scaled rows read (P lon) w: two roundings apart;
+    # at the poles the non-zonal entries must stay exact zeros
+    theta, phi = _fit_size_points()
+    w = np.random.default_rng(14).uniform(0.0, 2.0, len(theta))
+    got = basis_matrix(32, theta, phi, w)
+    want = basis_matrix(32, theta, phi)
+    want *= w[:, None]
+    err = np.abs(got - want)
+    assert np.all(err <= 4 * np.finfo(float).eps * np.abs(want))
+
+
 @pytest.mark.parametrize("theta, phi", [
     (np.full((3, 2), 0.5), np.full((3, 2), 0.5)),
     (np.full(3, 0.5), np.full(1, 0.5)),
@@ -476,6 +489,15 @@ def test_mismatched_angle_arrays_are_refused(theta, phi):
         basis_matrix(4, theta, phi)
     with pytest.raises(ValueError, match=message):
         synthesize_at(HarmonicCoeffs.zeros(4), theta, phi)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 1), ()],
+                         ids=["short", "2-D", "0-D"])
+def test_weights_of_another_shape_are_refused(shape):
+    angles = np.full(3, 0.5)
+    message = re.escape(f"expected weights of shape (3,), got shape {shape}")
+    with pytest.raises(ValueError, match=message):
+        basis_matrix(4, angles, angles, np.ones(shape))
 
 
 @pytest.mark.parametrize("L_max", [4, 9, 24, 32])
