@@ -14,9 +14,12 @@ The standalone :class:`~curvedual.geometry.GraphSurface` of the dual is
 not fitted to those scattered samples: its radius in each direction is
 the arccotangent of the support function of the source's gnomonic image,
 found at the nodes of a quadrature grid by Newton's method on the
-parameter sphere and transformed there (see :func:`dual_as_graph`).  A
-node whose support point does not converge fails the dual with a
-:class:`~curvedual.errors.ResolutionError`.
+parameter sphere and transformed there (see :func:`dual_as_graph`).
+Newton starts from the jets of the nodes of a coarse grid and reads h
+from its last step's quadratic model, so all but a few nodes cost two
+evaluations of one double Fourier form of the source (see
+:func:`_support`).  A node whose support point does not converge fails
+the dual with a :class:`~curvedual.errors.ResolutionError`.
 """
 
 from __future__ import annotations
@@ -195,23 +198,31 @@ def _support(radial: spectral.HarmonicCoeffs, u: np.ndarray) -> np.ndarray:
     Each maximization starts at the best node of a coarse grid and takes
     Riemannian Newton steps in the orthonormal frame (e_theta, e_phi) on
     the parameter sphere, each one moving the point along a great circle,
-    so no step is taken in chart coordinates.  A point stops once its
-    step is below ``_STEP_TOL``; the error in h is quadratic in the error
-    of the maximizer.  The jets of r come from :func:`spectral.jets_at`.
+    so no step is taken in chart coordinates.  The jets of r come from
+    one double Fourier form of ``radial`` (:func:`spectral._fourier_form`),
+    evaluated once at the coarse nodes, whose jets and frame fields give
+    every point's first step, and then once after each step at the points
+    that moved.  A point stops once its step d is below ``_STEP_TOL``; h
+    is then the maximum of its last quadratic model,
+    tan r <omega, u> + g.d / 2 with g the gradient, off by O(|d|^3), so
+    the stopped points need no further evaluation.
 
     Raises ResolutionError if a point takes more than ``_NEWTON_STEPS``
     steps, or if the Hessian at its last step is not negative definite.
     The last step count is logged at DEBUG on this module's logger.
     """
+    form = spectral._fourier_form(radial)
     coarse = build_grid(min(12, max(radial.L_max, 4)))
-    y = np.tan(spectral.synthesize_at(radial, coarse.theta, coarse.phi))
-    best = np.argmax(u @ (y[:, None] * coarse.nodes.w).T, axis=1)
-    theta, phi = coarse.theta[best], coarse.phi[best]
+    jets = spectral._form_jets(form, coarse.theta, coarse.phi)
+    best = np.argmax(u @ (np.tan(jets[0])[:, None] * coarse.nodes.w).T,
+                     axis=1)
+    jets = jets[:, best]
+    nodes = _kernels.NodeGeometry(*(a[best] for a in coarse.nodes))
+    h = np.empty(len(u))
     active = np.arange(len(u))
     for step in range(_NEWTON_STEPS):
-        t, p, v = theta[active], phi[active], u[active]
-        r, rt, rp, rtt, rtp, rpp = spectral.jets_at(radial, t, p)
-        nodes = _kernels._frame_fields(t, p)
+        v = u[active]
+        r, rt, rp, rtt, rtp, rpp = jets
         st, ct, w, e1 = (nodes.sin_theta, nodes.cos_theta, nodes.w,
                          nodes.w_theta)
         e2 = nodes.w_phi / st[:, None]
@@ -233,29 +244,32 @@ def _support(radial: spectral.HarmonicCoeffs, u: np.ndarray) -> np.ndarray:
         det = h11 * h22 - h12 * h12
         d1 = (h12 * g2 - h22 * g1) / det
         d2 = (h12 * g1 - h11 * g2) / det
-        # along the great circle through the point in the step's direction
         size = np.hypot(d1, d2)
-        x = np.cos(size)[:, None] * w + np.sinc(size / np.pi)[:, None] * (
-            d1[:, None] * e1 + d2[:, None] * e2)
-        theta[active] = np.arctan2(np.hypot(x[:, 0], x[:, 1]), x[:, 2])
-        phi[active] = np.arctan2(x[:, 1], x[:, 0])
         done = size < _STEP_TOL
         if not np.all((h11[done] < 0.0) & (det[done] > 0.0)):
             raise ResolutionError("a support point of the dual is not a "
                                   "strict maximum; the source is not "
                                   "strictly convex there")
-        active = active[~done]
+        h[active[done]] = (T * s0 + 0.5 * (g1 * d1 + g2 * d2))[done]
+        go = ~done
+        active = active[go]
         if not active.size:
             break
+        # along the great circle through the point in the step's direction
+        size, d1, d2 = size[go, None], d1[go, None], d2[go, None]
+        x = np.cos(size) * w[go] + np.sinc(size / np.pi) * (
+            d1 * e1[go] + d2 * e2[go])
+        theta = np.arctan2(np.hypot(x[:, 0], x[:, 1]), x[:, 2])
+        phi = np.arctan2(x[:, 1], x[:, 0])
+        jets = spectral._form_jets(form, theta, phi)
+        nodes = _kernels._frame_fields(theta, phi)
     else:
         raise ResolutionError(
             f"support points of {active.size} dual directions did not "
             f"converge in {_NEWTON_STEPS} Newton steps")
     log.debug("support function: %d directions, L_max=%d, Newton steps %d",
               len(u), radial.L_max, step + 1)
-    w = _kernels._frame_fields(theta, phi).w
-    return np.tan(spectral.synthesize_at(radial, theta, phi)) * np.einsum(
-        "ni,ni->n", w, u)
+    return h
 
 
 def fit_residual(samples: DualSamples, surface: GraphSurface) -> float:

@@ -502,41 +502,77 @@ def _power_rows(L_max: int, angle: np.ndarray) -> np.ndarray:
     return np.concatenate([z[:0:-1].imag, z.real])
 
 
-def jets_at(coeffs: "HarmonicCoeffs", theta: np.ndarray, phi: np.ndarray,
-            derivatives: bool = True) -> np.ndarray:
-    """[u] or [u, u_t, u_p, u_tt, u_tp, u_pp] of an expansion at points.
+def _fourier_form(coeffs: "HarmonicCoeffs") -> np.ndarray:
+    """The double Fourier form of an expansion and its phi-derivatives.
 
-    ``theta`` and ``phi`` are 1-D arrays of one length; anything else
-    raises ValueError.  Points may lie anywhere, the poles included.  The
-    coefficients fold into the double Fourier form E, (2L+1 theta rows,
-    2L+1 orders) in the layout of :func:`_theta_series`; then one product
-    of E and its two phi-derivatives with the longitude rows of the
-    points, and one elementwise contraction per jet with their theta
-    rows, so no points x coefficients array is formed.  Returns
-    (1 or 6, N).
+    The coefficients fold into E, (2L+1 theta rows, 2L+1 orders) in the
+    layout of :func:`_theta_series`; E_phi and E_phiphi follow it, so the
+    result is the (3 (2L+1), 2L+1) stack [E; E_phi; E_phiphi] that
+    :func:`_form_jets` evaluates at any number of point sets.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if theta.ndim != 1 or phi.shape != theta.shape:
-        raise ValueError(f"theta and phi must be 1-D arrays of one length, "
-                         f"got shapes {theta.shape} and {phi.shape}")
     L = coeffs.L_max
     l = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
     i = np.arange(len(l))
     Z = np.zeros((len(l), 2 * L + 1))
     Z[i, L + i - l * l - l] = coeffs.values
     E = _theta_series(L).T @ Z
-    rows, lon = _power_rows(L, theta), _power_rows(L, phi)
-    if not derivatives:
-        return np.einsum("kn,kn->n", rows, E @ lon)[None]
-    # d/dphi takes column L + m to m times column L - m, and d/dtheta row
-    # L + k to -k times row L - k, as in _ProductTables
+    # d/dphi takes column L + m to m times column L - m, as in
+    # _ProductTables
     s = np.arange(-L, L + 1)
-    G = (np.concatenate([E, s * E[:, ::-1], -(s * s) * E]) @ lon
-         ).reshape(3, 2 * L + 1, -1)
-    T = [rows, -s[:, None] * rows[::-1], -(s * s)[:, None] * rows]
+    return np.concatenate([E, s * E[:, ::-1], -(s * s) * E])
+
+
+def _form_jets(form: np.ndarray, theta: np.ndarray, phi: np.ndarray,
+               derivatives: bool = True) -> np.ndarray:
+    """[u] or [u, u_t, u_p, u_tt, u_tp, u_pp] of a :func:`_fourier_form`.
+
+    One product of the form (only E for values) with the longitude rows
+    of the points, and one elementwise contraction per jet with their
+    theta rows.  Returns (1 or 6, N).
+
+    The longitude rows are padded with zero angles to a multiple of 16
+    points.  OpenBLAS's Haswell dgemm kernel rounds the last N mod 8
+    points of the product differently with 1 and 2 threads, as it splits
+    the form's rows between them; padded, every point takes the main
+    kernel (16 also covers kernels with 16-wide blocks), so a point's
+    jets depend neither on the BLAS thread count nor, from two points
+    up, on the other points of its batch.
+    """
+    n = form.shape[1]
+    L = n // 2
+    N = len(theta)
+    rows = _power_rows(L, theta)
+    lon = _power_rows(L, np.concatenate([phi, np.zeros(-N % 16)]))
+    if not derivatives:
+        return np.einsum("kn,kn->n", rows, (form[:n] @ lon)[:, :N])[None]
+    G = (form @ lon)[:, :N].reshape(3, n, N)
+    # d/dtheta takes row L + k to -k times row L - k
+    s = np.arange(-L, L + 1)[:, None]
+    T = [rows, -s * rows[::-1], -(s * s) * rows]
     return np.stack([np.einsum("kn,kn->n", T[k], G[j])
                      for k, j in _JET_TABLES])
+
+
+def jets_at(coeffs: "HarmonicCoeffs", theta: np.ndarray, phi: np.ndarray,
+            derivatives: bool = True) -> np.ndarray:
+    """[u] or [u, u_t, u_p, u_tt, u_tp, u_pp] of an expansion at points.
+
+    ``theta`` and ``phi`` are 1-D arrays of one length; anything else
+    raises ValueError.  Points may lie anywhere, the poles included.  The
+    coefficients fold into the double Fourier form of
+    :func:`_fourier_form`, which :func:`_form_jets` evaluates with one
+    product against the longitude rows of the points and one elementwise
+    contraction per jet against their theta rows, so no points x
+    coefficients array is formed.  A caller that evaluates one expansion
+    at many point sets builds the form once and calls
+    :func:`_form_jets`.  Returns (1 or 6, N).
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if theta.ndim != 1 or phi.shape != theta.shape:
+        raise ValueError(f"theta and phi must be 1-D arrays of one length, "
+                         f"got shapes {theta.shape} and {phi.shape}")
+    return _form_jets(_fourier_form(coeffs), theta, phi, derivatives)
 
 
 def analyze(grid: QuadratureGrid, values: np.ndarray) -> HarmonicCoeffs:

@@ -531,6 +531,25 @@ def test_jets_at_match_chart_jets_at_grid_nodes(L_max):
             64 * np.finfo(float).eps * scale, k
 
 
+@pytest.mark.parametrize("derivatives", [True, False])
+def test_jets_at_a_point_do_not_depend_on_its_batch(derivatives):
+    # every point takes the same BLAS kernel whatever the batch size, so
+    # its jets are the same bits in a short batch and in a long one;
+    # unpadded, the last N mod 8 points of a batch took an edge kernel and
+    # differed with 1 and 2 BLAS threads.  A lone point is not held to it:
+    # numpy's contraction sums a single column in another order
+    rng = np.random.default_rng(23)
+    a = HarmonicCoeffs(32, rng.standard_normal(num_coeffs(32)))
+    theta = np.arccos(rng.uniform(-1.0, 1.0, 3001))
+    phi = rng.uniform(0.0, 2.0 * np.pi, 3001)
+    full = jets_at(a, theta, phi, derivatives)
+    for n in (2, 5, 8, 13, 2997):
+        assert np.array_equal(jets_at(a, theta[-n:], phi[-n:], derivatives),
+                              full[:, -n:]), n
+        assert np.array_equal(jets_at(a, theta[:n], phi[:n], derivatives),
+                              full[:, :n]), n
+
+
 def test_theta_series_tables_are_shared_and_read_only():
     # one table per degree, handed out again while among the last 8
     table = _theta_series(12)
